@@ -11,7 +11,6 @@ verification tooling for the element identities and the sequence ranks.
 """
 
 from .assembly import (
-    ElementCache,
     SolverError,
     SparseSystem,
     assemble_brinkman,

@@ -1,13 +1,22 @@
 """Sparse system assembly and direct solves for both model problems.
 
-Local element data is cached by cell *shape* (the vertex positions in the
-cell-local frame, which are translation- and scale-invariant): structured
-mesh families reuse a handful of shapes across all cells and refinement
-levels, so only the scatter and the load quadrature are per-cell work. The
-physical local matrices follow from the cached unit-shape integrals by exact
-powers of the cell diameter together with a diagonal DoF rescaling (gradient
-DoFs scale with h in the scalar element, edge-integral DoFs with 1/h in the
-vector element).
+The cell is a batch axis (Cuvelier, Japhet & Scarella, BIT Numer. Math. 56,
+2016): geometry, elements, quadrature tables and local matrices of all cells
+are built as stacked arrays, the local matrices are formed with one batched
+product, and the global matrix comes from one COO scatter. Elements are
+built on the cells' unit shapes, the vertex positions in the cell-local
+frame (x - b) / h, which keeps the local systems well conditioned at every
+mesh size. The physical local matrices follow from the unit-shape integrals
+by exact powers of the cell diameter together with a diagonal DoF rescaling
+(gradient DoFs scale with h in the scalar element, edge-integral DoFs with
+1/h in the vector element). User callables are evaluated once per mesh on
+point arrays of shape (n_cells, npts).
+
+Batched products keep the operand layouts and reduction kernels a loop over
+cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
+products), so every cell's local matrix and load equal its one-cell values
+bit for bit. That matters: the fourth-order solve amplifies rounding
+differences in the matrix by its condition number.
 """
 
 from __future__ import annotations
@@ -17,13 +26,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dofmap import ScalarDofMap, VectorDofMap
-from .elements import ScalarElement, VectorElement, build_scalar_element, build_vector_element
-from .geometry import QuadGeometry
+from .elements import build_scalar_element, build_vector_element
+from .geometry import QuadGeometry, _dot, _pow2
 from .mesh import Mesh
 from .quadrature import QuadratureRule
 
 __all__ = [
-    "ElementCache",
     "SparseSystem",
     "SolverError",
     "assemble_fourth_order",
@@ -32,121 +40,68 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_ORDER = 4  # the 16-node tensor rule
+CELL_CHUNK = 1024       # cells per element batch
 
 
 class SolverError(RuntimeError):
     """Direct factorization failed or left a large residual."""
 
 
-def scalar_dof_scaling(h: float) -> np.ndarray:
-    """Unit-shape to physical basis rescaling for the scalar element."""
-    return np.concatenate([np.ones(4), np.full(8, h)])
+def scalar_dof_scaling(h) -> np.ndarray:
+    """Unit-shape to physical basis rescaling (..., 12) for the scalar element."""
+    return np.where(np.arange(12) < 4, 1.0, np.asarray(h)[..., None])
 
 
-def vector_dof_scaling(h: float) -> np.ndarray:
-    """Unit-shape to physical basis rescaling for the vector element."""
-    return np.concatenate([np.full(4, 1.0 / h), np.ones(8)])
+def vector_dof_scaling(h) -> np.ndarray:
+    """Unit-shape to physical basis rescaling (..., 12) for the vector element."""
+    return np.where(np.arange(12) < 4, 1.0 / np.asarray(h)[..., None], 1.0)
 
 
-class _Tabulation:
-    """Unit-shape quadrature data: local points, weights, basis arrays."""
+def unit_shape_rule(geom: QuadGeometry, g: int):
+    """The geometry of the cells' unit shapes with a g x g Gauss rule on it.
 
-    __slots__ = ("points", "weights", "val", "grad", "hess")
-
-    def __init__(self, points, weights, val, grad, hess):
-        self.points = points      # (nq, 2) in the cell-local frame
-        self.weights = weights    # (nq,)   integrate over the unit shape
-        self.val = val            # (nq, nb) or (nq, nb, 2)
-        self.grad = grad
-        self.hess = hess          # (nq, nb, 2, 2) scalar only
-
-
-class _ScalarShape:
-    def __init__(self, unit_geom: QuadGeometry):
-        self.geom = unit_geom
-        self.element: ScalarElement = build_scalar_element(unit_geom)
-        self._tabs: dict[int, _Tabulation] = {}
-        self._mats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def tabulation(self, g: int) -> _Tabulation:
-        tab = self._tabs.get(g)
-        if tab is None:
-            pts, wts = QuadratureRule(g).cell_points(self.geom)
-            val, grad, hess = self.element.tabulate(pts)
-            tab = _Tabulation(pts, wts, val, grad, hess)
-            self._tabs[g] = tab
-        return tab
-
-    def matrices(self, g: int):
-        """Unit-shape Hessian and gradient Gram matrices."""
-        mats = self._mats.get(g)
-        if mats is None:
-            tab = self.tabulation(g)
-            A = np.einsum("q,qicd,qjcd->ij", tab.weights, tab.hess, tab.hess)
-            B = np.einsum("q,qic,qjc->ij", tab.weights, tab.grad, tab.grad)
-            mats = (A, B)
-            self._mats[g] = mats
-        return mats
+    Returns the unit-shape geometry, its quadrature points (..., g*g, 2),
+    the matching physical points and the unit-shape weights (..., g*g);
+    physical weights are these times h^2.
+    """
+    unit = QuadGeometry(geom.local_vertices)
+    pts, wts = QuadratureRule(g).cell_points(unit)
+    return unit, pts, geom.from_local(pts), wts
 
 
-class _VectorShape:
-    def __init__(self, unit_geom: QuadGeometry):
-        self.geom = unit_geom
-        self.element: VectorElement = build_vector_element(unit_geom)
-        self._tabs: dict[int, _Tabulation] = {}
-        self._mats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def unit_shape_tables(unit: QuadGeometry, pts, build):
+    """Elements of the cells' unit shapes and their basis tables at ``pts``.
 
-    def tabulation(self, g: int) -> _Tabulation:
-        tab = self._tabs.get(g)
-        if tab is None:
-            pts, wts = QuadratureRule(g).cell_points(self.geom)
-            val, grad = self.element.tabulate(pts)
-            tab = _Tabulation(pts, wts, val, grad, None)
-            self._tabs[g] = tab
-        return tab
-
-    def matrices(self, g: int):
-        """Unit-shape broken-gradient and mass Gram matrices."""
-        mats = self._mats.get(g)
-        if mats is None:
-            tab = self.tabulation(g)
-            G = np.einsum("q,qicd,qjcd->ij", tab.weights, tab.grad, tab.grad)
-            M = np.einsum("q,qic,qjc->ij", tab.weights, tab.val, tab.val)
-            mats = (G, M)
-            self._mats[g] = mats
-        return mats
+    ``unit`` and ``pts`` come from ``unit_shape_rule``; ``build`` is an
+    element builder. Yields ``(cells, element, tables)`` for consecutive
+    slices of at most CELL_CHUNK cells, where ``tables`` is what the
+    element's ``tabulate`` returns; chunking bounds the temporaries of the
+    build and the tables on large meshes.
+    """
+    for start in range(0, len(unit), CELL_CHUNK):
+        cells = slice(start, start + CELL_CHUNK)
+        element = build(unit[cells])
+        yield cells, element, element.tabulate(pts[cells])
 
 
-class ElementCache:
-    """Shape-keyed store of unit elements, Gram matrices, and tabulations."""
+def cell_entries(blocks):
+    """COO triplets of per-cell blocks ``(rows, cols, vals)``, each broadcast
+    to (n_cells, ...), keeping the entries whose row and column are free
+    (>= 0). Entries run cell by cell and block by block within a cell, so
+    duplicates add up in the same order as a cell loop would add them."""
+    parts = []
+    for rows, cols, vals in blocks:
+        vals = np.asarray(vals)
+        parts.append([np.broadcast_to(a, vals.shape).reshape(len(vals), -1)
+                      for a in (rows, cols, vals)])
+    rows, cols, vals = (np.concatenate(p, axis=1) for p in zip(*parts))
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], vals[keep]
 
-    def __init__(self):
-        self._scalar: dict[bytes, _ScalarShape] = {}
-        self._vector: dict[bytes, _VectorShape] = {}
-        self._unit_geom: dict[bytes, QuadGeometry] = {}
 
-    def _unit(self, key: bytes, geom: QuadGeometry) -> QuadGeometry:
-        ug = self._unit_geom.get(key)
-        if ug is None:
-            ug = QuadGeometry(geom.local_vertices)
-            self._unit_geom[key] = ug
-        return ug
-
-    def scalar(self, geom: QuadGeometry) -> _ScalarShape:
-        key = geom.shape_key()
-        data = self._scalar.get(key)
-        if data is None:
-            data = _ScalarShape(self._unit(key, geom))
-            self._scalar[key] = data
-        return data
-
-    def vector(self, geom: QuadGeometry) -> _VectorShape:
-        key = geom.shape_key()
-        data = self._vector.get(key)
-        if data is None:
-            data = _VectorShape(self._unit(key, geom))
-            self._vector[key] = data
-        return data
+def _load(dofs, F, ndof):
+    free = dofs >= 0
+    return np.bincount(dofs[free], weights=F[free], minlength=ndof)
 
 
 class SparseSystem:
@@ -180,33 +135,7 @@ class SparseSystem:
         mmwrite(str(path), self.matrix.tocoo())
 
 
-class _TripletBuffer:
-    def __init__(self, estimate: int):
-        self.rows = np.empty(estimate, dtype=np.int64)
-        self.cols = np.empty(estimate, dtype=np.int64)
-        self.vals = np.empty(estimate, dtype=float)
-        self.k = 0
-
-    def add(self, dofs_i, dofs_j, block):
-        mask = (dofs_i[:, None] >= 0) & (dofs_j[None, :] >= 0)
-        n = int(mask.sum())
-        if n == 0:
-            return
-        ii, jj = np.nonzero(mask)
-        sl = slice(self.k, self.k + n)
-        self.rows[sl] = dofs_i[ii]
-        self.cols[sl] = dofs_j[jj]
-        self.vals[sl] = block[ii, jj]
-        self.k += n
-
-    def matrix(self, shape):
-        return sp.coo_matrix(
-            (self.vals[:self.k], (self.rows[:self.k], self.cols[:self.k])), shape=shape
-        )
-
-
 def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_QUAD_ORDER,
-                          cache: ElementCache | None = None,
                           biharmonic: bool = False) -> SparseSystem:
     """Assemble eps^2 * (broken Hessian) + (broken gradient) with load f.
 
@@ -216,40 +145,33 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    cache = cache or ElementCache()
     dm = ScalarDofMap(mesh)
-    buf = _TripletBuffer(144 * mesh.n_cells)
-    rhs = np.zeros(dm.ndof)
+    geom = mesh.cell_geometry
+    unit, pts, x, wts = unit_shape_rule(geom, quad_order)
+    fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
+    A_hat, B_hat = np.empty((2, mesh.n_cells, 12, 12))
+    F_hat = np.empty((mesh.n_cells, 12))
+    for cells, _, (val, grad, hess) in unit_shape_tables(unit, pts, build_scalar_element):
+        w = wts[cells]
+        A_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess)
+        B_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, grad, grad)
+        F_hat[cells] = np.matmul(np.swapaxes(val, -1, -2), (w * fv[cells])[..., None])[..., 0]
 
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        shape = cache.scalar(geom)
-        A_hat, B_hat = shape.matrices(quad_order)
-        h = geom.h
-        lam = scalar_dof_scaling(h)
-        scale = np.outer(lam, lam)
-        if biharmonic:
-            K_loc = scale * A_hat / h**2
-        else:
-            K_loc = scale * (eps**2 * A_hat / h**2 + B_hat)
-
-        dofs = dm.cell_dofs[ci]
-        buf.add(dofs, dofs, K_loc)
-
-        tab = shape.tabulation(quad_order)
-        pts = geom.from_local(tab.points)
-        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        F_loc = lam * (tab.val.T @ (tab.weights * fv)) * h**2
-        free = dofs >= 0
-        np.add.at(rhs, dofs[free], F_loc[free])
-
-    K = buf.matrix((dm.ndof, dm.ndof))
-    return SparseSystem(K, rhs, "scalar", dm)
+    h2 = _pow2(geom.h[:, None])
+    lam = scalar_dof_scaling(geom.h)
+    scale = lam[:, :, None] * lam[:, None, :]
+    if biharmonic:
+        K_loc = scale * A_hat / h2[..., None]
+    else:
+        K_loc = scale * (eps**2 * A_hat / h2[..., None] + B_hat)
+    dofs = dm.cell_dofs
+    rows, cols, vals = cell_entries([(dofs[:, :, None], dofs[:, None, :], K_loc)])
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(dm.ndof, dm.ndof))
+    return SparseSystem(K, _load(dofs, lam * F_hat * h2, dm.ndof), "scalar", dm)
 
 
 def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
-                      quad_order: int = DEFAULT_QUAD_ORDER,
-                      cache: ElementCache | None = None) -> SparseSystem:
+                      quad_order: int = DEFAULT_QUAD_ORDER) -> SparseSystem:
     """Assemble the velocity/pressure saddle system with a mean-zero multiplier.
 
     Block layout: [[A, -B^T, 0], [-B, 0, -c], [0, -c^T, 0]] acting on
@@ -262,53 +184,60 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
         raise ValueError("nu and alpha must be non-negative")
     if nu == 0 and alpha == 0:
         raise ValueError("nu and alpha cannot both vanish")
-    cache = cache or ElementCache()
     dm = VectorDofMap(mesh)
     n_u, n_p = dm.ndof, mesh.n_cells
     ndof = n_u + n_p + 1
+    A_loc, b_rows, F_hat, (x, wts) = velocity_blocks(mesh, dm, nu, alpha, quad_order, f)
 
-    buf = _TripletBuffer(196 * mesh.n_cells + 4 * n_p)
-    rhs = np.zeros(ndof)
+    dofs = dm.cell_dofs
+    p_dofs = n_u + np.arange(n_p)
+    pd, border = p_dofs[:, None], np.full((n_p, 1), ndof - 1)
+    area = mesh.cell_geometry.area[:, None]
+    rows, cols, vals = cell_entries([
+        (dofs[:, :, None], dofs[:, None, :], A_loc),
+        (pd, dofs, -b_rows),
+        (dofs, pd, -b_rows),
+        (pd, border, -area),
+        (border, pd, -area),
+    ])
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof))
 
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        shape = cache.vector(geom)
-        G_hat, M_hat = shape.matrices(quad_order)
-        h = geom.h
-        mu = vector_dof_scaling(h)
-        signs = dm.cell_signs[ci]
-        w = mu * signs
-        A_loc = np.outer(w, w) * (nu * G_hat + alpha * h**2 * M_hat)
-
-        dofs = dm.cell_dofs[ci]
-        buf.add(dofs, dofs, A_loc)
-
-        # Divergence coupling: each basis field has constant divergence.
-        div_phys = w * shape.element.div_constants / h
-        b_row = div_phys * geom.area
-        p_dof = n_u + ci
-        pd = np.array([p_dof])
-        buf.add(pd, dofs, -b_row[None, :])
-        buf.add(dofs, pd, -b_row[:, None])
-
-        tab = shape.tabulation(quad_order)
-        pts = geom.from_local(tab.points)
-        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        F_loc = w * np.einsum("qjc,q,qc->j", tab.val, tab.weights, fv) * h**2
-        free = dofs >= 0
-        np.add.at(rhs, dofs[free], F_loc[free])
-
-        if g is not None:
-            gv = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-            rhs[p_dof] -= float(tab.weights @ gv) * h**2
-
-        area_col = np.array([[geom.area]])
-        mdof = np.array([ndof - 1])
-        buf.add(pd, mdof, -area_col)
-        buf.add(mdof, pd, -area_col)
-
-    K = buf.matrix((ndof, ndof))
+    h2 = _pow2(mesh.cell_geometry.h[:, None])
+    w = vector_dof_scaling(mesh.cell_geometry.h) * dm.cell_signs
+    rhs = _load(dofs, w * F_hat * h2, ndof)
+    if g is not None:
+        gv = np.asarray(g(x[..., 0], x[..., 1]), dtype=float)
+        rhs[p_dofs] -= _dot(wts, gv) * h2[:, 0]
     return SparseSystem(K, rhs, "brinkman", dm, n_velocity=n_u, n_pressure=n_p)
+
+
+def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: int, f=None):
+    """Per-cell blocks of the velocity equations on a g x g rule.
+
+    Returns the local matrices nu * (broken gradient) + alpha * (mass) and
+    the divergence rows (area times the constant divergence), both in the
+    global edge-sign convention; the unit-shape load integrals of f (None
+    without f); and the physical points and unit-shape weights of the rule.
+    """
+    geom = mesh.cell_geometry
+    unit, pts, x, wts = unit_shape_rule(geom, g)
+    fv = None if f is None else np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
+    G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
+    div_constants = np.empty((mesh.n_cells, 12))
+    F_hat = None if f is None else np.empty((mesh.n_cells, 12))
+    for cells, element, (val, grad) in unit_shape_tables(unit, pts, build_vector_element):
+        w = wts[cells]
+        G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)
+        M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)
+        div_constants[cells] = element.div_constants
+        if f is not None:
+            F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val, w, fv[cells])
+
+    h = geom.h
+    w = vector_dof_scaling(h) * dm.cell_signs
+    A_loc = (w[:, :, None] * w[:, None, :]) * (nu * G_hat + alpha * _pow2(h[:, None, None]) * M_hat)
+    b_rows = w * div_constants / h[:, None] * geom.area[:, None]
+    return A_loc, b_rows, F_hat, (x, wts)
 
 
 def solve(system: SparseSystem, residual_tol: float = 1e-9) -> np.ndarray:

@@ -41,12 +41,12 @@ class ScalarDofMap:
         cd[:, 8:12] = vd[mesh.cells, 2]
         self.cell_dofs = cd
 
-    def gather(self, x: np.ndarray, cell_index: int) -> np.ndarray:
-        """Local DoF values of a global coefficient vector (zeros where constrained)."""
-        dofs = self.cell_dofs[cell_index]
-        out = np.zeros(12)
-        free = dofs >= 0
-        out[free] = x[dofs[free]]
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """(n_cells, 12) local DoF values of a global coefficient vector
+        (zeros where constrained)."""
+        free = self.cell_dofs >= 0
+        out = np.zeros(self.cell_dofs.shape)
+        out[free] = x[self.cell_dofs[free]]
         return out
 
 
@@ -90,10 +90,9 @@ class VectorDofMap:
         self.cell_dofs = cd
         self.cell_signs = sg
 
-    def gather(self, x: np.ndarray, cell_index: int) -> np.ndarray:
-        """Local DoF values (outward-normal convention) of a global vector."""
-        dofs = self.cell_dofs[cell_index]
-        out = np.zeros(12)
-        free = dofs >= 0
-        out[free] = x[dofs[free]] * self.cell_signs[cell_index][free]
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """(n_cells, 12) local DoF values (outward-normal convention) of a global vector."""
+        free = self.cell_dofs >= 0
+        out = np.zeros(self.cell_dofs.shape)
+        out[free] = x[self.cell_dofs[free]] * self.cell_signs[free]
         return out

@@ -17,14 +17,21 @@ generalized Vandermonde system (12 DoF rows + 4 constraint rows); the
 explicit bubble-aggregation formula is available separately as an
 independent cross-check. Closed-form determinants of three auxiliary
 unisolvency matrices serve as oracles for the construction.
+
+Every function works on a ``QuadGeometry`` of any batch shape: one cell,
+or all cells of a mesh at once, in which case the span grids, the 16x16
+systems, their condition numbers and solves are stacked along the leading
+cell axis.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .geometry import QuadGeometry, NonConvexCellError
-from .poly import DX, DY, MONOMIALS, Poly2, VecPoly2, pack, vandermonde
+from .geometry import QuadGeometry, NonConvexCellError, _check, _pow2
+from .poly import DX, DY, MONOMIALS, Poly2, vandermonde
 from .quadrature import gauss01
 
 __all__ = [
@@ -46,10 +53,20 @@ __all__ = [
 
 _EDGE_T, _EDGE_W = gauss01(5)
 COND_LIMIT = 1e12
+_NEXT = np.array([1, 2, 3, 0])  # the second vertex of each edge
 
 
 class ElementConditioningError(RuntimeError):
     """Local DoF system too ill-conditioned; the cell is nearly degenerate."""
+
+
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def _vt(points):
+    """Transposed monomial matrix (..., 45, npts) at local points."""
+    return _swap(vandermonde(points))
 
 
 # ---------------------------------------------------------------------------
@@ -57,67 +74,85 @@ class ElementConditioningError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 # Span polynomials are chains of affine factors; building them on dense
-# degree-8 coefficient grids (index [i, j] = coefficient of x^i y^j) with
-# shifted adds is much faster than dict algebra and loses nothing at the
-# degrees involved (<= 6).
+# degree-8 coefficient grids (index [..., i, j] = coefficient of x^i y^j)
+# with shifted adds is much faster than dict algebra and loses nothing at
+# the degrees involved (<= 6). Affine factors are (..., 3) arrays (c0, cx, cy).
 
 _G = 9
 _PACK_FLAT = np.array([i * _G + j for i, j in MONOMIALS])
 
 
-def _affine_data(p: Poly2):
-    c = p.coeffs
-    return float(c.get((0, 0), 0.0)), float(c.get((1, 0), 0.0)), float(c.get((0, 1), 0.0))
-
-
-def _affine_grid(c0, cx, cy):
-    A = np.zeros((_G, _G))
-    A[0, 0], A[1, 0], A[0, 1] = c0, cx, cy
+def _affine_grid(aff):
+    aff = np.asarray(aff, dtype=float)
+    A = np.zeros(aff.shape[:-1] + (_G, _G))
+    A[..., 0, 0], A[..., 1, 0], A[..., 0, 1] = aff[..., 0], aff[..., 1], aff[..., 2]
     return A
 
 
 def _mul_affine(A, aff):
-    c0, cx, cy = aff
+    c0, cx, cy = (aff[..., k, None, None] for k in range(3))
     out = c0 * A
-    out[1:, :] += cx * A[:-1, :]
-    out[:, 1:] += cy * A[:, :-1]
+    out[..., 1:, :] += cx * A[..., :-1, :]
+    out[..., :, 1:] += cy * A[..., :, :-1]
     return out
 
 
 def _grid_dx(A):
     out = np.zeros_like(A)
-    out[:-1, :] = A[1:, :] * np.arange(1, _G)[:, None]
+    out[..., :-1, :] = A[..., 1:, :] * np.arange(1, _G)[:, None]
     return out
 
 
 def _grid_dy(A):
     out = np.zeros_like(A)
-    out[:, :-1] = A[:, 1:] * np.arange(1, _G)[None, :]
+    out[..., :, :-1] = A[..., :, 1:] * np.arange(1, _G)[None, :]
     return out
 
 
 def _pack_grids(grids) -> np.ndarray:
-    return np.stack([g.reshape(-1)[_PACK_FLAT] for g in grids])
+    """(..., k, 9, 9) coefficient grids -> (..., k, 45) packed matrix."""
+    g = np.asarray(grids)
+    return np.take(g.reshape(g.shape[:-2] + (_G * _G,)), _PACK_FLAT, axis=-1)
 
 
 def _grid_to_poly(A) -> Poly2:
     return Poly2({(i, j): A[i, j] for i in range(_G) for j in range(_G) if A[i, j] != 0.0})
 
 
-def _corrector_grids(geom: QuadGeometry):
-    l1, l2, l3, l4 = (_affine_data(p) for p in geom.edge_lines)
-    m13 = _affine_data(geom.mid_13)
-    m24 = _affine_data(geom.mid_24)
-    s1, s2 = float(geom.s[0]), float(geom.s[1])
+def _monomial_grids(degree):
+    out = np.zeros(((degree + 1) * (degree + 2) // 2, _G, _G))
+    k = 0
+    for d in range(degree + 1):
+        for i in range(d, -1, -1):
+            out[k, i, d - i] = 1.0
+            k += 1
+    return out
 
-    b13 = _mul_affine(_affine_grid(*l1), l3)
+
+_CUBICS = _monomial_grids(3)                # 1, x, y, x^2, ..., y^3
+_LINEAR_FIELDS = np.zeros((2, 6, _G, _G))   # (1,0), (0,1), (x,0), (0,x), (y,0), (0,y)
+for _k, (_c, _i, _j) in enumerate([(0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                   (1, 1, 0), (0, 0, 1), (1, 0, 1)]):
+    _LINEAR_FIELDS[_c, _k, _i, _j] = 1.0
+
+
+def _batched(constant_grids, geom):
+    return np.broadcast_to(constant_grids, geom.h.shape + constant_grids.shape)
+
+
+def _corrector_grids(geom: QuadGeometry):
+    l1, l2, l3, l4 = (geom.edge_line_coeffs[..., k, :] for k in range(4))
+    m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
+    s1, s2 = geom.s[..., 0, None, None], geom.s[..., 1, None, None]
+
+    b13 = _mul_affine(_affine_grid(l1), l3)
     q13 = _mul_affine(_mul_affine(b13, m24), m24)
     c1 = (
         (s2 - 1.0) * (s2 + 1.0) * _mul_affine(_mul_affine(b13, m13), m24)
         - s1 * s2 * q13
         + s1 * _mul_affine(q13, m13)
     )
-    b24 = _mul_affine(_affine_grid(*l2), l4)
+    b24 = _mul_affine(_affine_grid(l2), l4)
     q24 = _mul_affine(_mul_affine(b24, m13), m13)
     c2 = (
         (s1 - 1.0) * (s1 + 1.0) * _mul_affine(_mul_affine(b24, m13), m24)
@@ -128,46 +163,40 @@ def _corrector_grids(geom: QuadGeometry):
 
 
 def _bubble_grids(geom: QuadGeometry):
-    l1, l2, l3, l4 = (_affine_data(p) for p in geom.edge_lines)
-    b0 = _mul_affine(_mul_affine(_mul_affine(_affine_grid(*l1), l2), l3), l4)
-    return [
+    """(..., 4, 9, 9): b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4."""
+    lines = geom.edge_line_coeffs
+    b0 = _affine_grid(lines[..., 0, :])
+    for k in range(1, 4):
+        b0 = _mul_affine(b0, lines[..., k, :])
+    return np.stack([
         b0,
-        _mul_affine(b0, _affine_data(geom.mid_13)),
-        _mul_affine(b0, _affine_data(geom.mid_24)),
-        _mul_affine(_mul_affine(b0, _affine_data(geom.diag_13)), _affine_data(geom.diag_24)),
-    ]
+        _mul_affine(b0, geom.mid_13_coeffs),
+        _mul_affine(b0, geom.mid_24_coeffs),
+        _mul_affine(_mul_affine(b0, geom.diag_13_coeffs), geom.diag_24_coeffs),
+    ], axis=-3)
 
 
-def _monomial_grids():
-    out = []
-    for d in range(4):
-        for i in range(d, -1, -1):
-            A = np.zeros((_G, _G))
-            A[i, d - i] = 1.0
-            out.append(A)
-    return out
-
-
-def _scalar_grids(geom: QuadGeometry):
+def _stream_grids(geom: QuadGeometry):
+    """(..., 16, 9, 9): cubic monomials, the two correctors, the four bubbles."""
     c1, c2 = _corrector_grids(geom)
-    return _monomial_grids() + [c1, c2] + _bubble_grids(geom)
+    return np.concatenate([
+        _batched(_CUBICS, geom), c1[..., None, :, :], c2[..., None, :, :], _bubble_grids(geom)
+    ], axis=-3)
 
 
 def _vector_grids(geom: QuadGeometry):
-    """Pairs of component grids for the 16 vector span fields."""
-    zero = np.zeros((_G, _G))
-    one, x, y = _affine_grid(1, 0, 0), _affine_grid(0, 1, 0), _affine_grid(0, 0, 1)
-    lin = [(one, zero), (zero, one), (x, zero), (zero, x), (y, zero), (zero, y)]
-    x3, x2y, xy2, y3 = (np.zeros((_G, _G)) for _ in range(4))
-    x3[3, 0] = x2y[2, 1] = xy2[1, 2] = y3[0, 3] = 1.0
-    c1, c2 = _corrector_grids(geom)
-    curls = [(_grid_dy(p), -_grid_dx(p)) for p in (x3, x2y, xy2, y3, c1, c2)]
-    bubbles = [(_grid_dy(b), -_grid_dx(b)) for b in _bubble_grids(geom)]
-    return lin + curls + bubbles
+    """x- and y-component grids (..., 16, 9, 9) of the vector span fields:
+    linear vectors, then rotated gradients of the non-constant, non-linear
+    stream functions (cubics, correctors) and of the bubbles."""
+    stream = _stream_grids(geom)[..., 6:, :, :]
+    lin = _batched(_LINEAR_FIELDS, geom)
+    gx = np.concatenate([lin[..., 0, :, :, :], _grid_dy(stream)], axis=-3)
+    gy = np.concatenate([lin[..., 1, :, :, :], -_grid_dx(stream)], axis=-3)
+    return gx, gy
 
 
 def edge_mean_correctors(geom: QuadGeometry) -> tuple[Poly2, Poly2]:
-    """The two degree-5 enrichment polynomials of the scalar shape space.
+    """The two degree-5 enrichment polynomials of the scalar shape space (one cell).
 
     On a rectangle (s = 0) they reduce to -l1*l3*m13*m24 and -l2*l4*m13*m24.
     Both vanish at all four vertices and satisfy the cubic edge-mean identity
@@ -177,104 +206,57 @@ def edge_mean_correctors(geom: QuadGeometry) -> tuple[Poly2, Poly2]:
     return _grid_to_poly(c1), _grid_to_poly(c2)
 
 
-def scalar_span(geom: QuadGeometry) -> list[Poly2]:
-    """12 spanning functions: cubic monomials plus the two correctors."""
-    c1, c2 = edge_mean_correctors(geom)
-    return [
-        Poly2.monomial(i, j)
-        for d in range(4)
-        for i in range(d, -1, -1)
-        for j in (d - i,)
-    ] + [c1, c2]
-
-
 def bubble_span(geom: QuadGeometry) -> list[Poly2]:
-    """Interior bubbles b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4."""
+    """Interior bubbles b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4 (one cell)."""
     return [_grid_to_poly(b) for b in _bubble_grids(geom)]
-
-
-def vector_span(geom: QuadGeometry) -> list[VecPoly2]:
-    """12 spanning fields: linear vectors plus rotated gradients of cubics/correctors."""
-    return [
-        VecPoly2(_grid_to_poly(gx), _grid_to_poly(gy))
-        for gx, gy in _vector_grids(geom)[:12]
-    ]
 
 
 # ---------------------------------------------------------------------------
 # packed functional evaluation
 # ---------------------------------------------------------------------------
-
-class _PackedSet:
-    """Coefficient matrix plus derivative variants for a list of polynomials."""
-
-    def __init__(self, polys):
-        self.C = pack(polys)
-        self.Cx = self.C @ DX.T
-        self.Cy = self.C @ DY.T
-
-    @classmethod
-    def from_matrix(cls, C):
-        obj = cls.__new__(cls)
-        obj.C = C
-        obj.Cx = C @ DX.T
-        obj.Cy = C @ DY.T
-        return obj
-
-    def values(self, pts):
-        return self.C @ vandermonde(pts).T
-
-    def grads(self, pts):
-        V = vandermonde(pts).T
-        return self.Cx @ V, self.Cy @ V
-
-
-def _edge_local_points(geom: QuadGeometry, i: int):
-    return geom.to_local(geom.edge_points(i, _EDGE_T))
-
+# Packed polynomial sets are (..., k, 45) coefficient matrices; Vv and Ve are
+# transposed monomial matrices at the local vertices and at the stacked edge
+# Gauss points (5 per edge, edge by edge).
 
 def _all_edge_local_points(geom: QuadGeometry):
-    """Gauss points of all four edges stacked, (4 * npts, 2), in the local frame."""
-    return geom.to_local(np.concatenate([geom.edge_points(i, _EDGE_T) for i in range(4)]))
+    """Gauss points of all four edges stacked, (..., 4 * npts, 2), in the local frame."""
+    return geom.to_local(
+        np.concatenate([geom.edge_points(i, _EDGE_T) for i in range(4)], axis=-2)
+    )
 
 
-def _edge_mean_matrix(packed: _PackedSet, geom: QuadGeometry, i: int):
-    """Edge means of each packed polynomial over edge i."""
-    return packed.values(_edge_local_points(geom, i)) @ _EDGE_W
+def _frames(geom: QuadGeometry):
+    return _vt(geom.local_vertices), _vt(_all_edge_local_points(geom))
 
 
-def _normal_derivative_rows(packed: _PackedSet, geom: QuadGeometry,
-                            Vv=None, Ve=None):
-    """Rows g_i: edge mean of the normal derivative minus its endpoint average.
+def _edge_means(fx, fy, directions):
+    """(..., 4, k) edge means of (fx, fy) . directions[i] from values (..., k, 4 * npts)
+    at the stacked edge Gauss points; ``directions`` is (..., 4, 2)."""
+    shape = fx.shape[:-1] + (4, len(_EDGE_T))
+    d = directions[..., None, :, None, :]
+    comp = fx.reshape(shape) * d[..., 0] + fy.reshape(shape) * d[..., 1]
+    return _swap(comp @ _EDGE_W)
 
-    Vv and Ve are optional precomputed transposed monomial matrices at the
-    local vertices and the stacked edge Gauss points.
-    """
-    h = geom.h
-    npts = len(_EDGE_T)
+
+def _normal_derivative_rows(C, geom: QuadGeometry, Vv=None, Ve=None):
+    """Rows g_i (..., 4, k): edge mean of the normal derivative minus its endpoint average."""
     if Vv is None:
-        Vv = vandermonde(geom.local_vertices).T
-    if Ve is None:
-        Ve = vandermonde(_all_edge_local_points(geom)).T
-    vx, vy = packed.Cx @ Vv, packed.Cy @ Vv          # (k, 4)
-    gx, gy = packed.Cx @ Ve, packed.Cy @ Ve          # (k, 4 * npts)
-    rows = []
-    for i in range(4):
-        n = geom.normals[i]
-        sl = slice(npts * i, npts * (i + 1))
-        mean = ((gx[:, sl] * n[0] + gy[:, sl] * n[1]) @ _EDGE_W) / h
-        at_verts = (vx * n[0] + vy * n[1]) / h
-        rows.append(mean - 0.5 * (at_verts[:, i] + at_verts[:, (i + 1) % 4]))
-    return np.array(rows)
+        Vv, Ve = _frames(geom)
+    h = geom.h[..., None, None]
+    Cx, Cy = C @ DX.T, C @ DY.T
+    vx, vy = Cx @ Vv, Cy @ Vv                          # (..., k, 4)
+    mean = _edge_means(Cx @ Ve, Cy @ Ve, geom.normals) / h
+    n = geom.normals[..., None, :, :]
+    at_start = (vx * n[..., 0] + vy * n[..., 1]) / h
+    at_end = (vx[..., _NEXT] * n[..., 0] + vy[..., _NEXT] * n[..., 1]) / h
+    return mean - _swap(0.5 * (at_start + at_end))
 
 
 def _solve_nodal(D: np.ndarray, n_basis: int):
     cond = np.linalg.cond(D)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ElementConditioningError(
-            f"local DoF matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    rhs = np.zeros((D.shape[0], n_basis))
+    _check(~np.isfinite(cond) | (cond > COND_LIMIT), ElementConditioningError,
+           f"local DoF matrix condition number exceeds {COND_LIMIT:.0e}", cond)
+    rhs = np.zeros((D.shape[-1], n_basis))
     rhs[:n_basis, :] = np.eye(n_basis)
     X = np.linalg.solve(D, rhs)
     for _ in range(2):  # iterative refinement
@@ -287,137 +269,94 @@ def _solve_nodal(D: np.ndarray, n_basis: int):
 # ---------------------------------------------------------------------------
 
 class ScalarElement:
-    """Nodal basis of the 12-DoF scalar element on one cell.
+    """Nodal basis of the 12-DoF scalar element on one cell or a batch of cells.
 
     DoF ordering: values at V1..V4, then d/dx at V1..V4, then d/dy at V1..V4
     (physical derivatives). Basis polynomials take cell-local coordinates
-    (x - b) / h; ``coeff_matrix`` holds them packed over the monomial table.
+    (x - b) / h; ``coeff_matrix`` (..., 12, 45) holds them packed over the
+    monomial table. The auxiliary basis, bubble duals, aggregation weights
+    and residual diagnostics are computed on first access; diagnostics carry
+    the geometry's batch shape.
     """
 
-    def __init__(self, geom, coeff_matrix, aux_matrix, bubble_dual_matrix,
-                 aggregation, constraint_residual, duality_defect, condition):
+    def __init__(self, geom, span, dof_matrix, solution, condition):
         self.geometry = geom
-        self.coeff_matrix = coeff_matrix          # (12, 45)
-        self.aux_matrix = aux_matrix              # (12, 45)
-        self.bubble_dual_matrix = bubble_dual_matrix  # (4, 45)
-        self.aggregation = aggregation            # (4, 12)
-        self.constraint_residual = constraint_residual
-        self.duality_defect = duality_defect
+        self.span = span                  # (..., 16, 45): cubics, correctors, bubbles
+        self.dof_matrix = dof_matrix      # (..., 16, 16): DoF and constraint rows
+        self.solution = solution          # (..., 16, 12): span weights of the basis
         self.condition = condition
-        self._cx = coeff_matrix @ DX.T
-        self._cy = coeff_matrix @ DY.T
-        self._cxx = self._cx @ DX.T
-        self._cxy = self._cx @ DY.T
-        self._cyy = self._cy @ DY.T
+        self.coeff_matrix = _swap(solution) @ span
 
-    def _polys(self, matrix):
-        out = []
-        for row in matrix:
-            out.append(Poly2({m: c for m, c in zip(MONOMIALS, row) if c != 0.0}))
-        return out
+    @cached_property
+    def aux_matrix(self):
+        """(..., 12, 45) auxiliary nodal basis: the bubble-free block solve."""
+        X_aux = np.linalg.solve(self.dof_matrix[..., :12, :12], np.eye(12))
+        return _swap(X_aux) @ self.span[..., :12, :]
 
-    @property
-    def basis(self) -> list[Poly2]:
-        return self._polys(self.coeff_matrix)
+    @cached_property
+    def _bubble_means(self):
+        """(..., 4, 4) edge means of the bubbles' normal derivatives."""
+        bubbles, Ve = self.span[..., 12:, :], _frames(self.geometry)[1]
+        return _edge_means((bubbles @ DX.T) @ Ve, (bubbles @ DY.T) @ Ve,
+                           self.geometry.normals) / self.geometry.h[..., None, None]
 
-    @property
-    def aux_basis(self) -> list[Poly2]:
-        return self._polys(self.aux_matrix)
+    @cached_property
+    def bubble_dual_matrix(self):
+        """(..., 4, 45) duals of the bubbles under the edge normal-derivative means."""
+        return _swap(np.linalg.solve(self._bubble_means, np.eye(4))) @ self.span[..., 12:, :]
 
-    @property
-    def bubble_duals(self) -> list[Poly2]:
-        return self._polys(self.bubble_dual_matrix)
+    @cached_property
+    def aggregation(self):
+        """(..., 4, 12) bubble weights of each nodal basis function."""
+        return self._bubble_means @ self.solution[..., 12:, :]
 
-    # -- evaluation (physical points, physical derivatives) -------------------
+    @cached_property
+    def constraint_residual(self):
+        """Largest edge-mean constraint residual, frame-relative (scaled by h)."""
+        rows = _normal_derivative_rows(self.coeff_matrix, self.geometry)
+        return np.abs(rows).max((-2, -1)) * self.geometry.h
+
+    @cached_property
+    def duality_defect(self):
+        C, Vv, h = self.coeff_matrix, _frames(self.geometry)[0], self.geometry.h[..., None, None]
+        tau = np.concatenate(
+            [_swap(C @ Vv), _swap((C @ DX.T) @ Vv) / h, _swap((C @ DY.T) @ Vv) / h], axis=-2
+        )
+        return np.abs(tau - np.eye(12)).max((-2, -1))
 
     def tabulate(self, points):
-        """Values, gradients, Hessians at physical points in one pass."""
-        loc = self.geometry.to_local(points)
-        V = vandermonde(loc).T
-        h = self.geometry.h
-        val = (self.coeff_matrix @ V).T
-        grad = np.stack([(self._cx @ V).T, (self._cy @ V).T], axis=-1) / h
-        hxx, hxy, hyy = (self._cxx @ V).T, (self._cxy @ V).T, (self._cyy @ V).T
+        """Values (..., npts, 12), gradients (..., npts, 12, 2) and Hessians
+        (..., npts, 12, 2, 2) at physical points (..., npts, 2)."""
+        V = _vt(self.geometry.to_local(points))
+        h = self.geometry.h[..., None, None, None]
+        C = self.coeff_matrix
+        Cx, Cy = C @ DX.T, C @ DY.T
+        val = _swap(C @ V)
+        grad = np.stack([_swap(Cx @ V), _swap(Cy @ V)], axis=-1) / h
+        hxx, hxy, hyy = (_swap(c @ V) for c in (Cx @ DX.T, Cx @ DY.T, Cy @ DY.T))
         hess = np.stack(
             [np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], axis=-2
-        ) / h**2
+        ) / _pow2(h[..., None])
         return val, grad, hess
 
     def values(self, points) -> np.ndarray:
-        """(npts, 12) basis values at physical points."""
-        loc = self.geometry.to_local(points)
-        return (self.coeff_matrix @ vandermonde(loc).T).T
-
-    def gradients(self, points) -> np.ndarray:
-        """(npts, 12, 2) physical gradients."""
-        loc = self.geometry.to_local(points)
-        V = vandermonde(loc).T
-        return np.stack([(self._cx @ V).T, (self._cy @ V).T], axis=-1) / self.geometry.h
-
-    def hessians(self, points) -> np.ndarray:
-        """(npts, 12, 2, 2) physical Hessians."""
-        loc = self.geometry.to_local(points)
-        V = vandermonde(loc).T
-        hxx, hxy, hyy = (self._cxx @ V).T, (self._cxy @ V).T, (self._cyy @ V).T
-        H = np.stack(
-            [np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], axis=-2
-        )
-        return H / self.geometry.h**2
-
-    def combine(self, dofs) -> Poly2:
-        """Local-frame polynomial with the given DoF values."""
-        row = np.asarray(dofs, dtype=float) @ self.coeff_matrix
-        return Poly2({m: c for m, c in zip(MONOMIALS, row) if c != 0.0})
+        """(..., npts, 12) basis values at physical points."""
+        return self.tabulate(points)[0]
 
 
 def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
-    packed = _PackedSet.from_matrix(_pack_grids(_scalar_grids(geom)))
-    h = geom.h
-    Vv = vandermonde(geom.local_vertices).T
-    Ve = vandermonde(_all_edge_local_points(geom)).T
+    C = _pack_grids(_stream_grids(geom))                 # (..., 16, 45)
+    h = geom.h[..., None, None]
+    Vv, Ve = _frames(geom)
 
-    D = np.zeros((16, 16))
-    D[0:4] = (packed.C @ Vv).T
-    D[4:8] = (packed.Cx @ Vv).T / h
-    D[8:12] = (packed.Cy @ Vv).T / h
-    D[12:16] = _normal_derivative_rows(packed, geom, Vv, Ve)
+    D = np.empty(C.shape[:-2] + (16, 16))
+    D[..., 0:4, :] = _swap(C @ Vv)
+    D[..., 4:8, :] = _swap((C @ DX.T) @ Vv) / h
+    D[..., 8:12, :] = _swap((C @ DY.T) @ Vv) / h
+    D[..., 12:16, :] = _normal_derivative_rows(C, geom, Vv, Ve)
 
     X, cond = _solve_nodal(D, 12)
-
-    coeff = X.T @ packed.C                              # (12, 45)
-
-    # Auxiliary nodal basis: the bubble-free block solve.
-    X_aux = np.linalg.solve(D[:12, :12], np.eye(12))
-    aux = X_aux.T @ packed.C[:12]
-
-    # Bubble duals from the 4x4 matrix of edge normal-derivative means.
-    bub = _PackedSet.from_matrix(packed.C[12:])
-    npts = len(_EDGE_T)
-    bgx, bgy = bub.Cx @ Ve, bub.Cy @ Ve
-    B = np.zeros((4, 4))
-    for i in range(4):
-        n = geom.normals[i]
-        sl = slice(npts * i, npts * (i + 1))
-        B[i] = ((bgx[:, sl] * n[0] + bgy[:, sl] * n[1]) @ _EDGE_W) / h
-    bubble_dual = np.linalg.solve(B, np.eye(4)).T @ bub.C
-
-    aggregation = B @ X[12:, :]
-
-    # Residual diagnostics (frame-relative: scaled by h).
-    basis_packed = _PackedSet.from_matrix(coeff)
-    constraint = _normal_derivative_rows(basis_packed, geom, Vv, Ve)
-    tau = np.vstack([
-        (basis_packed.C @ Vv).T,
-        (basis_packed.Cx @ Vv).T / h,
-        (basis_packed.Cy @ Vv).T / h,
-    ])
-    duality = float(np.abs(tau - np.eye(12)).max())
-
-    return ScalarElement(
-        geom, coeff, aux, bubble_dual, aggregation,
-        constraint_residual=float(np.abs(constraint).max()) * h,
-        duality_defect=duality, condition=cond,
-    )
+    return ScalarElement(geom, C, D, X, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -425,134 +364,82 @@ def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
 # ---------------------------------------------------------------------------
 
 class VectorElement:
-    """Nodal basis of the 12-DoF vector element on one cell.
+    """Nodal basis of the 12-DoF vector element on one cell or a batch of cells.
 
     DoF ordering: integrals of v . n over E1..E4 (outward normals), then
     x-components at V1..V4, then y-components at V1..V4. ``coeff_x`` and
-    ``coeff_y`` pack the two components over the monomial table in
-    cell-local coordinates; every basis field has constant divergence,
-    recorded in ``div_constants`` (physical scale).
+    ``coeff_y`` (..., 12, 45) pack the two components over the monomial
+    table in cell-local coordinates; every basis field has constant
+    divergence, recorded in ``div_constants`` (physical scale). Residual
+    diagnostics are computed on first access.
     """
 
-    def __init__(self, geom, coeff_x, coeff_y, div_constants, div_residual,
-                 constraint_residual, duality_defect, condition):
+    def __init__(self, geom, coeff_x, coeff_y, condition):
         self.geometry = geom
         self.coeff_x = coeff_x
         self.coeff_y = coeff_y
-        self.div_constants = div_constants
-        self.div_residual = div_residual
-        self.constraint_residual = constraint_residual
-        self.duality_defect = duality_defect
         self.condition = condition
-        self._dx = [coeff_x @ DX.T, coeff_x @ DY.T]
-        self._dy = [coeff_y @ DX.T, coeff_y @ DY.T]
+        self._div_rows = coeff_x @ DX.T + coeff_y @ DY.T
+        self.div_constants = self._div_rows[..., 0] / geom.h[..., None]
 
-    @property
-    def basis(self) -> list[VecPoly2]:
-        out = []
-        for rx, ry in zip(self.coeff_x, self.coeff_y):
-            out.append(VecPoly2(
-                Poly2({m: c for m, c in zip(MONOMIALS, rx) if c != 0.0}),
-                Poly2({m: c for m, c in zip(MONOMIALS, ry) if c != 0.0}),
-            ))
-        return out
+    @cached_property
+    def div_residual(self):
+        """Largest non-constant divergence coefficient (physical scale)."""
+        return np.abs(self._div_rows[..., 1:]).max((-2, -1)) / self.geometry.h
+
+    @cached_property
+    def _dof_rows(self):
+        return _vector_dof_rows(self.coeff_x, self.coeff_y, self.geometry)
+
+    @cached_property
+    def duality_defect(self):
+        return np.abs(self._dof_rows[..., :12, :] - np.eye(12)).max((-2, -1))
+
+    @cached_property
+    def constraint_residual(self):
+        return np.abs(self._dof_rows[..., 12:, :]).max((-2, -1))
 
     def tabulate(self, points):
-        """Values and gradients at physical points in one pass."""
-        loc = self.geometry.to_local(points)
-        V = vandermonde(loc).T
-        val = np.stack([(self.coeff_x @ V).T, (self.coeff_y @ V).T], axis=-1)
+        """Values (..., npts, 12, 2) and gradients (..., npts, 12, 2, 2) at
+        physical points; gradient [..., c, d] = d v_c / d x_d."""
+        V = _vt(self.geometry.to_local(points))
+        val = np.stack([_swap(self.coeff_x @ V), _swap(self.coeff_y @ V)], axis=-1)
         rows = [
-            np.stack([(d[0] @ V).T, (d[1] @ V).T], -1)
-            for d in (self._dx, self._dy)
+            np.stack([_swap((C @ DX.T) @ V), _swap((C @ DY.T) @ V)], -1)
+            for C in (self.coeff_x, self.coeff_y)
         ]
-        grad = np.stack(rows, axis=-2) / self.geometry.h
+        grad = np.stack(rows, axis=-2) / self.geometry.h[..., None, None, None, None]
         return val, grad
 
     def values(self, points) -> np.ndarray:
-        """(npts, 12, 2) basis values at physical points."""
-        loc = self.geometry.to_local(points)
-        V = vandermonde(loc).T
-        return np.stack([(self.coeff_x @ V).T, (self.coeff_y @ V).T], axis=-1)
-
-    def gradients(self, points) -> np.ndarray:
-        """(npts, 12, 2, 2) physical gradients; [..., c, d] = d v_c / d x_d."""
-        loc = self.geometry.to_local(points)
-        V = vandermonde(loc).T
-        rows = [
-            np.stack([(d[0] @ V).T, (d[1] @ V).T], -1)
-            for d in (self._dx, self._dy)
-        ]
-        return np.stack(rows, axis=-2) / self.geometry.h
-
-    def combine(self, dofs) -> VecPoly2:
-        d = np.asarray(dofs, dtype=float)
-        rx = d @ self.coeff_x
-        ry = d @ self.coeff_y
-        return VecPoly2(
-            Poly2({m: c for m, c in zip(MONOMIALS, rx) if c != 0.0}),
-            Poly2({m: c for m, c in zip(MONOMIALS, ry) if c != 0.0}),
-        )
+        """(..., npts, 12, 2) basis values at physical points."""
+        return self.tabulate(points)[0]
 
 
-def _vector_dof_rows(Cx_set: _PackedSet, Cy_set: _PackedSet, geom: QuadGeometry,
-                     Vv=None, Ve=None):
-    """12 DoF rows + 4 tangential constraint rows for packed vector fields."""
-    k = Cx_set.C.shape[0]
-    npts = len(_EDGE_T)
+def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv=None, Ve=None):
+    """12 DoF rows + 4 tangential constraint rows (..., 16, k) for packed vector fields."""
     if Vv is None:
-        Vv = vandermonde(geom.local_vertices).T
-    if Ve is None:
-        Ve = vandermonde(_all_edge_local_points(geom)).T
-    vx, vy = Cx_set.C @ Vv, Cy_set.C @ Vv      # (k, 4)
-    exv_all, eyv_all = Cx_set.C @ Ve, Cy_set.C @ Ve
-
-    D = np.zeros((16, k))
-    for i in range(4):
-        sl = slice(npts * i, npts * (i + 1))
-        exv, eyv = exv_all[:, sl], eyv_all[:, sl]
-        n = geom.normals[i]
-        normal_trace = exv * n[0] + eyv * n[1]
-        D[i] = geom.edge_len[i] * (normal_trace @ _EDGE_W)
-        t = geom.tangents[i]
-        tang_mean = (exv * t[0] + eyv * t[1]) @ _EDGE_W
-        at_ends = 0.5 * (
-            vx[:, i] * t[0] + vy[:, i] * t[1]
-            + vx[:, (i + 1) % 4] * t[0] + vy[:, (i + 1) % 4] * t[1]
-        )
-        D[12 + i] = tang_mean - at_ends
-    D[4:8] = vx.T
-    D[8:12] = vy.T
+        Vv, Ve = _frames(geom)
+    vx, vy = Cx @ Vv, Cy @ Vv                          # (..., k, 4)
+    ex, ey = Cx @ Ve, Cy @ Ve
+    t = geom.tangents[..., None, :, :]
+    at_ends = 0.5 * (
+        vx * t[..., 0] + vy * t[..., 1]
+        + vx[..., _NEXT] * t[..., 0] + vy[..., _NEXT] * t[..., 1]
+    )
+    D = np.empty(vx.shape[:-2] + (16, vx.shape[-2]))
+    D[..., 0:4, :] = geom.edge_len[..., :, None] * _edge_means(ex, ey, geom.normals)
+    D[..., 4:8, :] = _swap(vx)
+    D[..., 8:12, :] = _swap(vy)
+    D[..., 12:16, :] = _edge_means(ex, ey, geom.tangents) - _swap(at_ends)
     return D
 
 
 def build_vector_element(geom: QuadGeometry) -> VectorElement:
-    grids = _vector_grids(geom)
-    Cx_set = _PackedSet.from_matrix(_pack_grids([g[0] for g in grids]))
-    Cy_set = _PackedSet.from_matrix(_pack_grids([g[1] for g in grids]))
-    Vv = vandermonde(geom.local_vertices).T
-    Ve = vandermonde(_all_edge_local_points(geom)).T
-
-    D = _vector_dof_rows(Cx_set, Cy_set, geom, Vv, Ve)
-    X, cond = _solve_nodal(D, 12)
-
-    coeff_x = X.T @ Cx_set.C
-    coeff_y = X.T @ Cy_set.C
-
-    div_rows = coeff_x @ DX.T + coeff_y @ DY.T
-    div_constants = div_rows[:, 0] / geom.h
-    div_residual = float(np.abs(div_rows[:, 1:]).max()) / geom.h
-
-    rows = _vector_dof_rows(
-        _PackedSet.from_matrix(coeff_x), _PackedSet.from_matrix(coeff_y), geom, Vv, Ve
-    )
-    duality = float(np.abs(rows[:12] - np.eye(12)).max())
-    constraint = float(np.abs(rows[12:]).max())
-
-    return VectorElement(
-        geom, coeff_x, coeff_y, div_constants, div_residual,
-        constraint_residual=constraint, duality_defect=duality, condition=cond,
-    )
+    gx, gy = _vector_grids(geom)
+    Cx, Cy = _pack_grids(gx), _pack_grids(gy)
+    X, cond = _solve_nodal(_vector_dof_rows(Cx, Cy, geom), 12)
+    return VectorElement(geom, _swap(X) @ Cx, _swap(X) @ Cy, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -560,33 +447,34 @@ def build_vector_element(geom: QuadGeometry) -> VectorElement:
 # ---------------------------------------------------------------------------
 
 def scalar_dof_values(geom: QuadGeometry, u, grad_u) -> np.ndarray:
-    """DoF vector of a smooth function: values then both gradient components.
+    """DoF vectors (..., 12) of a smooth function: values then both gradient components.
 
     u and grad_u are vectorized callables of (x, y) returning shapes (...,)
     and (..., 2).
     """
     v = geom.vertices
-    vals = np.asarray(u(v[:, 0], v[:, 1]), dtype=float)
-    grads = np.asarray(grad_u(v[:, 0], v[:, 1]), dtype=float)
-    return np.concatenate([vals, grads[:, 0], grads[:, 1]])
+    vals = np.asarray(u(v[..., 0], v[..., 1]), dtype=float)
+    grads = np.asarray(grad_u(v[..., 0], v[..., 1]), dtype=float)
+    return np.concatenate([vals, grads[..., 0], grads[..., 1]], axis=-1)
 
 
 def vector_dof_values(geom: QuadGeometry, v, edge_points: int = 5) -> np.ndarray:
-    """DoF vector of a smooth field: edge normal integrals then vertex components.
+    """DoF vectors (..., 12) of a smooth field: edge normal integrals then vertex components.
 
-    v is a vectorized callable of (x, y) returning (..., 2). Edge integrals
-    use a Gauss rule with ``edge_points`` nodes per edge.
+    v is a vectorized callable of (x, y) returning (..., 2), called once on
+    the edge Gauss points and vertices of all cells. Edge integrals use a
+    Gauss rule with ``edge_points`` nodes per edge.
     """
     t, w = gauss01(edge_points)
-    sigma = np.zeros(12)
-    for i in range(4):
-        pts = geom.edge_points(i, t)
-        vv = np.asarray(v(pts[:, 0], pts[:, 1]), dtype=float)
-        sigma[i] = geom.edge_len[i] * float((vv @ geom.normals[i]) @ w)
-    at_verts = np.asarray(v(geom.vertices[:, 0], geom.vertices[:, 1]), dtype=float)
-    sigma[4:8] = at_verts[:, 0]
-    sigma[8:12] = at_verts[:, 1]
-    return sigma
+    m = 4 * len(t)
+    pts = np.concatenate([geom.edge_points(i, t) for i in range(4)] + [geom.vertices], axis=-2)
+    vals = np.asarray(v(pts[..., 0], pts[..., 1]), dtype=float)
+    edge = vals[..., :m, :].reshape(vals.shape[:-2] + (4, len(t), 2))
+    normal = (edge * geom.normals[..., :, None, :]).sum(-1)
+    at_verts = vals[..., m:, :]
+    return np.concatenate(
+        [geom.edge_len * (normal @ w), at_verts[..., 0], at_verts[..., 1]], axis=-1
+    )
 
 
 def interpolate_scalar(element: ScalarElement, u, grad_u) -> np.ndarray:
@@ -605,7 +493,7 @@ def aggregation_coeffs_formula(geom: QuadGeometry, element: ScalarElement) -> np
     auxiliary basis' normal derivatives. Cross-check against
     ``element.aggregation``.
     """
-    return -_normal_derivative_rows(_PackedSet.from_matrix(element.aux_matrix), geom)
+    return -_normal_derivative_rows(element.aux_matrix, geom)
 
 
 # ---------------------------------------------------------------------------
@@ -642,48 +530,50 @@ _MU_NODES = [(0, 0), (0, 1), (2, 2), (2, 3)]
 
 
 def numeric_unisolvency_matrices(geom: QuadGeometry):
-    """Brute-force assembly of the M, N, B- matrices on one cell."""
-    l1, l2, l3, l4 = (_affine_data(p) for p in geom.edge_lines)
-    d13, d24 = _affine_data(geom.diag_13), _affine_data(geom.diag_24)
-    m13, m24 = _affine_data(geom.mid_13), _affine_data(geom.mid_24)
+    """Brute-force assembly of the M, N, B- matrices (..., 4, 4)."""
+    lines = [geom.edge_line_coeffs[..., k, :] for k in range(4)]
+    l1, l2, l3, l4 = lines
+    d13, d24 = geom.diag_13_coeffs, geom.diag_24_coeffs
+    m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
     c1, c2 = _corrector_grids(geom)
+    Vv, Ve = _frames(geom)
 
-    b13 = _mul_affine(_affine_grid(*l1), l3)
-    b24 = _mul_affine(_affine_grid(*l2), l4)
-    p_set = _PackedSet.from_matrix(_pack_grids(
-        [_mul_affine(b13, l4), _mul_affine(b13, l2), _mul_affine(b13, d13), c1]
+    b13 = _mul_affine(_affine_grid(l1), l3)
+    b24 = _mul_affine(_affine_grid(l2), l4)
+    P = _pack_grids(np.stack(
+        [_mul_affine(b13, l4), _mul_affine(b13, l2), _mul_affine(b13, d13), c1], axis=-3
     ))
-    q_set = _PackedSet.from_matrix(_pack_grids(
-        [_mul_affine(b24, l1), _mul_affine(b24, l3), _mul_affine(b24, d24), c2]
+    Q = _pack_grids(np.stack(
+        [_mul_affine(b24, l1), _mul_affine(b24, l3), _mul_affine(b24, d24), c2], axis=-3
     ))
 
-    def tangential(packed, nodes):
-        gx, gy = packed.grads(geom.local_vertices)
-        M = np.zeros((4, 4))
-        for i, (edge, vert) in enumerate(nodes):
-            t = geom.tangents[edge]
-            M[i] = geom.edge_len[edge] * (gx[:, vert] * t[0] + gy[:, vert] * t[1]) / geom.h
-        return M
+    def tangential(C, nodes):
+        gx, gy = (C @ DX.T) @ Vv, (C @ DY.T) @ Vv
+        rows = []
+        for edge, vert in nodes:
+            t0, t1 = geom.tangents[..., edge, 0, None], geom.tangents[..., edge, 1, None]
+            rows.append(geom.edge_len[..., edge, None]
+                        * (gx[..., vert] * t0 + gy[..., vert] * t1) / geom.h[..., None])
+        return np.stack(rows, axis=-2)
 
-    M = tangential(p_set, _LAMBDA_NODES)
-    N = tangential(q_set, _MU_NODES)
+    M = tangential(P, _LAMBDA_NODES)
+    N = tangential(Q, _MU_NODES)
 
-    lines = [l1, l2, l3, l4]
-    Bm = np.zeros((4, 4))
+    npts = len(_EDGE_T)
+    Bm = []
     for i in range(4):
-        others = _affine_grid(1.0, 0.0, 0.0)
+        others = _batched(_affine_grid([1.0, 0.0, 0.0]), geom)
         for m in range(4):
             if m != i:
                 others = _mul_affine(others, lines[m])
-        rows = [
+        rows = _pack_grids(np.stack([
             others,
             _mul_affine(others, m13),
             _mul_affine(others, m24),
             _mul_affine(_mul_affine(others, d13), d24),
-        ]
-        row_set = _PackedSet.from_matrix(_pack_grids(rows))
-        Bm[i] = _edge_mean_matrix(row_set, geom, i)
-    return M, N, Bm
+        ], axis=-3))
+        Bm.append((rows @ Ve[..., npts * i:npts * (i + 1)]) @ _EDGE_W)
+    return M, N, np.stack(Bm, axis=-2)
 
 
 def numeric_dets(geom: QuadGeometry):

@@ -1,12 +1,16 @@
-"""Per-cell geometry of a convex quadrilateral.
+"""Geometry of convex quadrilaterals, one cell or a whole mesh at once.
 
 Each cell carries the decomposition of its bilinear reference map into a
 simple distortion followed by an affine map; the distortion is encoded by a
 shape vector s = (s1, s2) with |s1| + |s2| < 1 exactly when the cell is
 strictly convex. All line forms (edge lines, diagonals, midlines) are stored
-as polynomials in the cell-local frame (x - b) / h, where b is the vertex
-centroid and h the cell diameter, which keeps high-degree shape-function
-algebra well conditioned independently of the mesh size.
+as affine coefficients (c0, cx, cy) in the cell-local frame (x - b) / h,
+where b is the vertex centroid and h the cell diameter, which keeps
+high-degree shape-function algebra well conditioned independently of the
+mesh size.
+
+Every array carries the batch shape of the vertices it was built from as
+leading axes: () for one cell, (n_cells,) for a mesh.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .poly import Poly2
 
 __all__ = [
     "QuadGeometry",
+    "affine_decomposition",
     "compute_geometry",
     "cell_area",
     "shoelace_area",
@@ -36,69 +41,97 @@ class DegenerateCellError(ValueError):
     """Cell has a zero-length edge or a singular affine factor."""
 
 
-def shoelace_area(vertices: np.ndarray) -> float:
+def _check(bad, error, message, values=None):
+    """Raise ``error`` for the first cell flagged in ``bad``, naming it and,
+    if given, its entry of ``values``."""
+    bad = np.asarray(bad)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        where = f"cell {i}: " if bad.ndim else ""
+        what = "" if values is None else f" ({np.ravel(values)[i]:.6g})"
+        raise error(where + message + what)
+
+
+def _dot(a, b):
+    """Inner products over the last axis, summed exactly as ``np.dot`` sums
+    one pair of vectors (a batched matmul of row by column)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pow2(h):
+    """h**2 computed by libm ``pow``, as Python computes it for a float
+    (which differs from h * h in the last bit for some h)."""
+    return np.float_power(h, 2.0)
+
+
+def shoelace_area(vertices) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    x, y = v[..., 0], v[..., 1]
+    return 0.5 * (_dot(x, np.roll(y, -1, axis=-1)) - _dot(y, np.roll(x, -1, axis=-1)))
 
 
-def _line_through(p, q, norm_point) -> Poly2:
-    """Affine form vanishing on the line pq, scaled to equal 1 at norm_point."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    c0, cx, cy = dy * p[0] - dx * p[1], -dy, dx
-    scale = c0 + cx * norm_point[0] + cy * norm_point[1]
-    if scale == 0.0:
-        raise DegenerateCellError("line normalization point lies on the line")
-    return Poly2.affine(c0 / scale, cx / scale, cy / scale)
+def affine_decomposition(vertices):
+    """(A, b, d) of the bilinear map F(x) = A x + b + d x1 x2 onto the cell."""
+    V1, V2, V3, V4 = (vertices[..., k, :] for k in range(4))
+    A = 0.25 * np.stack([V3 - V4 - V1 + V2, V3 + V4 - V1 - V2], axis=-1)
+    return A, 0.25 * (V1 + V2 + V3 + V4), 0.25 * (V3 - V4 + V1 - V2)
+
+
+def _line_through(p, q, norm_point):
+    """Affine form (c0, cx, cy) vanishing on the line pq, equal to 1 at norm_point."""
+    dx, dy = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]
+    c = np.stack([dy * p[..., 0] - dx * p[..., 1], -dy, dx], axis=-1)
+    scale = c[..., 0] + c[..., 1] * norm_point[..., 0] + c[..., 2] * norm_point[..., 1]
+    _check(scale == 0.0, DegenerateCellError, "line normalization point lies on the line")
+    return c / scale[..., None]
 
 
 class QuadGeometry:
-    """Geometry bundle for one convex quadrilateral.
+    """Geometry bundle for one convex quadrilateral or a batch of them.
 
-    Vertices must be counterclockwise. Edge i joins vertex i to vertex
-    (i+1) % 4; normals point outward, tangents run counterclockwise.
+    ``vertices`` has shape (..., 4, 2), counterclockwise per cell. Edge i
+    joins vertex i to vertex (i+1) % 4; normals point outward, tangents run
+    counterclockwise. Line forms: ``edge_line_coeffs`` (..., 4, 3), the
+    midlines ``mid_13_coeffs``/``mid_24_coeffs`` and diagonals
+    ``diag_13_coeffs``/``diag_24_coeffs`` (..., 3), and the signed edge
+    parameters ``edge_param_coeffs`` (..., 4, 3). Indexing a batch gives the
+    geometry of the selected cells. Invalid cells raise ``ValueError``
+    (clockwise), ``DegenerateCellError`` or ``NonConvexCellError``, naming
+    the first offending cell of a batch.
     """
 
     __slots__ = (
         "vertices", "A", "b", "d", "s", "h", "area",
-        "edge_mid", "edge_len", "tangents", "normals",
-        "local_vertices", "edge_lines", "diag_13", "diag_24",
-        "mid_13", "mid_24", "edge_params",
+        "edge_mid", "edge_len", "tangents", "normals", "local_vertices",
+        "edge_line_coeffs", "mid_13_coeffs", "mid_24_coeffs",
+        "diag_13_coeffs", "diag_24_coeffs", "edge_param_coeffs",
     )
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float).reshape(4, 2)
+        v = np.asarray(vertices, dtype=float)
         self.vertices = v
 
-        edge_vec = np.roll(v, -1, axis=0) - v
-        self.edge_len = np.linalg.norm(edge_vec, axis=1)
-        if np.any(self.edge_len < 1e-14):
-            raise DegenerateCellError("zero-length edge")
+        edge_vec = np.roll(v, -1, axis=-2) - v
+        self.edge_len = np.linalg.norm(edge_vec, axis=-1)
+        _check((self.edge_len < 1e-14).any(-1), DegenerateCellError, "zero-length edge")
 
-        area = shoelace_area(v)
-        if area <= 0.0:
-            raise ValueError("vertices must be ordered counterclockwise")
-        self.area = area
+        self.area = shoelace_area(v)
+        _check(self.area <= 0.0, ValueError, "vertices must be ordered counterclockwise")
 
-        V1, V2, V3, V4 = v
-        self.A = 0.25 * np.column_stack([V3 - V4 - V1 + V2, V3 + V4 - V1 - V2])
-        self.b = 0.25 * (V1 + V2 + V3 + V4)
-        self.d = 0.25 * (V3 - V4 + V1 - V2)
-        if abs(np.linalg.det(self.A)) < 1e-14:
-            raise DegenerateCellError("singular affine factor of the bilinear map")
-        self.s = np.linalg.solve(self.A, self.d)
-        if abs(self.s[0]) + abs(self.s[1]) >= 1.0:
-            raise NonConvexCellError(
-                f"|s1|+|s2| = {abs(self.s[0]) + abs(self.s[1]):.6f} >= 1"
-            )
+        self.A, self.b, self.d = affine_decomposition(v)
+        _check(np.abs(np.linalg.det(self.A)) < 1e-14, DegenerateCellError,
+               "singular affine factor of the bilinear map")
+        self.s = np.linalg.solve(self.A, self.d[..., None])[..., 0]
+        skew = np.abs(self.s).sum(-1)
+        _check(skew >= 1.0, NonConvexCellError, "|s1|+|s2| >= 1", skew)
 
-        diffs = v[:, None, :] - v[None, :, :]
-        self.h = float(np.sqrt((diffs**2).sum(-1).max()))
+        diffs = v[..., :, None, :] - v[..., None, :, :]
+        self.h = np.sqrt((diffs**2).sum(-1).max((-2, -1)))
 
-        self.edge_mid = 0.5 * (v + np.roll(v, -1, axis=0))
-        self.tangents = edge_vec / self.edge_len[:, None]
+        self.edge_mid = 0.5 * (v + np.roll(v, -1, axis=-2))
+        self.tangents = edge_vec / self.edge_len[..., None]
         # Outward normal of a counterclockwise polygon: tangent rotated by -90.
-        self.normals = np.column_stack([self.tangents[:, 1], -self.tangents[:, 0]])
+        self.normals = np.stack([self.tangents[..., 1], -self.tangents[..., 0]], axis=-1)
 
         lv = self.to_local(v)
         lm = self.to_local(self.edge_mid)
@@ -106,30 +139,63 @@ class QuadGeometry:
 
         # Normalization of the line forms: l_i(M_{i+2}) = 1, m13(M_2) = 1,
         # m24(M_3) = 1, diag through V1V3 equals 1 at V4, V2V4 at V3.
-        self.edge_lines = [
-            _line_through(lv[i], lv[(i + 1) % 4], lm[(i + 2) % 4]) for i in range(4)
-        ]
-        self.mid_13 = _line_through(lm[0], lm[2], lm[1])
-        self.mid_24 = _line_through(lm[1], lm[3], lm[2])
-        self.diag_13 = _line_through(lv[0], lv[2], lv[3])
-        self.diag_24 = _line_through(lv[1], lv[3], lv[2])
+        nxt, opp = np.roll(np.arange(4), -1), np.roll(np.arange(4), -2)
+        self.edge_line_coeffs = _line_through(lv, lv[..., nxt, :], lm[..., opp, :])
+        self.mid_13_coeffs = _line_through(lm[..., 0, :], lm[..., 2, :], lm[..., 1, :])
+        self.mid_24_coeffs = _line_through(lm[..., 1, :], lm[..., 3, :], lm[..., 2, :])
+        self.diag_13_coeffs = _line_through(lv[..., 0, :], lv[..., 2, :], lv[..., 3, :])
+        self.diag_24_coeffs = _line_through(lv[..., 1, :], lv[..., 3, :], lv[..., 2, :])
 
         # Signed edge parameter: -1 at V_i, +1 at V_{i+1}, affine in the plane.
-        self.edge_params = []
-        for i in range(4):
-            t = self.tangents[i]
-            c = 2.0 * self.h / self.edge_len[i]
-            self.edge_params.append(
-                Poly2.affine(-c * float(lm[i] @ t), c * t[0], c * t[1])
-            )
+        t = self.tangents
+        c = 2.0 * self.h[..., None] / self.edge_len
+        self.edge_param_coeffs = np.stack(
+            [-c * _dot(lm, t), c * t[..., 0], c * t[..., 1]], axis=-1
+        )
+
+    def __getitem__(self, index) -> "QuadGeometry":
+        out = object.__new__(QuadGeometry)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name)[index])
+        return out
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    # -- line forms as polynomials (one cell) -----------------------------------
+
+    @property
+    def edge_lines(self) -> list[Poly2]:
+        return [Poly2.affine(*c) for c in self.edge_line_coeffs]
+
+    @property
+    def mid_13(self) -> Poly2:
+        return Poly2.affine(*self.mid_13_coeffs)
+
+    @property
+    def mid_24(self) -> Poly2:
+        return Poly2.affine(*self.mid_24_coeffs)
+
+    @property
+    def diag_13(self) -> Poly2:
+        return Poly2.affine(*self.diag_13_coeffs)
+
+    @property
+    def diag_24(self) -> Poly2:
+        return Poly2.affine(*self.diag_24_coeffs)
+
+    @property
+    def edge_params(self) -> list[Poly2]:
+        return [Poly2.affine(*c) for c in self.edge_param_coeffs]
 
     # -- frames and maps -----------------------------------------------------
+    # Point arrays are (..., npts, 2) with the geometry's batch shape leading.
 
     def to_local(self, points):
-        return (np.asarray(points, dtype=float) - self.b) / self.h
+        return (np.asarray(points, dtype=float) - self.b[..., None, :]) / self.h[..., None, None]
 
     def from_local(self, points):
-        return np.asarray(points, dtype=float) * self.h + self.b
+        return np.asarray(points, dtype=float) * self.h[..., None, None] + self.b[..., None, :]
 
     def map_reference(self, ref_points):
         """Bilinear map from the reference square [-1,1]^2 to the cell."""
@@ -145,34 +211,33 @@ class QuadGeometry:
         """det DF of the bilinear map at reference points."""
         r = np.atleast_2d(np.asarray(ref_points, dtype=float))
         xh, yh = r[:, 0], r[:, 1]
-        detA = np.linalg.det(self.A)
+        detA = np.linalg.det(self.A)[..., None]
+        s1, s2 = self.s[..., 0, None], self.s[..., 1, None]
         # F = A o S with S(x) = x + x*y*s, so det DF = det A * det DS.
-        det_2 = (1 + yh * self.s[0]) * (1 + xh * self.s[1]) - xh * yh * self.s[0] * self.s[1]
+        det_2 = (1 + yh * s1) * (1 + xh * s2) - xh * yh * s1 * s2
         return detA * det_2
 
     def affine_factor(self, points):
         """The affine part x -> A x + b applied to intermediate-frame points."""
-        return np.atleast_2d(np.asarray(points, dtype=float)) @ self.A.T + self.b
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        return p @ np.swapaxes(self.A, -1, -2) + self.b[..., None, :]
 
     def intermediate_vertices(self):
         """Preimages of the vertices under the affine factor."""
         signs = np.array([1.0, -1.0, 1.0, -1.0])
-        return REF_CORNERS + signs[:, None] * self.s[None, :]
+        return REF_CORNERS + signs[:, None] * self.s[..., None, :]
 
     def edge_points(self, i: int, t):
         """Physical points V_i + t (V_{i+1} - V_i) for t in [0, 1]."""
         t = np.asarray(t, dtype=float)[:, None]
-        return self.vertices[i] + t * (self.vertices[(i + 1) % 4] - self.vertices[i])
-
-    def shape_key(self) -> bytes:
-        """Cache key identifying the cell shape up to translation and scaling."""
-        return np.round(self.local_vertices, 12).tobytes()
+        vi = self.vertices[..., i, None, :]
+        return vi + t * (self.vertices[..., (i + 1) % 4, None, :] - vi)
 
 
 def compute_geometry(vertices) -> QuadGeometry:
-    """Build the full geometry bundle for one counterclockwise convex quad."""
+    """Build the full geometry bundle for counterclockwise convex quads."""
     return QuadGeometry(vertices)
 
 
-def cell_area(geometry: QuadGeometry) -> float:
+def cell_area(geometry: QuadGeometry):
     return geometry.area

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .geometry import QuadGeometry
+from .geometry import QuadGeometry, affine_decomposition
 
 __all__ = ["Mesh", "make_mesh", "MeshGenerationError", "FAMILIES"]
 
@@ -28,15 +28,14 @@ class MeshGenerationError(RuntimeError):
     """Raised when a perturbed vertex cannot be placed convexly."""
 
 
-def _convexity_shape(cell_vertices) -> float:
-    """|s1| + |s2| of the bilinear-map distortion; < 1 means strictly convex."""
-    V1, V2, V3, V4 = cell_vertices
-    A = 0.25 * np.column_stack([V3 - V4 - V1 + V2, V3 + V4 - V1 - V2])
-    d = 0.25 * (V3 - V4 + V1 - V2)
-    if abs(np.linalg.det(A)) < 1e-14:
-        return np.inf
-    s = np.linalg.solve(A, d)
-    return abs(s[0]) + abs(s[1])
+def _convexity_shape(cell_vertices) -> np.ndarray:
+    """|s1| + |s2| of the bilinear-map distortion per cell (..., 4, 2) -> (...);
+    < 1 means strictly convex, inf marks a singular affine factor."""
+    A, _, d = affine_decomposition(cell_vertices)
+    singular = np.abs(np.linalg.det(A)) < 1e-14
+    A = np.where(singular[..., None, None], np.eye(2), A)
+    s = np.linalg.solve(A, d[..., None])[..., 0]
+    return np.where(singular, np.inf, np.abs(s).sum(-1))
 
 
 class Mesh:
@@ -46,7 +45,9 @@ class Mesh:
     of the edge direction taken from lower to higher vertex index) and the
     tangent t_E obtained by rotating n_E a further ninety degrees. Per cell,
     ``cell_edge_signs`` records whether the cell's outward normal on that
-    edge agrees with n_E.
+    edge agrees with n_E. ``cell_geometry`` is the geometry of all cells as
+    one batch; building it rejects clockwise, degenerate and non-convex
+    cells, naming the first offending cell.
     """
 
     def __init__(self, vertices, cells, family="custom", n=None, delta=0.0, seed=None):
@@ -56,52 +57,42 @@ class Mesh:
         self.n = n
         self.delta = delta
         self.seed = seed
-        self._geometry_cache: dict[int, QuadGeometry] = {}
+        self.cell_geometry = QuadGeometry(self.vertices[self.cells])
         self._build_edges()
 
     def _build_edges(self):
-        edge_index: dict[tuple[int, int], int] = {}
-        edge_vertices = []
-        edge_cells: list[list[int]] = []
-        cell_edges = np.zeros_like(self.cells)
-        for ci, cell in enumerate(self.cells):
-            for k in range(4):
-                a, b = int(cell[k]), int(cell[(k + 1) % 4])
-                key = (min(a, b), max(a, b))
-                ei = edge_index.get(key)
-                if ei is None:
-                    ei = len(edge_vertices)
-                    edge_index[key] = ei
-                    edge_vertices.append(key)
-                    edge_cells.append([])
-                edge_cells[ei].append(ci)
-                cell_edges[ci, k] = ei
-        self.edge_vertices = np.array(edge_vertices, dtype=int)
-        self.edge_cells = edge_cells
-        self.cell_edges = cell_edges
+        # Edges are numbered in order of first appearance, cell by cell.
+        start, end = self.cells, np.roll(self.cells, -1, axis=1)
+        lo, hi = np.minimum(start, end).ravel(), np.maximum(start, end).ravel()
+        _, first, inverse = np.unique(lo * self.n_vertices + hi,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        edge_of = rank[inverse.ravel()]
+        self.edge_vertices = np.column_stack([lo[first[order]], hi[first[order]]])
+        self.cell_edges = edge_of.reshape(-1, 4)
 
-        n_adj = np.array([len(c) for c in edge_cells])
+        n_adj = np.bincount(edge_of, minlength=len(order))
         if np.any(n_adj > 2):
             raise ValueError("non-manifold mesh: an edge with more than two cells")
         self.edge_is_boundary = n_adj == 1
+        cell_of = np.repeat(np.arange(self.n_cells), 4)
+        self.edge_cells = np.split(cell_of[np.argsort(edge_of, kind="stable")],
+                                   np.cumsum(n_adj)[:-1])
 
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
-        for ei in np.nonzero(self.edge_is_boundary)[0]:
-            self.vertex_is_boundary[self.edge_vertices[ei]] = True
+        self.vertex_is_boundary[self.edge_vertices[self.edge_is_boundary].ravel()] = True
 
         vec = self.vertices[self.edge_vertices[:, 1]] - self.vertices[self.edge_vertices[:, 0]]
         vec /= np.linalg.norm(vec, axis=1)[:, None]
         self.edge_normal = np.column_stack([-vec[:, 1], vec[:, 0]])
         self.edge_tangent = np.column_stack([-self.edge_normal[:, 1], self.edge_normal[:, 0]])
 
-        signs = np.zeros_like(self.cells)
-        for ci, cell in enumerate(self.cells):
-            for k in range(4):
-                a, b = int(cell[k]), int(cell[(k + 1) % 4])
-                t = self.vertices[b] - self.vertices[a]
-                outward = np.array([t[1], -t[0]])
-                signs[ci, k] = 1 if outward @ self.edge_normal[self.cell_edges[ci, k]] > 0 else -1
-        self.cell_edge_signs = signs
+        t = self.vertices[end] - self.vertices[start]
+        outward = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+        agree = (outward * self.edge_normal[self.cell_edges]).sum(-1) > 0
+        self.cell_edge_signs = np.where(agree, 1, -1)
 
     # -- counts --------------------------------------------------------------
 
@@ -132,14 +123,8 @@ class Mesh:
     # -- geometry --------------------------------------------------------------
 
     def geometry(self, cell_index: int) -> QuadGeometry:
-        geo = self._geometry_cache.get(cell_index)
-        if geo is None:
-            geo = QuadGeometry(self.vertices[self.cells[cell_index]])
-            self._geometry_cache[cell_index] = geo
-        return geo
-
-    def geometries(self):
-        return [self.geometry(i) for i in range(self.n_cells)]
+        """Geometry of one cell, a view into ``cell_geometry``."""
+        return self.cell_geometry[cell_index]
 
     # -- serialization -----------------------------------------------------------
 
@@ -182,20 +167,15 @@ def _grid(n: int):
     coords = np.arange(n + 1) / n
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            base = j * (n + 1) + i
-            cells.append([base, base + 1, base + n + 2, base + n + 1])
-    return vertices, np.array(cells, dtype=int)
+    j, i = np.divmod(np.arange(n * n), n)
+    base = j * (n + 1) + i
+    return vertices, np.column_stack([base, base + 1, base + n + 2, base + n + 1])
 
 
 def _interior_mask(n: int) -> np.ndarray:
-    mask = np.zeros((n + 1) * (n + 1), dtype=bool)
-    for j in range(1, n):
-        for i in range(1, n):
-            mask[j * (n + 1) + i] = True
-    return mask
+    mask = np.zeros((n + 1, n + 1), dtype=bool)
+    mask[1:n, 1:n] = True
+    return mask.ravel()
 
 
 def make_mesh(n: int, family: str, delta: float | None = None, seed: int = 0) -> Mesh:
@@ -220,39 +200,29 @@ def make_mesh(n: int, family: str, delta: float | None = None, seed: int = 0) ->
     interior = _interior_mask(n)
 
     if family == "trapezoidal":
-        for j in range(1, n):
-            for i in range(1, n):
-                vertices[j * (n + 1) + i, 1] += (-1.0) ** (i + j) * delta * h
+        j, i = np.divmod(np.arange(len(vertices)), n + 1)
+        vertices[interior, 1] += ((-1.0) ** (i + j) * delta * h)[interior]
     elif family == "random":
         rng = np.random.default_rng(seed)
         idx = np.nonzero(interior)[0]
         vertices[idx] += rng.uniform(-delta * h, delta * h, size=(len(idx), 2))
 
-        vertex_cells: dict[int, list[int]] = {int(v): [] for v in idx}
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                if interior[v]:
-                    vertex_cells[int(v)].append(ci)
-
+        # Redraw the interior vertices of non-convex cells, in increasing
+        # vertex order, until every cell is strictly convex.
         base = _grid(n)[0]
-        attempts = {int(v): 0 for v in idx}
+        attempts = np.zeros(len(vertices), dtype=int)
         for _ in range(_MAX_RESAMPLES * len(idx) + 1):
-            bad = sorted({
-                int(v)
-                for ci in range(len(cells))
-                if _convexity_shape(vertices[cells[ci]]) >= 1.0
-                for v in cells[ci]
-                if interior[v]
-            })
-            if not bad:
+            bad = np.unique(cells[_convexity_shape(vertices[cells]) >= 1.0])
+            bad = bad[interior[bad]]
+            if not bad.size:
                 break
-            for v in bad:
-                attempts[v] += 1
-                if attempts[v] > _MAX_RESAMPLES:
-                    raise MeshGenerationError(
-                        f"vertex {v} cannot be placed convexly after {_MAX_RESAMPLES} resamples"
-                    )
-                vertices[v] = base[v] + rng.uniform(-delta * h, delta * h, size=2)
+            attempts[bad] += 1
+            over = bad[attempts[bad] > _MAX_RESAMPLES]
+            if over.size:
+                raise MeshGenerationError(
+                    f"vertex {over[0]} cannot be placed convexly after {_MAX_RESAMPLES} resamples"
+                )
+            vertices[bad] = base[bad] + rng.uniform(-delta * h, delta * h, size=(len(bad), 2))
         else:
             raise MeshGenerationError("convexity repair did not terminate")
 

@@ -1,20 +1,29 @@
 """Broken-norm errors of discrete or interpolated fields.
 
-Fields provide per-cell DoF vectors; two flavors exist for each space: a
-solution field gathering a solved global coefficient vector through the DoF
-map, and an interpolant field taking local DoFs straight from a manufactured
-solution (the nodal interpolant, no boundary conditions involved). Error
-quadrature uses an independent, higher-order rule than assembly.
+Fields provide the DoF vectors of all cells at once, (n_cells, 12); two
+flavors exist for each space: a solution field gathering a solved global
+coefficient vector through the DoF map, and an interpolant field taking
+local DoFs straight from a manufactured solution (the nodal interpolant, no
+boundary conditions involved). Error quadrature uses an independent,
+higher-order rule than assembly, batched over cells like assembly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assembly import ElementCache, scalar_dof_scaling, vector_dof_scaling
+from .assembly import (
+    build_scalar_element,
+    build_vector_element,
+    scalar_dof_scaling,
+    unit_shape_rule,
+    unit_shape_tables,
+    vector_dof_scaling,
+)
 from .cases import BrinkmanCase, ScalarCase
 from .dofmap import ScalarDofMap, VectorDofMap
 from .elements import vector_dof_values
+from .geometry import _pow2
 from .mesh import Mesh
 
 __all__ = [
@@ -36,8 +45,8 @@ class ScalarSolutionField:
         self.dofmap = dofmap
         self.coefficients = coefficients
 
-    def cell_dofs(self, ci: int) -> np.ndarray:
-        return self.dofmap.gather(self.coefficients, ci)
+    def cell_dofs(self) -> np.ndarray:
+        return self.dofmap.gather(self.coefficients)
 
 
 class ScalarInterpolantField:
@@ -49,10 +58,10 @@ class ScalarInterpolantField:
         self._grads = np.asarray(case.grad(v[:, 0], v[:, 1]), dtype=float)
         self.mesh = mesh
 
-    def cell_dofs(self, ci: int) -> np.ndarray:
-        idx = self.mesh.cells[ci]
+    def cell_dofs(self) -> np.ndarray:
+        idx = self.mesh.cells
         return np.concatenate(
-            [self._vals[idx], self._grads[idx, 0], self._grads[idx, 1]]
+            [self._vals[idx], self._grads[idx, 0], self._grads[idx, 1]], axis=-1
         )
 
 
@@ -62,8 +71,8 @@ class VectorSolutionField:
         self.dofmap = dofmap
         self.coefficients = coefficients
 
-    def cell_dofs(self, ci: int) -> np.ndarray:
-        return self.dofmap.gather(self.coefficients, ci)
+    def cell_dofs(self) -> np.ndarray:
+        return self.dofmap.gather(self.coefficients)
 
 
 class VectorInterpolantField:
@@ -74,15 +83,16 @@ class VectorInterpolantField:
         self.velocity = case.velocity
         self.edge_points = edge_points
 
-    def cell_dofs(self, ci: int) -> np.ndarray:
-        return vector_dof_values(
-            self.mesh.geometry(ci), self.velocity, self.edge_points
-        )
+    def cell_dofs(self) -> np.ndarray:
+        return vector_dof_values(self.mesh.cell_geometry, self.velocity, self.edge_points)
+
+
+def _at(fn, x):
+    return np.asarray(fn(x[..., 0], x[..., 1]), dtype=float)
 
 
 def scalar_error_norms(mesh: Mesh, field, case: ScalarCase, eps: float = 0.0,
-                       quad_order: int = DEFAULT_ERROR_QUAD,
-                       cache: ElementCache | None = None) -> dict[str, float]:
+                       quad_order: int = DEFAULT_ERROR_QUAD) -> dict[str, float]:
     """Broken H1/H2 seminorm errors and the parameter-weighted energy error.
 
     The H2 seminorm follows the Sobolev multi-index convention (the mixed
@@ -90,25 +100,21 @@ def scalar_error_norms(mesh: Mesh, field, case: ScalarCase, eps: float = 0.0,
     reference convergence tables; the assembled bilinear form, by contrast,
     contracts full Hessians.
     """
-    cache = cache or ElementCache()
-    h1_sq = 0.0
-    h2_sq = 0.0
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        shape = cache.scalar(geom)
-        tab = shape.tabulation(quad_order)
-        h = geom.h
-        c = field.cell_dofs(ci) * scalar_dof_scaling(h)
-        grad_h = np.einsum("j,qjc->qc", c, tab.grad) / h
-        hess_h = np.einsum("j,qjcd->qcd", c, tab.hess) / h**2
+    geom = mesh.cell_geometry
+    unit, pts, x, wts = unit_shape_rule(geom, quad_order)
+    c = field.cell_dofs() * scalar_dof_scaling(geom.h)
+    grad_h, hess_h = np.empty(x.shape), np.empty(x.shape + (2,))
+    for cells, _, (_, grad, hess) in unit_shape_tables(unit, pts, build_scalar_element):
+        grad_h[cells] = np.einsum("nj,nqjc->nqc", c[cells], grad)
+        hess_h[cells] = np.einsum("nj,nqjcd->nqcd", c[cells], hess)
+    h = geom.h[:, None]
+    grad_h /= h[..., None]
+    hess_h /= _pow2(h[..., None, None])
 
-        pts = geom.from_local(tab.points)
-        w = tab.weights * h**2
-        grad_e = np.asarray(case.grad(pts[:, 0], pts[:, 1]), dtype=float)
-        hess_e = np.asarray(case.hessian(pts[:, 0], pts[:, 1]), dtype=float)
-        E = hess_h - hess_e
-        h1_sq += float(w @ ((grad_h - grad_e) ** 2).sum(-1))
-        h2_sq += float(w @ (E[:, 0, 0] ** 2 + E[:, 0, 1] ** 2 + E[:, 1, 1] ** 2))
+    w = wts * _pow2(h)
+    E = hess_h - _at(case.hessian, x)
+    h1_sq = float(np.sum(w * ((grad_h - _at(case.grad, x)) ** 2).sum(-1)))
+    h2_sq = float(np.sum(w * (E[..., 0, 0] ** 2 + E[..., 0, 1] ** 2 + E[..., 1, 1] ** 2)))
     return {
         "h1": np.sqrt(h1_sq),
         "h2": np.sqrt(h2_sq),
@@ -119,55 +125,39 @@ def scalar_error_norms(mesh: Mesh, field, case: ScalarCase, eps: float = 0.0,
 def brinkman_error_norms(mesh: Mesh, field, case: BrinkmanCase,
                          nu: float, alpha: float,
                          pressure_values: np.ndarray | None = None,
-                         quad_order: int = DEFAULT_ERROR_QUAD,
-                         cache: ElementCache | None = None) -> dict[str, float]:
+                         quad_order: int = DEFAULT_ERROR_QUAD) -> dict[str, float]:
     """Velocity errors (L2, broken H1, a_h combination) and pressure L2 error."""
-    cache = cache or ElementCache()
-    l2_sq = 0.0
-    h1_sq = 0.0
-    p_sq = 0.0
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        shape = cache.vector(geom)
-        tab = shape.tabulation(quad_order)
-        h = geom.h
-        c = field.cell_dofs(ci) * vector_dof_scaling(h)
-        val_h = np.einsum("j,qjc->qc", c, tab.val)
-        grad_h = np.einsum("j,qjcd->qcd", c, tab.grad) / h
+    geom = mesh.cell_geometry
+    unit, pts, x, wts = unit_shape_rule(geom, quad_order)
+    c = field.cell_dofs() * vector_dof_scaling(geom.h)
+    val_h, grad_h = np.empty(x.shape), np.empty(x.shape + (2,))
+    for cells, _, (val, grad) in unit_shape_tables(unit, pts, build_vector_element):
+        val_h[cells] = np.einsum("nj,nqjc->nqc", c[cells], val)
+        grad_h[cells] = np.einsum("nj,nqjcd->nqcd", c[cells], grad)
+    h = geom.h[:, None]
+    grad_h /= h[..., None, None]
 
-        pts = geom.from_local(tab.points)
-        w = tab.weights * h**2
-        val_e = np.asarray(case.velocity(pts[:, 0], pts[:, 1]), dtype=float)
-        grad_e = np.asarray(case.velocity_grad(pts[:, 0], pts[:, 1]), dtype=float)
-        l2_sq += float(w @ ((val_h - val_e) ** 2).sum(-1))
-        h1_sq += float(w @ ((grad_h - grad_e) ** 2).sum((-1, -2)))
-
-        if pressure_values is not None:
-            p_e = np.asarray(case.pressure(pts[:, 0], pts[:, 1]), dtype=float)
-            p_sq += float(w @ (p_e - pressure_values[ci]) ** 2)
-
+    w = wts * _pow2(h)
+    l2_sq = float(np.sum(w * ((val_h - _at(case.velocity, x)) ** 2).sum(-1)))
+    h1_sq = float(np.sum(w * ((grad_h - _at(case.velocity_grad, x)) ** 2).sum((-1, -2))))
     out = {
         "velocity_l2": np.sqrt(l2_sq),
         "velocity_h1": np.sqrt(h1_sq),
         "velocity_ah": np.sqrt(nu * h1_sq + alpha * l2_sq),
     }
     if pressure_values is not None:
-        out["pressure_l2"] = np.sqrt(p_sq)
+        out["pressure_l2"] = np.sqrt(_pressure_sq(case, pressure_values, x, w))
     return out
 
 
+def _pressure_sq(case, pressure_values, x, w) -> float:
+    p_e = _at(case.pressure, x)
+    return float(np.sum(w * (p_e - np.asarray(pressure_values)[:, None]) ** 2))
+
+
 def pressure_l2_error(mesh: Mesh, pressure_values, case: BrinkmanCase,
-                      quad_order: int = DEFAULT_ERROR_QUAD,
-                      cache: ElementCache | None = None) -> float:
+                      quad_order: int = DEFAULT_ERROR_QUAD) -> float:
     """L2 distance between cellwise-constant pressures and the exact pressure."""
-    cache = cache or ElementCache()
-    p_sq = 0.0
-    pv = np.zeros(mesh.n_cells) if pressure_values is None else np.asarray(pressure_values)
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        tab = cache.vector(geom).tabulation(quad_order)
-        pts = geom.from_local(tab.points)
-        w = tab.weights * geom.h**2
-        p_e = np.asarray(case.pressure(pts[:, 0], pts[:, 1]), dtype=float)
-        p_sq += float(w @ (p_e - pv[ci]) ** 2)
-    return float(np.sqrt(p_sq))
+    _, _, x, wts = unit_shape_rule(mesh.cell_geometry, quad_order)
+    pv = np.zeros(mesh.n_cells) if pressure_values is None else pressure_values
+    return float(np.sqrt(_pressure_sq(case, pv, x, wts * _pow2(mesh.cell_geometry.h[:, None]))))

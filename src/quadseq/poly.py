@@ -315,8 +315,11 @@ _EXP_J = np.array([m[1] for m in MONOMIALS])
 
 
 def vandermonde(points: np.ndarray) -> np.ndarray:
-    """Monomial values at points, shape (npoints, 45)."""
+    """Monomial values at points (..., npoints, 2), shape (..., npoints, 45)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xp = pts[:, 0][:, None] ** np.arange(MAX_DEGREE + 1)
-    yp = pts[:, 1][:, None] ** np.arange(MAX_DEGREE + 1)
-    return xp[:, _EXP_I] * yp[:, _EXP_J]
+    # Powers 0 and 1 are exact; the others come from np.power, as always.
+    p = np.empty(pts.shape + (MAX_DEGREE + 1,))
+    p[..., 0] = 1.0
+    p[..., 1] = pts
+    p[..., 2:] = pts[..., None] ** np.arange(2, MAX_DEGREE + 1)
+    return p[..., 0, _EXP_I] * p[..., 1, _EXP_J]

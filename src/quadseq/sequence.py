@@ -19,12 +19,24 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh as scipy_eigh
 
-from .assembly import ElementCache, scalar_dof_scaling, vector_dof_scaling
+from .assembly import (
+    velocity_blocks,
+    cell_entries,
+    scalar_dof_scaling,
+    vector_dof_scaling,
+)
 from .cases import brinkman_sin_stream
 from .dofmap import ScalarDofMap, VectorDofMap
-from .elements import _PackedSet, _vector_dof_rows, vector_dof_values
+from .elements import (
+    _swap,
+    _vector_dof_rows,
+    build_scalar_element,
+    build_vector_element,
+    vector_dof_values,
+)
+from .geometry import QuadGeometry
 from .mesh import Mesh
-from .poly import DX, DY, MONOMIALS, Poly2, VecPoly2
+from .poly import DX, DY, vandermonde
 
 __all__ = [
     "divergence_matrix",
@@ -35,22 +47,28 @@ __all__ = [
 ]
 
 
-def divergence_matrix(mesh: Mesh, cache: ElementCache | None = None):
+def divergence_matrix(mesh: Mesh):
     """Dense matrix of the cellwise divergence: vector DoFs -> cell constants."""
-    cache = cache or ElementCache()
     dm = VectorDofMap(mesh)
-    D = np.zeros((mesh.n_cells, dm.ndof))
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        shape = cache.vector(geom)
-        div_phys = (
-            vector_dof_scaling(geom.h) * dm.cell_signs[ci]
-            * shape.element.div_constants / geom.h
-        )
-        dofs = dm.cell_dofs[ci]
-        free = dofs >= 0
-        D[ci, dofs[free]] += div_phys[free]
-    return D, dm
+    geom = mesh.cell_geometry
+    element = build_vector_element(QuadGeometry(geom.local_vertices))
+    return _divergence_matrix(mesh, dm, element), dm
+
+
+def _divergence_matrix(mesh, dm, element):
+    geom = mesh.cell_geometry
+    div_phys = (
+        vector_dof_scaling(geom.h) * dm.cell_signs * element.div_constants / geom.h[:, None]
+    )
+    return _dense((mesh.n_cells, dm.ndof),
+                  [(np.arange(mesh.n_cells)[:, None], dm.cell_dofs, div_phys)])
+
+
+def _dense(shape, blocks):
+    rows, cols, vals = cell_entries(blocks)
+    out = np.zeros(shape)
+    np.add.at(out, (rows, cols), vals)
+    return out
 
 
 def curl_matrix(mesh: Mesh):
@@ -138,8 +156,7 @@ def _rank(singular_values: np.ndarray, cutoff: float):
     return rank, gap
 
 
-def verify_exact_sequence(mesh: Mesh, cache: ElementCache | None = None,
-                          cutoff: float = 1e-9, probe=None,
+def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
                           tol: float = 1e-10) -> SequenceReport:
     """Check exactness of the discrete sequence on one mesh.
 
@@ -150,8 +167,11 @@ def verify_exact_sequence(mesh: Mesh, cache: ElementCache | None = None,
     spans the kernel, and the per-cell commuting identity: the divergence of
     the interpolant integrates to the boundary flux for a smooth probe.
     """
-    cache = cache or ElementCache()
-    D, vdm = divergence_matrix(mesh, cache)
+    geom = mesh.cell_geometry
+    unit = QuadGeometry(geom.local_vertices)
+    sc, vc = build_scalar_element(unit), build_vector_element(unit)
+    vdm = VectorDofMap(mesh)
+    D = _divergence_matrix(mesh, vdm, vc)
     C, sdm, _ = curl_matrix(mesh)
 
     sv = np.linalg.svd(D, compute_uv=False)
@@ -167,65 +187,36 @@ def verify_exact_sequence(mesh: Mesh, cache: ElementCache | None = None,
 
     div_curl_max = float(np.abs(D @ C).max()) if C.size else 0.0
 
-    # Per-cell: the rotated gradient of each scalar basis function,
+    # Per cell: the rotated gradient of each scalar basis function,
     # re-interpolated through the vector DoFs, must reproduce itself.
-    reinterp = 0.0
-    seen = set()
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        key = geom.shape_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        sc = cache.scalar(geom).element
-        vc = cache.vector(geom).element
-        curl_x = sc.coeff_matrix @ DY.T
-        curl_y = -(sc.coeff_matrix @ DX.T)
-        # DoF values of each rotated gradient under the vector element's DoFs.
-        px = _PackedSet.from_matrix(curl_x)
-        py = _PackedSet.from_matrix(curl_y)
-        ugeom = cache.vector(geom).geom
-        S = _vector_dof_rows(px, py, ugeom)[:12].T     # (12 curls, 12 dofs)
-        rx = S @ vc.coeff_x - curl_x
-        ry = S @ vc.coeff_y - curl_y
-        reinterp = max(reinterp, float(np.abs(rx).max()), float(np.abs(ry).max()))
+    curl_x = sc.coeff_matrix @ DY.T
+    curl_y = -(sc.coeff_matrix @ DX.T)
+    S = _swap(_vector_dof_rows(curl_x, curl_y, unit)[:, :12])   # (n, 12 curls, 12 dofs)
+    reinterp = float(max(np.abs(S @ vc.coeff_x - curl_x).max(),
+                         np.abs(S @ vc.coeff_y - curl_y).max()))
 
     # Global consistency: push a random scalar coefficient vector through the
     # matrix and compare against per-cell DoFs of the local rotated gradient.
     rng = np.random.default_rng(0)
     w = rng.standard_normal(sdm.ndof) if sdm.ndof else np.zeros(0)
     u = C @ w if sdm.ndof else np.zeros(vdm.ndof)
-    consistency = 0.0
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        sc = cache.scalar(geom).element
-        h = geom.h
-        c = sdm.gather(w, ci) * scalar_dof_scaling(h)
-        curl_x = (c @ (sc.coeff_matrix @ DY.T)) / h
-        curl_y = -(c @ (sc.coeff_matrix @ DX.T)) / h
-        loc_field = VecPoly2(
-            Poly2({m: v for m, v in zip(MONOMIALS, curl_x) if v != 0.0}),
-            Poly2({m: v for m, v in zip(MONOMIALS, curl_y) if v != 0.0}),
-        )
-        def eval_phys(x, y, fld=loc_field, geom=geom):
-            loc = geom.to_local(np.column_stack([np.atleast_1d(x), np.atleast_1d(y)]))
-            return fld(loc[:, 0], loc[:, 1])
-        sigma = vector_dof_values(geom, eval_phys)
-        gathered = vdm.gather(u, ci)
-        consistency = max(consistency, float(np.abs(sigma - gathered).max()))
+    c = sdm.gather(w) * scalar_dof_scaling(geom.h)
+    h = geom.h[:, None]
+    field_x = np.einsum("nj,njm->nm", c, curl_x) / h
+    field_y = np.einsum("nj,njm->nm", c, curl_y) / h
+
+    def rotated_gradient(x, y):
+        V = vandermonde(geom.to_local(np.stack([x, y], axis=-1)))
+        return np.stack([np.einsum("nmk,nk->nm", V, f) for f in (field_x, field_y)], axis=-1)
+
+    sigma = vector_dof_values(geom, rotated_gradient)
+    consistency = float(np.abs(sigma - vdm.gather(u)).max())
 
     # Commuting identity for a smooth probe: cellwise divergence of the
     # interpolant integrates to the boundary flux.
-    probe = probe or brinkman_sin_stream().velocity
-    commuting = 0.0
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        vc = cache.vector(geom).element
-        sigma = vector_dof_values(geom, probe)
-        mu = vector_dof_scaling(geom.h)
-        div_const = float((sigma * mu) @ vc.div_constants) / geom.h
-        flux = float(sigma[:4].sum())
-        commuting = max(commuting, abs(div_const * geom.area - flux))
+    sigma = vector_dof_values(geom, probe or brinkman_sin_stream().velocity)
+    div_const = ((sigma * vector_dof_scaling(geom.h)) * vc.div_constants).sum(-1) / geom.h
+    commuting = float(np.abs(div_const * geom.area - sigma[:, :4].sum(-1)).max())
 
     dims = {
         "scalar": sdm.ndof,
@@ -254,35 +245,20 @@ def verify_exact_sequence(mesh: Mesh, cache: ElementCache | None = None,
     )
 
 
-def inf_sup_constant(mesh: Mesh, cache: ElementCache | None = None,
-                     quad_order: int = 4) -> float:
+def inf_sup_constant(mesh: Mesh, quad_order: int = 4) -> float:
     """Smallest nonzero generalized singular value of the divergence form.
 
     beta = min over mean-zero cell pressures q of
     max over v of b(v, q) / (||v||_1h ||q||_0), computed densely from the
     velocity H1 Gram matrix and the cell-area pressure mass.
     """
-    cache = cache or ElementCache()
     dm = VectorDofMap(mesh)
-    X = np.zeros((dm.ndof, dm.ndof))
-    B = np.zeros((mesh.n_cells, dm.ndof))
-    areas = np.zeros(mesh.n_cells)
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        shape = cache.vector(geom)
-        G_hat, M_hat = shape.matrices(quad_order)
-        h = geom.h
-        w = vector_dof_scaling(h) * dm.cell_signs[ci]
-        loc = np.outer(w, w) * (G_hat + h**2 * M_hat)
-        dofs = dm.cell_dofs[ci]
-        free = dofs >= 0
-        idx = dofs[free]
-        X[np.ix_(idx, idx)] += loc[np.ix_(free, free)]
-        div_phys = w * shape.element.div_constants / h
-        B[ci, idx] += (div_phys * geom.area)[free]
-        areas[ci] = geom.area
+    loc, b_rows, _, _ = velocity_blocks(mesh, dm, 1.0, 1.0, quad_order)
+    dofs = dm.cell_dofs
+    X = _dense((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], loc)])
+    B = _dense((mesh.n_cells, dm.ndof), [(np.arange(mesh.n_cells)[:, None], dofs, b_rows)])
     S = B @ np.linalg.solve(X, B.T)
-    M_p = np.diag(areas)
+    M_p = np.diag(mesh.cell_geometry.area)
     vals = scipy_eigh(S, M_p, eigvals_only=True)
     vals = np.sort(vals)
     return float(np.sqrt(max(vals[1], 0.0)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import ElementCache, assemble_brinkman, assemble_fourth_order, solve
+from .assembly import assemble_brinkman, assemble_fourth_order, solve
 from .cases import brinkman_sin_stream, scalar_sin_squared
 from .mesh import DEFAULT_DELTA, make_mesh
 from .norms import (
@@ -162,19 +162,17 @@ def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
     case = case or scalar_sin_squared()
     eq = error_quad_order or quad_order + 2
     t0 = time.perf_counter()
-    cache = ElementCache()
     f = case.source_biharmonic() if biharmonic else case.source(eps)
 
     errors = {nm: [] for nm in ("energy", "h1", "h2")}
     n_list = list(n_list)
     for mesh in _meshes(family, n_list, delta, seed):
         system = assemble_fourth_order(
-            mesh, eps, f, quad_order=quad_order, cache=cache, biharmonic=biharmonic
+            mesh, eps, f, quad_order=quad_order, biharmonic=biharmonic
         )
         x = solve(system)
         fld = ScalarSolutionField(mesh, system.dofmap, x)
-        norms = scalar_error_norms(mesh, fld, case, eps=eps,
-                                   quad_order=eq, cache=cache)
+        norms = scalar_error_norms(mesh, fld, case, eps=eps, quad_order=eq)
         if biharmonic:
             # the natural energy of the pure fourth-order operator
             norms["energy"] = norms["h2"]
@@ -201,21 +199,18 @@ def run_brinkman_study(nu: float = 1.0, alpha: float = 1.0, *,
     case = case or brinkman_sin_stream()
     eq = error_quad_order or quad_order + 2
     t0 = time.perf_counter()
-    cache = ElementCache()
     f = case.source(nu, alpha)
     g = None if case.g_is_zero else case.divergence
 
     errors = {nm: [] for nm in ("velocity_ah", "pressure_l2", "velocity_l2", "velocity_h1")}
     n_list = list(n_list)
     for mesh in _meshes(family, n_list, delta, seed):
-        system = assemble_brinkman(
-            mesh, nu, alpha, f, g=g, quad_order=quad_order, cache=cache
-        )
+        system = assemble_brinkman(mesh, nu, alpha, f, g=g, quad_order=quad_order)
         x = solve(system)
         u, p, _ = system.split(x)
         fld = VectorSolutionField(mesh, system.dofmap, u)
         norms = brinkman_error_norms(mesh, fld, case, nu, alpha,
-                                     pressure_values=p, quad_order=eq, cache=cache)
+                                     pressure_values=p, quad_order=eq)
         for nm in errors:
             errors[nm].append(float(norms[nm]))
 
@@ -236,13 +231,11 @@ def run_scalar_interpolation_study(*, family: str = "rectangular",
     """Broken H1/H2 errors of the nodal interpolant of the scalar solution."""
     case = case or scalar_sin_squared()
     t0 = time.perf_counter()
-    cache = ElementCache()
     errors = {"h1": [], "h2": []}
     n_list = list(n_list)
     for mesh in _meshes(family, n_list, delta, seed):
         fld = ScalarInterpolantField(mesh, case)
-        norms = scalar_error_norms(mesh, fld, case, eps=0.0,
-                                   quad_order=error_quad_order, cache=cache)
+        norms = scalar_error_norms(mesh, fld, case, eps=0.0, quad_order=error_quad_order)
         errors["h1"].append(float(norms["h1"]))
         errors["h2"].append(float(norms["h2"]))
     return StudyReport(
@@ -260,13 +253,12 @@ def run_vector_interpolation_study(*, family: str = "rectangular",
     """L2 and broken H1 errors of the nodal interpolant of the flow velocity."""
     case = case or brinkman_sin_stream()
     t0 = time.perf_counter()
-    cache = ElementCache()
     errors = {"velocity_l2": [], "velocity_h1": []}
     n_list = list(n_list)
     for mesh in _meshes(family, n_list, delta, seed):
         fld = VectorInterpolantField(mesh, case)
         norms = brinkman_error_norms(mesh, fld, case, nu=1.0, alpha=1.0,
-                                     quad_order=error_quad_order, cache=cache)
+                                     quad_order=error_quad_order)
         errors["velocity_l2"].append(float(norms["velocity_l2"]))
         errors["velocity_h1"].append(float(norms["velocity_h1"]))
     return StudyReport(

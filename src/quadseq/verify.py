@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import (
-    _PackedSet,
+    _bubble_grids,
+    _pack_grids,
+    _swap,
     _vector_dof_rows,
+    _vt,
     aggregation_coeffs_formula,
-    bubble_span,
     build_scalar_element,
     build_vector_element,
     det_oracles,
@@ -30,7 +32,7 @@ from .elements import (
 )
 from .geometry import REF_CORNERS, QuadGeometry
 from .mesh import make_mesh
-from .poly import DX, DY, vandermonde
+from .poly import DX, DY
 from .quadrature import gauss01
 
 __all__ = ["ElementCertificate", "element_certificate", "random_convex_quads"]
@@ -100,15 +102,15 @@ def _family_quads(family: str, seed: int, n: int = 4):
 
 def _edge_mean_identity_residual(geom: QuadGeometry, coeff: np.ndarray) -> float:
     """Cubic edge-mean identity: edge mean vs Simpson endpoint expression."""
-    packed = _PackedSet.from_matrix(coeff)
     h = geom.h
-    vals_v = packed.values(geom.local_vertices)
-    gx, gy = packed.grads(geom.local_vertices)
+    Vv = _vt(geom.local_vertices)
+    vals_v = coeff @ Vv
+    gx, gy = (coeff @ DX.T) @ Vv, (coeff @ DY.T) @ Vv
     worst = 0.0
     for i in range(4):
         t = geom.tangents[i]
         loc = geom.to_local(geom.edge_points(i, _ET))
-        mean = packed.values(loc) @ _EW
+        mean = (coeff @ _vt(loc)) @ _EW
         dt = (gx * t[0] + gy * t[1]) / h
         j = (i + 1) % 4
         resid = (
@@ -122,16 +124,16 @@ def _edge_mean_identity_residual(geom: QuadGeometry, coeff: np.ndarray) -> float
 def _weighted_normal_identity_residual(geom: QuadGeometry, elt) -> float:
     """(1/|E|) int (v.n) xi ds = (v(V_{i+1}) - v(V_i)).n / 6 for basis fields."""
     worst = 0.0
-    Vloc = vandermonde(geom.local_vertices)
-    vx_v = elt.coeff_x @ Vloc.T
-    vy_v = elt.coeff_y @ Vloc.T
+    Vv = _vt(geom.local_vertices)
+    vx_v = elt.coeff_x @ Vv
+    vy_v = elt.coeff_y @ Vv
     for i in range(4):
         n = geom.normals[i]
         loc = geom.to_local(geom.edge_points(i, _ET))
-        V = vandermonde(loc)
-        vn = (elt.coeff_x @ V.T) * n[0] + (elt.coeff_y @ V.T) * n[1]
-        xi = geom.edge_params[i]
-        xi_vals = xi(loc[:, 0], loc[:, 1])
+        V = _vt(loc)
+        vn = (elt.coeff_x @ V) * n[0] + (elt.coeff_y @ V) * n[1]
+        xi = geom.edge_param_coeffs[i]
+        xi_vals = xi[0] + xi[1] * loc[:, 0] + xi[2] * loc[:, 1]
         lhs = vn @ (_EW * xi_vals)
         j = (i + 1) % 4
         rhs = ((vx_v[:, j] - vx_v[:, i]) * n[0] + (vy_v[:, j] - vy_v[:, i]) * n[1]) / 6.0
@@ -149,9 +151,7 @@ def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
     """
     curl_x = scalar_elt.coeff_matrix @ DY.T
     curl_y = -(scalar_elt.coeff_matrix @ DX.T)
-    px = _PackedSet.from_matrix(curl_x)
-    py = _PackedSet.from_matrix(curl_y)
-    S = _vector_dof_rows(px, py, geom)[:12].T
+    S = _swap(_vector_dof_rows(curl_x, curl_y, geom)[:12])
     rx = S @ vector_elt.coeff_x - curl_x
     ry = S @ vector_elt.coeff_y - curl_y
     flux = float(np.abs(S[:, :4].sum(axis=1)).max())
@@ -192,19 +192,18 @@ def _reproduction_residuals(geom: QuadGeometry):
 
 
 def _bubble_residuals(geom: QuadGeometry) -> tuple[float, float]:
-    bubbles = bubble_span(geom)
-    packed = _PackedSet(bubbles)
+    C = _pack_grids(_bubble_grids(geom))
+    Cx, Cy = C @ DX.T, C @ DY.T
     h = geom.h
-    vals = np.abs(packed.values(geom.local_vertices)).max()
-    gx, gy = packed.grads(geom.local_vertices)
-    vals = max(vals, np.abs(gx).max() / h, np.abs(gy).max() / h)
+    Vv = _vt(geom.local_vertices)
+    vals = max(np.abs(C @ Vv).max(), np.abs(Cx @ Vv).max() / h, np.abs(Cy @ Vv).max() / h)
 
     # Tangential trace of the rotated gradient vs normal-derivative mean.
     worst = 0.0
     for i in range(4):
         n, t = geom.normals[i], geom.tangents[i]
-        loc = geom.to_local(geom.edge_points(i, _ET))
-        gxe, gye = packed.grads(loc)
+        Ve = _vt(geom.to_local(geom.edge_points(i, _ET)))
+        gxe, gye = Cx @ Ve, Cy @ Ve
         # int curl b . t ds = -|E| * mean(db/dn)
         curl_t = ((gye * t[0] - gxe * t[1]) / h) @ _EW * geom.edge_len[i]
         dn_mean = ((gxe * n[0] + gye * n[1]) / h) @ _EW

@@ -3,15 +3,19 @@ import pytest
 import scipy.sparse as sp
 
 from quadseq.assembly import (
-    ElementCache,
     SolverError,
     SparseSystem,
     assemble_brinkman,
     assemble_fourth_order,
     solve,
+    unit_shape_rule,
+    unit_shape_tables,
+    vector_dof_scaling,
 )
 from quadseq.cases import brinkman_sin_stream, scalar_sin_squared
 from quadseq.dofmap import ScalarDofMap, VectorDofMap
+from quadseq.elements import build_scalar_element, build_vector_element, vector_dof_values
+from quadseq.geometry import QuadGeometry
 from quadseq.mesh import make_mesh
 
 CASE = scalar_sin_squared()
@@ -81,19 +85,14 @@ def test_solver_error_on_singular():
 def test_divergence_free_solution(nu, alpha):
     # With g = 0 the solved velocity is exactly divergence free cellwise.
     mesh = make_mesh(4, "trapezoidal")
-    cache = ElementCache()
-    system = assemble_brinkman(mesh, nu, alpha, FLOW.source(nu, alpha), cache=cache)
+    system = assemble_brinkman(mesh, nu, alpha, FLOW.source(nu, alpha))
     x = solve(system)
     u, p, lam = system.split(x)
-    dm = system.dofmap
-    unorm = np.linalg.norm(u)
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        shape = cache.vector(geom)
-        from quadseq.assembly import vector_dof_scaling
-        c = dm.gather(u, ci) * vector_dof_scaling(geom.h)
-        div_val = (c @ shape.element.div_constants) / geom.h
-        assert abs(div_val) <= 1e-10 * max(unorm, 1.0)
+    geom = mesh.cell_geometry
+    elt = build_vector_element(QuadGeometry(geom.local_vertices))
+    c = system.dofmap.gather(u) * vector_dof_scaling(geom.h)
+    div_val = (c * elt.div_constants).sum(-1) / geom.h
+    assert np.abs(div_val).max() <= 1e-10 * max(np.linalg.norm(u), 1.0)
 
 
 def test_pressure_mean_zero():
@@ -110,16 +109,12 @@ def test_commuting_interpolation_preserves_divergence_form():
     # b(interp v, q) = b(v, q) for piecewise-constant q: per cell, the
     # divergence integral of the interpolant equals the boundary flux.
     mesh = make_mesh(4, "random", seed=4)
-    cache = ElementCache()
-    from quadseq.elements import vector_dof_values
-    from quadseq.assembly import vector_dof_scaling
-    for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
-        elt = cache.vector(geom).element
-        sigma = vector_dof_values(geom, FLOW.velocity)
-        div_const = float((sigma * vector_dof_scaling(geom.h)) @ elt.div_constants) / geom.h
-        flux = sigma[:4].sum()
-        assert abs(div_const * geom.area - flux) < 1e-10
+    geom = mesh.cell_geometry
+    elt = build_vector_element(QuadGeometry(geom.local_vertices))
+    sigma = vector_dof_values(geom, FLOW.velocity)
+    div_const = ((sigma * vector_dof_scaling(geom.h)) * elt.div_constants).sum(-1) / geom.h
+    flux = sigma[:, :4].sum(-1)
+    assert np.abs(div_const * geom.area - flux).max() < 1e-10
 
 
 def test_quadrature_insensitivity_of_orders():
@@ -142,9 +137,18 @@ def test_matrix_market_dump(tmp_path):
     assert np.abs((M - system.matrix).toarray()).max() < 1e-15
 
 
-def test_cache_dedupes_structured_shapes():
-    cache = ElementCache()
+def _gram_matrices(geom, g=4):
+    """Unit-shape (h-scaled) Hessian and gradient Gram matrices of every cell."""
+    unit, pts, _, w = unit_shape_rule(geom, g)
+    (_, _, (_, grad, hess)), = unit_shape_tables(unit, pts, build_scalar_element)
+    return (np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess),
+            np.einsum("nq,nqic,nqjc->nij", w, grad, grad))
+
+
+def test_rectangular_cells_share_local_matrices():
+    # Square cells of every level have one unit shape, so the batched local
+    # matrices of all cells agree after h-scaling.
+    ref = [m[0] for m in _gram_matrices(make_mesh(2, "rectangular").cell_geometry)]
     for n in (2, 4):
-        mesh = make_mesh(n, "rectangular")
-        assemble_fourth_order(mesh, 0.0, CASE.source(0.0), cache=cache)
-    assert len(cache._scalar) == 1  # all square cells share one unit shape
+        for got, want in zip(_gram_matrices(make_mesh(n, "rectangular").cell_geometry), ref):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

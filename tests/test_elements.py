@@ -184,6 +184,11 @@ def test_conditioning_error_on_near_degenerate():
     geom = QuadGeometry(verts)
     with pytest.raises(ElementConditioningError):
         build_scalar_element(geom)
+    # Among good cells, the batched build names the offending cell.
+    good = [g.vertices for g in random_convex_quads(4, seed=2, max_skew=0.5, max_aspect=2.0)]
+    batch = QuadGeometry(np.stack(good[:2] + [verts] + good[2:]))
+    with pytest.raises(ElementConditioningError, match="cell 2:"):
+        build_scalar_element(batch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quadseq.assembly import ElementCache
+from quadseq.assembly import unit_shape_rule, unit_shape_tables
+from quadseq.elements import build_scalar_element
 from quadseq.cases import BrinkmanCase, brinkman_sin_stream, scalar_poly2_case, scalar_sin_squared
 from quadseq.mesh import make_mesh
 from quadseq.norms import (
@@ -67,10 +68,11 @@ def test_pressure_error_of_zero_function():
     assert err == pytest.approx(np.sqrt(0.5 - 4.0 / np.pi**2), rel=1e-9)
 
 
-def test_cache_shared_between_calls():
-    case = scalar_sin_squared()
+def test_error_rule_tables_agree_on_rectangles():
+    # The error rule tabulates the unit-shape element of every cell; on a
+    # rectangular mesh all cells share one shape and so one table.
     mesh = make_mesh(4, "rectangular")
-    cache = ElementCache()
-    fld = ScalarInterpolantField(mesh, case)
-    scalar_error_norms(mesh, fld, case, eps=0.0, cache=cache)
-    assert len(cache._scalar) == 1
+    unit, pts, _, w = unit_shape_rule(mesh.cell_geometry, 6)
+    (_, elt, (val, grad, hess)), = unit_shape_tables(unit, pts, build_scalar_element)
+    for table in (elt.coeff_matrix, w, val, grad, hess):
+        assert np.abs(table - table[0]).max() <= 1e-13 * np.abs(table).max()
