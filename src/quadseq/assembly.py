@@ -2,11 +2,12 @@
 
 The cell is a batch axis (Cuvelier, Japhet & Scarella, BIT Numer. Math. 56,
 2016): geometry, elements, quadrature tables and local matrices of all cells
-are built as stacked arrays, the local matrices are formed with one batched
-product, and the global matrix comes from one COO scatter. Elements are
-built on the cells' unit shapes, the vertex positions in the cell-local
-frame (x - b) / h, which keeps the local systems well conditioned at every
-mesh size. The physical local matrices follow from the unit-shape integrals
+are built as stacked arrays (elements and tables in chunks of CELL_CHUNK
+cells, which bounds their temporaries), the local matrices are formed with
+batched products, and the global matrix comes from one COO scatter.
+Elements are built on the cells' unit shapes, the vertex positions in the
+cell-local frame (x - b) / h, which keeps the local systems well conditioned
+at every mesh size. The physical local matrices follow from the unit-shape integrals
 by exact powers of the cell diameter together with a diagonal DoF rescaling
 (gradient DoFs scale with h in the scalar element, edge-integral DoFs with
 1/h in the vector element). User callables are evaluated once per mesh on

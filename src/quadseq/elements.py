@@ -252,10 +252,10 @@ def _normal_derivative_rows(C, geom: QuadGeometry, Vv=None, Ve=None):
     return mean - _swap(0.5 * (at_start + at_end))
 
 
-def _solve_nodal(D: np.ndarray, n_basis: int):
+def _solve_nodal(D: np.ndarray, n_basis: int, index):
     cond = np.linalg.cond(D)
     _check(~np.isfinite(cond) | (cond > COND_LIMIT), ElementConditioningError,
-           f"local DoF matrix condition number exceeds {COND_LIMIT:.0e}", cond)
+           f"local DoF matrix condition number exceeds {COND_LIMIT:.0e}", cond, index)
     rhs = np.zeros((D.shape[-1], n_basis))
     rhs[:n_basis, :] = np.eye(n_basis)
     X = np.linalg.solve(D, rhs)
@@ -355,7 +355,7 @@ def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
     D[..., 8:12, :] = _swap((C @ DY.T) @ Vv) / h
     D[..., 12:16, :] = _normal_derivative_rows(C, geom, Vv, Ve)
 
-    X, cond = _solve_nodal(D, 12)
+    X, cond = _solve_nodal(D, 12, geom.index)
     return ScalarElement(geom, C, D, X, cond)
 
 
@@ -438,7 +438,7 @@ def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv=None, Ve=None):
 def build_vector_element(geom: QuadGeometry) -> VectorElement:
     gx, gy = _vector_grids(geom)
     Cx, Cy = _pack_grids(gx), _pack_grids(gy)
-    X, cond = _solve_nodal(_vector_dof_rows(Cx, Cy, geom), 12)
+    X, cond = _solve_nodal(_vector_dof_rows(Cx, Cy, geom), 12, geom.index)
     return VectorElement(geom, _swap(X) @ Cx, _swap(X) @ Cy, cond)
 
 

@@ -41,13 +41,15 @@ class DegenerateCellError(ValueError):
     """Cell has a zero-length edge or a singular affine factor."""
 
 
-def _check(bad, error, message, values=None):
-    """Raise ``error`` for the first cell flagged in ``bad``, naming it and,
-    if given, its entry of ``values``."""
+def _check(bad, error, message, values=None, index=None):
+    """Raise ``error`` for the first cell flagged in ``bad``, naming it by its
+    entry of ``index`` (default: its position) and adding its entry of
+    ``values`` if given."""
     bad = np.asarray(bad)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        where = f"cell {i}: " if bad.ndim else ""
+        cell = i if index is None else int(np.ravel(index)[i])
+        where = f"cell {cell}: " if bad.ndim else ""
         what = "" if values is None else f" ({np.ravel(values)[i]:.6g})"
         raise error(where + message + what)
 
@@ -95,7 +97,9 @@ class QuadGeometry:
     midlines ``mid_13_coeffs``/``mid_24_coeffs`` and diagonals
     ``diag_13_coeffs``/``diag_24_coeffs`` (..., 3), and the signed edge
     parameters ``edge_param_coeffs`` (..., 4, 3). Indexing a batch gives the
-    geometry of the selected cells. Invalid cells raise ``ValueError``
+    geometry of the selected cells; ``index`` keeps their positions in the
+    batch the geometry was built from, which errors report. Invalid cells
+    raise ``ValueError``
     (clockwise), ``DegenerateCellError`` or ``NonConvexCellError``, naming
     the first offending cell of a batch.
     """
@@ -104,12 +108,13 @@ class QuadGeometry:
         "vertices", "A", "b", "d", "s", "h", "area",
         "edge_mid", "edge_len", "tangents", "normals", "local_vertices",
         "edge_line_coeffs", "mid_13_coeffs", "mid_24_coeffs",
-        "diag_13_coeffs", "diag_24_coeffs", "edge_param_coeffs",
+        "diag_13_coeffs", "diag_24_coeffs", "edge_param_coeffs", "index",
     )
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         self.vertices = v
+        self.index = np.arange(np.prod(v.shape[:-2], dtype=int)).reshape(v.shape[:-2])
 
         edge_vec = np.roll(v, -1, axis=-2) - v
         self.edge_len = np.linalg.norm(edge_vec, axis=-1)
@@ -160,7 +165,7 @@ class QuadGeometry:
         return out
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.h)
 
     # -- line forms as polynomials (one cell) -----------------------------------
 

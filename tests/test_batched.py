@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadseq.cli as cli
-from quadseq.assembly import unit_shape_rule, unit_shape_tables
-from quadseq.elements import build_scalar_element, build_vector_element
+from quadseq.assembly import CELL_CHUNK, assemble_fourth_order, unit_shape_rule, unit_shape_tables
+from quadseq.elements import ElementConditioningError, build_scalar_element, build_vector_element
 from quadseq.geometry import DegenerateCellError, NonConvexCellError, QuadGeometry
 from quadseq.mesh import Mesh, make_mesh
 from quadseq.verify import random_convex_quads
@@ -105,6 +105,19 @@ def test_bad_mesh_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "make_mesh", lambda *args, **kwargs: Mesh.load(path))
     assert cli.main(["verify", "sequence"]) == 2
     assert "cell 1" in capsys.readouterr().err
+
+
+def test_conditioning_error_names_the_mesh_cell():
+    # Separate unit squares and one nearly degenerate convex quad placed in
+    # the second element batch: the error names its index in the mesh.
+    bad = CELL_CHUNK + 3
+    quads = [np.array(SQUARE, dtype=float) + [2.0 * k, 0.0] for k in range(CELL_CHUNK + 5)]
+    s = 0.999999
+    quads[bad] = (np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
+                  + np.array([1.0, -1.0, 1.0, -1.0])[:, None] * [s, 0.0] + [2.0 * bad, 0.0])
+    mesh = Mesh(np.concatenate(quads), np.arange(4 * len(quads)).reshape(-1, 4))
+    with pytest.raises(ElementConditioningError, match=f"cell {bad}:"):
+        assemble_fourth_order(mesh, 1.0, lambda x, y: np.zeros_like(x))
 
 
 def test_mesh_geometry_is_one_batch():
