@@ -70,19 +70,16 @@ def unit_shape_rule(geom: QuadGeometry, g: int):
     return unit, pts, geom.from_local(pts), wts
 
 
-def unit_shape_tables(unit: QuadGeometry, pts, build):
-    """Elements of the cells' unit shapes and their basis tables at ``pts``.
+def unit_shape_elements(unit: QuadGeometry, build):
+    """Elements of the cells' unit shapes (``unit`` from ``unit_shape_rule``).
 
-    ``unit`` and ``pts`` come from ``unit_shape_rule``; ``build`` is an
-    element builder. Yields ``(cells, element, tables)`` for consecutive
-    slices of at most CELL_CHUNK cells, where ``tables`` is what the
-    element's ``tabulate`` returns; chunking bounds the temporaries of the
-    build and the tables on large meshes.
+    ``build`` is an element builder. Yields ``(cells, element)`` for
+    consecutive slices of at most CELL_CHUNK cells; chunking bounds the
+    temporaries of the build and of the tables callers take from it.
     """
     for start in range(0, len(unit), CELL_CHUNK):
         cells = slice(start, start + CELL_CHUNK)
-        element = build(unit[cells])
-        yield cells, element, element.tabulate(pts[cells])
+        yield cells, build(unit[cells])
 
 
 def cell_entries(blocks):
@@ -152,7 +149,8 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
     A_hat, B_hat = np.empty((2, mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
-    for cells, _, (val, grad, hess) in unit_shape_tables(unit, pts, build_scalar_element):
+    for cells, element in unit_shape_elements(unit, build_scalar_element):
+        val, grad, hess = element.tabulate(pts[cells])
         w = wts[cells]
         A_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess)
         B_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, grad, grad)
@@ -226,7 +224,8 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
     G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
     div_constants = np.empty((mesh.n_cells, 12))
     F_hat = None if f is None else np.empty((mesh.n_cells, 12))
-    for cells, element, (val, grad) in unit_shape_tables(unit, pts, build_vector_element):
+    for cells, element in unit_shape_elements(unit, build_vector_element):
+        val, grad = element.tabulate(pts[cells])
         w = wts[cells]
         G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)
         M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)

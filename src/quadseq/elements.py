@@ -327,21 +327,31 @@ class ScalarElement:
     def tabulate(self, points):
         """Values (..., npts, 12), gradients (..., npts, 12, 2) and Hessians
         (..., npts, 12, 2, 2) at physical points (..., npts, 2)."""
-        V = _vt(self.geometry.to_local(points))
-        h = self.geometry.h[..., None, None, None]
-        C = self.coeff_matrix
-        Cx, Cy = C @ DX.T, C @ DY.T
-        val = _swap(C @ V)
-        grad = np.stack([_swap(Cx @ V), _swap(Cy @ V)], axis=-1) / h
-        hxx, hxy, hyy = (_swap(c @ V) for c in (Cx @ DX.T, Cx @ DY.T, Cy @ DY.T))
-        hess = np.stack(
-            [np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], axis=-2
-        ) / _pow2(h[..., None])
-        return val, grad, hess
+        return _scalar_tables(self.geometry, self.coeff_matrix, points)
+
+    def field_tables(self, dofs, points):
+        """Values (..., npts), gradients and Hessians of the fields with DoF
+        vectors ``dofs`` (..., 12), without tabulating each basis function."""
+        C = np.einsum("...j,...jm->...m", dofs, self.coeff_matrix)[..., None, :]
+        val, grad, hess = _scalar_tables(self.geometry, C, points)
+        return val[..., 0], grad[..., 0, :], hess[..., 0, :, :]
 
     def values(self, points) -> np.ndarray:
         """(..., npts, 12) basis values at physical points."""
         return self.tabulate(points)[0]
+
+
+def _scalar_tables(geom, C, points):
+    V = _vt(geom.to_local(points))
+    h = geom.h[..., None, None, None]
+    Cx, Cy = C @ DX.T, C @ DY.T
+    val = _swap(C @ V)
+    grad = np.stack([_swap(Cx @ V), _swap(Cy @ V)], axis=-1) / h
+    hxx, hxy, hyy = (_swap(c @ V) for c in (Cx @ DX.T, Cx @ DY.T, Cy @ DY.T))
+    hess = np.stack(
+        [np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], axis=-2
+    ) / _pow2(h[..., None])
+    return val, grad, hess
 
 
 def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
@@ -402,18 +412,27 @@ class VectorElement:
     def tabulate(self, points):
         """Values (..., npts, 12, 2) and gradients (..., npts, 12, 2, 2) at
         physical points; gradient [..., c, d] = d v_c / d x_d."""
-        V = _vt(self.geometry.to_local(points))
-        val = np.stack([_swap(self.coeff_x @ V), _swap(self.coeff_y @ V)], axis=-1)
-        rows = [
-            np.stack([_swap((C @ DX.T) @ V), _swap((C @ DY.T) @ V)], -1)
-            for C in (self.coeff_x, self.coeff_y)
-        ]
-        grad = np.stack(rows, axis=-2) / self.geometry.h[..., None, None, None, None]
-        return val, grad
+        return _vector_tables(self.geometry, self.coeff_x, self.coeff_y, points)
+
+    def field_tables(self, dofs, points):
+        """Values (..., npts, 2) and gradients (..., npts, 2, 2) of the fields
+        with DoF vectors ``dofs`` (..., 12), without tabulating each basis field."""
+        Cx, Cy = (np.einsum("...j,...jm->...m", dofs, C)[..., None, :]
+                  for C in (self.coeff_x, self.coeff_y))
+        val, grad = _vector_tables(self.geometry, Cx, Cy, points)
+        return val[..., 0, :], grad[..., 0, :, :]
 
     def values(self, points) -> np.ndarray:
         """(..., npts, 12, 2) basis values at physical points."""
         return self.tabulate(points)[0]
+
+
+def _vector_tables(geom, Cx, Cy, points):
+    V = _vt(geom.to_local(points))
+    val = np.stack([_swap(Cx @ V), _swap(Cy @ V)], axis=-1)
+    rows = [np.stack([_swap((C @ DX.T) @ V), _swap((C @ DY.T) @ V)], -1) for C in (Cx, Cy)]
+    grad = np.stack(rows, axis=-2) / geom.h[..., None, None, None, None]
+    return val, grad
 
 
 def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv=None, Ve=None):

@@ -16,8 +16,8 @@ from .assembly import (
     build_scalar_element,
     build_vector_element,
     scalar_dof_scaling,
+    unit_shape_elements,
     unit_shape_rule,
-    unit_shape_tables,
     vector_dof_scaling,
 )
 from .cases import BrinkmanCase, ScalarCase
@@ -104,9 +104,8 @@ def scalar_error_norms(mesh: Mesh, field, case: ScalarCase, eps: float = 0.0,
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
     c = field.cell_dofs() * scalar_dof_scaling(geom.h)
     grad_h, hess_h = np.empty(x.shape), np.empty(x.shape + (2,))
-    for cells, _, (_, grad, hess) in unit_shape_tables(unit, pts, build_scalar_element):
-        grad_h[cells] = np.einsum("nj,nqjc->nqc", c[cells], grad)
-        hess_h[cells] = np.einsum("nj,nqjcd->nqcd", c[cells], hess)
+    for cells, element in unit_shape_elements(unit, build_scalar_element):
+        _, grad_h[cells], hess_h[cells] = element.field_tables(c[cells], pts[cells])
     h = geom.h[:, None]
     grad_h /= h[..., None]
     hess_h /= _pow2(h[..., None, None])
@@ -131,9 +130,8 @@ def brinkman_error_norms(mesh: Mesh, field, case: BrinkmanCase,
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
     c = field.cell_dofs() * vector_dof_scaling(geom.h)
     val_h, grad_h = np.empty(x.shape), np.empty(x.shape + (2,))
-    for cells, _, (val, grad) in unit_shape_tables(unit, pts, build_vector_element):
-        val_h[cells] = np.einsum("nj,nqjc->nqc", c[cells], val)
-        grad_h[cells] = np.einsum("nj,nqjcd->nqcd", c[cells], grad)
+    for cells, element in unit_shape_elements(unit, build_vector_element):
+        val_h[cells], grad_h[cells] = element.field_tables(c[cells], pts[cells])
     h = geom.h[:, None]
     grad_h /= h[..., None, None]
 

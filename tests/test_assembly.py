@@ -9,7 +9,6 @@ from quadseq.assembly import (
     assemble_fourth_order,
     solve,
     unit_shape_rule,
-    unit_shape_tables,
     vector_dof_scaling,
 )
 from quadseq.cases import brinkman_sin_stream, scalar_sin_squared
@@ -140,7 +139,7 @@ def test_matrix_market_dump(tmp_path):
 def _gram_matrices(geom, g=4):
     """Unit-shape (h-scaled) Hessian and gradient Gram matrices of every cell."""
     unit, pts, _, w = unit_shape_rule(geom, g)
-    (_, _, (_, grad, hess)), = unit_shape_tables(unit, pts, build_scalar_element)
+    _, grad, hess = build_scalar_element(unit).tabulate(pts)
     return (np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess),
             np.einsum("nq,nqic,nqjc->nij", w, grad, grad))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadseq.cli as cli
-from quadseq.assembly import CELL_CHUNK, assemble_fourth_order, unit_shape_rule, unit_shape_tables
+from quadseq.assembly import CELL_CHUNK, assemble_fourth_order, unit_shape_rule
 from quadseq.elements import ElementConditioningError, build_scalar_element, build_vector_element
 from quadseq.geometry import DegenerateCellError, NonConvexCellError, QuadGeometry
 from quadseq.mesh import Mesh, make_mesh
@@ -43,8 +43,8 @@ def test_batched_build_equals_one_cell_builds(count, seed):
 def _local_matrices(vertices):
     """Unit-shape Gram matrices of both elements for a batch of cells."""
     unit, pts, _, w = unit_shape_rule(QuadGeometry(vertices), 4)
-    (_, _, (_, sg, sh)), = unit_shape_tables(unit, pts, build_scalar_element)
-    (_, _, (vv, vg)), = unit_shape_tables(unit, pts, build_vector_element)
+    _, sg, sh = build_scalar_element(unit).tabulate(pts)
+    vv, vg = build_vector_element(unit).tabulate(pts)
     return [np.einsum("nq,nqicd,nqjcd->nij", w, sh, sh),
             np.einsum("nq,nqic,nqjc->nij", w, sg, sg),
             np.einsum("nq,nqicd,nqjcd->nij", w, vg, vg),

@@ -107,6 +107,6 @@ def test_validation_errors():
 def test_resample_cap_raises(monkeypatch):
     import quadseq.mesh as m
     monkeypatch.setattr(m, "_MAX_RESAMPLES", 0)
-    monkeypatch.setattr(m, "_convexity_shape", lambda cell: np.inf)
+    monkeypatch.setattr(m, "_convexity_shape", lambda cells: np.full(len(cells), np.inf))
     with pytest.raises(MeshGenerationError):
         make_mesh(3, "random", seed=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadseq.assembly import unit_shape_rule, unit_shape_tables
+from quadseq.assembly import unit_shape_rule
 from quadseq.elements import build_scalar_element
 from quadseq.cases import BrinkmanCase, brinkman_sin_stream, scalar_poly2_case, scalar_sin_squared
 from quadseq.mesh import make_mesh
@@ -73,6 +73,7 @@ def test_error_rule_tables_agree_on_rectangles():
     # rectangular mesh all cells share one shape and so one table.
     mesh = make_mesh(4, "rectangular")
     unit, pts, _, w = unit_shape_rule(mesh.cell_geometry, 6)
-    (_, elt, (val, grad, hess)), = unit_shape_tables(unit, pts, build_scalar_element)
+    elt = build_scalar_element(unit)
+    val, grad, hess = elt.tabulate(pts)
     for table in (elt.coeff_matrix, w, val, grad, hess):
         assert np.abs(table - table[0]).max() <= 1e-13 * np.abs(table).max()
