@@ -131,9 +131,7 @@ def _monomial_grids(degree):
 
 _CUBICS = _monomial_grids(3)                # 1, x, y, x^2, ..., y^3
 _LINEAR_FIELDS = np.zeros((2, 6, _G, _G))   # (1,0), (0,1), (x,0), (0,x), (y,0), (0,y)
-for _k, (_c, _i, _j) in enumerate([(0, 0, 0), (1, 0, 0), (0, 1, 0),
-                                   (1, 1, 0), (0, 0, 1), (1, 0, 1)]):
-    _LINEAR_FIELDS[_c, _k, _i, _j] = 1.0
+_LINEAR_FIELDS[[0, 1, 0, 1, 0, 1], range(6), [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]] = 1.0
 
 
 def _batched(constant_grids, geom):
@@ -186,8 +184,8 @@ def _stream_grids(geom: QuadGeometry):
 
 def _vector_grids(geom: QuadGeometry):
     """x- and y-component grids (..., 16, 9, 9) of the vector span fields:
-    linear vectors, then rotated gradients of the non-constant, non-linear
-    stream functions (cubics, correctors) and of the bubbles."""
+    linear vectors, then rotated gradients of the cubic monomials, the
+    correctors and the bubbles."""
     stream = _stream_grids(geom)[..., 6:, :, :]
     lin = _batched(_LINEAR_FIELDS, geom)
     gx = np.concatenate([lin[..., 0, :, :, :], _grid_dy(stream)], axis=-3)
