@@ -99,9 +99,8 @@ class QuadGeometry:
     parameters ``edge_param_coeffs`` (..., 4, 3). Indexing a batch gives the
     geometry of the selected cells; ``index`` keeps their positions in the
     batch the geometry was built from, which errors report. Invalid cells
-    raise ``ValueError``
-    (clockwise), ``DegenerateCellError`` or ``NonConvexCellError``, naming
-    the first offending cell of a batch.
+    raise ``ValueError`` (non-finite or clockwise), ``DegenerateCellError``
+    or ``NonConvexCellError``, naming the first offending cell of a batch.
     """
 
     __slots__ = (
@@ -115,6 +114,7 @@ class QuadGeometry:
         v = np.asarray(vertices, dtype=float)
         self.vertices = v
         self.index = np.arange(np.prod(v.shape[:-2], dtype=int)).reshape(v.shape[:-2])
+        _check(~np.isfinite(v).all((-2, -1)), ValueError, "non-finite vertex coordinates")
 
         edge_vec = np.roll(v, -1, axis=-2) - v
         self.edge_len = np.linalg.norm(edge_vec, axis=-1)

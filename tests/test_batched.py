@@ -100,6 +100,13 @@ def test_degenerate_cell_in_mesh_json(tmp_path):
         Mesh.load(path)
 
 
+def test_nonfinite_vertex_in_mesh():
+    vertices = np.array(SQUARE + [[2, 0], [2, 1]], dtype=float)
+    vertices[5, 1] = np.nan
+    with pytest.raises(ValueError, match="cell 1: non-finite vertex coordinates"):
+        Mesh(vertices, [[0, 1, 2, 3], [1, 4, 5, 2]])
+
+
 def test_bad_mesh_is_a_usage_error(tmp_path, monkeypatch, capsys):
     path = _two_cell_mesh_json(tmp_path, [1, 2, 5, 4])
     monkeypatch.setattr(cli, "make_mesh", lambda *args, **kwargs: Mesh.load(path))
