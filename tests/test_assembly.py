@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import quadseq.assembly as assembly
 from quadseq.assembly import (
     SolverError,
     SparseSystem,
@@ -73,6 +75,13 @@ def test_solve_round_trip():
     assert np.linalg.norm(x - x0) / np.linalg.norm(x0) < 1e-9
 
 
+def test_scalar_solve_is_plain_lu():
+    # The scalar path factors the matrix as it is, so its rounding is pinned.
+    system = assemble_fourth_order(make_mesh(8, "random", seed=3), 1.0, CASE.source(1.0))
+    want = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    assert np.array_equal(solve(system), want)
+
+
 def test_solver_error_on_singular():
     K = sp.csr_matrix(np.zeros((3, 3)))
     system = SparseSystem(K, np.ones(3), "scalar", None)
@@ -99,8 +108,7 @@ def test_pressure_mean_zero():
     system = assemble_brinkman(mesh, 0.0, 1.0, FLOW.source(0.0, 1.0))
     x = solve(system)
     _, p, lam = system.split(x)
-    areas = np.array([mesh.geometry(ci).area for ci in range(mesh.n_cells)])
-    assert abs(areas @ p) < 1e-12
+    assert abs(mesh.cell_geometry.area @ p) < 1e-12
     assert abs(lam) < 1e-9
 
 
@@ -151,3 +159,92 @@ def test_rectangular_cells_share_local_matrices():
     for n in (2, 4):
         for got, want in zip(_gram_matrices(make_mesh(n, "rectangular").cell_geometry), ref):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _refined_bordered(system):
+    """Test oracle: LU of the whole bordered matrix plus one refinement step."""
+    K, b = system.matrix.tocsc(), system.rhs
+    lu = spla.splu(K)
+    x = lu.solve(b)
+    return x + lu.solve(b - K @ x)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("family", ["trapezoidal", "random"])
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("nu,alpha", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+def test_brinkman_solve_matches_refined_bordered_lu(family, n, nu, alpha):
+    system = assemble_brinkman(make_mesh(n, family, seed=3), nu, alpha, FLOW.source(nu, alpha))
+    u, p, _ = system.split(solve(system))
+    u_ref, p_ref, _ = system.split(_refined_bordered(system))
+    assert _rel(u, u_ref) <= 1e-10
+    assert _rel(p, p_ref) <= 1e-10
+
+
+def test_brinkman_solve_with_incompatible_divergence():
+    # g = 1 + x has mean 3/2 on the unit square. Summing the pressure rows,
+    # -B u - c lam = -int_K g, gives lam = int g / |Omega|.
+    mesh = make_mesh(8, "random", seed=3)
+    system = assemble_brinkman(mesh, 1.0, 1.0, FLOW.source(1.0, 1.0), g=lambda x, y: 1.0 + x)
+    x = solve(system)
+    resid = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(system.rhs)
+    assert resid <= 1e-9
+    u, p, lam = system.split(x)
+    area = mesh.cell_geometry.area
+    assert abs(area @ p) <= 1e-12
+    assert abs(lam - 1.5 / area.sum()) <= 1e-12
+    u_ref, p_ref, lam_ref = system.split(_refined_bordered(system))
+    assert _rel(u, u_ref) <= 1e-10
+    assert _rel(p, p_ref) <= 1e-10
+    assert abs(lam - lam_ref) <= 1e-10 * abs(lam_ref)
+
+
+def test_brinkman_solve_round_trip():
+    # A right-hand side K x0 with a nonzero border entry: pressures with a
+    # nonzero mean and a nonzero multiplier.
+    system = assemble_brinkman(make_mesh(8, "random", seed=5), 1.0, 1.0, FLOW.source(1.0, 1.0))
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal(system.ndof)
+    x0[system.n_velocity:-1] += 2.0
+    x0[-1] = 0.7
+    system.rhs = system.matrix @ x0
+    assert abs(system.rhs[-1]) > 1.0
+    x = solve(system)
+    assert np.linalg.norm(x - x0) / np.linalg.norm(x0) < 1e-9
+
+
+class _RecordingSpla:
+    """Stand-in for ``scipy.sparse.linalg`` that records every ``splu`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def splu(self, A, *args, **kwargs):
+        lu = spla.splu(A, *args, **kwargs)
+        self.calls.append((A, lu))
+        return lu
+
+
+def test_brinkman_solve_factors_once_without_border(monkeypatch):
+    recorder = _RecordingSpla()
+    monkeypatch.setattr(assembly, "spla", recorder)
+    system = assemble_brinkman(make_mesh(8, "trapezoidal"), 1.0, 0.0, FLOW.source(1.0, 0.0))
+    solve(system)
+    (A, lu), = recorder.calls
+    assert A.shape == (system.ndof - 2, system.ndof - 2)
+    assert lu.L.nnz + lu.U.nnz > 0
+
+
+def test_solver_error_on_singular_brinkman(monkeypatch):
+    # A hand-built Brinkman system whose velocity block vanishes is singular.
+    monkeypatch.setattr(assembly, "spla", _RecordingSpla())
+    system = assemble_brinkman(make_mesh(4, "rectangular"), 1.0, 1.0, FLOW.source(1.0, 1.0))
+    K = system.matrix.tolil()
+    K[:system.n_velocity, :system.n_velocity] = 0.0
+    singular = SparseSystem(K.tocsr(), system.rhs, "brinkman", system.dofmap,
+                            n_velocity=system.n_velocity, n_pressure=system.n_pressure)
+    with pytest.raises(SolverError):
+        solve(singular)
