@@ -13,10 +13,20 @@ by exact powers of the cell diameter together with a diagonal DoF rescaling
 1/h in the vector element). User callables are evaluated once per mesh on
 point arrays of shape (n_cells, npts).
 
+Within each chunk, cells whose unit shapes agree bit for bit share one
+element: ``unit_shape_elements`` builds each distinct shape once, the
+shape-only work (tabulation, Gram matrices, divergence constants) runs per
+shape, and its results are gathered back to the cells. A rectangular mesh
+has one shape, a trapezoidal one a few dozen; on a random mesh every cell
+is its own shape.
+
 Batched products keep the operand layouts and reduction kernels a loop over
 cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
 products), so every cell's local matrix and load equal its one-cell values
-bit for bit. That matters: the fourth-order solve amplifies rounding
+bit for bit. Gathers keep the memory layout of the per-shape tables (numpy's
+``table[inv]`` allocates the gathered rows in the table's axis order), so
+the per-cell kernels that read them see the strides they saw before the
+shapes were shared. That matters: the fourth-order solve amplifies rounding
 differences in the matrix by its condition number.
 
 Solves are direct sparse LU factorizations (``spla.splu``, COLAMD order).
@@ -77,15 +87,39 @@ def unit_shape_rule(geom: QuadGeometry, g: int):
 
 
 def unit_shape_elements(unit: QuadGeometry, build):
-    """Elements of the cells' unit shapes (``unit`` from ``unit_shape_rule``).
+    """Elements of the distinct unit shapes of the cells (``unit`` from
+    ``unit_shape_rule``), one build per shape and chunk.
 
-    ``build`` is an element builder. Yields ``(cells, element)`` for
-    consecutive slices of at most CELL_CHUNK cells; chunking bounds the
-    temporaries of the build and of the tables callers take from it.
+    ``build`` is an element builder. Yields ``(cells, shapes, element, inv)``
+    for consecutive slices ``cells`` of at most CELL_CHUNK cells: ``shapes``
+    indexes the first mesh cell of each distinct shape in the chunk, in
+    order of first occurrence, ``element`` is built on ``unit[shapes]``,
+    and ``inv`` maps each cell of the chunk to its shape, so ``table[inv]``
+    turns a per-shape table into a per-cell one. A chunk without repeated
+    shapes (as on a random mesh) yields ``shapes = cells`` and
+    ``inv = slice(None)``, so its gathers are views that copy nothing.
+
+    Shapes are keyed on the bits of the vertex coordinates, not their values
+    (``-0.0`` and ``0.0`` differ), so cells that share an element would
+    build bit-identical ones, and an ill-conditioned shape is reported at
+    the first mesh cell that has it. Deduplicating per chunk, not per mesh,
+    bounds the temporaries of the build and of the tables callers take from
+    it. Gather a table in the memory layout the per-cell kernel reads it in
+    (``table[inv]`` keeps the layout of ``table``, even of a transposed
+    view): a C-contiguous copy of the vector value table changes the
+    summation order of the load ``einsum`` and the last bits of the load.
     """
     for start in range(0, len(unit), CELL_CHUNK):
         cells = slice(start, start + CELL_CHUNK)
-        yield cells, build(unit[cells])
+        v = np.ascontiguousarray(unit.vertices[cells])
+        keys = v.view(np.uint64).reshape(len(v), -1)
+        _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        if len(first) == len(v):
+            yield cells, cells, build(unit[cells]), slice(None)
+            continue
+        order = np.argsort(first)  # shapes by first occurrence
+        shapes = start + first[order]
+        yield cells, shapes, build(unit[shapes]), np.argsort(order)[inv.ravel()]
 
 
 def cell_entries(blocks):
@@ -155,12 +189,13 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
     A_hat, B_hat = np.empty((2, mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
-    for cells, element in unit_shape_elements(unit, build_scalar_element):
-        val, grad, hess = element.tabulate(pts[cells])
-        w = wts[cells]
-        A_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess)
-        B_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, grad, grad)
-        F_hat[cells] = np.matmul(np.swapaxes(val, -1, -2), (w * fv[cells])[..., None])[..., 0]
+    for cells, shapes, element, inv in unit_shape_elements(unit, build_scalar_element):
+        val, grad, hess = element.tabulate(pts[shapes])
+        w = wts[shapes]
+        A_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess)[inv]
+        B_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, grad, grad)[inv]
+        F_hat[cells] = np.matmul(np.swapaxes(val[inv], -1, -2),
+                                 (wts[cells] * fv[cells])[..., None])[..., 0]
 
     h2 = _pow2(geom.h[:, None])
     lam = scalar_dof_scaling(geom.h)
@@ -230,14 +265,14 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
     G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
     div_constants = np.empty((mesh.n_cells, 12))
     F_hat = None if f is None else np.empty((mesh.n_cells, 12))
-    for cells, element in unit_shape_elements(unit, build_vector_element):
-        val, grad = element.tabulate(pts[cells])
-        w = wts[cells]
-        G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)
-        M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)
-        div_constants[cells] = element.div_constants
+    for cells, shapes, element, inv in unit_shape_elements(unit, build_vector_element):
+        val, grad = element.tabulate(pts[shapes])
+        w = wts[shapes]
+        G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)[inv]
+        M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)[inv]
+        div_constants[cells] = element.div_constants[inv]
         if f is not None:
-            F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val, w, fv[cells])
+            F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val[inv], wts[cells], fv[cells])
 
     h = geom.h
     w = vector_dof_scaling(h) * dm.cell_signs

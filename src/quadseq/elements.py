@@ -327,21 +327,31 @@ class ScalarElement:
         (..., npts, 12, 2, 2) at physical points (..., npts, 2)."""
         return _scalar_tables(self.geometry, self.coeff_matrix, points)
 
-    def field_tables(self, dofs, points):
+    def field_tables(self, dofs, points, inv=None):
         """Values (..., npts), gradients and Hessians of the fields with DoF
-        vectors ``dofs`` (..., 12), without tabulating each basis function."""
-        C = np.einsum("...j,...jm->...m", dofs, self.coeff_matrix)[..., None, :]
-        val, grad, hess = _scalar_tables(self.geometry, C, points)
+        vectors ``dofs`` (..., 12), without tabulating each basis function.
+
+        ``points`` lie on the element's cells. With ``inv`` (an index into
+        the batch axis), field k lives on cell ``inv[k]`` of a batch element:
+        the monomials are evaluated once per cell of the element and
+        gathered to the fields.
+        """
+        coeff = self.coeff_matrix if inv is None else self.coeff_matrix[inv]
+        C = np.einsum("...j,...jm->...m", dofs, coeff)[..., None, :]
+        val, grad, hess = _scalar_tables(self.geometry, C, points, inv)
         return val[..., 0], grad[..., 0, :], hess[..., 0, :, :]
 
-    def values(self, points) -> np.ndarray:
-        """(..., npts, 12) basis values at physical points."""
-        return self.tabulate(points)[0]
+
+def _local_monomials(geom, points, inv):
+    """Transposed monomial matrix at the points and the cell diameters, both
+    gathered by ``inv`` if given (the gather keeps the matrix's memory layout)."""
+    V, h = _vt(geom.to_local(points)), geom.h
+    return (V, h) if inv is None else (V[inv], h[inv])
 
 
-def _scalar_tables(geom, C, points):
-    V = _vt(geom.to_local(points))
-    h = geom.h[..., None, None, None]
+def _scalar_tables(geom, C, points, inv=None):
+    V, h = _local_monomials(geom, points, inv)
+    h = h[..., None, None, None]
     Cx, Cy = C @ DX.T, C @ DY.T
     val = _swap(C @ V)
     grad = np.stack([_swap(Cx @ V), _swap(Cy @ V)], axis=-1) / h
@@ -412,24 +422,21 @@ class VectorElement:
         physical points; gradient [..., c, d] = d v_c / d x_d."""
         return _vector_tables(self.geometry, self.coeff_x, self.coeff_y, points)
 
-    def field_tables(self, dofs, points):
+    def field_tables(self, dofs, points, inv=None):
         """Values (..., npts, 2) and gradients (..., npts, 2, 2) of the fields
-        with DoF vectors ``dofs`` (..., 12), without tabulating each basis field."""
-        Cx, Cy = (np.einsum("...j,...jm->...m", dofs, C)[..., None, :]
+        with DoF vectors ``dofs`` (..., 12), without tabulating each basis
+        field; ``points`` and ``inv`` as in ``ScalarElement.field_tables``."""
+        Cx, Cy = (np.einsum("...j,...jm->...m", dofs, C if inv is None else C[inv])[..., None, :]
                   for C in (self.coeff_x, self.coeff_y))
-        val, grad = _vector_tables(self.geometry, Cx, Cy, points)
+        val, grad = _vector_tables(self.geometry, Cx, Cy, points, inv)
         return val[..., 0, :], grad[..., 0, :, :]
 
-    def values(self, points) -> np.ndarray:
-        """(..., npts, 12, 2) basis values at physical points."""
-        return self.tabulate(points)[0]
 
-
-def _vector_tables(geom, Cx, Cy, points):
-    V = _vt(geom.to_local(points))
+def _vector_tables(geom, Cx, Cy, points, inv=None):
+    V, h = _local_monomials(geom, points, inv)
     val = np.stack([_swap(Cx @ V), _swap(Cy @ V)], axis=-1)
     rows = [np.stack([_swap((C @ DX.T) @ V), _swap((C @ DY.T) @ V)], -1) for C in (Cx, Cy)]
-    grad = np.stack(rows, axis=-2) / geom.h[..., None, None, None, None]
+    grad = np.stack(rows, axis=-2) / h[..., None, None, None, None]
     return val, grad
 
 

@@ -5,7 +5,8 @@ flavors exist for each space: a solution field gathering a solved global
 coefficient vector through the DoF map, and an interpolant field taking
 local DoFs straight from a manufactured solution (the nodal interpolant, no
 boundary conditions involved). Error quadrature uses an independent,
-higher-order rule than assembly, batched over cells like assembly.
+higher-order rule than assembly, batched over cells like assembly, with
+one element per distinct unit shape of a chunk.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def scalar_error_norms(mesh: Mesh, field, case: ScalarCase, eps: float = 0.0,
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
     c = field.cell_dofs() * scalar_dof_scaling(geom.h)
     grad_h, hess_h = np.empty(x.shape), np.empty(x.shape + (2,))
-    for cells, element in unit_shape_elements(unit, build_scalar_element):
-        _, grad_h[cells], hess_h[cells] = element.field_tables(c[cells], pts[cells])
+    for cells, shapes, element, inv in unit_shape_elements(unit, build_scalar_element):
+        _, grad_h[cells], hess_h[cells] = element.field_tables(c[cells], pts[shapes], inv)
     h = geom.h[:, None]
     grad_h /= h[..., None]
     hess_h /= _pow2(h[..., None, None])
@@ -130,8 +131,8 @@ def brinkman_error_norms(mesh: Mesh, field, case: BrinkmanCase,
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
     c = field.cell_dofs() * vector_dof_scaling(geom.h)
     val_h, grad_h = np.empty(x.shape), np.empty(x.shape + (2,))
-    for cells, element in unit_shape_elements(unit, build_vector_element):
-        val_h[cells], grad_h[cells] = element.field_tables(c[cells], pts[cells])
+    for cells, shapes, element, inv in unit_shape_elements(unit, build_vector_element):
+        val_h[cells], grad_h[cells] = element.field_tables(c[cells], pts[shapes], inv)
     h = geom.h[:, None]
     grad_h /= h[..., None, None]
 

@@ -177,7 +177,7 @@ def _reproduction_residuals(geom: QuadGeometry):
     rng = np.random.default_rng(11)
     ref = rng.uniform(-1, 1, (40, 2))
     pts = geom.map_reference(ref)
-    err_s = np.abs(se.values(pts) @ dofs - u(pts[:, 0], pts[:, 1])).max()
+    err_s = np.abs(se.tabulate(pts)[0] @ dofs - u(pts[:, 0], pts[:, 1])).max()
 
     def v(x, y):
         X, Y = (x - b[0]) / h, (y - b[1]) / h
@@ -186,7 +186,7 @@ def _reproduction_residuals(geom: QuadGeometry):
     ve = build_vector_element(geom)
     vdofs = vector_dof_values(geom, v)
     err_v = np.abs(
-        np.einsum("qjc,j->qc", ve.values(pts), vdofs) - v(pts[:, 0], pts[:, 1])
+        np.einsum("qjc,j->qc", ve.tabulate(pts)[0], vdofs) - v(pts[:, 0], pts[:, 1])
     ).max()
     return float(err_s), float(err_v), se, ve
 

@@ -6,13 +6,36 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import quadseq.assembly as assembly
 import quadseq.cli as cli
-from quadseq.assembly import CELL_CHUNK, assemble_fourth_order, unit_shape_rule
+import quadseq.norms as norms
+from quadseq.assembly import (
+    CELL_CHUNK,
+    SparseSystem,
+    assemble_brinkman,
+    assemble_fourth_order,
+    cell_entries,
+    scalar_dof_scaling,
+    solve,
+    unit_shape_elements,
+    unit_shape_rule,
+    vector_dof_scaling,
+    velocity_blocks,
+)
+from quadseq.cases import brinkman_sin_stream, scalar_sin_squared
+from quadseq.dofmap import ScalarDofMap, VectorDofMap
 from quadseq.elements import ElementConditioningError, build_scalar_element, build_vector_element
-from quadseq.geometry import DegenerateCellError, NonConvexCellError, QuadGeometry
+from quadseq.geometry import DegenerateCellError, NonConvexCellError, QuadGeometry, _pow2
 from quadseq.mesh import Mesh, make_mesh
+from quadseq.norms import (
+    ScalarSolutionField,
+    VectorSolutionField,
+    brinkman_error_norms,
+    scalar_error_norms,
+)
 from quadseq.verify import random_convex_quads
 
 
@@ -114,17 +137,195 @@ def test_bad_mesh_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert "cell 1" in capsys.readouterr().err
 
 
+NEAR_FLAT = 1.0 - 2.0**-20
+
+
+def _squares_with(bad):
+    """Separate unit squares, with a nearly degenerate convex quad of shape
+    vector ``bad[k]`` at each index k. Every translation is by an even
+    integer, so with NEAR_FLAT entries all bad cells of one shape vector
+    share their unit shape bit for bit."""
+    count = max(bad) + 5
+    quads = [np.array(SQUARE, dtype=float) + [2.0 * k, 0.0] for k in range(count)]
+    for k, shape in bad.items():
+        quads[k] = (np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
+                    + np.array([1.0, -1.0, 1.0, -1.0])[:, None] * shape + [2.0 * k, 0.0])
+    return Mesh(np.concatenate(quads), np.arange(4 * count).reshape(-1, 4))
+
+
 def test_conditioning_error_names_the_mesh_cell():
     # Separate unit squares and one nearly degenerate convex quad placed in
     # the second element batch: the error names its index in the mesh.
     bad = CELL_CHUNK + 3
-    quads = [np.array(SQUARE, dtype=float) + [2.0 * k, 0.0] for k in range(CELL_CHUNK + 5)]
-    s = 0.999999
-    quads[bad] = (np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-                  + np.array([1.0, -1.0, 1.0, -1.0])[:, None] * [s, 0.0] + [2.0 * bad, 0.0])
-    mesh = Mesh(np.concatenate(quads), np.arange(4 * len(quads)).reshape(-1, 4))
+    mesh = _squares_with({bad: (0.999999, 0.0)})
     with pytest.raises(ElementConditioningError, match=f"cell {bad}:"):
         assemble_fourth_order(mesh, 1.0, lambda x, y: np.zeros_like(x))
+
+
+@pytest.mark.parametrize("bad", [
+    {9: (NEAR_FLAT, 0.0), 5: (NEAR_FLAT, 0.0), CELL_CHUNK + 3: (NEAR_FLAT, 0.0)},
+    {CELL_CHUNK + 4: (NEAR_FLAT, 0.0), CELL_CHUNK + 3: (NEAR_FLAT, 0.0)},
+    {7: (NEAR_FLAT, 0.0), 4: (0.0, NEAR_FLAT), 9: (0.0, NEAR_FLAT)},
+    {7: (0.0, NEAR_FLAT), 4: (NEAR_FLAT, 0.0), 9: (NEAR_FLAT, 0.0)},
+])
+def test_conditioning_error_names_the_first_cell_of_a_repeated_shape(bad):
+    # A bad shape that repeats is built once per chunk, on the first cell of
+    # the chunk that has it, and shapes are built in order of their first
+    # cell: the error names the lowest bad index.
+    mesh = _squares_with(bad)
+    unit = mesh.cell_geometry.local_vertices
+    assert all(np.array_equal(unit[k], unit[j]) for k in bad for j in bad if bad[k] == bad[j])
+    with pytest.raises(ElementConditioningError, match=f"cell {min(bad)}:"):
+        assemble_fourth_order(mesh, 1.0, lambda x, y: np.zeros_like(x))
+    with pytest.raises(ElementConditioningError, match=f"cell {min(bad)}:"):
+        velocity_blocks(mesh, VectorDofMap(mesh), 1.0, 1.0, 4)
+
+
+def _count_cells(record, build):
+    """``build``, recording how many cells each call builds."""
+    def counting(geom):
+        record.append(len(geom))
+        return build(geom)
+    return counting
+
+
+def test_shapes_are_keyed_on_bits():
+    # Two diamonds that differ only in the sign of a zero coordinate are two
+    # shapes; an exact repeat of the first shares its element.
+    diamond = np.array([[0, -0.5], [0.5, 0], [0, 0.5], [-0.5, 0]])
+    signed = diamond.copy()
+    signed[0, 0] = -0.0
+    unit = QuadGeometry(np.stack([diamond, signed]))
+    [(cells, shapes, element, inv)] = unit_shape_elements(unit, build_scalar_element)
+    assert (cells, shapes, inv) == (slice(0, CELL_CHUNK), slice(0, CELL_CHUNK), slice(None))
+    assert element.coeff_matrix.shape == (2, 12, 45)
+
+    unit = QuadGeometry(np.stack([diamond, signed, diamond, signed, signed]))
+    [(_, shapes, element, inv)] = unit_shape_elements(unit, build_scalar_element)
+    np.testing.assert_array_equal(shapes, [0, 1])
+    np.testing.assert_array_equal(inv, [0, 1, 0, 1, 1])
+    assert element.coeff_matrix.shape == (2, 12, 45)
+
+
+def test_rectangular_chunks_build_one_shape(monkeypatch):
+    # 64 rectangular cells in chunks of 16: every chunk builds one element,
+    # in assembly and in the error norms.
+    monkeypatch.setattr(assembly, "CELL_CHUNK", 16)
+    record = []
+    for module in (assembly, norms):
+        monkeypatch.setattr(module, "build_scalar_element",
+                            _count_cells(record, build_scalar_element))
+    mesh = make_mesh(8, "rectangular")
+    system = assemble_fourth_order(mesh, 1.0, SCALAR.source(1.0))
+    scalar_error_norms(mesh, ScalarSolutionField(mesh, system.dofmap, solve(system)), SCALAR)
+    assert record == [1] * 8
+
+
+# -- bitwise agreement with one element per cell ------------------------------
+# Test-only copies of the loop bodies that built and tabulated the unit-shape
+# element of every cell. Sharing elements between the cells of a shape must
+# not change a bit of any local matrix, load or error.
+
+SCALAR, FLOW = scalar_sin_squared(), brinkman_sin_stream()
+
+
+def _one_element_per_cell(unit, build):
+    for start in range(0, len(unit), CELL_CHUNK):
+        cells = slice(start, start + CELL_CHUNK)
+        yield cells, np.arange(len(unit))[cells], build(unit[cells]), None
+
+
+def _per_cell_fourth_order(mesh, eps, f, quad_order=4):
+    dm = ScalarDofMap(mesh)
+    geom = mesh.cell_geometry
+    unit, pts, x, wts = unit_shape_rule(geom, quad_order)
+    fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
+    A_hat, B_hat = np.empty((2, mesh.n_cells, 12, 12))
+    F_hat = np.empty((mesh.n_cells, 12))
+    for cells, _, element, _ in _one_element_per_cell(unit, build_scalar_element):
+        val, grad, hess = element.tabulate(pts[cells])
+        w = wts[cells]
+        A_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess)
+        B_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, grad, grad)
+        F_hat[cells] = np.matmul(np.swapaxes(val, -1, -2), (w * fv[cells])[..., None])[..., 0]
+    h2 = _pow2(geom.h[:, None])
+    lam = scalar_dof_scaling(geom.h)
+    scale = lam[:, :, None] * lam[:, None, :]
+    K_loc = scale * (eps**2 * A_hat / h2[..., None] + B_hat)
+    dofs = dm.cell_dofs
+    rows, cols, vals = cell_entries([(dofs[:, :, None], dofs[:, None, :], K_loc)])
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(dm.ndof, dm.ndof))
+    rhs = lam * F_hat * h2
+    free = dofs >= 0
+    return SparseSystem(K, np.bincount(dofs[free], weights=rhs[free], minlength=dm.ndof),
+                        "scalar", dm)
+
+
+def _per_cell_velocity_blocks(mesh, dm, nu, alpha, g, f=None):
+    geom = mesh.cell_geometry
+    unit, pts, x, wts = unit_shape_rule(geom, g)
+    fv = None if f is None else np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
+    G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
+    div_constants = np.empty((mesh.n_cells, 12))
+    F_hat = None if f is None else np.empty((mesh.n_cells, 12))
+    for cells, _, element, _ in _one_element_per_cell(unit, build_vector_element):
+        val, grad = element.tabulate(pts[cells])
+        w = wts[cells]
+        G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)
+        M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)
+        div_constants[cells] = element.div_constants
+        if f is not None:
+            F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val, w, fv[cells])
+    h = geom.h
+    w = vector_dof_scaling(h) * dm.cell_signs
+    A_loc = (w[:, :, None] * w[:, None, :]) * (nu * G_hat + alpha * _pow2(h[:, None, None]) * M_hat)
+    b_rows = w * div_constants / h[:, None] * geom.area[:, None]
+    return A_loc, b_rows, F_hat, (x, wts)
+
+
+def _assert_all_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        if isinstance(a, tuple):
+            _assert_all_equal(a, b)
+        else:
+            assert np.array_equal(a, b)
+
+
+@pytest.fixture(params=[(8, "rectangular"), (8, "trapezoidal"), (4, "random")],
+                ids=lambda p: f"{p[1]}-{p[0]}")
+def mesh(request):
+    n, family = request.param
+    return make_mesh(n, family, seed=3)
+
+
+def test_shared_shapes_keep_fourth_order_system_bitwise(mesh, monkeypatch):
+    system = assemble_fourth_order(mesh, 1.0, SCALAR.source(1.0))
+    want = _per_cell_fourth_order(mesh, 1.0, SCALAR.source(1.0))
+    assert np.array_equal(system.matrix.data, want.matrix.data)
+    assert np.array_equal(system.rhs, want.rhs)
+
+    field = ScalarSolutionField(mesh, system.dofmap, solve(system))
+    errors = scalar_error_norms(mesh, field, SCALAR, eps=1.0)
+    monkeypatch.setattr(norms, "unit_shape_elements", _one_element_per_cell)
+    assert errors == scalar_error_norms(mesh, field, SCALAR, eps=1.0)
+
+
+def test_shared_shapes_keep_flow_system_bitwise(mesh, monkeypatch):
+    f, g = FLOW.source(1.0, 1.0), (lambda x, y: 1.0 + x)
+    dm = VectorDofMap(mesh)
+    blocks = velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)
+    system = assemble_brinkman(mesh, 1.0, 1.0, f, g)
+    u, p, _ = system.split(solve(system))
+    field = VectorSolutionField(mesh, system.dofmap, u)
+    errors = brinkman_error_norms(mesh, field, FLOW, 1.0, 1.0, p)
+
+    _assert_all_equal(blocks, _per_cell_velocity_blocks(mesh, dm, 1.0, 1.0, 4, f))
+    monkeypatch.setattr(assembly, "velocity_blocks", _per_cell_velocity_blocks)
+    want = assemble_brinkman(mesh, 1.0, 1.0, f, g)
+    assert np.array_equal(system.matrix.data, want.matrix.data)
+    assert np.array_equal(system.rhs, want.rhs)
+    monkeypatch.setattr(norms, "unit_shape_elements", _one_element_per_cell)
+    assert errors == brinkman_error_norms(mesh, field, FLOW, 1.0, 1.0, p)
 
 
 def test_mesh_geometry_is_one_batch():

@@ -106,7 +106,7 @@ def test_scalar_p2_reproduction_unit_square(unit_square):
     gu = lambda x, y: np.stack([2 * x, np.ones_like(np.asarray(x, dtype=float))], -1)
     dofs = interpolate_scalar(e, u, gu)
     pts = np.random.default_rng(0).uniform(0, 1, (40, 2))
-    np.testing.assert_allclose(e.values(pts) @ dofs, u(pts[:, 0], pts[:, 1]),
+    np.testing.assert_allclose(e.tabulate(pts)[0] @ dofs, u(pts[:, 0], pts[:, 1]),
                                rtol=0, atol=1e-12)
 
 
@@ -208,7 +208,7 @@ def test_vector_p1_reproduction_unit_square(unit_square):
     v = lambda x, y: np.stack([np.asarray(y, dtype=float), np.asarray(x, dtype=float)], -1)
     dofs = interpolate_vector(e, v)
     pts = np.random.default_rng(1).uniform(0, 1, (30, 2))
-    vals = np.einsum("qjc,j->qc", e.values(pts), dofs)
+    vals = np.einsum("qjc,j->qc", e.tabulate(pts)[0], dofs)
     np.testing.assert_allclose(vals, v(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-12)
 
 
