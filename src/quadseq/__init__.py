@@ -32,17 +32,9 @@ from .elements import (
     build_scalar_element,
     build_vector_element,
     det_oracles,
-    interpolate_scalar,
-    interpolate_vector,
     numeric_dets,
 )
-from .geometry import (
-    DegenerateCellError,
-    NonConvexCellError,
-    QuadGeometry,
-    cell_area,
-    compute_geometry,
-)
+from .geometry import DegenerateCellError, NonConvexCellError, QuadGeometry
 from .mesh import Mesh, MeshGenerationError, make_mesh
 from .norms import (
     ScalarInterpolantField,
@@ -52,8 +44,7 @@ from .norms import (
     brinkman_error_norms,
     scalar_error_norms,
 )
-from .poly import DegreeOverflowError, Poly2, VecPoly2, curl_scalar, div, grad, hessian
-from .quadrature import QuadratureRule, quadrature_points
+from .quadrature import QuadratureRule
 from .sequence import SequenceReport, inf_sup_constant, verify_exact_sequence
 from .study import (
     StudyReport,

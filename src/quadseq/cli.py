@@ -27,6 +27,7 @@ FAMILY_ALIASES = {
     "random": "random",
 }
 FORMATS = ("csv", "md", "json")
+CERTIFICATE_FORMATS = ("md", "json")
 
 
 def _parse_n_list(text: str):
@@ -39,12 +40,17 @@ def _parse_n_list(text: str):
     return ns
 
 
-def _parse_formats(text: str):
-    fmts = [t for t in text.split(",") if t]
-    for f in fmts:
-        if f not in FORMATS:
-            raise argparse.ArgumentTypeError(f"unknown format {f!r}")
-    return fmts
+def _formats(allowed):
+    """Parser of a comma-separated list of artifact formats out of ``allowed``."""
+    def parse(text: str):
+        fmts = [t for t in text.split(",") if t]
+        for f in fmts:
+            if f not in allowed:
+                raise argparse.ArgumentTypeError(
+                    f"unknown format {f!r}; use {','.join(allowed)}"
+                )
+        return fmts
+    return parse
 
 
 def _family(text: str) -> str:
@@ -53,6 +59,11 @@ def _family(text: str) -> str:
             f"unknown mesh family {text!r}; use rect, trap, or random"
         )
     return FAMILY_ALIASES[text]
+
+
+def _element_family(text: str) -> str:
+    """The cell family of ``verify element``: the shape sweep or a mesh family."""
+    return text if text == "sweep" else _family(text)
 
 
 def _add_mesh_flags(p: argparse.ArgumentParser):
@@ -72,7 +83,7 @@ def _add_study_flags(p: argparse.ArgumentParser):
                    help="per-axis Gauss order for assembly (default 4, the 16-node rule)")
     p.add_argument("--error-quad-order", type=int, default=None,
                    help="per-axis Gauss order for error integration (default quad order + 2)")
-    p.add_argument("--format", type=_parse_formats, default=list(FORMATS),
+    p.add_argument("--format", type=_formats(FORMATS), default=list(FORMATS),
                    help="comma-separated artifact formats for --out (csv,md,json)")
     p.add_argument("--out", type=str, default=None,
                    help="output path prefix; writes PREFIX.csv/.md/.json")
@@ -109,9 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     ve = verify_sub.add_parser("element", help="per-cell element identities")
     ve.add_argument("--samples", type=int, default=1000)
     ve.add_argument("--seed", type=int, default=1)
-    ve.add_argument("--family", type=str, default="sweep",
+    ve.add_argument("--family", type=_element_family, default="sweep",
                     help="sweep, rect, trap, or random")
-    ve.add_argument("--format", type=_parse_formats, default=list(FORMATS))
+    ve.add_argument("--format", type=_formats(CERTIFICATE_FORMATS),
+                    default=list(CERTIFICATE_FORMATS),
+                    help="comma-separated artifact formats for --out (md,json)")
     ve.add_argument("--out", type=str, default=None)
 
     vs = verify_sub.add_parser("sequence", help="global exact-sequence ranks")
@@ -173,17 +186,9 @@ def _cmd_study(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.target == "element":
-        family = args.family if args.family == "sweep" else _family(args.family)
-        cert = element_certificate(samples=args.samples, seed=args.seed, family=family)
+        cert = element_certificate(samples=args.samples, seed=args.seed, family=args.family)
         print(cert.to_markdown())
-        if args.out:
-            for fmt in args.format:
-                if fmt == "json":
-                    with open(f"{args.out}.json", "w") as fh:
-                        fh.write(cert.to_json())
-                elif fmt == "md":
-                    with open(f"{args.out}.md", "w") as fh:
-                        fh.write(cert.to_markdown())
+        _write_report(cert, args.format, args.out)
         return 0 if cert.passed else 1
 
     mesh = make_mesh(args.n, args.mesh, delta=args.delta, seed=args.seed)

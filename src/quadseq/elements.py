@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import QuadGeometry, NonConvexCellError, _check, _pow2
-from .poly import DX, DY, MONOMIALS, Poly2, vandermonde
+from .poly import DX, DY, MONOMIALS, vandermonde
 from .quadrature import gauss01
 
 __all__ = [
@@ -39,15 +39,12 @@ __all__ = [
     "VectorElement",
     "build_scalar_element",
     "build_vector_element",
-    "edge_mean_correctors",
     "det_oracles",
     "numeric_unisolvency_matrices",
     "numeric_dets",
     "aggregation_coeffs_formula",
     "scalar_dof_values",
     "vector_dof_values",
-    "interpolate_scalar",
-    "interpolate_vector",
     "ElementConditioningError",
 ]
 
@@ -73,10 +70,10 @@ def _vt(points):
 # shape-space spans
 # ---------------------------------------------------------------------------
 
-# Span polynomials are chains of affine factors; building them on dense
-# degree-8 coefficient grids (index [..., i, j] = coefficient of x^i y^j)
-# with shifted adds is much faster than dict algebra and loses nothing at
-# the degrees involved (<= 6). Affine factors are (..., 3) arrays (c0, cx, cy).
+# Span polynomials are chains of affine factors, built by shifted adds on
+# dense degree-8 coefficient grids (index [..., i, j] = coefficient of
+# x^i y^j), which lose nothing at the degrees involved (<= 6), and then packed
+# over the monomial table. Affine factors are (..., 3) arrays (c0, cx, cy).
 
 _G = 9
 _PACK_FLAT = np.array([i * _G + j for i, j in MONOMIALS])
@@ -113,10 +110,6 @@ def _pack_grids(grids) -> np.ndarray:
     """(..., k, 9, 9) coefficient grids -> (..., k, 45) packed matrix."""
     g = np.asarray(grids)
     return np.take(g.reshape(g.shape[:-2] + (_G * _G,)), _PACK_FLAT, axis=-1)
-
-
-def _grid_to_poly(A) -> Poly2:
-    return Poly2({(i, j): A[i, j] for i in range(_G) for j in range(_G) if A[i, j] != 0.0})
 
 
 def _monomial_grids(degree):
@@ -191,22 +184,6 @@ def _vector_grids(geom: QuadGeometry):
     gx = np.concatenate([lin[..., 0, :, :, :], _grid_dy(stream)], axis=-3)
     gy = np.concatenate([lin[..., 1, :, :, :], -_grid_dx(stream)], axis=-3)
     return gx, gy
-
-
-def edge_mean_correctors(geom: QuadGeometry) -> tuple[Poly2, Poly2]:
-    """The two degree-5 enrichment polynomials of the scalar shape space (one cell).
-
-    On a rectangle (s = 0) they reduce to -l1*l3*m13*m24 and -l2*l4*m13*m24.
-    Both vanish at all four vertices and satisfy the cubic edge-mean identity
-    with zero mean on every edge.
-    """
-    c1, c2 = _corrector_grids(geom)
-    return _grid_to_poly(c1), _grid_to_poly(c2)
-
-
-def bubble_span(geom: QuadGeometry) -> list[Poly2]:
-    """Interior bubbles b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4 (one cell)."""
-    return [_grid_to_poly(b) for b in _bubble_grids(geom)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,32 +459,24 @@ def scalar_dof_values(geom: QuadGeometry, u, grad_u) -> np.ndarray:
     return np.concatenate([vals, grads[..., 0], grads[..., 1]], axis=-1)
 
 
-def vector_dof_values(geom: QuadGeometry, v, edge_points: int = 5) -> np.ndarray:
+def vector_dof_values(geom: QuadGeometry, v) -> np.ndarray:
     """DoF vectors (..., 12) of a smooth field: edge normal integrals then vertex components.
 
     v is a vectorized callable of (x, y) returning (..., 2), called once on
-    the edge Gauss points and vertices of all cells. Edge integrals use a
-    Gauss rule with ``edge_points`` nodes per edge.
+    the edge Gauss points and vertices of all cells. Edge integrals use the
+    5-point edge rule of the element functionals.
     """
-    t, w = gauss01(edge_points)
-    m = 4 * len(t)
-    pts = np.concatenate([geom.edge_points(i, t) for i in range(4)] + [geom.vertices], axis=-2)
+    m = 4 * len(_EDGE_T)
+    pts = np.concatenate(
+        [geom.edge_points(i, _EDGE_T) for i in range(4)] + [geom.vertices], axis=-2
+    )
     vals = np.asarray(v(pts[..., 0], pts[..., 1]), dtype=float)
-    edge = vals[..., :m, :].reshape(vals.shape[:-2] + (4, len(t), 2))
+    edge = vals[..., :m, :].reshape(vals.shape[:-2] + (4, len(_EDGE_T), 2))
     normal = (edge * geom.normals[..., :, None, :]).sum(-1)
     at_verts = vals[..., m:, :]
     return np.concatenate(
-        [geom.edge_len * (normal @ w), at_verts[..., 0], at_verts[..., 1]], axis=-1
+        [geom.edge_len * (normal @ _EDGE_W), at_verts[..., 0], at_verts[..., 1]], axis=-1
     )
-
-
-def interpolate_scalar(element: ScalarElement, u, grad_u) -> np.ndarray:
-    """Nodal interpolant coefficients (equal to the DoF values)."""
-    return scalar_dof_values(element.geometry, u, grad_u)
-
-
-def interpolate_vector(element: VectorElement, v, edge_points: int = 5) -> np.ndarray:
-    return vector_dof_values(element.geometry, v, edge_points)
 
 
 def aggregation_coeffs_formula(geom: QuadGeometry, element: ScalarElement) -> np.ndarray:

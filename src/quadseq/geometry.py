@@ -17,13 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import Poly2
-
 __all__ = [
     "QuadGeometry",
     "affine_decomposition",
-    "compute_geometry",
-    "cell_area",
     "shoelace_area",
     "NonConvexCellError",
     "DegenerateCellError",
@@ -167,32 +163,6 @@ class QuadGeometry:
     def __len__(self) -> int:
         return len(self.h)
 
-    # -- line forms as polynomials (one cell) -----------------------------------
-
-    @property
-    def edge_lines(self) -> list[Poly2]:
-        return [Poly2.affine(*c) for c in self.edge_line_coeffs]
-
-    @property
-    def mid_13(self) -> Poly2:
-        return Poly2.affine(*self.mid_13_coeffs)
-
-    @property
-    def mid_24(self) -> Poly2:
-        return Poly2.affine(*self.mid_24_coeffs)
-
-    @property
-    def diag_13(self) -> Poly2:
-        return Poly2.affine(*self.diag_13_coeffs)
-
-    @property
-    def diag_24(self) -> Poly2:
-        return Poly2.affine(*self.diag_24_coeffs)
-
-    @property
-    def edge_params(self) -> list[Poly2]:
-        return [Poly2.affine(*c) for c in self.edge_param_coeffs]
-
     # -- frames and maps -----------------------------------------------------
     # Point arrays are (..., npts, 2) with the geometry's batch shape leading.
 
@@ -238,11 +208,3 @@ class QuadGeometry:
         vi = self.vertices[..., i, None, :]
         return vi + t * (self.vertices[..., (i + 1) % 4, None, :] - vi)
 
-
-def compute_geometry(vertices) -> QuadGeometry:
-    """Build the full geometry bundle for counterclockwise convex quads."""
-    return QuadGeometry(vertices)
-
-
-def cell_area(geometry: QuadGeometry):
-    return geometry.area

@@ -34,7 +34,6 @@ __all__ = [
     "VectorInterpolantField",
     "scalar_error_norms",
     "brinkman_error_norms",
-    "pressure_l2_error",
 ]
 
 DEFAULT_ERROR_QUAD = 6
@@ -79,13 +78,12 @@ class VectorSolutionField:
 class VectorInterpolantField:
     """Cellwise nodal interpolant of a smooth vector field."""
 
-    def __init__(self, mesh: Mesh, case: BrinkmanCase, edge_points: int = 5):
+    def __init__(self, mesh: Mesh, case: BrinkmanCase):
         self.mesh = mesh
         self.velocity = case.velocity
-        self.edge_points = edge_points
 
     def cell_dofs(self) -> np.ndarray:
-        return vector_dof_values(self.mesh.cell_geometry, self.velocity, self.edge_points)
+        return vector_dof_values(self.mesh.cell_geometry, self.velocity)
 
 
 def _at(fn, x):
@@ -145,18 +143,7 @@ def brinkman_error_norms(mesh: Mesh, field, case: BrinkmanCase,
         "velocity_ah": np.sqrt(nu * h1_sq + alpha * l2_sq),
     }
     if pressure_values is not None:
-        out["pressure_l2"] = np.sqrt(_pressure_sq(case, pressure_values, x, w))
+        p_err = _at(case.pressure, x) - np.asarray(pressure_values)[:, None]
+        out["pressure_l2"] = np.sqrt(float(np.sum(w * p_err**2)))
     return out
 
-
-def _pressure_sq(case, pressure_values, x, w) -> float:
-    p_e = _at(case.pressure, x)
-    return float(np.sum(w * (p_e - np.asarray(pressure_values)[:, None]) ** 2))
-
-
-def pressure_l2_error(mesh: Mesh, pressure_values, case: BrinkmanCase,
-                      quad_order: int = DEFAULT_ERROR_QUAD) -> float:
-    """L2 distance between cellwise-constant pressures and the exact pressure."""
-    _, _, x, wts = unit_shape_rule(mesh.cell_geometry, quad_order)
-    pv = np.zeros(mesh.n_cells) if pressure_values is None else pressure_values
-    return float(np.sqrt(_pressure_sq(case, pv, x, wts * _pow2(mesh.cell_geometry.h[:, None]))))

@@ -8,7 +8,7 @@ import numpy as np
 
 from .geometry import QuadGeometry
 
-__all__ = ["QuadratureRule", "gauss01", "quadrature_points"]
+__all__ = ["QuadratureRule", "gauss01"]
 
 
 @lru_cache(maxsize=32)
@@ -50,8 +50,3 @@ class QuadratureRule:
         wts = self.ref_weights * np.abs(geom.jacobian_det(self.ref_points))
         return pts, wts
 
-
-def quadrature_points(geom: QuadGeometry, g: int = 4):
-    """List of (physical point, weight) pairs for one cell."""
-    pts, wts = QuadratureRule(g).cell_points(geom)
-    return list(zip(pts, wts))

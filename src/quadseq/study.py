@@ -145,8 +145,25 @@ class StudyReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _meshes(family, n_list, delta, seed):
-    return [make_mesh(n, family, delta=delta, seed=seed) for n in n_list]
+def _study(problem, params, norms, level_errors, *, family, n_list, delta, seed,
+           quad_order, error_quad_order) -> StudyReport:
+    """Collect ``norms`` of ``level_errors(mesh)`` (a dict norm -> error) on
+    the mesh of every n of ``n_list``, which must increase strictly."""
+    n_list = list(n_list)
+    if any(n_next <= n for n, n_next in zip(n_list, n_list[1:])):
+        raise ValueError(f"mesh resolutions must increase strictly, got {n_list}")
+    t0 = time.perf_counter()
+    errors = {nm: [] for nm in norms}
+    for n in n_list:
+        level = level_errors(make_mesh(n, family, delta=delta, seed=seed))
+        for nm in norms:
+            errors[nm].append(float(level[nm]))
+    return StudyReport(
+        problem=problem, params=params, family=family,
+        delta=DEFAULT_DELTA[family] if delta is None else delta, seed=seed,
+        n_list=n_list, quad_order=quad_order, error_quad_order=error_quad_order,
+        norms=list(norms), errors=errors, runtime_s=time.perf_counter() - t0,
+    )
 
 
 def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
@@ -161,33 +178,23 @@ def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
     """
     case = case or scalar_sin_squared()
     eq = error_quad_order or quad_order + 2
-    t0 = time.perf_counter()
     f = case.source_biharmonic() if biharmonic else case.source(eps)
 
-    errors = {nm: [] for nm in ("energy", "h1", "h2")}
-    n_list = list(n_list)
-    for mesh in _meshes(family, n_list, delta, seed):
+    def level_errors(mesh):
         system = assemble_fourth_order(
             mesh, eps, f, quad_order=quad_order, biharmonic=biharmonic
         )
-        x = solve(system)
-        fld = ScalarSolutionField(mesh, system.dofmap, x)
+        fld = ScalarSolutionField(mesh, system.dofmap, solve(system))
         norms = scalar_error_norms(mesh, fld, case, eps=eps, quad_order=eq)
         if biharmonic:
             # the natural energy of the pure fourth-order operator
             norms["energy"] = norms["h2"]
-        for nm in errors:
-            errors[nm].append(float(norms[nm]))
+        return norms
 
     params = {"mode": "biharmonic"} if biharmonic else {"eps": eps}
-    report = StudyReport(
-        problem="scalar", params=params, family=family,
-        delta=_effective_delta(family, delta), seed=seed, n_list=n_list,
-        quad_order=quad_order, error_quad_order=eq,
-        norms=["energy", "h1", "h2"], errors=errors,
-        runtime_s=time.perf_counter() - t0,
-    )
-    return report
+    return _study("scalar", params, ["energy", "h1", "h2"], level_errors,
+                  family=family, n_list=n_list, delta=delta, seed=seed,
+                  quad_order=quad_order, error_quad_order=eq)
 
 
 def run_brinkman_study(nu: float = 1.0, alpha: float = 1.0, *,
@@ -198,30 +205,20 @@ def run_brinkman_study(nu: float = 1.0, alpha: float = 1.0, *,
     """Solve the flow problem over refinements; a_h velocity and L2 pressure errors."""
     case = case or brinkman_sin_stream()
     eq = error_quad_order or quad_order + 2
-    t0 = time.perf_counter()
     f = case.source(nu, alpha)
     g = None if case.g_is_zero else case.divergence
 
-    errors = {nm: [] for nm in ("velocity_ah", "pressure_l2", "velocity_l2", "velocity_h1")}
-    n_list = list(n_list)
-    for mesh in _meshes(family, n_list, delta, seed):
+    def level_errors(mesh):
         system = assemble_brinkman(mesh, nu, alpha, f, g=g, quad_order=quad_order)
-        x = solve(system)
-        u, p, _ = system.split(x)
+        u, p, _ = system.split(solve(system))
         fld = VectorSolutionField(mesh, system.dofmap, u)
-        norms = brinkman_error_norms(mesh, fld, case, nu, alpha,
-                                     pressure_values=p, quad_order=eq)
-        for nm in errors:
-            errors[nm].append(float(norms[nm]))
+        return brinkman_error_norms(mesh, fld, case, nu, alpha,
+                                    pressure_values=p, quad_order=eq)
 
-    report = StudyReport(
-        problem="brinkman", params={"nu": nu, "alpha": alpha}, family=family,
-        delta=_effective_delta(family, delta), seed=seed, n_list=n_list,
-        quad_order=quad_order, error_quad_order=eq,
-        norms=["velocity_ah", "pressure_l2", "velocity_l2", "velocity_h1"],
-        errors=errors, runtime_s=time.perf_counter() - t0,
-    )
-    return report
+    return _study("brinkman", {"nu": nu, "alpha": alpha},
+                  ["velocity_ah", "pressure_l2", "velocity_l2", "velocity_h1"],
+                  level_errors, family=family, n_list=n_list, delta=delta,
+                  seed=seed, quad_order=quad_order, error_quad_order=eq)
 
 
 def run_scalar_interpolation_study(*, family: str = "rectangular",
@@ -230,20 +227,14 @@ def run_scalar_interpolation_study(*, family: str = "rectangular",
                                    error_quad_order: int = 6, case=None) -> StudyReport:
     """Broken H1/H2 errors of the nodal interpolant of the scalar solution."""
     case = case or scalar_sin_squared()
-    t0 = time.perf_counter()
-    errors = {"h1": [], "h2": []}
-    n_list = list(n_list)
-    for mesh in _meshes(family, n_list, delta, seed):
-        fld = ScalarInterpolantField(mesh, case)
-        norms = scalar_error_norms(mesh, fld, case, eps=0.0, quad_order=error_quad_order)
-        errors["h1"].append(float(norms["h1"]))
-        errors["h2"].append(float(norms["h2"]))
-    return StudyReport(
-        problem="scalar-interpolation", params={}, family=family,
-        delta=_effective_delta(family, delta), seed=seed, n_list=n_list,
-        quad_order=0, error_quad_order=error_quad_order,
-        norms=["h2", "h1"], errors=errors, runtime_s=time.perf_counter() - t0,
-    )
+
+    def level_errors(mesh):
+        return scalar_error_norms(mesh, ScalarInterpolantField(mesh, case), case,
+                                  eps=0.0, quad_order=error_quad_order)
+
+    return _study("scalar-interpolation", {}, ["h2", "h1"], level_errors,
+                  family=family, n_list=n_list, delta=delta, seed=seed,
+                  quad_order=0, error_quad_order=error_quad_order)
 
 
 def run_vector_interpolation_study(*, family: str = "rectangular",
@@ -252,23 +243,11 @@ def run_vector_interpolation_study(*, family: str = "rectangular",
                                    error_quad_order: int = 6, case=None) -> StudyReport:
     """L2 and broken H1 errors of the nodal interpolant of the flow velocity."""
     case = case or brinkman_sin_stream()
-    t0 = time.perf_counter()
-    errors = {"velocity_l2": [], "velocity_h1": []}
-    n_list = list(n_list)
-    for mesh in _meshes(family, n_list, delta, seed):
-        fld = VectorInterpolantField(mesh, case)
-        norms = brinkman_error_norms(mesh, fld, case, nu=1.0, alpha=1.0,
-                                     quad_order=error_quad_order)
-        errors["velocity_l2"].append(float(norms["velocity_l2"]))
-        errors["velocity_h1"].append(float(norms["velocity_h1"]))
-    return StudyReport(
-        problem="vector-interpolation", params={}, family=family,
-        delta=_effective_delta(family, delta), seed=seed, n_list=n_list,
-        quad_order=0, error_quad_order=error_quad_order,
-        norms=["velocity_h1", "velocity_l2"], errors=errors,
-        runtime_s=time.perf_counter() - t0,
-    )
 
+    def level_errors(mesh):
+        return brinkman_error_norms(mesh, VectorInterpolantField(mesh, case), case,
+                                    nu=1.0, alpha=1.0, quad_order=error_quad_order)
 
-def _effective_delta(family, delta):
-    return DEFAULT_DELTA[family] if delta is None else delta
+    return _study("vector-interpolation", {}, ["velocity_h1", "velocity_l2"],
+                  level_errors, family=family, n_list=n_list, delta=delta,
+                  seed=seed, quad_order=0, error_quad_order=error_quad_order)

@@ -264,6 +264,8 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
     shape-bounded quads (default: min(samples, 200), skew up to 0.8, aspect
     up to 2), where the 1e-10 tolerances are meaningful.
     """
+    if samples < 1 or (identity_samples is not None and identity_samples < 1):
+        raise ValueError("samples and identity_samples must be at least 1")
     identity_samples = identity_samples or min(samples, 200)
     if family == "sweep":
         quads = random_convex_quads(samples, seed)

@@ -49,6 +49,27 @@ def test_usage_errors_exit_two():
     assert main(["study", "brinkman", "--nu", "0", "--alpha", "0", "--n", "4"]) == 2
     assert main(["mesh", "--mesh", "random", "--delta", "0.9", "--n", "4",
                  "--out", "/tmp/never.json"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "element", "--family", "bogus"])
+    assert exc.value.code == 2
+    assert main(["study", "brinkman", "--n", "4,4"]) == 2
+    assert main(["study", "scalar", "--n", "8,4"]) == 2
+    assert main(["verify", "element", "--samples", "0"]) == 2
+    assert main(["verify", "element", "--samples", "-3"]) == 2
+
+
+def test_verify_element_writes_md_and_json_only(tmp_path, capsys):
+    out = tmp_path / "cert"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "element", "--samples", "4", "--format", "csv",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+    assert main(["verify", "element", "--samples", "4", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json", "cert.md"]
+    assert (tmp_path / "cert.md").read_text() + "\n" == printed
+    assert json.loads((tmp_path / "cert.json").read_text())["samples"] == 4
 
 
 def test_verify_element_small(capsys):

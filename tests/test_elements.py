@@ -3,19 +3,20 @@ import pytest
 
 from quadseq.elements import (
     ElementConditioningError,
+    _bubble_grids,
+    _corrector_grids,
+    _pack_grids,
     aggregation_coeffs_formula,
     build_scalar_element,
     build_vector_element,
-    bubble_span,
     det_oracles,
-    edge_mean_correctors,
-    interpolate_scalar,
-    interpolate_vector,
     numeric_dets,
     scalar_dof_values,
+    vector_dof_values,
 )
 from quadseq.geometry import NonConvexCellError, QuadGeometry
 from quadseq.mesh import make_mesh
+from quadseq.poly import DX, DY, MONOMIALS, vandermonde
 from quadseq.verify import (
     _curl_inclusion_residual,
     _edge_mean_identity_residual,
@@ -61,30 +62,38 @@ def test_numeric_dets_on_square(unit_square):
 # enrichment correctors
 # ---------------------------------------------------------------------------
 
+def _correctors(g):
+    """(2, 45) packed enrichment correctors of one cell."""
+    return _pack_grids(_corrector_grids(g))
+
+
+def _affine(c, loc):
+    return c[0] + c[1] * loc[:, 0] + c[2] * loc[:, 1]
+
+
 def test_correctors_reduce_on_rectangle():
+    # On a rectangle (s = 0) they reduce to -l1*l3*m13*m24 and -l2*l4*m13*m24,
+    # compared pointwise against products of the affine line values.
+    rng = np.random.default_rng(3)
     for verts in RECTANGLES:
         g = QuadGeometry(verts)
-        c1, c2 = edge_mean_correctors(g)
-        l1, l2, l3, l4 = g.edge_lines
-        expected1 = -1.0 * (l1 * l3 * g.mid_13 * g.mid_24)
-        expected2 = -1.0 * (l2 * l4 * g.mid_13 * g.mid_24)
-        assert c1.distance(expected1) < 1e-13
-        assert c2.distance(expected2) < 1e-13
+        loc = g.to_local(g.map_reference(rng.uniform(-1, 1, (40, 2))))
+        l1, l2, l3, l4 = (_affine(c, loc) for c in g.edge_line_coeffs)
+        mm = _affine(g.mid_13_coeffs, loc) * _affine(g.mid_24_coeffs, loc)
+        vals = vandermonde(loc) @ _correctors(g).T
+        np.testing.assert_allclose(vals[:, 0], -(l1 * l3 * mm), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(vals[:, 1], -(l2 * l4 * mm), rtol=0, atol=1e-13)
 
 
 def test_correctors_vanish_at_vertices():
     for g in random_convex_quads(100, seed=21, max_skew=0.8, max_aspect=2.0):
-        c1, c2 = edge_mean_correctors(g)
-        lv = g.local_vertices
-        for p in (c1, c2):
-            assert np.abs(p(lv[:, 0], lv[:, 1])).max() < 1e-13
+        vals = _correctors(g) @ vandermonde(g.local_vertices).T
+        assert np.abs(vals).max() < 1e-13
 
 
 def test_correctors_satisfy_edge_mean_identity(random_quads):
-    from quadseq.poly import pack
     for g in random_quads[:10]:
-        c1, c2 = edge_mean_correctors(g)
-        resid = _edge_mean_identity_residual(g, pack([c1, c2]))
+        resid = _edge_mean_identity_residual(g, _correctors(g))
         assert resid < 1e-12
 
 
@@ -104,7 +113,7 @@ def test_scalar_p2_reproduction_unit_square(unit_square):
     e = build_scalar_element(unit_square)
     u = lambda x, y: x**2 + y
     gu = lambda x, y: np.stack([2 * x, np.ones_like(np.asarray(x, dtype=float))], -1)
-    dofs = interpolate_scalar(e, u, gu)
+    dofs = scalar_dof_values(e.geometry, u, gu)
     pts = np.random.default_rng(0).uniform(0, 1, (40, 2))
     np.testing.assert_allclose(e.tabulate(pts)[0] @ dofs, u(pts[:, 0], pts[:, 1]),
                                rtol=0, atol=1e-12)
@@ -131,7 +140,6 @@ def test_adini_space_on_rectangles():
             interp = dofs @ e.aux_matrix  # auxiliary basis combination
             pts = g.map_reference(rng.uniform(-1, 1, (30, 2)))
             loc = g.to_local(pts)
-            from quadseq.poly import vandermonde
             vals = vandermonde(loc) @ interp
             np.testing.assert_allclose(vals, u(pts[:, 0], pts[:, 1]),
                                        rtol=0, atol=1e-11)
@@ -159,18 +167,16 @@ def test_edge_mean_identity_on_basis(random_quads):
 
 def test_edge_mean_identity_cubic_example(unit_square):
     # w = x^3 on the bottom edge: mean 1/4 equals 1/2 - 3/12.
-    from quadseq.poly import Poly2, pack
-    w = Poly2.monomial(3, 0)
-    resid = _edge_mean_identity_residual(unit_square, pack([w]))
+    w = np.zeros((1, len(MONOMIALS)))
+    w[0, MONOMIALS.index((3, 0))] = 1.0
+    resid = _edge_mean_identity_residual(unit_square, w)
     assert resid < 1e-13
     assert 0.25 == pytest.approx(0.5 - 3.0 / 12.0)
 
 
 def test_bubbles_vanish_at_vertices(random_quads):
-    from quadseq.poly import pack, DX, DY
     for g in random_quads[:10]:
-        C = pack(bubble_span(g))
-        from quadseq.poly import vandermonde
+        C = _pack_grids(_bubble_grids(g))
         V = vandermonde(g.local_vertices).T
         assert np.abs(C @ V).max() < 1e-13
         assert np.abs((C @ DX.T) @ V).max() < 1e-13
@@ -206,7 +212,7 @@ def test_vector_duality_and_constraints(random_quads):
 def test_vector_p1_reproduction_unit_square(unit_square):
     e = build_vector_element(unit_square)
     v = lambda x, y: np.stack([np.asarray(y, dtype=float), np.asarray(x, dtype=float)], -1)
-    dofs = interpolate_vector(e, v)
+    dofs = vector_dof_values(e.geometry, v)
     pts = np.random.default_rng(1).uniform(0, 1, (30, 2))
     vals = np.einsum("qjc,j->qc", e.tabulate(pts)[0], dofs)
     np.testing.assert_allclose(vals, v(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-12)
@@ -248,7 +254,7 @@ def test_divergence_of_interpolated_curl_vanishes(unit_square):
     from quadseq.cases import brinkman_sin_stream
     case = brinkman_sin_stream()
     e = build_vector_element(unit_square)
-    dofs = interpolate_vector(e, case.velocity)
+    dofs = vector_dof_values(e.geometry, case.velocity)
     div_const = dofs @ e.div_constants
     assert abs(div_const * unit_square.area) < 1e-12
 
@@ -258,3 +264,11 @@ def test_bubble_trace_relation(random_quads):
     for g in random_quads[:10]:
         vals, trace = _bubble_residuals(g)
         assert trace < 1e-10
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3},
+                                    {"samples": 5, "identity_samples": 0}])
+def test_certificate_needs_a_sample(kwargs):
+    from quadseq.verify import element_certificate
+    with pytest.raises(ValueError, match="at least 1"):
+        element_certificate(**kwargs)

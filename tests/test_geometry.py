@@ -5,10 +5,13 @@ from quadseq.geometry import (
     DegenerateCellError,
     NonConvexCellError,
     QuadGeometry,
-    cell_area,
-    compute_geometry,
     shoelace_area,
 )
+
+
+def _affine(c, p):
+    """Value c0 + cx*x + cy*y of an affine form (c0, cx, cy) at points (..., 2)."""
+    return c[0] + c[1] * p[..., 0] + c[2] * p[..., 1]
 
 
 def test_unit_square_decomposition(unit_square):
@@ -26,7 +29,7 @@ def test_spec_trapezoid_decomposition(spec_trapezoid):
     np.testing.assert_allclose(g.A, [[0.625, 0.125], [0.0, 0.5]])
     np.testing.assert_allclose(g.d, [0.125, 0.0])
     np.testing.assert_allclose(g.s, [0.2, 0.0], atol=1e-15)
-    assert cell_area(g) == pytest.approx(1.25)
+    assert g.area == pytest.approx(1.25)
 
 
 def test_line_normalization_conditions(random_quads):
@@ -35,14 +38,14 @@ def test_line_normalization_conditions(random_quads):
     for g in random_quads:
         lv = g.local_vertices
         lm = g.to_local(g.edge_mid)
-        for i, line in enumerate(g.edge_lines):
-            assert line.eval(lm[(i + 2) % 4]) == pytest.approx(1.0, abs=1e-12)
-            assert abs(line.eval(lv[i])) < 1e-14
-            assert abs(line.eval(lv[(i + 1) % 4])) < 1e-14
-        assert g.mid_13.eval(lm[1]) == pytest.approx(1.0, abs=1e-12)
-        assert g.mid_24.eval(lm[2]) == pytest.approx(1.0, abs=1e-12)
-        assert g.diag_13.eval(lv[3]) == pytest.approx(1.0, abs=1e-12)
-        assert g.diag_24.eval(lv[2]) == pytest.approx(1.0, abs=1e-12)
+        for i, line in enumerate(g.edge_line_coeffs):
+            assert _affine(line, lm[(i + 2) % 4]) == pytest.approx(1.0, abs=1e-12)
+            assert abs(_affine(line, lv[i])) < 1e-14
+            assert abs(_affine(line, lv[(i + 1) % 4])) < 1e-14
+        assert _affine(g.mid_13_coeffs, lm[1]) == pytest.approx(1.0, abs=1e-12)
+        assert _affine(g.mid_24_coeffs, lm[2]) == pytest.approx(1.0, abs=1e-12)
+        assert _affine(g.diag_13_coeffs, lv[3]) == pytest.approx(1.0, abs=1e-12)
+        assert _affine(g.diag_24_coeffs, lv[2]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_intermediate_frame_line_pullbacks(random_quads):
@@ -62,15 +65,14 @@ def test_intermediate_frame_line_pullbacks(random_quads):
             2: 0.5 * (s2 / (s1 + 1) * xt - yt + 1),
             3: 0.5 * (xt - s1 / (s2 - 1) * yt + 1),
         }
-        for i, line in enumerate(g.edge_lines):
-            np.testing.assert_allclose(line(loc[:, 0], loc[:, 1]), expected[i],
-                                       rtol=0, atol=1e-12)
-        np.testing.assert_allclose(g.mid_13(loc[:, 0], loc[:, 1]), xt, atol=1e-12)
-        np.testing.assert_allclose(g.mid_24(loc[:, 0], loc[:, 1]), yt, atol=1e-12)
+        for i, line in enumerate(g.edge_line_coeffs):
+            np.testing.assert_allclose(_affine(line, loc), expected[i], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_affine(g.mid_13_coeffs, loc), xt, atol=1e-12)
+        np.testing.assert_allclose(_affine(g.mid_24_coeffs, loc), yt, atol=1e-12)
         d13 = (-xt + yt + s1 - s2) / (2 * (s1 - s2 + 1))
         d24 = (xt + yt + s1 + s2) / (2 * (s1 + s2 + 1))
-        np.testing.assert_allclose(g.diag_13(loc[:, 0], loc[:, 1]), d13, atol=1e-12)
-        np.testing.assert_allclose(g.diag_24(loc[:, 0], loc[:, 1]), d24, atol=1e-12)
+        np.testing.assert_allclose(_affine(g.diag_13_coeffs, loc), d13, atol=1e-12)
+        np.testing.assert_allclose(_affine(g.diag_24_coeffs, loc), d24, atol=1e-12)
 
 
 def test_intermediate_vertices_map_back(random_quads):
@@ -82,9 +84,9 @@ def test_intermediate_vertices_map_back(random_quads):
 def test_edge_parameter_endpoints(random_quads):
     for g in random_quads:
         lv = g.local_vertices
-        for i, xi in enumerate(g.edge_params):
-            assert xi.eval(lv[i]) == pytest.approx(-1.0, abs=1e-12)
-            assert xi.eval(lv[(i + 1) % 4]) == pytest.approx(1.0, abs=1e-12)
+        for i, xi in enumerate(g.edge_param_coeffs):
+            assert _affine(xi, lv[i]) == pytest.approx(-1.0, abs=1e-12)
+            assert _affine(xi, lv[(i + 1) % 4]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nonconvex_rejected():
@@ -115,4 +117,4 @@ def test_reference_map_and_jacobian(spec_trapezoid):
 
 def test_shoelace(spec_trapezoid):
     assert shoelace_area([[0, 0], [1, 0], [1, 1], [0, 1]]) == 1.0
-    assert compute_geometry(spec_trapezoid.vertices).area == pytest.approx(1.25)
+    assert QuadGeometry(spec_trapezoid.vertices).area == pytest.approx(1.25)

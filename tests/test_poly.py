@@ -1,161 +1,161 @@
+"""The packed monomial table and the coefficient grids the element spans are
+built on: evaluation, differentiation and products of affine factors."""
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadseq.poly import (
-    DegreeOverflowError,
-    Poly2,
-    VecPoly2,
-    curl_scalar,
-    div,
-    grad,
-    hessian,
-    pack,
-    vandermonde,
-)
+from quadseq.elements import _affine_grid, _mul_affine, _pack_grids
+from quadseq.poly import DX, DY, MONOMIALS, vandermonde
 
-X = Poly2.monomial(1, 0)
-Y = Poly2.monomial(0, 1)
+X = np.array([0.0, 1.0, 0.0])  # affine forms (c0, cx, cy)
+Y = np.array([0.0, 0.0, 1.0])
+
+
+def packed(coeffs):
+    """Packed row of the polynomial sum c x^i y^j over {(i, j): c}."""
+    row = np.zeros(len(MONOMIALS))
+    for key, c in coeffs.items():
+        row[MONOMIALS.index(key)] = c
+    return row
+
+
+def grid(coeffs):
+    """9x9 coefficient grid of the polynomial sum c x^i y^j over {(i, j): c}."""
+    G = np.zeros((9, 9))
+    for (i, j), c in coeffs.items():
+        G[i, j] = c
+    return G
+
+
+def evaluate(row, x, y):
+    pts = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)), -1)
+    return vandermonde(pts) @ row
+
+
+def curl(row):
+    """Rotated gradient (dp/dy, -dp/dx) of packed rows."""
+    return row @ DY.T, -(row @ DX.T)
 
 
 def test_monomial_product():
-    assert (X * Y).coeffs == Poly2.monomial(1, 1).coeffs
-
-
-def test_cancellation_normalizes_zero_terms():
-    p = (X + 1) + (-X)
-    assert p.coeffs == Poly2.constant(1.0).coeffs
-    assert p.degree == 0
+    np.testing.assert_array_equal(_pack_grids(_mul_affine(_affine_grid(X), Y)),
+                                  packed({(1, 1): 1.0}))
 
 
 def test_eval_simple():
-    p = X * X + Y
-    assert p.eval((2.0, 3.0)) == 7.0
+    assert evaluate(packed({(2, 0): 1.0, (0, 1): 1.0}), [2.0], [3.0])[0] == 7.0
 
 
 def test_eval_vectorized():
-    p = X * X + Y
+    p = packed({(2, 0): 1.0, (0, 1): 1.0})
     x = np.array([0.0, 1.0, 2.0])
     y = np.array([1.0, 1.0, 1.0])
-    np.testing.assert_allclose(p(x, y), [1.0, 2.0, 5.0])
+    np.testing.assert_allclose(evaluate(p, x, y), [1.0, 2.0, 5.0])
 
 
 def test_unit_square_edge_line_product():
     # Normalized edge lines of the unit square: y, 1-x, 1-y, x.
     # Hand expansion: x(1-x) y(1-y) = xy - x y^2 - x^2 y + x^2 y^2.
-    l1, l2, l3, l4 = Y, 1 - X, 1 - Y, X
-    product = l1 * l2 * l3 * l4
+    one = np.array([1.0, 0.0, 0.0])
+    product = _affine_grid(Y)
+    for line in (one - X, one - Y, X):
+        product = _mul_affine(product, line)
     expected = {(1, 1): 1.0, (1, 2): -1.0, (2, 1): -1.0, (2, 2): 1.0}
-    assert set(product.coeffs) == set(expected)
-    for key, val in expected.items():
-        assert float(product.coeffs[key]) == val
+    np.testing.assert_array_equal(_pack_grids(product), packed(expected))
 
 
 def test_curl_convention():
-    c = curl_scalar(X)
-    assert c.x.is_zero()
-    assert c.y.coeffs == Poly2.constant(-1.0).coeffs
+    cx, cy = curl(packed({(1, 0): 1.0}))
+    assert not cx.any()
+    np.testing.assert_array_equal(cy, packed({(0, 0): -1.0}))
 
 
 def test_div_curl_identity_specific():
-    w = Poly2.monomial(3, 0) * Poly2.monomial(0, 2)  # x^3 y^2
-    assert div(curl_scalar(w)).coeffs == {}
+    cx, cy = curl(packed({(3, 2): 1.0}))  # x^3 y^2
+    assert not (cx @ DX.T + cy @ DY.T).any()
 
 
 def test_hessian_example():
-    H = hessian(Poly2.monomial(2, 1))  # x^2 y
-    assert H[0][0].coeffs == (2 * Y).coeffs
-    assert H[0][1].coeffs == (2 * X).coeffs
-    assert H[1][0].coeffs == (2 * X).coeffs
-    assert H[1][1].is_zero()
+    p = packed({(2, 1): 1.0})  # x^2 y
+    px, py = p @ DX.T, p @ DY.T
+    np.testing.assert_array_equal(px @ DX.T, packed({(0, 1): 2.0}))
+    np.testing.assert_array_equal(px @ DY.T, packed({(1, 0): 2.0}))
+    np.testing.assert_array_equal(py @ DX.T, packed({(1, 0): 2.0}))
+    assert not (py @ DY.T).any()
 
 
 def test_hessian_symmetric_exactly():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        p = Poly2({(i, j): rng.standard_normal()
-                   for i in range(5) for j in range(5) if i + j <= 6})
-        H = hessian(p)
-        assert H[0][1].coeffs == H[1][0].coeffs
-
-
-def test_degree_overflow():
-    p = Poly2.monomial(4, 1)
-    q = Poly2.monomial(3, 2)
-    with pytest.raises(DegreeOverflowError):
-        p * q
-    with pytest.raises(DegreeOverflowError):
-        Poly2.monomial(5, 4)
-
-
-def test_degree_of_product():
-    p = X * X + Y
-    q = Y * Y * X
-    assert (p * q).degree == p.degree + q.degree
+        p = packed({(i, j): rng.standard_normal()
+                    for i in range(5) for j in range(5) if i + j <= 6})
+        np.testing.assert_array_equal((p @ DX.T) @ DY.T, (p @ DY.T) @ DX.T)
 
 
 coeff_ints = st.integers(min_value=-50, max_value=50)
 
 
-def poly_strategy(max_degree):
+def coeff_strategy(max_degree, values):
     keys = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1)
             if i + j <= max_degree]
-    return st.fixed_dictionaries({}, optional={k: coeff_ints for k in keys}).map(Poly2)
+    return st.fixed_dictionaries({}, optional={k: values for k in keys})
 
 
-@given(poly_strategy(2), poly_strategy(2), poly_strategy(2))
+affine_ints = st.lists(coeff_ints, min_size=3, max_size=3).map(np.array)
+
+
+@given(coeff_strategy(2, coeff_ints), affine_ints, affine_ints)
 @settings(max_examples=60, deadline=None)
-def test_ring_axioms_exact(p, q, r):
-    # Integer coefficients keep all intermediate arithmetic exact.
-    assert ((p * q) * r).coeffs == (p * (q * r)).coeffs
-    assert (p * (q + r)).coeffs == (p * q + p * r).coeffs
-    assert (p + q).coeffs == (q + p).coeffs
+def test_ring_axioms_exact(p, a, b):
+    # Integer coefficients keep all intermediate arithmetic exact: products
+    # of affine factors commute and distribute over sums of factors.
+    P = grid(p)
+    np.testing.assert_array_equal(_mul_affine(_mul_affine(P, a), b),
+                                  _mul_affine(_mul_affine(P, b), a))
+    np.testing.assert_array_equal(_mul_affine(P, a + b),
+                                  _mul_affine(P, a) + _mul_affine(P, b))
 
 
 float_coeffs = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
 
 
-def float_poly_strategy(max_degree):
-    keys = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1)
-            if i + j <= max_degree]
-    return st.fixed_dictionaries({}, optional={k: float_coeffs for k in keys}).map(Poly2)
-
-
-@given(float_poly_strategy(7))
+@given(coeff_strategy(7, float_coeffs))
 @settings(max_examples=120, deadline=None)
 def test_div_curl_empty_for_any_float_coefficients(p):
-    assert div(curl_scalar(p)).coeffs == {}
+    # Below degree 8 the two orders of differentiation multiply each
+    # coefficient by integers whose odd parts are 1 or equal, so the
+    # rounding is the same and div(curl p) vanishes exactly.
+    cx, cy = curl(packed(p))
+    assert not (cx @ DX.T + cy @ DY.T).any()
 
 
-@given(float_poly_strategy(4), float_poly_strategy(4))
+@given(coeff_strategy(4, float_coeffs), st.lists(float_coeffs, min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_eval_commutes_with_multiplication(p, q):
+def test_eval_commutes_with_multiplication(p, line):
+    line = np.array(line)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, (16, 2))
-    lhs = (p * q)(pts[:, 0], pts[:, 1])
-    rhs = p(pts[:, 0], pts[:, 1]) * q(pts[:, 0], pts[:, 1])
+    x, y = pts[:, 0], pts[:, 1]
+    lhs = evaluate(_pack_grids(_mul_affine(grid(p), line)), x, y)
+    rhs = evaluate(packed(p), x, y) * (line[0] + line[1] * x + line[2] * y)
     scale = np.abs(rhs).max() + 1.0
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * scale)
 
 
-def test_grad_and_vecpoly():
-    g = grad(X * X * Y)
-    assert g.x.coeffs == (2 * (X * Y)).coeffs
-    assert g.y.coeffs == (X * X).coeffs
-    v = VecPoly2(X, Y)
-    assert v.div().coeffs == Poly2.constant(2.0).coeffs
-    assert v.dot([2.0, 3.0]).coeffs == (2 * X + 3 * Y).coeffs
-
-
 def test_pack_vandermonde_consistency():
+    # vandermonde, DX and DY against direct evaluation of x^i y^j and its
+    # partial derivatives, monomial by monomial.
     rng = np.random.default_rng(1)
-    polys = [Poly2({(i, j): rng.standard_normal()
-                    for i in range(4) for j in range(4) if i + j <= 4})
-             for _ in range(5)]
     pts = rng.uniform(-1, 1, (20, 2))
+    x, y = pts[:, 0], pts[:, 1]
     V = vandermonde(pts)
-    M = pack(polys)
-    direct = np.column_stack([p(pts[:, 0], pts[:, 1]) for p in polys])
-    np.testing.assert_allclose(V @ M.T, direct, rtol=1e-13, atol=1e-13)
+    for k, (i, j) in enumerate(MONOMIALS):
+        e = np.zeros(len(MONOMIALS))
+        e[k] = 1.0
+        np.testing.assert_allclose(V @ e, x**i * y**j, rtol=1e-13, atol=1e-15)
+        dx = i * x ** max(i - 1, 0) * y**j
+        dy = j * x**i * y ** max(j - 1, 0)
+        np.testing.assert_allclose(V @ (DX @ e), dx, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(V @ (DY @ e), dy, rtol=1e-13, atol=1e-14)

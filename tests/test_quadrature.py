@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadseq.mesh import make_mesh
-from quadseq.quadrature import QuadratureRule, gauss01, quadrature_points
+from quadseq.quadrature import QuadratureRule, gauss01
 
 
 def test_unit_measure(unit_square):
@@ -46,10 +46,9 @@ def test_exactness_degree(spec_trapezoid):
 
 
 def test_quadrature_points_api(unit_square):
-    items = quadrature_points(unit_square, 4)
-    assert len(items) == 16
-    total = sum(w for _, w in items)
-    assert total == pytest.approx(1.0, rel=1e-13)
+    pts, wts = QuadratureRule(4).cell_points(unit_square)
+    assert pts.shape == (16, 2) and wts.shape == (16,)
+    assert wts.sum() == pytest.approx(1.0, rel=1e-13)
 
 
 def test_order_bounds():

@@ -26,6 +26,15 @@ def test_fit_order_on_exact_power_law():
     assert pairwise_orders(ns, errs)[1:] == pytest.approx([2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("study", [run_scalar_study, run_brinkman_study,
+                                   run_scalar_interpolation_study,
+                                   run_vector_interpolation_study])
+@pytest.mark.parametrize("n_list", [[8, 4], [4, 8, 8]])
+def test_resolutions_must_increase(study, n_list):
+    with pytest.raises(ValueError, match="increase strictly"):
+        study(n_list=n_list)
+
+
 def test_scalar_study_decreases():
     r = run_scalar_study(eps=1.0, n_list=[4, 8, 16])
     e = r.errors["energy"]
