@@ -49,6 +49,8 @@ def _formats(allowed):
                 raise argparse.ArgumentTypeError(
                     f"unknown format {f!r}; use {','.join(allowed)}"
                 )
+        if not fmts:
+            raise argparse.ArgumentTypeError(f"no format selected; use {','.join(allowed)}")
         return fmts
     return parse
 

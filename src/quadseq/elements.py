@@ -493,21 +493,28 @@ def aggregation_coeffs_formula(geom: QuadGeometry, element: ScalarElement) -> np
 # unisolvency determinant oracles
 # ---------------------------------------------------------------------------
 
-def det_oracles(s1: float, s2: float):
+def det_oracles(s1, s2):
     """Closed-form determinants (det M, det N, det B-) of the three
-    auxiliary unisolvency matrices, as functions of the cell shape vector."""
-    if abs(s1) + abs(s2) >= 1.0:
-        raise NonConvexCellError("shape parameters outside the convexity diamond")
+    auxiliary unisolvency matrices, as functions of the cell shape vector.
+
+    ``s1`` and ``s2`` are floats or arrays of one batch shape; a shape
+    outside the convexity diamond raises ``NonConvexCellError``, naming the
+    first such entry of a batch."""
+    _check(np.abs(s1) + np.abs(s2) >= 1.0, NonConvexCellError,
+           "shape parameters outside the convexity diamond")
+    # Powers go through libm pow, as for a Python or numpy float, so a batch
+    # gives the bits of one-cell calls (numpy's array ** differs in the last bit).
+    pw = np.float_power
     f1 = (s1 + s2 - 1) * (s1 - s2 - 1) / ((s2 - 1) * (s2 + 1))
     f2 = (s1 - s2 + 1) * (s1 + s2 + 1) / ((s2 - 1) * (s2 + 1))
     f3 = (s1 + s2 + 1) * (s1 - s2 - 1) / ((s1 - 1) * (s1 + 1))
     f4 = (s1 - s2 + 1) * (s1 + s2 - 1) / ((s1 - 1) * (s1 + 1))
-    det_m = 4 * f3**2 * f4**2 * (s1 - s2 - 1) * (s1**2 + s2**2 - 1)
-    det_n = 4 * f1**2 * f2**2 * (s1 + s2 - 1) * (s1**2 + s2**2 - 1)
+    det_m = 4 * pw(f3, 2) * pw(f4, 2) * (s1 - s2 - 1) * (pw(s1, 2) + pw(s2, 2) - 1)
+    det_n = 4 * pw(f1, 2) * pw(f2, 2) * (s1 + s2 - 1) * (pw(s1, 2) + pw(s2, 2) - 1)
     numer = (
-        (s1**6 + s2**6) - s1**2 * s2**2 * (s1**2 + s2**2)
-        + 9 * (s1**4 + s2**4) - 26 * s1**2 * s2**2
-        + 15 * (s1**2 + s2**2) - 25
+        (pw(s1, 6) + pw(s2, 6)) - pw(s1, 2) * pw(s2, 2) * (pw(s1, 2) + pw(s2, 2))
+        + 9 * (pw(s1, 4) + pw(s2, 4)) - 26 * pw(s1, 2) * pw(s2, 2)
+        + 15 * (pw(s1, 2) + pw(s2, 2)) - 25
     )
     denom = (
         20250.0 * (s1 - 1) * (s1 + 1) * (s2 - 1) * (s2 + 1)

@@ -120,12 +120,6 @@ class Mesh:
         """Interior vertices - interior edges + cells; equals 1 on a disk."""
         return self.n_interior_vertices - self.n_interior_edges + self.n_cells
 
-    # -- geometry --------------------------------------------------------------
-
-    def geometry(self, cell_index: int) -> QuadGeometry:
-        """Geometry of one cell, a view into ``cell_geometry``."""
-        return self.cell_geometry[cell_index]
-
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> str:

@@ -8,7 +8,9 @@ and exactness is an integer statement: the divergence matrix is onto the
 mean-zero pressures, its kernel has the dimension of the scalar space, and
 the rotated gradients of the scalar basis span that kernel. Ranks are
 computed by dense SVD with a relative singular-value cutoff, and the report
-records the spectral gap at the cut.
+records the spectral gap at the cut. The per-cell curl re-interpolation
+check is the one the element certificate runs (``quadseq.verify``), applied
+to the unit-shape cells of the mesh.
 """
 
 from __future__ import annotations
@@ -27,16 +29,11 @@ from .assembly import (
 )
 from .cases import brinkman_sin_stream
 from .dofmap import ScalarDofMap, VectorDofMap
-from .elements import (
-    _swap,
-    _vector_dof_rows,
-    build_scalar_element,
-    build_vector_element,
-    vector_dof_values,
-)
+from .elements import build_scalar_element, build_vector_element, vector_dof_values
 from .geometry import QuadGeometry
 from .mesh import Mesh
 from .poly import DX, DY, vandermonde
+from .verify import _curl_inclusion_residual
 
 __all__ = [
     "divergence_matrix",
@@ -72,7 +69,7 @@ def _dense(shape, blocks):
 
 
 def curl_matrix(mesh: Mesh):
-    """Sparse map taking scalar DoFs to the vector DoFs of the rotated gradient.
+    """Map taking scalar DoFs to the vector DoFs of the rotated gradient.
 
     Vertex part: (w_y, -w_x) at each interior vertex. Edge part: the normal
     integral of the rotated gradient equals the difference of the endpoint
@@ -80,28 +77,16 @@ def curl_matrix(mesh: Mesh):
     """
     sdm = ScalarDofMap(mesh)
     vdm = VectorDofMap(mesh)
-    rows, cols, vals = [], [], []
-    for v in range(mesh.n_vertices):
-        if mesh.vertex_is_boundary[v]:
-            continue
-        wv, wx, wy = sdm.vertex_dofs[v]
-        ux, uy = vdm.vertex_dofs[v]
-        rows += [ux, uy]
-        cols += [wy, wx]
-        vals += [1.0, -1.0]
-    for ei in range(mesh.n_edges):
-        ed = vdm.edge_dofs[ei]
-        if ed < 0:
-            continue
-        a, b = mesh.edge_vertices[ei]
-        # t_E = -(unit vector from a to b), so the integral of d w / d t_E
-        # along the edge is w(V_a) - w(V_b).
-        for vert, sign in ((a, 1.0), (b, -1.0)):
-            wv = sdm.vertex_dofs[vert][0]
-            if wv >= 0:
-                rows.append(ed)
-                cols.append(wv)
-                vals.append(sign)
+    inner = ~mesh.vertex_is_boundary
+    # t_E = -(unit vector from a to b) for edge (a, b), so the integral of
+    # d w / d t_E along the edge is w(V_a) - w(V_b).
+    ends = sdm.vertex_dofs[mesh.edge_vertices, 0]
+    edge = np.broadcast_to(vdm.edge_dofs[:, None], ends.shape)
+    free = (edge >= 0) & (ends >= 0)
+    rows = np.concatenate([vdm.vertex_dofs[inner, 0], vdm.vertex_dofs[inner, 1], edge[free]])
+    cols = np.concatenate([sdm.vertex_dofs[inner, 2], sdm.vertex_dofs[inner, 1], ends[free]])
+    vals = np.concatenate([np.ones(inner.sum()), -np.ones(inner.sum()),
+                           np.broadcast_to([1.0, -1.0], ends.shape)[free]])
     C = sp.coo_matrix((vals, (rows, cols)), shape=(vdm.ndof, sdm.ndof))
     return C.toarray(), sdm, vdm
 
@@ -189,11 +174,7 @@ def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
 
     # Per cell: the rotated gradient of each scalar basis function,
     # re-interpolated through the vector DoFs, must reproduce itself.
-    curl_x = sc.coeff_matrix @ DY.T
-    curl_y = -(sc.coeff_matrix @ DX.T)
-    S = _swap(_vector_dof_rows(curl_x, curl_y, unit)[:, :12])   # (n, 12 curls, 12 dofs)
-    reinterp = float(max(np.abs(S @ vc.coeff_x - curl_x).max(),
-                         np.abs(S @ vc.coeff_y - curl_y).max()))
+    reinterp = float(_curl_inclusion_residual(unit, sc, vc)[0].max())
 
     # Global consistency: push a random scalar coefficient vector through the
     # matrix and compare against per-cell DoFs of the local rotated gradient.
@@ -202,8 +183,8 @@ def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
     u = C @ w if sdm.ndof else np.zeros(vdm.ndof)
     c = sdm.gather(w) * scalar_dof_scaling(geom.h)
     h = geom.h[:, None]
-    field_x = np.einsum("nj,njm->nm", c, curl_x) / h
-    field_y = np.einsum("nj,njm->nm", c, curl_y) / h
+    field_x = np.einsum("nj,njm->nm", c, sc.coeff_matrix @ DY.T) / h
+    field_y = np.einsum("nj,njm->nm", c, -(sc.coeff_matrix @ DX.T)) / h
 
     def rotated_gradient(x, y):
         V = vandermonde(geom.to_local(np.stack([x, y], axis=-1)))

@@ -1,12 +1,14 @@
-"""Element identity certificates over sweeps of convex quadrilaterals.
+"""Element identity certificates over a batch of convex quadrilaterals.
 
-For each sampled cell this checks, against closed forms or independent
-quadrature: the three unisolvency determinants, nodal duality and the
-aggregation constraints of both elements, the cubic edge-mean identity and
-the weighted normal-trace identity on every nodal basis function, quadratic
-and linear-vector reproduction, membership of the rotated scalar gradients
-in the vector space, and the bubble trace relations. Residuals are
-aggregated as maxima and compared against fixed thresholds.
+Each check runs on all sampled cells at once and gives one residual per
+cell, against closed forms or independent quadrature: the three
+unisolvency determinants, nodal duality and the aggregation constraints of
+both elements, the cubic edge-mean identity and the weighted normal-trace
+identity on every nodal basis function, quadratic and linear-vector
+reproduction, membership of the rotated scalar gradients in the vector
+space (the curl re-interpolation check that ``quadseq.sequence`` also
+runs), and the bubble trace relations. Residuals are aggregated as maxima
+over the cells and compared against fixed thresholds.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ THRESHOLDS = {
 
 
 def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
-                        max_aspect: float | None = None):
-    """Seeded stream of convex quads: shape vector in the diamond, then a
+                        max_aspect: float | None = None) -> QuadGeometry:
+    """Seeded batch of convex quads: shape vector in the diamond, then a
     random affine map and translation.
 
     With ``max_aspect`` set, the affine factor is built from rotations and a
@@ -91,85 +93,93 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
             if np.linalg.det(L) < 0:
                 L = L @ np.diag([1.0, -1.0])
         scale = rng.uniform(0.5, 2.0)
-        out.append(QuadGeometry(verts @ (scale * L).T + rng.uniform(-3, 3, 2)))
-    return out
+        out.append(verts @ (scale * L).T + rng.uniform(-3, 3, 2))
+    return QuadGeometry(np.stack(out))
 
 
-def _family_quads(family: str, seed: int, n: int = 4):
+def _family_quads(family: str, seed: int, samples: int, n: int = 4) -> QuadGeometry:
+    """``samples`` cells of an n x n mesh, cycling through its cells in order."""
     mesh = make_mesh(n, family, seed=seed)
-    return [mesh.geometry(ci) for ci in range(mesh.n_cells)]
+    return mesh.cell_geometry[np.arange(samples) % mesh.n_cells]
 
 
-def _edge_mean_identity_residual(geom: QuadGeometry, coeff: np.ndarray) -> float:
+# The residual helpers below take geometries and elements of any batch shape
+# and return one residual per cell, with that batch shape.
+
+def _edge_mean_identity_residual(geom: QuadGeometry, coeff: np.ndarray) -> np.ndarray:
     """Cubic edge-mean identity: edge mean vs Simpson endpoint expression."""
-    h = geom.h
+    h = geom.h[..., None, None]
     Vv = _vt(geom.local_vertices)
     vals_v = coeff @ Vv
     gx, gy = (coeff @ DX.T) @ Vv, (coeff @ DY.T) @ Vv
     worst = 0.0
     for i in range(4):
-        t = geom.tangents[i]
+        t = geom.tangents[..., i, None, None, :]
         loc = geom.to_local(geom.edge_points(i, _ET))
         mean = (coeff @ _vt(loc)) @ _EW
-        dt = (gx * t[0] + gy * t[1]) / h
+        dt = (gx * t[..., 0] + gy * t[..., 1]) / h
         j = (i + 1) % 4
         resid = (
-            mean - 0.5 * (vals_v[:, i] + vals_v[:, j])
-            + geom.edge_len[i] / 12.0 * (dt[:, j] - dt[:, i])
+            mean - 0.5 * (vals_v[..., i] + vals_v[..., j])
+            + geom.edge_len[..., i, None] / 12.0 * (dt[..., j] - dt[..., i])
         )
-        worst = max(worst, float(np.abs(resid).max()))
+        worst = np.maximum(worst, np.abs(resid).max(-1))
     return worst
 
 
-def _weighted_normal_identity_residual(geom: QuadGeometry, elt) -> float:
+def _weighted_normal_identity_residual(geom: QuadGeometry, elt) -> np.ndarray:
     """(1/|E|) int (v.n) xi ds = (v(V_{i+1}) - v(V_i)).n / 6 for basis fields."""
     worst = 0.0
     Vv = _vt(geom.local_vertices)
     vx_v = elt.coeff_x @ Vv
     vy_v = elt.coeff_y @ Vv
     for i in range(4):
-        n = geom.normals[i]
+        n = geom.normals[..., i, None, :]
         loc = geom.to_local(geom.edge_points(i, _ET))
         V = _vt(loc)
-        vn = (elt.coeff_x @ V) * n[0] + (elt.coeff_y @ V) * n[1]
-        xi = geom.edge_param_coeffs[i]
-        xi_vals = xi[0] + xi[1] * loc[:, 0] + xi[2] * loc[:, 1]
-        lhs = vn @ (_EW * xi_vals)
+        vn = (elt.coeff_x @ V) * n[..., None, 0] + (elt.coeff_y @ V) * n[..., None, 1]
+        xi = geom.edge_param_coeffs[..., i, None, :]
+        xi_vals = xi[..., 0] + xi[..., 1] * loc[..., 0] + xi[..., 2] * loc[..., 1]
+        lhs = (vn @ (_EW * xi_vals)[..., None])[..., 0]
         j = (i + 1) % 4
-        rhs = ((vx_v[:, j] - vx_v[:, i]) * n[0] + (vy_v[:, j] - vy_v[:, i]) * n[1]) / 6.0
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        rhs = ((vx_v[..., j] - vx_v[..., i]) * n[..., 0]
+               + (vy_v[..., j] - vy_v[..., i]) * n[..., 1]) / 6.0
+        worst = np.maximum(worst, np.abs(lhs - rhs).max(-1))
     return worst
 
 
 def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
     """Re-interpolating each rotated scalar gradient must reproduce it.
 
-    The residual is the max coefficient of the difference, divided by the
-    coefficient magnitude of the rotated gradients when that exceeds one
-    (strongly skewed cells carry large local coefficients; the identity
-    itself holds to relative rounding there).
+    Returns, per cell, the max coefficient of the difference, the
+    coefficient magnitude of the rotated gradients (at least one) and the
+    largest total edge flux of a re-interpolated gradient. Strongly skewed
+    cells carry large local coefficients and the identity holds to relative
+    rounding there, so the element certificate divides the residual by the
+    scale; the exact-sequence certificate, on unit-diameter cells, does not.
     """
     curl_x = scalar_elt.coeff_matrix @ DY.T
     curl_y = -(scalar_elt.coeff_matrix @ DX.T)
-    S = _swap(_vector_dof_rows(curl_x, curl_y, geom)[:12])
+    S = _swap(_vector_dof_rows(curl_x, curl_y, geom)[..., :12, :])
     rx = S @ vector_elt.coeff_x - curl_x
     ry = S @ vector_elt.coeff_y - curl_y
-    flux = float(np.abs(S[:, :4].sum(axis=1)).max())
-    scale = max(1.0, np.abs(curl_x).max(), np.abs(curl_y).max())
-    resid = max(float(np.abs(rx).max()), float(np.abs(ry).max())) / scale
-    return resid, flux
+    flux = np.abs(S[..., :4].sum(-1)).max(-1)
+    scale = np.maximum(1.0, np.maximum(np.abs(curl_x).max((-2, -1)),
+                                       np.abs(curl_y).max((-2, -1))))
+    resid = np.maximum(np.abs(rx).max((-2, -1)), np.abs(ry).max((-2, -1)))
+    return resid, scale, flux
 
 
 def _reproduction_residuals(geom: QuadGeometry):
     """Quadratic (scalar) and linear (vector) reproduction through the DoFs."""
-    b, h = geom.b, geom.h
+    b, h = geom.b[..., None, :], geom.h[..., None]
 
     def u(x, y):
-        X, Y = (x - b[0]) / h, (y - b[1]) / h
+        X, Y = (x - b[..., 0]) / h, (y - b[..., 1]) / h
         return 0.4 - 1.1 * X + 0.7 * Y + 0.9 * X * X - 1.3 * X * Y + 0.5 * Y * Y
 
     def gu(x, y):
-        X, Y = (x - b[0]) / h, (y - b[1]) / h
+        X, Y = (x - b[..., 0]) / h, (y - b[..., 1]) / h
         return np.stack([(-1.1 + 1.8 * X - 1.3 * Y) / h, (0.7 - 1.3 * X + 1.0 * Y) / h], -1)
 
     se = build_scalar_element(geom)
@@ -177,38 +187,42 @@ def _reproduction_residuals(geom: QuadGeometry):
     rng = np.random.default_rng(11)
     ref = rng.uniform(-1, 1, (40, 2))
     pts = geom.map_reference(ref)
-    err_s = np.abs(se.tabulate(pts)[0] @ dofs - u(pts[:, 0], pts[:, 1])).max()
+    vals = (se.tabulate(pts)[0] @ dofs[..., None])[..., 0]
+    err_s = np.abs(vals - u(pts[..., 0], pts[..., 1])).max(-1)
 
     def v(x, y):
-        X, Y = (x - b[0]) / h, (y - b[1]) / h
+        X, Y = (x - b[..., 0]) / h, (y - b[..., 1]) / h
         return np.stack([0.3 + 0.8 * Y - 0.2 * X, -0.6 + 0.5 * X + 0.9 * Y], -1)
 
     ve = build_vector_element(geom)
     vdofs = vector_dof_values(geom, v)
     err_v = np.abs(
-        np.einsum("qjc,j->qc", ve.tabulate(pts)[0], vdofs) - v(pts[:, 0], pts[:, 1])
-    ).max()
-    return float(err_s), float(err_v), se, ve
+        np.einsum("...qjc,...j->...qc", ve.tabulate(pts)[0], vdofs) - v(pts[..., 0], pts[..., 1])
+    ).max((-2, -1))
+    return err_s, err_v, se, ve
 
 
-def _bubble_residuals(geom: QuadGeometry) -> tuple[float, float]:
+def _bubble_residuals(geom: QuadGeometry):
     C = _pack_grids(_bubble_grids(geom))
     Cx, Cy = C @ DX.T, C @ DY.T
-    h = geom.h
+    h = geom.h[..., None, None]
     Vv = _vt(geom.local_vertices)
-    vals = max(np.abs(C @ Vv).max(), np.abs(Cx @ Vv).max() / h, np.abs(Cy @ Vv).max() / h)
+    vals = np.maximum(np.abs(C @ Vv).max((-2, -1)),
+                      np.maximum(np.abs(Cx @ Vv).max((-2, -1)) / geom.h,
+                                 np.abs(Cy @ Vv).max((-2, -1)) / geom.h))
 
     # Tangential trace of the rotated gradient vs normal-derivative mean.
     worst = 0.0
     for i in range(4):
-        n, t = geom.normals[i], geom.tangents[i]
+        n, t = geom.normals[..., i, None, None, :], geom.tangents[..., i, None, None, :]
+        length = geom.edge_len[..., i, None]
         Ve = _vt(geom.to_local(geom.edge_points(i, _ET)))
         gxe, gye = Cx @ Ve, Cy @ Ve
         # int curl b . t ds = -|E| * mean(db/dn)
-        curl_t = ((gye * t[0] - gxe * t[1]) / h) @ _EW * geom.edge_len[i]
-        dn_mean = ((gxe * n[0] + gye * n[1]) / h) @ _EW
-        worst = max(worst, float(np.abs(curl_t + geom.edge_len[i] * dn_mean).max()))
-    return float(vals), worst
+        curl_t = ((gye * t[..., 0] - gxe * t[..., 1]) / h) @ _EW * length
+        dn_mean = ((gxe * n[..., 0] + gye * n[..., 1]) / h) @ _EW
+        worst = np.maximum(worst, np.abs(curl_t + length * dn_mean).max(-1))
+    return vals, worst
 
 
 @dataclass
@@ -269,48 +283,38 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
     identity_samples = identity_samples or min(samples, 200)
     if family == "sweep":
         quads = random_convex_quads(samples, seed)
-        identity_quads = random_convex_quads(
-            identity_samples, seed + 1, max_skew=0.8, max_aspect=2.0
-        )
+        cells = random_convex_quads(identity_samples, seed + 1, max_skew=0.8, max_aspect=2.0)
     elif family in ("rectangular", "trapezoidal", "random"):
-        cells = _family_quads(family, seed)
-        quads = (cells * (samples // len(cells) + 1))[:samples]
-        identity_quads = (cells * (identity_samples // len(cells) + 1))[:identity_samples]
+        quads = _family_quads(family, seed, samples)
+        cells = _family_quads(family, seed, identity_samples)
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    res = {k: 0.0 for k in THRESHOLDS}
-    for geom in quads:
-        num = np.array(numeric_dets(geom))
-        orc = np.array(det_oracles(*geom.s))
-        res["det_rel_err"] = max(res["det_rel_err"], float(np.abs((num - orc) / orc).max()))
+    num = np.stack(numeric_dets(quads), axis=-1)
+    orc = np.stack(det_oracles(quads.s[:, 0], quads.s[:, 1]), axis=-1)
 
-    for geom in identity_quads:
-        err_s, err_v, se, ve = _reproduction_residuals(geom)
-        res["p2_reproduction"] = max(res["p2_reproduction"], err_s)
-        res["p1_vector_reproduction"] = max(res["p1_vector_reproduction"], err_v)
-        res["scalar_duality"] = max(res["scalar_duality"], se.duality_defect)
-        res["scalar_constraint"] = max(res["scalar_constraint"], se.constraint_residual)
-        res["vector_duality"] = max(res["vector_duality"], ve.duality_defect)
-        res["vector_constraint"] = max(res["vector_constraint"], ve.constraint_residual)
-        res["div_in_p0"] = max(res["div_in_p0"], ve.div_residual)
-        res["edge_mean_identity"] = max(
-            res["edge_mean_identity"], _edge_mean_identity_residual(geom, se.coeff_matrix)
-        )
-        res["aggregation_crosscheck"] = max(
-            res["aggregation_crosscheck"],
-            float(np.abs(se.aggregation - aggregation_coeffs_formula(geom, se)).max()),
-        )
-        res["weighted_normal_identity"] = max(
-            res["weighted_normal_identity"], _weighted_normal_identity_residual(geom, ve)
-        )
-        incl, flux = _curl_inclusion_residual(geom, se, ve)
-        res["curl_inclusion"] = max(res["curl_inclusion"], incl)
-        res["curl_flux_sum"] = max(res["curl_flux_sum"], flux)
-        bv, btr = _bubble_residuals(geom)
-        res["bubble_vertex_values"] = max(res["bubble_vertex_values"], bv)
-        res["bubble_trace_relation"] = max(res["bubble_trace_relation"], btr)
-
+    err_s, err_v, se, ve = _reproduction_residuals(cells)
+    incl, scale, flux = _curl_inclusion_residual(cells, se, ve)
+    bv, btr = _bubble_residuals(cells)
+    per_cell = {
+        "det_rel_err": np.abs((num - orc) / orc),
+        "p2_reproduction": err_s,
+        "p1_vector_reproduction": err_v,
+        "scalar_duality": se.duality_defect,
+        "scalar_constraint": se.constraint_residual,
+        "vector_duality": ve.duality_defect,
+        "vector_constraint": ve.constraint_residual,
+        "div_in_p0": ve.div_residual,
+        "edge_mean_identity": _edge_mean_identity_residual(cells, se.coeff_matrix),
+        "aggregation_crosscheck":
+            np.abs(se.aggregation - aggregation_coeffs_formula(cells, se)),
+        "weighted_normal_identity": _weighted_normal_identity_residual(cells, ve),
+        "curl_inclusion": incl / scale,
+        "curl_flux_sum": flux,
+        "bubble_vertex_values": bv,
+        "bubble_trace_relation": btr,
+    }
+    res = {k: float(per_cell[k].max()) for k in THRESHOLDS}
     return ElementCertificate(
         family=family, samples=len(quads), identity_samples=identity_samples,
         seed=seed, residuals=res,

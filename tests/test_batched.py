@@ -332,7 +332,7 @@ def test_mesh_geometry_is_one_batch():
     mesh = make_mesh(3, "random", seed=5)
     geom = mesh.cell_geometry
     assert geom.h.shape == (mesh.n_cells,)
-    one = mesh.geometry(4)
+    one = mesh.cell_geometry[4]
     np.testing.assert_array_equal(one.vertices, mesh.vertices[mesh.cells[4]])
     np.testing.assert_array_equal(one.edge_line_coeffs, geom.edge_line_coeffs[4])
     assert one.h == geom.h[4]

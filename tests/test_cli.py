@@ -56,6 +56,11 @@ def test_usage_errors_exit_two():
     assert main(["study", "scalar", "--n", "8,4"]) == 2
     assert main(["verify", "element", "--samples", "0"]) == 2
     assert main(["verify", "element", "--samples", "-3"]) == 2
+    for argv in (["study", "scalar", "--n", "4", "--format", ","],
+                 ["verify", "element", "--samples", "2", "--format", ","]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", "/tmp/never"])
+        assert exc.value.code == 2
 
 
 def test_verify_element_writes_md_and_json_only(tmp_path, capsys):

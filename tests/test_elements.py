@@ -18,9 +18,14 @@ from quadseq.geometry import NonConvexCellError, QuadGeometry
 from quadseq.mesh import make_mesh
 from quadseq.poly import DX, DY, MONOMIALS, vandermonde
 from quadseq.verify import (
+    THRESHOLDS,
+    _bubble_residuals,
     _curl_inclusion_residual,
     _edge_mean_identity_residual,
+    _family_quads,
+    _reproduction_residuals,
     _weighted_normal_identity_residual,
+    element_certificate,
     random_convex_quads,
 )
 
@@ -44,6 +49,16 @@ def test_det_oracles_at_origin():
 def test_det_oracles_reject_nonconvex():
     with pytest.raises(NonConvexCellError):
         det_oracles(0.7, 0.4)
+
+
+def test_det_oracles_on_a_batch():
+    s = random_convex_quads(50, seed=12).s
+    batch = det_oracles(s[:, 0], s[:, 1])
+    for k, (s1, s2) in enumerate(s):
+        assert [d[k] for d in batch] == list(det_oracles(s1, s2))
+    s[[3, 7]] = [0.7, 0.4]
+    with pytest.raises(NonConvexCellError, match="cell 3:"):
+        det_oracles(s[:, 0], s[:, 1])
 
 
 def test_numeric_dets_match_closed_forms():
@@ -238,14 +253,12 @@ def test_weighted_normal_identity_on_basis(random_quads):
 
 def test_curl_inclusion_on_mesh_cells():
     for family, seed in [("rectangular", 0), ("trapezoidal", 0), ("random", 5)]:
-        mesh = make_mesh(4, family, seed=seed)
-        for ci in range(mesh.n_cells):
-            g = mesh.geometry(ci)
-            se = build_scalar_element(g)
-            ve = build_vector_element(g)
-            resid, flux = _curl_inclusion_residual(g, se, ve)
-            assert resid < 1e-10
-            assert flux < 1e-10
+        g = make_mesh(4, family, seed=seed).cell_geometry
+        resid, scale, flux = _curl_inclusion_residual(
+            g, build_scalar_element(g), build_vector_element(g)
+        )
+        assert (resid / scale).max() < 1e-10
+        assert flux.max() < 1e-10
 
 
 def test_divergence_of_interpolated_curl_vanishes(unit_square):
@@ -260,7 +273,6 @@ def test_divergence_of_interpolated_curl_vanishes(unit_square):
 
 
 def test_bubble_trace_relation(random_quads):
-    from quadseq.verify import _bubble_residuals
     for g in random_quads[:10]:
         vals, trace = _bubble_residuals(g)
         assert trace < 1e-10
@@ -269,6 +281,48 @@ def test_bubble_trace_relation(random_quads):
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3},
                                     {"samples": 5, "identity_samples": 0}])
 def test_certificate_needs_a_sample(kwargs):
-    from quadseq.verify import element_certificate
     with pytest.raises(ValueError, match="at least 1"):
         element_certificate(**kwargs)
+
+
+def _one_cell_certificate(quads, cells):
+    """The certificate's residuals as maxima over one-cell calls."""
+    res = dict.fromkeys(THRESHOLDS, 0.0)
+
+    def bump(key, value):
+        res[key] = max(res[key], float(np.max(value)))
+
+    for g in quads:
+        num, orc = np.array(numeric_dets(g)), np.array(det_oracles(*g.s))
+        bump("det_rel_err", np.abs((num - orc) / orc))
+    for g in cells:
+        err_s, err_v, se, ve = _reproduction_residuals(g)
+        incl, scale, flux = _curl_inclusion_residual(g, se, ve)
+        bv, btr = _bubble_residuals(g)
+        for key, value in [
+            ("p2_reproduction", err_s), ("p1_vector_reproduction", err_v),
+            ("scalar_duality", se.duality_defect),
+            ("scalar_constraint", se.constraint_residual),
+            ("vector_duality", ve.duality_defect),
+            ("vector_constraint", ve.constraint_residual),
+            ("div_in_p0", ve.div_residual),
+            ("edge_mean_identity", _edge_mean_identity_residual(g, se.coeff_matrix)),
+            ("aggregation_crosscheck",
+             np.abs(se.aggregation - aggregation_coeffs_formula(g, se))),
+            ("weighted_normal_identity", _weighted_normal_identity_residual(g, ve)),
+            ("curl_inclusion", incl / scale), ("curl_flux_sum", flux),
+            ("bubble_vertex_values", bv), ("bubble_trace_relation", btr),
+        ]:
+            bump(key, value)
+    return res
+
+
+@pytest.mark.parametrize("family,samples,seed", [("sweep", 60, 3), ("random", 20, 4)])
+def test_certificate_equals_one_cell_maxima(family, samples, seed):
+    cert = element_certificate(samples, seed=seed, family=family, identity_samples=25)
+    if family == "sweep":
+        quads = random_convex_quads(samples, seed)
+        cells = random_convex_quads(25, seed + 1, max_skew=0.8, max_aspect=2.0)
+    else:
+        quads, cells = _family_quads(family, seed, samples), _family_quads(family, seed, 25)
+    assert cert.residuals == _one_cell_certificate(quads, cells)

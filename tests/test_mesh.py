@@ -24,8 +24,8 @@ def test_euler_identity(family, n):
 def test_rectangular_cells_are_parallelograms():
     mesh = make_mesh(3, "rectangular")
     for ci in range(mesh.n_cells):
-        np.testing.assert_allclose(mesh.geometry(ci).s, [0.0, 0.0], atol=1e-14)
-        assert mesh.geometry(ci).area == pytest.approx(1.0 / 9.0)
+        np.testing.assert_allclose(mesh.cell_geometry[ci].s, [0.0, 0.0], atol=1e-14)
+        assert mesh.cell_geometry[ci].area == pytest.approx(1.0 / 9.0)
 
 
 def test_trapezoid_delta_zero_equals_rectangular():
@@ -60,7 +60,7 @@ def test_random_cells_convex():
 def test_cell_edge_signs_consistent():
     mesh = make_mesh(3, "trapezoidal")
     for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
+        geom = mesh.cell_geometry[ci]
         for k in range(4):
             ei = mesh.cell_edges[ci, k]
             dot = geom.normals[k] @ mesh.edge_normal[ei]
@@ -78,7 +78,7 @@ def test_interior_edges_have_two_cells():
 def test_intermediate_vertex_reconstruction(family):
     mesh = make_mesh(4, family, seed=13)
     for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
+        geom = mesh.cell_geometry[ci]
         mapped = geom.affine_factor(geom.intermediate_vertices())
         np.testing.assert_allclose(mapped, geom.vertices, atol=1e-12)
 

@@ -26,7 +26,7 @@ def test_weights_sum_to_cell_area(family):
     mesh = make_mesh(4, family, seed=8)
     rule = QuadratureRule(4)
     for ci in range(mesh.n_cells):
-        geom = mesh.geometry(ci)
+        geom = mesh.cell_geometry[ci]
         _, wts = rule.cell_points(geom)
         assert wts.sum() == pytest.approx(geom.area, rel=1e-12)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quadseq.dofmap import ScalarDofMap, VectorDofMap
 from quadseq.mesh import make_mesh
 from quadseq.sequence import (
     curl_matrix,
@@ -38,8 +39,7 @@ def test_divergence_rows_sum_to_zero_weighted():
     # which vanishes for every member of the constrained space.
     mesh = make_mesh(4, "trapezoidal")
     D, dm = divergence_matrix(mesh)
-    areas = np.array([mesh.geometry(ci).area for ci in range(mesh.n_cells)])
-    assert np.abs(areas @ D).max() < 1e-12
+    assert np.abs(mesh.cell_geometry.area @ D).max() < 1e-12
 
 
 def test_curl_lands_in_divergence_kernel():
@@ -48,6 +48,36 @@ def test_curl_lands_in_divergence_kernel():
     C, sdm, vdm = curl_matrix(mesh)
     assert np.abs(D @ C).max() < 1e-12
     assert np.linalg.matrix_rank(C) == sdm.ndof
+
+
+def _loop_curl_matrix(mesh):
+    """Reference: the rotated-gradient map assembled vertex by vertex and
+    edge by edge."""
+    sdm, vdm = ScalarDofMap(mesh), VectorDofMap(mesh)
+    C = np.zeros((vdm.ndof, sdm.ndof))
+    for v in range(mesh.n_vertices):
+        if mesh.vertex_is_boundary[v]:
+            continue
+        wv, wx, wy = sdm.vertex_dofs[v]
+        ux, uy = vdm.vertex_dofs[v]
+        C[ux, wy] += 1.0
+        C[uy, wx] += -1.0
+    for ei in range(mesh.n_edges):
+        ed = vdm.edge_dofs[ei]
+        if ed < 0:
+            continue
+        a, b = mesh.edge_vertices[ei]
+        for vert, sign in ((a, 1.0), (b, -1.0)):
+            wv = sdm.vertex_dofs[vert][0]
+            if wv >= 0:
+                C[ed, wv] += sign
+    return C
+
+
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+def test_curl_matrix_equals_loop_reference(family):
+    mesh = make_mesh(4, family, seed=6)
+    assert np.array_equal(curl_matrix(mesh)[0], _loop_curl_matrix(mesh))
 
 
 def test_probe_divergence_projection_vanishes():
