@@ -97,12 +97,6 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
     return QuadGeometry(np.stack(out))
 
 
-def _family_quads(family: str, seed: int, samples: int, n: int = 4) -> QuadGeometry:
-    """``samples`` cells of an n x n mesh, cycling through its cells in order."""
-    mesh = make_mesh(n, family, seed=seed)
-    return mesh.cell_geometry[np.arange(samples) % mesh.n_cells]
-
-
 # The residual helpers below take geometries and elements of any batch shape
 # and return one residual per cell, with that batch shape.
 
@@ -285,8 +279,10 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
         quads = random_convex_quads(samples, seed)
         cells = random_convex_quads(identity_samples, seed + 1, max_skew=0.8, max_aspect=2.0)
     elif family in ("rectangular", "trapezoidal", "random"):
-        quads = _family_quads(family, seed, samples)
-        cells = _family_quads(family, seed, identity_samples)
+        # Both sets cycle through the cells of one 4 x 4 mesh in order.
+        mesh = make_mesh(4, family, seed=seed)
+        quads, cells = (mesh.cell_geometry[np.arange(k) % mesh.n_cells]
+                        for k in (samples, identity_samples))
     else:
         raise ValueError(f"unknown family {family!r}")
 

@@ -14,8 +14,10 @@ def spec_trapezoid():
 
 
 def make_random_quads(samples, seed=0, max_skew=0.8, max_aspect=2.0):
+    """Seeded random cells, each built by the one-cell ``QuadGeometry``."""
     from quadseq.verify import random_convex_quads
-    return random_convex_quads(samples, seed, max_skew=max_skew, max_aspect=max_aspect)
+    batch = random_convex_quads(samples, seed, max_skew=max_skew, max_aspect=max_aspect)
+    return [QuadGeometry(v) for v in batch.vertices]
 
 
 @pytest.fixture

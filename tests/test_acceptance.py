@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from quadseq.elements import det_oracles, numeric_dets
+from quadseq.geometry import QuadGeometry
 from quadseq.mesh import make_mesh
 from quadseq.sequence import verify_exact_sequence
 from quadseq.study import (
@@ -96,7 +97,8 @@ def rect_darcy():
 def test_criterion_01_unisolvency_oracles():
     t0 = time.perf_counter()
     worst = 0.0
-    for geom in random_convex_quads(1000, seed=1, max_skew=0.95):
+    for v in random_convex_quads(1000, seed=1, max_skew=0.95).vertices:
+        geom = QuadGeometry(v)
         num = np.array(numeric_dets(geom))
         orc = np.array(det_oracles(*geom.s))
         worst = max(worst, float(np.abs((num - orc) / orc).max()))

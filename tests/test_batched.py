@@ -50,10 +50,11 @@ def _assert_close(got, want, rel):
 @settings(max_examples=20, deadline=None)
 @given(count=st.integers(1, 6), seed=st.integers(0, 2**16))
 def test_batched_build_equals_one_cell_builds(count, seed):
-    quads = _quads(count, seed)
-    batch = QuadGeometry(np.stack([g.vertices for g in quads]))
+    verts = _quads(count, seed).vertices
+    batch = QuadGeometry(verts)
     se, ve = build_scalar_element(batch), build_vector_element(batch)
-    for k, g in enumerate(quads):
+    for k, v in enumerate(verts):
+        g = QuadGeometry(v)
         s1, v1 = build_scalar_element(g), build_vector_element(g)
         for got, want in [(se.coeff_matrix[k], s1.coeff_matrix),
                           (se.aggregation[k], s1.aggregation),

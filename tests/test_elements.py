@@ -22,7 +22,6 @@ from quadseq.verify import (
     _bubble_residuals,
     _curl_inclusion_residual,
     _edge_mean_identity_residual,
-    _family_quads,
     _reproduction_residuals,
     _weighted_normal_identity_residual,
     element_certificate,
@@ -62,7 +61,8 @@ def test_det_oracles_on_a_batch():
 
 
 def test_numeric_dets_match_closed_forms():
-    for geom in random_convex_quads(200, seed=12, max_skew=0.95):
+    for v in random_convex_quads(200, seed=12, max_skew=0.95).vertices:
+        geom = QuadGeometry(v)
         num = np.array(numeric_dets(geom))
         orc = np.array(det_oracles(*geom.s))
         np.testing.assert_allclose(num, orc, rtol=1e-9)
@@ -101,7 +101,8 @@ def test_correctors_reduce_on_rectangle():
 
 
 def test_correctors_vanish_at_vertices():
-    for g in random_convex_quads(100, seed=21, max_skew=0.8, max_aspect=2.0):
+    for v in random_convex_quads(100, seed=21, max_skew=0.8, max_aspect=2.0).vertices:
+        g = QuadGeometry(v)
         vals = _correctors(g) @ vandermonde(g.local_vertices).T
         assert np.abs(vals).max() < 1e-13
 
@@ -286,16 +287,17 @@ def test_certificate_needs_a_sample(kwargs):
 
 
 def _one_cell_certificate(quads, cells):
-    """The certificate's residuals as maxima over one-cell calls."""
+    """The certificate's residuals as maxima over one-cell calls, each on a
+    cell built by the one-cell ``QuadGeometry``."""
     res = dict.fromkeys(THRESHOLDS, 0.0)
 
     def bump(key, value):
         res[key] = max(res[key], float(np.max(value)))
 
-    for g in quads:
+    for g in map(QuadGeometry, quads.vertices):
         num, orc = np.array(numeric_dets(g)), np.array(det_oracles(*g.s))
         bump("det_rel_err", np.abs((num - orc) / orc))
-    for g in cells:
+    for g in map(QuadGeometry, cells.vertices):
         err_s, err_v, se, ve = _reproduction_residuals(g)
         incl, scale, flux = _curl_inclusion_residual(g, se, ve)
         bv, btr = _bubble_residuals(g)
@@ -324,5 +326,6 @@ def test_certificate_equals_one_cell_maxima(family, samples, seed):
         quads = random_convex_quads(samples, seed)
         cells = random_convex_quads(25, seed + 1, max_skew=0.8, max_aspect=2.0)
     else:
-        quads, cells = _family_quads(family, seed, samples), _family_quads(family, seed, 25)
+        geom = make_mesh(4, family, seed=seed).cell_geometry
+        quads, cells = geom[np.arange(samples) % 16], geom[np.arange(25) % 16]
     assert cert.residuals == _one_cell_certificate(quads, cells)
