@@ -36,14 +36,7 @@ from .elements import (
 )
 from .geometry import DegenerateCellError, NonConvexCellError, QuadGeometry
 from .mesh import Mesh, MeshGenerationError, make_mesh
-from .norms import (
-    ScalarInterpolantField,
-    ScalarSolutionField,
-    VectorInterpolantField,
-    VectorSolutionField,
-    brinkman_error_norms,
-    scalar_error_norms,
-)
+from .norms import brinkman_error_norms, scalar_error_norms
 from .quadrature import QuadratureRule
 from .sequence import SequenceReport, inf_sup_constant, verify_exact_sequence
 from .study import (

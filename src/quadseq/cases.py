@@ -121,10 +121,6 @@ class BrinkmanCase:
         self.pressure_grad = pressure_grad
         self.divergence = divergence  # None means g == 0 identically
 
-    @property
-    def g_is_zero(self) -> bool:
-        return self.divergence is None
-
     def source(self, nu: float, alpha: float):
         """f = -nu lap u + alpha u + grad p."""
         def f(x, y):

@@ -161,9 +161,6 @@ def _write_report(report, fmts, prefix):
 
 def _cmd_study(args) -> int:
     if args.problem == "scalar":
-        if args.eps < 0:
-            print("error: --eps must be non-negative", file=sys.stderr)
-            return 2
         case = scalar_sin_squared(frequency=args.frequency)
         report = run_scalar_study(
             eps=args.eps, biharmonic=args.biharmonic, family=args.mesh,
@@ -172,9 +169,6 @@ def _cmd_study(args) -> int:
             case=case,
         )
     else:
-        if args.nu < 0 or args.alpha < 0 or (args.nu == 0 and args.alpha == 0):
-            print("error: need nu, alpha >= 0 and not both zero", file=sys.stderr)
-            return 2
         report = run_brinkman_study(
             nu=args.nu, alpha=args.alpha, family=args.mesh, n_list=args.n,
             delta=args.delta, seed=args.seed, quad_order=args.quad_order,
@@ -201,11 +195,7 @@ def _cmd_verify(args) -> int:
           f"sv gap = {report.sv_gap:.2e}")
     for name, ok in report.checks.items():
         print(f"  {name}: {'pass' if ok else 'FAIL'}")
-    if args.out:
-        import json as _json
-        with open(f"{args.out}.json", "w") as fh:
-            _json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_report(report, ["json"], args.out)
     return 0 if report.passed else 1
 
 

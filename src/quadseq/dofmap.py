@@ -25,7 +25,6 @@ class ScalarDofMap:
         interior = ~mesh.vertex_is_boundary
         rank = -np.ones(mesh.n_vertices, dtype=int)
         rank[interior] = np.arange(interior.sum())
-        self.vertex_rank = rank
         self.ndof = 3 * int(interior.sum())
 
         # vertex_dofs[v] = (value, d/dx, d/dy) global indices or -1.

@@ -19,7 +19,7 @@ independent cross-check. Closed-form determinants of three auxiliary
 unisolvency matrices serve as oracles for the construction.
 
 Every function works on a ``QuadGeometry`` of any batch shape: one cell,
-or all cells of a mesh at once, in which case the span grids, the 16x16
+or all cells of a mesh at once, in which case the packed spans, the 16x16
 systems, their condition numbers and solves are stacked along the leading
 cell axis.
 """
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import QuadGeometry, NonConvexCellError, _check, _pow2
-from .poly import DX, DY, MONOMIALS, vandermonde
+from .poly import DX, DY, MONOMIALS, affine_row, mul_affine, vandermonde
 from .quadrature import gauss01
 
 __all__ = [
@@ -70,120 +70,78 @@ def _vt(points):
 # shape-space spans
 # ---------------------------------------------------------------------------
 
-# Span polynomials are chains of affine factors, built by shifted adds on
-# dense degree-8 coefficient grids (index [..., i, j] = coefficient of
-# x^i y^j), which lose nothing at the degrees involved (<= 6), and then packed
-# over the monomial table. Affine factors are (..., 3) arrays (c0, cx, cy).
+# Span polynomials are chains of affine factors (..., 3) = (c0, cx, cy),
+# multiplied out on packed rows (..., 45); their degrees stay <= 6, within
+# the degree-8 monomial table, so no product loses a term.
 
-_G = 9
-_PACK_FLAT = np.array([i * _G + j for i, j in MONOMIALS])
-
-
-def _affine_grid(aff):
-    aff = np.asarray(aff, dtype=float)
-    A = np.zeros(aff.shape[:-1] + (_G, _G))
-    A[..., 0, 0], A[..., 1, 0], A[..., 0, 1] = aff[..., 0], aff[..., 1], aff[..., 2]
-    return A
+_CUBICS = np.eye(len(MONOMIALS))[:10]              # 1, x, y, x^2, ..., y^3
+_LINEAR_FIELDS = np.zeros((2, 6, len(MONOMIALS)))  # (1,0), (0,1), (x,0), (0,x), (y,0), (0,y)
+_LINEAR_FIELDS[[0, 1, 0, 1, 0, 1], range(6), [0, 0, 1, 1, 2, 2]] = 1.0
 
 
-def _mul_affine(A, aff):
-    c0, cx, cy = (aff[..., k, None, None] for k in range(3))
-    out = c0 * A
-    out[..., 1:, :] += cx * A[..., :-1, :]
-    out[..., :, 1:] += cy * A[..., :, :-1]
-    return out
+def _batched(constant_rows, geom):
+    return np.broadcast_to(constant_rows, geom.h.shape + constant_rows.shape)
 
 
-def _grid_dx(A):
-    out = np.zeros_like(A)
-    out[..., :-1, :] = A[..., 1:, :] * np.arange(1, _G)[:, None]
-    return out
-
-
-def _grid_dy(A):
-    out = np.zeros_like(A)
-    out[..., :, :-1] = A[..., :, 1:] * np.arange(1, _G)[None, :]
-    return out
-
-
-def _pack_grids(grids) -> np.ndarray:
-    """(..., k, 9, 9) coefficient grids -> (..., k, 45) packed matrix."""
-    g = np.asarray(grids)
-    return np.take(g.reshape(g.shape[:-2] + (_G * _G,)), _PACK_FLAT, axis=-1)
-
-
-def _monomial_grids(degree):
-    out = np.zeros(((degree + 1) * (degree + 2) // 2, _G, _G))
-    k = 0
-    for d in range(degree + 1):
-        for i in range(d, -1, -1):
-            out[k, i, d - i] = 1.0
-            k += 1
-    return out
-
-
-_CUBICS = _monomial_grids(3)                # 1, x, y, x^2, ..., y^3
-_LINEAR_FIELDS = np.zeros((2, 6, _G, _G))   # (1,0), (0,1), (x,0), (0,x), (y,0), (0,y)
-_LINEAR_FIELDS[[0, 1, 0, 1, 0, 1], range(6), [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]] = 1.0
-
-
-def _batched(constant_grids, geom):
-    return np.broadcast_to(constant_grids, geom.h.shape + constant_grids.shape)
-
-
-def _corrector_grids(geom: QuadGeometry):
+def _corrector_span(geom: QuadGeometry):
+    """(..., 2, 45): the two quintic correctors c1, c2."""
     l1, l2, l3, l4 = (geom.edge_line_coeffs[..., k, :] for k in range(4))
     m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
-    s1, s2 = geom.s[..., 0, None, None], geom.s[..., 1, None, None]
+    s1, s2 = geom.s[..., 0, None], geom.s[..., 1, None]
 
-    b13 = _mul_affine(_affine_grid(l1), l3)
-    q13 = _mul_affine(_mul_affine(b13, m24), m24)
+    b13 = mul_affine(affine_row(l1), l3)
+    q13 = mul_affine(mul_affine(b13, m24), m24)
     c1 = (
-        (s2 - 1.0) * (s2 + 1.0) * _mul_affine(_mul_affine(b13, m13), m24)
+        (s2 - 1.0) * (s2 + 1.0) * mul_affine(mul_affine(b13, m13), m24)
         - s1 * s2 * q13
-        + s1 * _mul_affine(q13, m13)
+        + s1 * mul_affine(q13, m13)
     )
-    b24 = _mul_affine(_affine_grid(l2), l4)
-    q24 = _mul_affine(_mul_affine(b24, m13), m13)
+    b24 = mul_affine(affine_row(l2), l4)
+    q24 = mul_affine(mul_affine(b24, m13), m13)
     c2 = (
-        (s1 - 1.0) * (s1 + 1.0) * _mul_affine(_mul_affine(b24, m13), m24)
+        (s1 - 1.0) * (s1 + 1.0) * mul_affine(mul_affine(b24, m13), m24)
         - s1 * s2 * q24
-        + s2 * _mul_affine(q24, m24)
+        + s2 * mul_affine(q24, m24)
     )
-    return c1, c2
+    return np.stack([c1, c2], axis=-2)
 
 
-def _bubble_grids(geom: QuadGeometry):
-    """(..., 4, 9, 9): b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4."""
+def _bubble_span(geom: QuadGeometry):
+    """(..., 4, 45): b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4."""
     lines = geom.edge_line_coeffs
-    b0 = _affine_grid(lines[..., 0, :])
+    b0 = affine_row(lines[..., 0, :])
     for k in range(1, 4):
-        b0 = _mul_affine(b0, lines[..., k, :])
+        b0 = mul_affine(b0, lines[..., k, :])
     return np.stack([
         b0,
-        _mul_affine(b0, geom.mid_13_coeffs),
-        _mul_affine(b0, geom.mid_24_coeffs),
-        _mul_affine(_mul_affine(b0, geom.diag_13_coeffs), geom.diag_24_coeffs),
-    ], axis=-3)
+        mul_affine(b0, geom.mid_13_coeffs),
+        mul_affine(b0, geom.mid_24_coeffs),
+        mul_affine(mul_affine(b0, geom.diag_13_coeffs), geom.diag_24_coeffs),
+    ], axis=-2)
 
 
-def _stream_grids(geom: QuadGeometry):
-    """(..., 16, 9, 9): cubic monomials, the two correctors, the four bubbles."""
-    c1, c2 = _corrector_grids(geom)
-    return np.concatenate([
-        _batched(_CUBICS, geom), c1[..., None, :, :], c2[..., None, :, :], _bubble_grids(geom)
-    ], axis=-3)
+def _stream_span(geom: QuadGeometry):
+    """(..., 16, 45): cubic monomials, the two correctors, the four bubbles."""
+    # The span is allocated before its parts, so their temporaries are freed
+    # above it. A span allocated after them (np.concatenate) leaves holes in
+    # the heap that raise the peak RSS of a random-mesh study at n = 64 by
+    # about 30 MB.
+    C = np.empty(geom.h.shape + (16, len(MONOMIALS)))
+    C[..., :10, :] = _CUBICS
+    C[..., 10:12, :] = _corrector_span(geom)
+    C[..., 12:, :] = _bubble_span(geom)
+    return C
 
 
-def _vector_grids(geom: QuadGeometry):
-    """x- and y-component grids (..., 16, 9, 9) of the vector span fields:
-    linear vectors, then rotated gradients of the cubic monomials, the
-    correctors and the bubbles."""
-    stream = _stream_grids(geom)[..., 6:, :, :]
+def _vector_span(geom: QuadGeometry):
+    """x- and y-components (..., 16, 45) of the vector span fields: linear
+    vectors, then rotated gradients of the cubic monomials, the correctors
+    and the bubbles."""
+    stream = _stream_span(geom)[..., 6:, :]
     lin = _batched(_LINEAR_FIELDS, geom)
-    gx = np.concatenate([lin[..., 0, :, :, :], _grid_dy(stream)], axis=-3)
-    gy = np.concatenate([lin[..., 1, :, :, :], -_grid_dx(stream)], axis=-3)
-    return gx, gy
+    cx = np.concatenate([lin[..., 0, :, :], stream @ DY.T], axis=-2)
+    cy = np.concatenate([lin[..., 1, :, :], -(stream @ DX.T)], axis=-2)
+    return cx, cy
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +234,6 @@ class ScalarElement:
                            self.geometry.normals) / self.geometry.h[..., None, None]
 
     @cached_property
-    def bubble_dual_matrix(self):
-        """(..., 4, 45) duals of the bubbles under the edge normal-derivative means."""
-        return _swap(np.linalg.solve(self._bubble_means, np.eye(4))) @ self.span[..., 12:, :]
-
-    @cached_property
     def aggregation(self):
         """(..., 4, 12) bubble weights of each nodal basis function."""
         return self._bubble_means @ self.solution[..., 12:, :]
@@ -340,7 +293,7 @@ def _scalar_tables(geom, C, points, inv=None):
 
 
 def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
-    C = _pack_grids(_stream_grids(geom))                 # (..., 16, 45)
+    C = _stream_span(geom)                               # (..., 16, 45)
     h = geom.h[..., None, None]
     Vv, Ve = _frames(geom)
 
@@ -437,8 +390,7 @@ def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv=None, Ve=None):
 
 
 def build_vector_element(geom: QuadGeometry) -> VectorElement:
-    gx, gy = _vector_grids(geom)
-    Cx, Cy = _pack_grids(gx), _pack_grids(gy)
+    Cx, Cy = _vector_span(geom)
     X, cond = _solve_nodal(_vector_dof_rows(Cx, Cy, geom), 12, geom.index)
     return VectorElement(geom, _swap(X) @ Cx, _swap(X) @ Cy, cond)
 
@@ -529,23 +481,39 @@ _LAMBDA_NODES = [(1, 1), (1, 2), (3, 3), (3, 0)]
 _MU_NODES = [(0, 0), (0, 1), (2, 2), (2, 3)]
 
 
-def numeric_unisolvency_matrices(geom: QuadGeometry):
-    """Brute-force assembly of the M, N, B- matrices (..., 4, 4)."""
+def _unisolvency_rows(geom: QuadGeometry):
+    """Packed polynomials (..., 4, 45) whose tangential derivatives make M
+    and N, and (..., 4, 4, 45) whose edge means along edge i make row i of B-."""
     lines = [geom.edge_line_coeffs[..., k, :] for k in range(4)]
     l1, l2, l3, l4 = lines
     d13, d24 = geom.diag_13_coeffs, geom.diag_24_coeffs
     m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
-    c1, c2 = _corrector_grids(geom)
-    Vv, Ve = _frames(geom)
+    c1, c2 = np.moveaxis(_corrector_span(geom), -2, 0)
 
-    b13 = _mul_affine(_affine_grid(l1), l3)
-    b24 = _mul_affine(_affine_grid(l2), l4)
-    P = _pack_grids(np.stack(
-        [_mul_affine(b13, l4), _mul_affine(b13, l2), _mul_affine(b13, d13), c1], axis=-3
-    ))
-    Q = _pack_grids(np.stack(
-        [_mul_affine(b24, l1), _mul_affine(b24, l3), _mul_affine(b24, d24), c2], axis=-3
-    ))
+    b13 = mul_affine(affine_row(l1), l3)
+    b24 = mul_affine(affine_row(l2), l4)
+    P = np.stack([mul_affine(b13, l4), mul_affine(b13, l2), mul_affine(b13, d13), c1], axis=-2)
+    Q = np.stack([mul_affine(b24, l1), mul_affine(b24, l3), mul_affine(b24, d24), c2], axis=-2)
+
+    B = []
+    for i in range(4):
+        others = _batched(affine_row([1.0, 0.0, 0.0]), geom)
+        for m in range(4):
+            if m != i:
+                others = mul_affine(others, lines[m])
+        B.append(np.stack([
+            others,
+            mul_affine(others, m13),
+            mul_affine(others, m24),
+            mul_affine(mul_affine(others, d13), d24),
+        ], axis=-2))
+    return P, Q, np.stack(B, axis=-3)
+
+
+def numeric_unisolvency_matrices(geom: QuadGeometry):
+    """Brute-force assembly of the M, N, B- matrices (..., 4, 4)."""
+    P, Q, B = _unisolvency_rows(geom)
+    Vv, Ve = _frames(geom)
 
     def tangential(C, nodes):
         gx, gy = (C @ DX.T) @ Vv, (C @ DY.T) @ Vv
@@ -556,24 +524,9 @@ def numeric_unisolvency_matrices(geom: QuadGeometry):
                         * (gx[..., vert] * t0 + gy[..., vert] * t1) / geom.h[..., None])
         return np.stack(rows, axis=-2)
 
-    M = tangential(P, _LAMBDA_NODES)
-    N = tangential(Q, _MU_NODES)
-
     npts = len(_EDGE_T)
-    Bm = []
-    for i in range(4):
-        others = _batched(_affine_grid([1.0, 0.0, 0.0]), geom)
-        for m in range(4):
-            if m != i:
-                others = _mul_affine(others, lines[m])
-        rows = _pack_grids(np.stack([
-            others,
-            _mul_affine(others, m13),
-            _mul_affine(others, m24),
-            _mul_affine(_mul_affine(others, d13), d24),
-        ], axis=-3))
-        Bm.append((rows @ Ve[..., npts * i:npts * (i + 1)]) @ _EDGE_W)
-    return M, N, np.stack(Bm, axis=-2)
+    Bm = [(B[..., i, :, :] @ Ve[..., npts * i:npts * (i + 1)]) @ _EDGE_W for i in range(4)]
+    return tangential(P, _LAMBDA_NODES), tangential(Q, _MU_NODES), np.stack(Bm, axis=-2)
 
 
 def numeric_dets(geom: QuadGeometry):

@@ -42,8 +42,7 @@ class Mesh:
     """Vertices, counterclockwise quads, and edge connectivity with fixed frames.
 
     Each edge stores a global unit normal n_E (the counterclockwise rotation
-    of the edge direction taken from lower to higher vertex index) and the
-    tangent t_E obtained by rotating n_E a further ninety degrees. Per cell,
+    of the edge direction taken from lower to higher vertex index). Per cell,
     ``cell_edge_signs`` records whether the cell's outward normal on that
     edge agrees with n_E. ``cell_geometry`` is the geometry of all cells as
     one batch; building it rejects clockwise, degenerate and non-convex
@@ -77,9 +76,6 @@ class Mesh:
         if np.any(n_adj > 2):
             raise ValueError("non-manifold mesh: an edge with more than two cells")
         self.edge_is_boundary = n_adj == 1
-        cell_of = np.repeat(np.arange(self.n_cells), 4)
-        self.edge_cells = np.split(cell_of[np.argsort(edge_of, kind="stable")],
-                                   np.cumsum(n_adj)[:-1])
 
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
         self.vertex_is_boundary[self.edge_vertices[self.edge_is_boundary].ravel()] = True
@@ -87,7 +83,6 @@ class Mesh:
         vec = self.vertices[self.edge_vertices[:, 1]] - self.vertices[self.edge_vertices[:, 0]]
         vec /= np.linalg.norm(vec, axis=1)[:, None]
         self.edge_normal = np.column_stack([-vec[:, 1], vec[:, 0]])
-        self.edge_tangent = np.column_stack([-self.edge_normal[:, 1], self.edge_normal[:, 0]])
 
         t = self.vertices[end] - self.vertices[start]
         outward = np.stack([t[..., 1], -t[..., 0]], axis=-1)

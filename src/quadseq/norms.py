@@ -1,9 +1,9 @@
 """Broken-norm errors of discrete or interpolated fields.
 
-Fields provide the DoF vectors of all cells at once, (n_cells, 12); two
-flavors exist for each space: a solution field gathering a solved global
-coefficient vector through the DoF map, and an interpolant field taking
-local DoFs straight from a manufactured solution (the nodal interpolant, no
+A field is given by its DoF vectors on all cells at once, (n_cells, 12):
+a solved global coefficient vector gathered through the DoF map
+(``dofmap.gather(x)``), or the nodal interpolant of a manufactured solution
+(``scalar_dof_values``/``vector_dof_values`` on ``mesh.cell_geometry``, no
 boundary conditions involved). Error quadrature uses an independent,
 higher-order rule than assembly, batched over cells like assembly, with
 one element per distinct unit shape of a chunk.
@@ -22,77 +22,22 @@ from .assembly import (
     vector_dof_scaling,
 )
 from .cases import BrinkmanCase, ScalarCase
-from .dofmap import ScalarDofMap, VectorDofMap
-from .elements import vector_dof_values
 from .geometry import _pow2
 from .mesh import Mesh
 
-__all__ = [
-    "ScalarSolutionField",
-    "ScalarInterpolantField",
-    "VectorSolutionField",
-    "VectorInterpolantField",
-    "scalar_error_norms",
-    "brinkman_error_norms",
-]
+__all__ = ["scalar_error_norms", "brinkman_error_norms"]
 
 DEFAULT_ERROR_QUAD = 6
-
-
-class ScalarSolutionField:
-    def __init__(self, mesh: Mesh, dofmap: ScalarDofMap, coefficients: np.ndarray):
-        self.mesh = mesh
-        self.dofmap = dofmap
-        self.coefficients = coefficients
-
-    def cell_dofs(self) -> np.ndarray:
-        return self.dofmap.gather(self.coefficients)
-
-
-class ScalarInterpolantField:
-    """Cellwise nodal interpolant of a smooth function."""
-
-    def __init__(self, mesh: Mesh, case: ScalarCase):
-        v = mesh.vertices
-        self._vals = np.asarray(case.u(v[:, 0], v[:, 1]), dtype=float)
-        self._grads = np.asarray(case.grad(v[:, 0], v[:, 1]), dtype=float)
-        self.mesh = mesh
-
-    def cell_dofs(self) -> np.ndarray:
-        idx = self.mesh.cells
-        return np.concatenate(
-            [self._vals[idx], self._grads[idx, 0], self._grads[idx, 1]], axis=-1
-        )
-
-
-class VectorSolutionField:
-    def __init__(self, mesh: Mesh, dofmap: VectorDofMap, coefficients: np.ndarray):
-        self.mesh = mesh
-        self.dofmap = dofmap
-        self.coefficients = coefficients
-
-    def cell_dofs(self) -> np.ndarray:
-        return self.dofmap.gather(self.coefficients)
-
-
-class VectorInterpolantField:
-    """Cellwise nodal interpolant of a smooth vector field."""
-
-    def __init__(self, mesh: Mesh, case: BrinkmanCase):
-        self.mesh = mesh
-        self.velocity = case.velocity
-
-    def cell_dofs(self) -> np.ndarray:
-        return vector_dof_values(self.mesh.cell_geometry, self.velocity)
 
 
 def _at(fn, x):
     return np.asarray(fn(x[..., 0], x[..., 1]), dtype=float)
 
 
-def scalar_error_norms(mesh: Mesh, field, case: ScalarCase, eps: float = 0.0,
+def scalar_error_norms(mesh: Mesh, dofs: np.ndarray, case: ScalarCase, eps: float = 0.0,
                        quad_order: int = DEFAULT_ERROR_QUAD) -> dict[str, float]:
-    """Broken H1/H2 seminorm errors and the parameter-weighted energy error.
+    """Broken H1/H2 seminorm errors and the parameter-weighted energy error
+    of the scalar field with cell DoF vectors ``dofs`` (n_cells, 12).
 
     The H2 seminorm follows the Sobolev multi-index convention (the mixed
     second derivative counted once), which is the convention behind the
@@ -101,7 +46,7 @@ def scalar_error_norms(mesh: Mesh, field, case: ScalarCase, eps: float = 0.0,
     """
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
-    c = field.cell_dofs() * scalar_dof_scaling(geom.h)
+    c = dofs * scalar_dof_scaling(geom.h)
     grad_h, hess_h = np.empty(x.shape), np.empty(x.shape + (2,))
     for cells, shapes, element, inv in unit_shape_elements(unit, build_scalar_element):
         _, grad_h[cells], hess_h[cells] = element.field_tables(c[cells], pts[shapes], inv)
@@ -120,14 +65,16 @@ def scalar_error_norms(mesh: Mesh, field, case: ScalarCase, eps: float = 0.0,
     }
 
 
-def brinkman_error_norms(mesh: Mesh, field, case: BrinkmanCase,
+def brinkman_error_norms(mesh: Mesh, dofs: np.ndarray, case: BrinkmanCase,
                          nu: float, alpha: float,
                          pressure_values: np.ndarray | None = None,
                          quad_order: int = DEFAULT_ERROR_QUAD) -> dict[str, float]:
-    """Velocity errors (L2, broken H1, a_h combination) and pressure L2 error."""
+    """Velocity errors (L2, broken H1, a_h combination) of the velocity with
+    cell DoF vectors ``dofs`` (n_cells, 12), and the pressure L2 error of the
+    cellwise constant ``pressure_values``."""
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
-    c = field.cell_dofs() * vector_dof_scaling(geom.h)
+    c = dofs * vector_dof_scaling(geom.h)
     val_h, grad_h = np.empty(x.shape), np.empty(x.shape + (2,))
     for cells, shapes, element, inv in unit_shape_elements(unit, build_vector_element):
         val_h[cells], grad_h[cells] = element.field_tables(c[cells], pts[shapes], inv)

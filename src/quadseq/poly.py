@@ -2,10 +2,11 @@
 
 A polynomial is a row of 45 coefficients over ``MONOMIALS`` (ordered by
 total degree, x-power descending), and a set of polynomials is a (..., k, 45)
-coefficient matrix. ``DX`` and ``DY`` differentiate packed rows (``C @ DX.T``)
-and ``vandermonde`` evaluates them (``C @ vandermonde(points).T``), so
-element assembly evaluates fixed polynomial sets at many points with a
-couple of small matrix products.
+coefficient matrix. ``DX`` and ``DY`` differentiate packed rows (``C @ DX.T``),
+``mul_affine`` multiplies them by affine forms (c0, cx, cy), which builds
+the element spans from their line forms, and ``vandermonde`` evaluates them
+(``C @ vandermonde(points).T``), so element assembly evaluates fixed
+polynomial sets at many points with a couple of small matrix products.
 """
 
 from __future__ import annotations
@@ -30,6 +31,40 @@ def _diff_matrix(axis: int) -> np.ndarray:
 
 DX = _diff_matrix(0)
 DY = _diff_matrix(1)
+
+
+def _shift(axis: int):
+    """Source and destination indices of multiplication by x (axis 0) or y."""
+    pairs = [(k, _INDEX[(i + 1 - axis, j + axis)]) for k, (i, j) in enumerate(MONOMIALS)
+             if i + j < _DEGREE]
+    return tuple(np.array(a) for a in zip(*pairs))
+
+
+_X_SRC, _X_DST = _shift(0)
+_Y_SRC, _Y_DST = _shift(1)
+
+
+def affine_row(aff) -> np.ndarray:
+    """Packed rows (..., 45) of affine forms (..., 3) = (c0, cx, cy)."""
+    aff = np.asarray(aff, dtype=float)
+    row = np.zeros(aff.shape[:-1] + (len(MONOMIALS),))
+    row[..., :3] = aff
+    return row
+
+
+def mul_affine(P: np.ndarray, aff: np.ndarray) -> np.ndarray:
+    """Products of packed rows P (..., 45) with affine forms aff (..., 3).
+
+    Each coefficient is c0 * p + cx * (x-shifted p) + cy * (y-shifted p), in
+    that order; terms beyond degree 8 are dropped, so the product is exact
+    only while its degree stays within the table.
+    """
+    c0, cx, cy = (aff[..., k, None] for k in range(3))
+    out = c0 * P
+    out[..., _X_DST] += cx * P[..., _X_SRC]
+    out[..., _Y_DST] += cy * P[..., _Y_SRC]
+    return out
+
 
 _EXP_I = np.array([m[0] for m in MONOMIALS])
 _EXP_J = np.array([m[1] for m in MONOMIALS])

@@ -40,10 +40,6 @@ class QuadratureRule:
         self.ref_points = np.column_stack([xx.ravel(), yy.ravel()])
         self.ref_weights = np.outer(w, w).ravel()
 
-    @property
-    def n_points(self) -> int:
-        return self.g * self.g
-
     def cell_points(self, geom: QuadGeometry):
         """Physical points and weights integrating over one cell."""
         pts = geom.map_reference(self.ref_points)

@@ -15,6 +15,7 @@ to the unit-shape cells of the mesh.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,9 @@ class SequenceReport:
             "checks": self.checks,
             "passed": self.passed,
         }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _rank(singular_values: np.ndarray, cutoff: float):

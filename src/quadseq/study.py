@@ -18,15 +18,9 @@ import numpy as np
 
 from .assembly import assemble_brinkman, assemble_fourth_order, solve
 from .cases import brinkman_sin_stream, scalar_sin_squared
+from .elements import scalar_dof_values, vector_dof_values
 from .mesh import DEFAULT_DELTA, make_mesh
-from .norms import (
-    ScalarInterpolantField,
-    ScalarSolutionField,
-    VectorInterpolantField,
-    VectorSolutionField,
-    brinkman_error_norms,
-    scalar_error_norms,
-)
+from .norms import brinkman_error_norms, scalar_error_norms
 
 __all__ = [
     "StudyReport",
@@ -184,8 +178,8 @@ def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
         system = assemble_fourth_order(
             mesh, eps, f, quad_order=quad_order, biharmonic=biharmonic
         )
-        fld = ScalarSolutionField(mesh, system.dofmap, solve(system))
-        norms = scalar_error_norms(mesh, fld, case, eps=eps, quad_order=eq)
+        dofs = system.dofmap.gather(solve(system))
+        norms = scalar_error_norms(mesh, dofs, case, eps=eps, quad_order=eq)
         if biharmonic:
             # the natural energy of the pure fourth-order operator
             norms["energy"] = norms["h2"]
@@ -206,13 +200,12 @@ def run_brinkman_study(nu: float = 1.0, alpha: float = 1.0, *,
     case = case or brinkman_sin_stream()
     eq = error_quad_order or quad_order + 2
     f = case.source(nu, alpha)
-    g = None if case.g_is_zero else case.divergence
 
     def level_errors(mesh):
-        system = assemble_brinkman(mesh, nu, alpha, f, g=g, quad_order=quad_order)
+        system = assemble_brinkman(mesh, nu, alpha, f, g=case.divergence,
+                                   quad_order=quad_order)
         u, p, _ = system.split(solve(system))
-        fld = VectorSolutionField(mesh, system.dofmap, u)
-        return brinkman_error_norms(mesh, fld, case, nu, alpha,
+        return brinkman_error_norms(mesh, system.dofmap.gather(u), case, nu, alpha,
                                     pressure_values=p, quad_order=eq)
 
     return _study("brinkman", {"nu": nu, "alpha": alpha},
@@ -229,8 +222,8 @@ def run_scalar_interpolation_study(*, family: str = "rectangular",
     case = case or scalar_sin_squared()
 
     def level_errors(mesh):
-        return scalar_error_norms(mesh, ScalarInterpolantField(mesh, case), case,
-                                  eps=0.0, quad_order=error_quad_order)
+        dofs = scalar_dof_values(mesh.cell_geometry, case.u, case.grad)
+        return scalar_error_norms(mesh, dofs, case, eps=0.0, quad_order=error_quad_order)
 
     return _study("scalar-interpolation", {}, ["h2", "h1"], level_errors,
                   family=family, n_list=n_list, delta=delta, seed=seed,
@@ -245,8 +238,9 @@ def run_vector_interpolation_study(*, family: str = "rectangular",
     case = case or brinkman_sin_stream()
 
     def level_errors(mesh):
-        return brinkman_error_norms(mesh, VectorInterpolantField(mesh, case), case,
-                                    nu=1.0, alpha=1.0, quad_order=error_quad_order)
+        dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
+        return brinkman_error_norms(mesh, dofs, case, nu=1.0, alpha=1.0,
+                                    quad_order=error_quad_order)
 
     return _study("vector-interpolation", {}, ["velocity_h1", "velocity_l2"],
                   level_errors, family=family, n_list=n_list, delta=delta,

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import (
-    _bubble_grids,
-    _pack_grids,
+    _bubble_span,
     _swap,
     _vector_dof_rows,
     _vt,
@@ -197,7 +196,7 @@ def _reproduction_residuals(geom: QuadGeometry):
 
 
 def _bubble_residuals(geom: QuadGeometry):
-    C = _pack_grids(_bubble_grids(geom))
+    C = _bubble_span(geom)
     Cx, Cy = C @ DX.T, C @ DY.T
     h = geom.h[..., None, None]
     Vv = _vt(geom.local_vertices)

@@ -30,12 +30,7 @@ from quadseq.dofmap import ScalarDofMap, VectorDofMap
 from quadseq.elements import ElementConditioningError, build_scalar_element, build_vector_element
 from quadseq.geometry import DegenerateCellError, NonConvexCellError, QuadGeometry, _pow2
 from quadseq.mesh import Mesh, make_mesh
-from quadseq.norms import (
-    ScalarSolutionField,
-    VectorSolutionField,
-    brinkman_error_norms,
-    scalar_error_norms,
-)
+from quadseq.norms import brinkman_error_norms, scalar_error_norms
 from quadseq.verify import random_convex_quads
 
 
@@ -218,7 +213,7 @@ def test_rectangular_chunks_build_one_shape(monkeypatch):
                             _count_cells(record, build_scalar_element))
     mesh = make_mesh(8, "rectangular")
     system = assemble_fourth_order(mesh, 1.0, SCALAR.source(1.0))
-    scalar_error_norms(mesh, ScalarSolutionField(mesh, system.dofmap, solve(system)), SCALAR)
+    scalar_error_norms(mesh, system.dofmap.gather(solve(system)), SCALAR)
     assert record == [1] * 8
 
 
@@ -305,10 +300,10 @@ def test_shared_shapes_keep_fourth_order_system_bitwise(mesh, monkeypatch):
     assert np.array_equal(system.matrix.data, want.matrix.data)
     assert np.array_equal(system.rhs, want.rhs)
 
-    field = ScalarSolutionField(mesh, system.dofmap, solve(system))
-    errors = scalar_error_norms(mesh, field, SCALAR, eps=1.0)
+    dofs = system.dofmap.gather(solve(system))
+    errors = scalar_error_norms(mesh, dofs, SCALAR, eps=1.0)
     monkeypatch.setattr(norms, "unit_shape_elements", _one_element_per_cell)
-    assert errors == scalar_error_norms(mesh, field, SCALAR, eps=1.0)
+    assert errors == scalar_error_norms(mesh, dofs, SCALAR, eps=1.0)
 
 
 def test_shared_shapes_keep_flow_system_bitwise(mesh, monkeypatch):
@@ -317,8 +312,8 @@ def test_shared_shapes_keep_flow_system_bitwise(mesh, monkeypatch):
     blocks = velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)
     system = assemble_brinkman(mesh, 1.0, 1.0, f, g)
     u, p, _ = system.split(solve(system))
-    field = VectorSolutionField(mesh, system.dofmap, u)
-    errors = brinkman_error_norms(mesh, field, FLOW, 1.0, 1.0, p)
+    dofs = system.dofmap.gather(u)
+    errors = brinkman_error_norms(mesh, dofs, FLOW, 1.0, 1.0, p)
 
     _assert_all_equal(blocks, _per_cell_velocity_blocks(mesh, dm, 1.0, 1.0, 4, f))
     monkeypatch.setattr(assembly, "velocity_blocks", _per_cell_velocity_blocks)
@@ -326,7 +321,7 @@ def test_shared_shapes_keep_flow_system_bitwise(mesh, monkeypatch):
     assert np.array_equal(system.matrix.data, want.matrix.data)
     assert np.array_equal(system.rhs, want.rhs)
     monkeypatch.setattr(norms, "unit_shape_elements", _one_element_per_cell)
-    assert errors == brinkman_error_norms(mesh, field, FLOW, 1.0, 1.0, p)
+    assert errors == brinkman_error_norms(mesh, dofs, FLOW, 1.0, 1.0, p)
 
 
 def test_mesh_geometry_is_one_batch():

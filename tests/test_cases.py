@@ -77,7 +77,7 @@ def test_flow_velocity_divergence_free():
     x, y = POINTS[:, 0], POINTS[:, 1]
     G = case.velocity_grad(x, y)
     assert np.abs(G[..., 0, 0] + G[..., 1, 1]).max() < 1e-13
-    assert case.g_is_zero
+    assert case.divergence is None
 
 
 def test_flow_velocity_clamped_boundary():

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from quadseq.cli import main
-from quadseq.mesh import Mesh
+from quadseq.mesh import Mesh, make_mesh
+from quadseq.sequence import verify_exact_sequence
 
 
 def test_study_scalar_writes_artifacts(tmp_path, capsys):
@@ -47,6 +48,7 @@ def test_usage_errors_exit_two():
         main(["study", "scalar", "--mesh", "hex"])
     assert exc.value.code == 2
     assert main(["study", "brinkman", "--nu", "0", "--alpha", "0", "--n", "4"]) == 2
+    assert main(["study", "scalar", "--eps", "-1", "--n", "4"]) == 2
     assert main(["mesh", "--mesh", "random", "--delta", "0.9", "--n", "4",
                  "--out", "/tmp/never.json"]) == 2
     with pytest.raises(SystemExit) as exc:
@@ -99,6 +101,14 @@ def test_verify_sequence(capsys):
 def test_verify_sequence_random(capsys):
     code = main(["verify", "sequence", "--mesh", "random", "--n", "4", "--seed", "9"])
     assert code == 0
+
+
+def test_verify_sequence_writes_report_json(tmp_path):
+    out = tmp_path / "seq"
+    assert main(["verify", "sequence", "--mesh", "trap", "--n", "2", "--out", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["seq.json"]
+    report = verify_exact_sequence(make_mesh(2, "trapezoidal"))
+    assert json.loads((tmp_path / "seq.json").read_text()) == report.to_dict()
 
 
 def test_mesh_export_roundtrip(tmp_path, capsys):

@@ -3,9 +3,11 @@ import pytest
 
 from quadseq.elements import (
     ElementConditioningError,
-    _bubble_grids,
-    _corrector_grids,
-    _pack_grids,
+    _bubble_span,
+    _corrector_span,
+    _stream_span,
+    _unisolvency_rows,
+    _vector_span,
     aggregation_coeffs_formula,
     build_scalar_element,
     build_vector_element,
@@ -77,11 +79,6 @@ def test_numeric_dets_on_square(unit_square):
 # enrichment correctors
 # ---------------------------------------------------------------------------
 
-def _correctors(g):
-    """(2, 45) packed enrichment correctors of one cell."""
-    return _pack_grids(_corrector_grids(g))
-
-
 def _affine(c, loc):
     return c[0] + c[1] * loc[:, 0] + c[2] * loc[:, 1]
 
@@ -95,7 +92,7 @@ def test_correctors_reduce_on_rectangle():
         loc = g.to_local(g.map_reference(rng.uniform(-1, 1, (40, 2))))
         l1, l2, l3, l4 = (_affine(c, loc) for c in g.edge_line_coeffs)
         mm = _affine(g.mid_13_coeffs, loc) * _affine(g.mid_24_coeffs, loc)
-        vals = vandermonde(loc) @ _correctors(g).T
+        vals = vandermonde(loc) @ _corrector_span(g).T
         np.testing.assert_allclose(vals[:, 0], -(l1 * l3 * mm), rtol=0, atol=1e-13)
         np.testing.assert_allclose(vals[:, 1], -(l2 * l4 * mm), rtol=0, atol=1e-13)
 
@@ -103,13 +100,13 @@ def test_correctors_reduce_on_rectangle():
 def test_correctors_vanish_at_vertices():
     for v in random_convex_quads(100, seed=21, max_skew=0.8, max_aspect=2.0).vertices:
         g = QuadGeometry(v)
-        vals = _correctors(g) @ vandermonde(g.local_vertices).T
+        vals = _corrector_span(g) @ vandermonde(g.local_vertices).T
         assert np.abs(vals).max() < 1e-13
 
 
 def test_correctors_satisfy_edge_mean_identity(random_quads):
     for g in random_quads[:10]:
-        resid = _edge_mean_identity_residual(g, _correctors(g))
+        resid = _edge_mean_identity_residual(g, _corrector_span(g))
         assert resid < 1e-12
 
 
@@ -192,11 +189,22 @@ def test_edge_mean_identity_cubic_example(unit_square):
 
 def test_bubbles_vanish_at_vertices(random_quads):
     for g in random_quads[:10]:
-        C = _pack_grids(_bubble_grids(g))
+        C = _bubble_span(g)
         V = vandermonde(g.local_vertices).T
         assert np.abs(C @ V).max() < 1e-13
         assert np.abs((C @ DX.T) @ V).max() < 1e-13
         assert np.abs((C @ DY.T) @ V).max() < 1e-13
+
+
+def test_spans_stay_within_degree_six():
+    # Span and unisolvency polynomials are products of at most six affine
+    # forms, or derivatives of such products, so the degree-8 monomial table
+    # holds every product exactly.
+    high = np.array([i + j > 6 for i, j in MONOMIALS])
+    for g in (make_mesh(8, "random", seed=3).cell_geometry, random_convex_quads(200, seed=5)):
+        for rows in (_stream_span(g), *_vector_span(g), *_unisolvency_rows(g)):
+            assert rows.shape[-1] == len(MONOMIALS)
+            assert not rows[..., high].any()
 
 
 def test_conditioning_error_on_near_degenerate():

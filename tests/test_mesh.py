@@ -69,9 +69,8 @@ def test_cell_edge_signs_consistent():
 
 def test_interior_edges_have_two_cells():
     mesh = make_mesh(4, "random", seed=3)
-    for ei in range(mesh.n_edges):
-        n_adj = len(mesh.edge_cells[ei])
-        assert n_adj == (1 if mesh.edge_is_boundary[ei] else 2)
+    n_adj = np.bincount(mesh.cell_edges.ravel(), minlength=mesh.n_edges)
+    np.testing.assert_array_equal(n_adj, np.where(mesh.edge_is_boundary, 1, 2))
 
 
 @pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])

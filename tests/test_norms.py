@@ -2,23 +2,18 @@ import numpy as np
 import pytest
 
 from quadseq.assembly import unit_shape_rule
-from quadseq.elements import build_scalar_element
+from quadseq.elements import build_scalar_element, scalar_dof_values, vector_dof_values
 from quadseq.cases import BrinkmanCase, brinkman_sin_stream, scalar_poly2_case, scalar_sin_squared
 from quadseq.mesh import make_mesh
-from quadseq.norms import (
-    ScalarInterpolantField,
-    VectorInterpolantField,
-    brinkman_error_norms,
-    scalar_error_norms,
-)
+from quadseq.norms import brinkman_error_norms, scalar_error_norms
 
 
 def test_quadratic_exactly_captured():
     # The interpolant of a quadratic reproduces it on any mesh: all errors 0.
     case = scalar_poly2_case()
     mesh = make_mesh(3, "random", seed=12)
-    fld = ScalarInterpolantField(mesh, case)
-    norms = scalar_error_norms(mesh, fld, case, eps=1.0)
+    dofs = scalar_dof_values(mesh.cell_geometry, case.u, case.grad)
+    norms = scalar_error_norms(mesh, dofs, case, eps=1.0)
     assert norms["h1"] < 1e-10
     assert norms["h2"] < 1e-10
     assert norms["energy"] < 1e-10
@@ -27,8 +22,8 @@ def test_quadratic_exactly_captured():
 def test_energy_reduces_to_h1_at_zero_parameter():
     case = scalar_sin_squared()
     mesh = make_mesh(4, "rectangular")
-    fld = ScalarInterpolantField(mesh, case)
-    norms = scalar_error_norms(mesh, fld, case, eps=0.0)
+    dofs = scalar_dof_values(mesh.cell_geometry, case.u, case.grad)
+    norms = scalar_error_norms(mesh, dofs, case, eps=0.0)
     assert norms["energy"] == pytest.approx(norms["h1"], rel=1e-14)
 
 
@@ -45,8 +40,8 @@ def test_linear_velocity_exactly_captured():
         pressure=case.pressure, pressure_grad=case.pressure_grad,
     )
     mesh = make_mesh(3, "trapezoidal")
-    fld = VectorInterpolantField(mesh, lin)
-    norms = brinkman_error_norms(mesh, fld, lin, nu=1.0, alpha=1.0)
+    dofs = vector_dof_values(mesh.cell_geometry, lin.velocity)
+    norms = brinkman_error_norms(mesh, dofs, lin, nu=1.0, alpha=1.0)
     assert norms["velocity_l2"] < 1e-11
     assert norms["velocity_h1"] < 1e-10
 
@@ -54,8 +49,8 @@ def test_linear_velocity_exactly_captured():
 def test_darcy_norm_is_l2():
     case = brinkman_sin_stream()
     mesh = make_mesh(4, "rectangular")
-    fld = VectorInterpolantField(mesh, case)
-    norms = brinkman_error_norms(mesh, fld, case, nu=0.0, alpha=1.0)
+    dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
+    norms = brinkman_error_norms(mesh, dofs, case, nu=0.0, alpha=1.0)
     assert norms["velocity_ah"] == pytest.approx(norms["velocity_l2"], rel=1e-14)
 
 
@@ -63,8 +58,8 @@ def test_pressure_error_of_zero_function():
     # ||p||_0 for p = sin(pi x) - 2/pi is sqrt(1/2 - 4/pi^2).
     case = brinkman_sin_stream()
     mesh = make_mesh(8, "rectangular")
-    fld = VectorInterpolantField(mesh, case)
-    err = brinkman_error_norms(mesh, fld, case, nu=1.0, alpha=1.0,
+    dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
+    err = brinkman_error_norms(mesh, dofs, case, nu=1.0, alpha=1.0,
                                pressure_values=np.zeros(mesh.n_cells))["pressure_l2"]
     assert err == pytest.approx(np.sqrt(0.5 - 4.0 / np.pi**2), rel=1e-9)
 

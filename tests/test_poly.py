@@ -1,12 +1,11 @@
-"""The packed monomial table and the coefficient grids the element spans are
-built on: evaluation, differentiation and products of affine factors."""
+"""The packed monomial table the element spans are built on: evaluation,
+differentiation and products with affine forms."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadseq.elements import _affine_grid, _mul_affine, _pack_grids
-from quadseq.poly import DX, DY, MONOMIALS, vandermonde
+from quadseq.poly import DX, DY, MONOMIALS, affine_row, mul_affine, vandermonde
 
 X = np.array([0.0, 1.0, 0.0])  # affine forms (c0, cx, cy)
 Y = np.array([0.0, 0.0, 1.0])
@@ -20,14 +19,6 @@ def packed(coeffs):
     return row
 
 
-def grid(coeffs):
-    """9x9 coefficient grid of the polynomial sum c x^i y^j over {(i, j): c}."""
-    G = np.zeros((9, 9))
-    for (i, j), c in coeffs.items():
-        G[i, j] = c
-    return G
-
-
 def evaluate(row, x, y):
     pts = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float)), -1)
     return vandermonde(pts) @ row
@@ -39,8 +30,12 @@ def curl(row):
 
 
 def test_monomial_product():
-    np.testing.assert_array_equal(_pack_grids(_mul_affine(_affine_grid(X), Y)),
-                                  packed({(1, 1): 1.0}))
+    np.testing.assert_array_equal(mul_affine(affine_row(X), Y), packed({(1, 1): 1.0}))
+
+
+def test_affine_row():
+    np.testing.assert_array_equal(affine_row([2.0, -3.0, 5.0]),
+                                  packed({(0, 0): 2.0, (1, 0): -3.0, (0, 1): 5.0}))
 
 
 def test_eval_simple():
@@ -58,11 +53,11 @@ def test_unit_square_edge_line_product():
     # Normalized edge lines of the unit square: y, 1-x, 1-y, x.
     # Hand expansion: x(1-x) y(1-y) = xy - x y^2 - x^2 y + x^2 y^2.
     one = np.array([1.0, 0.0, 0.0])
-    product = _affine_grid(Y)
+    product = affine_row(Y)
     for line in (one - X, one - Y, X):
-        product = _mul_affine(product, line)
+        product = mul_affine(product, line)
     expected = {(1, 1): 1.0, (1, 2): -1.0, (2, 1): -1.0, (2, 2): 1.0}
-    np.testing.assert_array_equal(_pack_grids(product), packed(expected))
+    np.testing.assert_array_equal(product, packed(expected))
 
 
 def test_curl_convention():
@@ -110,11 +105,11 @@ affine_ints = st.lists(coeff_ints, min_size=3, max_size=3).map(np.array)
 def test_ring_axioms_exact(p, a, b):
     # Integer coefficients keep all intermediate arithmetic exact: products
     # of affine factors commute and distribute over sums of factors.
-    P = grid(p)
-    np.testing.assert_array_equal(_mul_affine(_mul_affine(P, a), b),
-                                  _mul_affine(_mul_affine(P, b), a))
-    np.testing.assert_array_equal(_mul_affine(P, a + b),
-                                  _mul_affine(P, a) + _mul_affine(P, b))
+    P = packed(p)
+    np.testing.assert_array_equal(mul_affine(mul_affine(P, a), b),
+                                  mul_affine(mul_affine(P, b), a))
+    np.testing.assert_array_equal(mul_affine(P, a + b),
+                                  mul_affine(P, a) + mul_affine(P, b))
 
 
 float_coeffs = st.floats(min_value=-1e6, max_value=1e6,
@@ -138,7 +133,7 @@ def test_eval_commutes_with_multiplication(p, line):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, (16, 2))
     x, y = pts[:, 0], pts[:, 1]
-    lhs = evaluate(_pack_grids(_mul_affine(grid(p), line)), x, y)
+    lhs = evaluate(mul_affine(packed(p), line), x, y)
     rhs = evaluate(packed(p), x, y) * (line[0] + line[1] * x + line[2] * y)
     scale = np.abs(rhs).max() + 1.0
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * scale)
