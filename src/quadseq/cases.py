@@ -57,6 +57,8 @@ def scalar_sin_squared(frequency: int = 1) -> ScalarCase:
     The default k = 1 is the solution behind the reference convergence
     tables for the fourth-order problem.
     """
+    if frequency < 1:
+        raise ValueError(f"frequency must be at least 1, got {frequency}")
     g, g1, g2, g3, g4 = _sin_sq_derivatives(frequency * np.pi)
 
     def u(x, y):

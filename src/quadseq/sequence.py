@@ -6,25 +6,28 @@ The three global spaces form the chain
 
 and exactness is an integer statement: the divergence matrix is onto the
 mean-zero pressures, its kernel has the dimension of the scalar space, and
-the rotated gradients of the scalar basis span that kernel. Ranks are
-computed by dense SVD with a relative singular-value cutoff, and the report
-records the spectral gap at the cut. The per-cell curl re-interpolation
-check is the one the element certificate runs (``quadseq.verify``), applied
-to the unit-shape cells of the mesh.
+the rotated gradients of the scalar basis span that kernel. Ranks come from
+singular values with a relative cutoff, and the report records the spectral
+gap of the divergence matrix D at the cut. Kernel spanning needs no kernel
+basis: rank [C | ker D] = nullity(D) + rank(D C) for the curl matrix C, with
+rank(D C) cut at CUTOFF * sigma_r(D) * sigma_1(C) (``verify_exact_sequence``
+says why). The per-cell curl re-interpolation check is the one the element
+certificate runs (``quadseq.verify``), applied to the unit-shape cells.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh as scipy_eigh
 
 from .assembly import (
+    DEFAULT_QUAD_ORDER,
     velocity_blocks,
-    cell_entries,
+    cell_matrix,
     scalar_dof_scaling,
     vector_dof_scaling,
 )
@@ -44,6 +47,9 @@ __all__ = [
     "inf_sup_constant",
 ]
 
+CUTOFF = 1e-9  # relative singular-value cutoff of every rank
+TOL = 1e-10    # bound on the residuals of the exact identities
+
 
 def divergence_matrix(mesh: Mesh):
     """Dense matrix of the cellwise divergence: vector DoFs -> cell constants."""
@@ -58,15 +64,8 @@ def _divergence_matrix(mesh, dm, element):
     div_phys = (
         vector_dof_scaling(geom.h) * dm.cell_signs * element.div_constants / geom.h[:, None]
     )
-    return _dense((mesh.n_cells, dm.ndof),
-                  [(np.arange(mesh.n_cells)[:, None], dm.cell_dofs, div_phys)])
-
-
-def _dense(shape, blocks):
-    rows, cols, vals = cell_entries(blocks)
-    out = np.zeros(shape)
-    np.add.at(out, (rows, cols), vals)
-    return out
+    return cell_matrix((mesh.n_cells, dm.ndof),
+                       [(np.arange(mesh.n_cells)[:, None], dm.cell_dofs, div_phys)]).toarray()
 
 
 def curl_matrix(mesh: Mesh):
@@ -112,21 +111,7 @@ class SequenceReport:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "dims": self.dims,
-            "rank_div": self.rank_div,
-            "nullity_div": self.nullity_div,
-            "rank_curl": self.rank_curl,
-            "rank_combined": self.rank_combined,
-            "sv_gap": self.sv_gap,
-            "div_curl_max": self.div_curl_max,
-            "curl_reinterp_residual": self.curl_reinterp_residual,
-            "curl_global_consistency": self.curl_global_consistency,
-            "commuting_residual": self.commuting_residual,
-            "cutoff": self.cutoff,
-            "checks": self.checks,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -145,8 +130,7 @@ def _rank(singular_values: np.ndarray, cutoff: float):
     return rank, gap
 
 
-def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
-                          tol: float = 1e-10) -> SequenceReport:
+def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     """Check exactness of the discrete sequence on one mesh.
 
     Verifies: rotated gradients of the scalar basis land in the vector space
@@ -155,6 +139,14 @@ def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
     nullity is the scalar dimension 3 N_V^i, the rotated-gradient image
     spans the kernel, and the per-cell commuting identity: the divergence of
     the interpolant integrates to the boundary flux for a smooth probe.
+
+    Kernel spanning uses rank [C | ker D] = nullity(D) + rank(D C) and
+    ||D x|| >= sigma_r(D) * dist(x, ker D) for every x, where ker D is spanned
+    by the right singular vectors that rank(D) drops and sigma_r(D) is the
+    smallest singular value it keeps. So a unit w with dist(C w, ker D) above
+    CUTOFF * sigma_1(C) has ||D C w|| above CUTOFF * sigma_r(D) * sigma_1(C),
+    the cut of rank(D C): the count is at least as strict as a relative cut
+    on the stacked [C | ker D], which sits at CUTOFF * sigma_1 of the stack.
     """
     geom = mesh.cell_geometry
     unit = QuadGeometry(geom.local_vertices)
@@ -163,18 +155,18 @@ def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
     D = _divergence_matrix(mesh, vdm, vc)
     C, sdm, _ = curl_matrix(mesh)
 
-    sv = np.linalg.svd(D, compute_uv=False)
-    rank_div, gap = _rank(sv, cutoff)
+    sv_div = np.linalg.svd(D, compute_uv=False)
+    rank_div, gap = _rank(sv_div, CUTOFF)
     nullity = vdm.ndof - rank_div
+    sv_curl = np.linalg.svd(C, compute_uv=False)
+    rank_curl, _ = _rank(sv_curl, CUTOFF)
 
-    _, s_full, Vt = np.linalg.svd(D)
-    kernel = Vt[rank_div:, :].T
+    DC = D @ C
+    # With rank(D) or rank(C) zero, D C is zero and every cut counts nothing.
+    cut = CUTOFF * sv_div[rank_div - 1] * sv_curl[0] if rank_div and rank_curl else 0.0
+    rank_combined = nullity + int((np.linalg.svd(DC, compute_uv=False) > cut).sum())
 
-    rank_curl, _ = _rank(np.linalg.svd(C, compute_uv=False), cutoff)
-    combined = np.hstack([C, kernel])
-    rank_combined, _ = _rank(np.linalg.svd(combined, compute_uv=False), cutoff)
-
-    div_curl_max = float(np.abs(D @ C).max()) if C.size else 0.0
+    div_curl_max = float(np.abs(DC).max(initial=0.0))
 
     # Per cell: the rotated gradient of each scalar basis function,
     # re-interpolated through the vector DoFs, must reproduce itself.
@@ -183,8 +175,8 @@ def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
     # Global consistency: push a random scalar coefficient vector through the
     # matrix and compare against per-cell DoFs of the local rotated gradient.
     rng = np.random.default_rng(0)
-    w = rng.standard_normal(sdm.ndof) if sdm.ndof else np.zeros(0)
-    u = C @ w if sdm.ndof else np.zeros(vdm.ndof)
+    w = rng.standard_normal(sdm.ndof)
+    u = C @ w
     c = sdm.gather(w) * scalar_dof_scaling(geom.h)
     h = geom.h[:, None]
     field_x = np.einsum("nj,njm->nm", c, sc.coeff_matrix @ DY.T) / h
@@ -199,7 +191,7 @@ def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
 
     # Commuting identity for a smooth probe: cellwise divergence of the
     # interpolant integrates to the boundary flux.
-    sigma = vector_dof_values(geom, probe or brinkman_sin_stream().velocity)
+    sigma = vector_dof_values(geom, brinkman_sin_stream().velocity)
     div_const = ((sigma * vector_dof_scaling(geom.h)) * vc.div_constants).sum(-1) / geom.h
     commuting = float(np.abs(div_const * geom.area - sigma[:, :4].sum(-1)).max())
 
@@ -216,21 +208,21 @@ def verify_exact_sequence(mesh: Mesh, cutoff: float = 1e-9, probe=None,
         "nullity_is_scalar_dim": nullity == sdm.ndof,
         "curl_injective": rank_curl == sdm.ndof,
         "curl_spans_kernel": rank_combined == nullity,
-        "div_curl_zero": div_curl_max <= tol,
-        "curl_reinterpolation": reinterp <= tol,
+        "div_curl_zero": div_curl_max <= TOL,
+        "curl_reinterpolation": reinterp <= TOL,
         "curl_global_consistency": consistency <= 1e-8,
-        "commuting": commuting <= tol,
+        "commuting": commuting <= TOL,
         "alternating_sum_zero": sdm.ndof - vdm.ndof + (mesh.n_cells - 1) == 0,
     }
     return SequenceReport(
         dims=dims, rank_div=rank_div, nullity_div=nullity, rank_curl=rank_curl,
         rank_combined=rank_combined, sv_gap=gap, div_curl_max=div_curl_max,
         curl_reinterp_residual=reinterp, curl_global_consistency=consistency,
-        commuting_residual=commuting, cutoff=cutoff, checks=checks,
+        commuting_residual=commuting, cutoff=CUTOFF, checks=checks,
     )
 
 
-def inf_sup_constant(mesh: Mesh, quad_order: int = 4) -> float:
+def inf_sup_constant(mesh: Mesh) -> float:
     """Smallest nonzero generalized singular value of the divergence form.
 
     beta = min over mean-zero cell pressures q of
@@ -238,12 +230,12 @@ def inf_sup_constant(mesh: Mesh, quad_order: int = 4) -> float:
     velocity H1 Gram matrix and the cell-area pressure mass.
     """
     dm = VectorDofMap(mesh)
-    loc, b_rows, _, _ = velocity_blocks(mesh, dm, 1.0, 1.0, quad_order)
+    loc, b_rows, _, _ = velocity_blocks(mesh, dm, 1.0, 1.0, DEFAULT_QUAD_ORDER)
     dofs = dm.cell_dofs
-    X = _dense((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], loc)])
-    B = _dense((mesh.n_cells, dm.ndof), [(np.arange(mesh.n_cells)[:, None], dofs, b_rows)])
+    X = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], loc)]).toarray()
+    B = cell_matrix((mesh.n_cells, dm.ndof),
+                    [(np.arange(mesh.n_cells)[:, None], dofs, b_rows)]).toarray()
     S = B @ np.linalg.solve(X, B.T)
     M_p = np.diag(mesh.cell_geometry.area)
-    vals = scipy_eigh(S, M_p, eigvals_only=True)
-    vals = np.sort(vals)
+    vals = scipy_eigh(S, M_p, eigvals_only=True)  # in ascending order
     return float(np.sqrt(max(vals[1], 0.0)))

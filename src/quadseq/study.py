@@ -117,7 +117,7 @@ class StudyReport:
             title += f" (delta={self.delta}, seed={self.seed})"
         return f"**{title}**\n\n" + "\n".join(lines) + "\n"
 
-    def to_json(self, include_runtime: bool = False) -> str:
+    def to_json(self) -> str:
         doc = {
             "problem": self.problem,
             "params": self.params,
@@ -134,8 +134,6 @@ class StudyReport:
             "order_fit": {nm: self.order_fit(nm) for nm in self.norms},
             "notes": self.notes,
         }
-        if include_runtime:
-            doc["runtime_s"] = self.runtime_s
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -6,7 +6,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import quadseq.assembly as assembly
@@ -17,7 +16,7 @@ from quadseq.assembly import (
     SparseSystem,
     assemble_brinkman,
     assemble_fourth_order,
-    cell_entries,
+    cell_matrix,
     scalar_dof_scaling,
     solve,
     unit_shape_elements,
@@ -249,8 +248,7 @@ def _per_cell_fourth_order(mesh, eps, f, quad_order=4):
     scale = lam[:, :, None] * lam[:, None, :]
     K_loc = scale * (eps**2 * A_hat / h2[..., None] + B_hat)
     dofs = dm.cell_dofs
-    rows, cols, vals = cell_entries([(dofs[:, :, None], dofs[:, None, :], K_loc)])
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(dm.ndof, dm.ndof))
+    K = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], K_loc)])
     rhs = lam * F_hat * h2
     free = dofs >= 0
     return SparseSystem(K, np.bincount(dofs[free], weights=rhs[free], minlength=dm.ndof),

@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
 
+import quadseq.sequence as sequence
 from quadseq.dofmap import ScalarDofMap, VectorDofMap
-from quadseq.mesh import make_mesh
+from quadseq.mesh import Mesh, make_mesh
 from quadseq.sequence import (
+    CUTOFF,
     curl_matrix,
     divergence_matrix,
     inf_sup_constant,
     verify_exact_sequence,
 )
+
+
+def _stacked_rank(D, C):
+    """Dense oracle: rank [C | ker D] from a full SVD of D, its kernel basis
+    and an SVD of the stack, each rank at the relative cut CUTOFF."""
+    _, s, Vt = np.linalg.svd(D)
+    rank_div = int((s > CUTOFF * s[0]).sum())
+    s = np.linalg.svd(np.hstack([C, Vt[rank_div:].T]), compute_uv=False)
+    return int((s > CUTOFF * s[0]).sum())
 
 
 def test_smallest_mesh_dimensions():
@@ -27,11 +38,66 @@ def test_smallest_mesh_dimensions():
 ])
 @pytest.mark.parametrize("n", [2, 4])
 def test_exactness_across_families(family, seed, n):
-    report = verify_exact_sequence(make_mesh(n, family, seed=seed))
+    mesh = make_mesh(n, family, seed=seed)
+    report = verify_exact_sequence(mesh)
     assert report.passed, report.checks
     assert report.rank_div == report.dims["pressure"]
     assert report.nullity_div == report.dims["scalar"]
     assert report.sv_gap > 1e6
+    D, _ = divergence_matrix(mesh)
+    C, _, _ = curl_matrix(mesh)
+    assert report.rank_combined == _stacked_rank(D, C)
+
+
+@pytest.mark.parametrize("direction", ["top", "smallest_kept"])
+def test_kernel_count_as_strict_as_stacked_oracle(monkeypatch, direction):
+    # Shift one column of C out of ker D along a right singular vector of D:
+    # wherever the dense oracle sees the column leave the kernel, so must the
+    # rank-nullity count.
+    mesh = make_mesh(8, "random", seed=3)
+    D, _ = divergence_matrix(mesh)
+    C, sdm, vdm = curl_matrix(mesh)
+    _, s, Vt = np.linalg.svd(D)
+    rank_div = int((s > CUTOFF * s[0]).sum())
+    v = Vt[0 if direction == "top" else rank_div - 1]
+    flagged = []
+    for eps in np.logspace(-14, -4, 11):
+        shifted = C.copy()
+        shifted[:, 5] += eps * v
+        monkeypatch.setattr(sequence, "curl_matrix", lambda mesh: (shifted, sdm, vdm))
+        report = verify_exact_sequence(mesh)
+        if _stacked_rank(D, shifted) > report.nullity_div:
+            assert report.rank_combined > report.nullity_div, eps
+            assert not report.checks["curl_spans_kernel"]
+            flagged.append(eps)
+    assert flagged and flagged[-1] == 1e-4
+
+
+def test_certificate_takes_three_value_only_svds(monkeypatch):
+    svd, calls = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append((a.shape, args, kwargs))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    d = verify_exact_sequence(make_mesh(4, "random", seed=9)).dims
+    values_only = ((), {"compute_uv": False})
+    assert calls == [((d["n_cells"], d["vector"]), *values_only),
+                     ((d["vector"], d["scalar"]), *values_only),
+                     ((d["n_cells"], d["scalar"]), *values_only)]
+
+
+@pytest.mark.parametrize("vertices,cells", [
+    ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]]),
+    ([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]], [[0, 1, 4, 3], [1, 2, 5, 4]]),
+])
+def test_meshes_without_interior_vertices(vertices, cells):
+    # No scalar DoFs, so C has no columns; one cell leaves D without columns.
+    report = verify_exact_sequence(Mesh(vertices, cells))
+    assert report.passed, report.checks
+    assert report.rank_div == report.dims["pressure"] == len(cells) - 1
+    assert report.rank_combined == report.nullity_div == 0
 
 
 def test_divergence_rows_sum_to_zero_weighted():

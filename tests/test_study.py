@@ -64,9 +64,8 @@ def test_report_serialization_deterministic():
     assert a.to_csv() == b.to_csv()
     assert a.to_markdown() == b.to_markdown()
     assert a.to_json() == b.to_json()
-    # runtime is excluded from artifacts by default
+    # runtime is excluded from artifacts
     assert "runtime" not in a.to_json()
-    assert "runtime_s" in a.to_json(include_runtime=True)
 
 
 def test_csv_layout():
