@@ -18,7 +18,10 @@ element: ``unit_shape_elements`` builds each distinct shape once, the
 shape-only work (tabulation, Gram matrices, divergence constants) runs per
 shape, and its results are gathered back to the cells. A rectangular mesh
 has one shape, a trapezoidal one a few dozen; on a random mesh every cell
-is its own shape.
+is its own shape. Each mesh level's elements are built once: assembly
+returns them on the system as an ``ElementBatch`` (the unit geometry and
+each chunk's span weights), and the error norms of the solution re-form
+them from it instead of building them again.
 
 Batched products keep the operand layouts and reduction kernels a loop over
 cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
@@ -49,11 +52,13 @@ from .mesh import Mesh
 from .quadrature import QuadratureRule
 
 __all__ = [
+    "ElementBatch",
     "SparseSystem",
     "SolverError",
     "assemble_fourth_order",
     "assemble_brinkman",
     "solve",
+    "unit_shape_elements",
 ]
 
 DEFAULT_QUAD_ORDER = 4  # the 16-node tensor rule
@@ -75,30 +80,61 @@ def vector_dof_scaling(h) -> np.ndarray:
     return np.where(np.arange(12) < 4, 1.0 / np.asarray(h)[..., None], 1.0)
 
 
-def unit_shape_rule(geom: QuadGeometry, g: int):
+def unit_shape_rule(geom: QuadGeometry, g: int, unit: QuadGeometry | None = None):
     """The geometry of the cells' unit shapes with a g x g Gauss rule on it.
 
-    Returns the unit-shape geometry, its quadrature points (..., g*g, 2),
-    the matching physical points and the unit-shape weights (..., g*g);
-    physical weights are these times h^2.
+    Returns the unit-shape geometry (``unit`` if given, as an element batch
+    holds it), its quadrature points (..., g*g, 2), the matching physical
+    points and the unit-shape weights (..., g*g); physical weights are these
+    times h^2.
     """
-    unit = QuadGeometry(geom.local_vertices)
+    if unit is None:
+        unit = QuadGeometry(geom.local_vertices)
     pts, wts = QuadratureRule(g).cell_points(unit)
     return unit, pts, geom.from_local(pts), wts
 
 
-def unit_shape_elements(unit: QuadGeometry, build):
-    """Elements of the distinct unit shapes of the cells (``unit`` from
-    ``unit_shape_rule``), one build per shape and chunk.
+class ElementBatch:
+    """The unit-shape elements of one mesh level, as ``unit_shape_elements``
+    built them.
 
-    ``build`` is an element builder. Yields ``(cells, shapes, element, inv)``
-    for consecutive slices ``cells`` of at most CELL_CHUNK cells: ``shapes``
-    indexes the first mesh cell of each distinct shape in the chunk, in
-    order of first occurrence, ``element`` is built on ``unit[shapes]``,
-    and ``inv`` maps each cell of the chunk to its shape, so ``table[inv]``
-    turns a per-shape table into a per-cell one. A chunk without repeated
-    shapes (as on a random mesh) yields ``shapes = cells`` and
-    ``inv = slice(None)``, so its gathers are views that copy nothing.
+    ``unit`` is the unit-shape geometry of all cells and ``kind`` the element
+    class. ``chunks`` holds ``(cells, shapes, inv, X)`` per chunk, with
+    ``cells``, ``shapes`` and ``inv`` as ``unit_shape_elements`` passes them
+    to its ``use`` and X (n_shapes, 16, 12) the span weights of the built
+    elements. An element is its span and X, so the batch keeps X, not the
+    larger coefficient arrays, and ``elements`` re-forms each chunk's
+    element from a recomputed span bit for bit, without a 16x16 solve.
+    """
+
+    def __init__(self, unit: QuadGeometry, kind, chunks):
+        self.unit = unit
+        self.kind = kind
+        self.chunks = chunks
+
+    def elements(self):
+        """Yield ``(cells, shapes, element, inv)`` per chunk, as built."""
+        for cells, shapes, inv, X in self.chunks:
+            yield cells, shapes, self.kind.from_solution(self.unit[shapes], X), inv
+
+
+def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
+    """Build the elements of the distinct unit shapes of the cells (``unit``
+    from ``unit_shape_rule``), one build per shape and chunk, into an
+    ``ElementBatch``.
+
+    ``build`` is an element builder. The cells run in consecutive slices
+    ``cells`` of at most CELL_CHUNK cells: ``shapes`` indexes the first mesh
+    cell of each distinct shape in the chunk, in order of first occurrence,
+    the chunk's element is built on ``unit[shapes]``, and ``inv`` maps each
+    cell of the chunk to its shape, so ``table[inv]`` turns a per-shape
+    table into a per-cell one. A chunk without repeated shapes (as on a
+    random mesh) has ``shapes = cells`` and ``inv = slice(None)``, so its
+    gathers are views that copy nothing. ``use(cells, shapes, element,
+    inv)``, if given, takes what it needs from each element; the element
+    and the tables ``use`` made from it are freed before the next build.
+    Held through the next build, they raised the peak RSS of a random-mesh
+    study at n = 64 from 168-169 MB to 209-210 MB in 2 of 6 runs.
 
     Shapes are keyed on the bits of the vertex coordinates, not their values
     (``-0.0`` and ``0.0`` differ), so cells that share an element would
@@ -110,17 +146,24 @@ def unit_shape_elements(unit: QuadGeometry, build):
     view): a C-contiguous copy of the vector value table changes the
     summation order of the load ``einsum`` and the last bits of the load.
     """
+    kind, chunks = None, []
     for start in range(0, len(unit), CELL_CHUNK):
         cells = slice(start, start + CELL_CHUNK)
         v = np.ascontiguousarray(unit.vertices[cells])
         keys = v.view(np.uint64).reshape(len(v), -1)
-        _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         if len(first) == len(v):
-            yield cells, cells, build(unit[cells]), slice(None)
-            continue
-        order = np.argsort(first)  # shapes by first occurrence
-        shapes = start + first[order]
-        yield cells, shapes, build(unit[shapes]), np.argsort(order)[inv.ravel()]
+            shapes, inv = cells, slice(None)
+        else:
+            order = np.argsort(first)  # shapes by first occurrence
+            shapes, inv = start + first[order], np.argsort(order)[inverse.ravel()]
+        element = build(unit[shapes])
+        if use is not None:
+            use(cells, shapes, element, inv)
+        kind = type(element)
+        chunks.append((cells, shapes, inv, element.solution))
+        del element  # freed before the next build
+    return ElementBatch(unit, kind, chunks)
 
 
 def cell_matrix(shape, blocks):
@@ -149,15 +192,19 @@ def _load(dofs, F, ndof):
 
 
 class SparseSystem:
-    """Assembled sparse linear system with DoF metadata."""
+    """Assembled sparse linear system with DoF metadata and the
+    ``ElementBatch`` assembly built (``elements``), which the error norms
+    of its solution take."""
 
-    def __init__(self, matrix, rhs, kind, dofmap, n_velocity=None, n_pressure=None):
+    def __init__(self, matrix, rhs, kind, dofmap, n_velocity=None, n_pressure=None,
+                 elements=None):
         self.matrix = matrix.tocsr()
         self.rhs = rhs
         self.kind = kind            # "scalar" or "brinkman"
         self.dofmap = dofmap
         self.n_velocity = n_velocity
         self.n_pressure = n_pressure
+        self.elements = elements
 
     @property
     def ndof(self) -> int:
@@ -195,13 +242,16 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
     A_hat, B_hat = np.empty((2, mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
-    for cells, shapes, element, inv in unit_shape_elements(unit, build_scalar_element):
+
+    def integrate(cells, shapes, element, inv):
         val, grad, hess = element.tabulate(pts[shapes])
         w = wts[shapes]
         A_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess)[inv]
         B_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, grad, grad)[inv]
         F_hat[cells] = np.matmul(np.swapaxes(val[inv], -1, -2),
                                  (wts[cells] * fv[cells])[..., None])[..., 0]
+
+    elements = unit_shape_elements(unit, build_scalar_element, integrate)
 
     h2 = _pow2(geom.h[:, None])
     lam = scalar_dof_scaling(geom.h)
@@ -212,7 +262,8 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
         K_loc = scale * (eps**2 * A_hat / h2[..., None] + B_hat)
     dofs = dm.cell_dofs
     K = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], K_loc)])
-    return SparseSystem(K, _load(dofs, lam * F_hat * h2, dm.ndof), "scalar", dm)
+    return SparseSystem(K, _load(dofs, lam * F_hat * h2, dm.ndof), "scalar", dm,
+                        elements=elements)
 
 
 def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
@@ -232,7 +283,8 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     dm = VectorDofMap(mesh)
     n_u, n_p = dm.ndof, mesh.n_cells
     ndof = n_u + n_p + 1
-    A_loc, b_rows, F_hat, (x, wts) = velocity_blocks(mesh, dm, nu, alpha, quad_order, f)
+    A_loc, b_rows, F_hat, (x, wts), elements = velocity_blocks(mesh, dm, nu, alpha,
+                                                               quad_order, f)
 
     dofs = dm.cell_dofs
     p_dofs = n_u + np.arange(n_p)
@@ -252,7 +304,8 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     if g is not None:
         gv = np.asarray(g(x[..., 0], x[..., 1]), dtype=float)
         rhs[p_dofs] -= _dot(wts, gv) * h2[:, 0]
-    return SparseSystem(K, rhs, "brinkman", dm, n_velocity=n_u, n_pressure=n_p)
+    return SparseSystem(K, rhs, "brinkman", dm, n_velocity=n_u, n_pressure=n_p,
+                        elements=elements)
 
 
 def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: int, f=None):
@@ -261,7 +314,8 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
     Returns the local matrices nu * (broken gradient) + alpha * (mass) and
     the divergence rows (area times the constant divergence), both in the
     global edge-sign convention; the unit-shape load integrals of f (None
-    without f); and the physical points and unit-shape weights of the rule.
+    without f); the physical points and unit-shape weights of the rule; and
+    the ``ElementBatch`` of the vector elements.
     """
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, g)
@@ -269,7 +323,8 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
     G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
     div_constants = np.empty((mesh.n_cells, 12))
     F_hat = None if f is None else np.empty((mesh.n_cells, 12))
-    for cells, shapes, element, inv in unit_shape_elements(unit, build_vector_element):
+
+    def integrate(cells, shapes, element, inv):
         val, grad = element.tabulate(pts[shapes])
         w = wts[shapes]
         G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)[inv]
@@ -278,11 +333,13 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
         if f is not None:
             F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val[inv], wts[cells], fv[cells])
 
+    elements = unit_shape_elements(unit, build_vector_element, integrate)
+
     h = geom.h
     w = vector_dof_scaling(h) * dm.cell_signs
     A_loc = (w[:, :, None] * w[:, None, :]) * (nu * G_hat + alpha * _pow2(h[:, None, None]) * M_hat)
     b_rows = w * div_constants / h[:, None] * geom.area[:, None]
-    return A_loc, b_rows, F_hat, (x, wts)
+    return A_loc, b_rows, F_hat, (x, wts), elements
 
 
 def solve(system: SparseSystem) -> np.ndarray:

@@ -212,13 +212,22 @@ class ScalarElement:
     the geometry's batch shape.
     """
 
-    def __init__(self, geom, span, dof_matrix, solution, condition):
+    def __init__(self, geom, span, solution, dof_matrix=None, condition=None):
         self.geometry = geom
         self.span = span                  # (..., 16, 45): cubics, correctors, bubbles
         self.dof_matrix = dof_matrix      # (..., 16, 16): DoF and constraint rows
         self.solution = solution          # (..., 16, 12): span weights of the basis
         self.condition = condition
         self.coeff_matrix = _swap(solution) @ span
+
+    @classmethod
+    def from_solution(cls, geom, solution):
+        """The element on ``geom`` whose basis has the span weights
+        ``solution`` of a build on ``geom``, without its 16x16 solve: the
+        span is recomputed and the coefficients formed as the build forms
+        them, so they equal the built ones bit for bit. It carries no DoF
+        matrix or condition numbers, which only the build computes."""
+        return cls(geom, _stream_span(geom), solution)
 
     @cached_property
     def aux_matrix(self):
@@ -304,7 +313,7 @@ def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
     D[..., 12:16, :] = _normal_derivative_rows(C, geom, Vv, Ve)
 
     X, cond = _solve_nodal(D, 12, geom.index)
-    return ScalarElement(geom, C, D, X, cond)
+    return ScalarElement(geom, C, X, D, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +326,32 @@ class VectorElement:
     DoF ordering: integrals of v . n over E1..E4 (outward normals), then
     x-components at V1..V4, then y-components at V1..V4. ``coeff_x`` and
     ``coeff_y`` (..., 12, 45) pack the two components over the monomial
-    table in cell-local coordinates; every basis field has constant
-    divergence, recorded in ``div_constants`` (physical scale). Residual
-    diagnostics are computed on first access.
+    table in cell-local coordinates, formed from the x- and y-components
+    of the span and its weights ``solution`` (..., 16, 12); every basis
+    field has constant divergence, recorded in ``div_constants`` (physical
+    scale). Divergences and residual diagnostics are computed on first
+    access.
     """
 
-    def __init__(self, geom, coeff_x, coeff_y, condition):
+    def __init__(self, geom, span, solution, condition=None):
         self.geometry = geom
-        self.coeff_x = coeff_x
-        self.coeff_y = coeff_y
+        self.solution = solution
         self.condition = condition
-        self._div_rows = coeff_x @ DX.T + coeff_y @ DY.T
-        self.div_constants = self._div_rows[..., 0] / geom.h[..., None]
+        self.coeff_x, self.coeff_y = (_swap(solution) @ C for C in span)
+
+    @classmethod
+    def from_solution(cls, geom, solution):
+        """The element re-formed from the span weights of a build on
+        ``geom``, bit for bit, as ``ScalarElement.from_solution``."""
+        return cls(geom, _vector_span(geom), solution)
+
+    @cached_property
+    def _div_rows(self):
+        return self.coeff_x @ DX.T + self.coeff_y @ DY.T
+
+    @cached_property
+    def div_constants(self):
+        return self._div_rows[..., 0] / self.geometry.h[..., None]
 
     @cached_property
     def div_residual(self):
@@ -390,9 +413,9 @@ def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv=None, Ve=None):
 
 
 def build_vector_element(geom: QuadGeometry) -> VectorElement:
-    Cx, Cy = _vector_span(geom)
-    X, cond = _solve_nodal(_vector_dof_rows(Cx, Cy, geom), 12, geom.index)
-    return VectorElement(geom, _swap(X) @ Cx, _swap(X) @ Cy, cond)
+    span = _vector_span(geom)
+    X, cond = _solve_nodal(_vector_dof_rows(*span, geom), 12, geom.index)
+    return VectorElement(geom, span, X, cond)
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,22 @@ a solved global coefficient vector gathered through the DoF map
 (``dofmap.gather(x)``), or the nodal interpolant of a manufactured solution
 (``scalar_dof_values``/``vector_dof_values`` on ``mesh.cell_geometry``, no
 boundary conditions involved). Error quadrature uses an independent,
-higher-order rule than assembly, batched over cells like assembly, with
-one element per distinct unit shape of a chunk.
+higher-order rule than assembly, batched over cells like assembly.
+
+The norms build no element. They take the mesh level's ``ElementBatch``:
+the one assembly built (``system.elements``) or, for an interpolant, one
+made by ``unit_shape_elements``. They reuse its unit-shape geometry and
+re-form each chunk's elements from their span weights, so every error
+equals the one of freshly built elements bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assembly import (
-    build_scalar_element,
-    build_vector_element,
-    scalar_dof_scaling,
-    unit_shape_elements,
-    unit_shape_rule,
-    vector_dof_scaling,
-)
+from .assembly import ElementBatch, scalar_dof_scaling, unit_shape_rule, vector_dof_scaling
 from .cases import BrinkmanCase, ScalarCase
+from .elements import ScalarElement, VectorElement
 from .geometry import _pow2
 from .mesh import Mesh
 
@@ -34,10 +33,22 @@ def _at(fn, x):
     return np.asarray(fn(x[..., 0], x[..., 1]), dtype=float)
 
 
-def scalar_error_norms(mesh: Mesh, dofs: np.ndarray, case: ScalarCase, eps: float = 0.0,
+def _rule(mesh: Mesh, elements: ElementBatch, kind, quad_order: int):
+    """Points and weights of the error rule on the batch's unit shapes,
+    which must be the ``kind`` elements of ``mesh``."""
+    geom = mesh.cell_geometry
+    if elements.kind is not kind or not np.array_equal(elements.unit.vertices,
+                                                       geom.local_vertices):
+        raise ValueError(f"the elements must be the {kind.__name__} batch of this mesh")
+    return unit_shape_rule(geom, quad_order, elements.unit)[1:]
+
+
+def scalar_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
+                       case: ScalarCase, eps: float = 0.0,
                        quad_order: int = DEFAULT_ERROR_QUAD) -> dict[str, float]:
     """Broken H1/H2 seminorm errors and the parameter-weighted energy error
-    of the scalar field with cell DoF vectors ``dofs`` (n_cells, 12).
+    of the scalar field with cell DoF vectors ``dofs`` (n_cells, 12) on the
+    scalar ``elements`` of ``mesh``.
 
     The H2 seminorm follows the Sobolev multi-index convention (the mixed
     second derivative counted once), which is the convention behind the
@@ -45,10 +56,10 @@ def scalar_error_norms(mesh: Mesh, dofs: np.ndarray, case: ScalarCase, eps: floa
     contracts full Hessians.
     """
     geom = mesh.cell_geometry
-    unit, pts, x, wts = unit_shape_rule(geom, quad_order)
+    pts, x, wts = _rule(mesh, elements, ScalarElement, quad_order)
     c = dofs * scalar_dof_scaling(geom.h)
     grad_h, hess_h = np.empty(x.shape), np.empty(x.shape + (2,))
-    for cells, shapes, element, inv in unit_shape_elements(unit, build_scalar_element):
+    for cells, shapes, element, inv in elements.elements():
         _, grad_h[cells], hess_h[cells] = element.field_tables(c[cells], pts[shapes], inv)
     h = geom.h[:, None]
     grad_h /= h[..., None]
@@ -65,18 +76,19 @@ def scalar_error_norms(mesh: Mesh, dofs: np.ndarray, case: ScalarCase, eps: floa
     }
 
 
-def brinkman_error_norms(mesh: Mesh, dofs: np.ndarray, case: BrinkmanCase,
-                         nu: float, alpha: float,
+def brinkman_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
+                         case: BrinkmanCase, nu: float, alpha: float,
                          pressure_values: np.ndarray | None = None,
                          quad_order: int = DEFAULT_ERROR_QUAD) -> dict[str, float]:
     """Velocity errors (L2, broken H1, a_h combination) of the velocity with
-    cell DoF vectors ``dofs`` (n_cells, 12), and the pressure L2 error of the
-    cellwise constant ``pressure_values``."""
+    cell DoF vectors ``dofs`` (n_cells, 12) on the vector ``elements`` of
+    ``mesh``, and the pressure L2 error of the cellwise constant
+    ``pressure_values``."""
     geom = mesh.cell_geometry
-    unit, pts, x, wts = unit_shape_rule(geom, quad_order)
+    pts, x, wts = _rule(mesh, elements, VectorElement, quad_order)
     c = dofs * vector_dof_scaling(geom.h)
     val_h, grad_h = np.empty(x.shape), np.empty(x.shape + (2,))
-    for cells, shapes, element, inv in unit_shape_elements(unit, build_vector_element):
+    for cells, shapes, element, inv in elements.elements():
         val_h[cells], grad_h[cells] = element.field_tables(c[cells], pts[shapes], inv)
     h = geom.h[:, None]
     grad_h /= h[..., None, None]

@@ -227,10 +227,14 @@ def inf_sup_constant(mesh: Mesh) -> float:
 
     beta = min over mean-zero cell pressures q of
     max over v of b(v, q) / (||v||_1h ||q||_0), computed densely from the
-    velocity H1 Gram matrix and the cell-area pressure mass.
+    velocity H1 Gram matrix and the cell-area pressure mass. A one-cell
+    mesh has no mean-zero pressure and raises ``ValueError``.
     """
+    if mesh.n_cells < 2:
+        raise ValueError("the mean-zero pressure space of a one-cell mesh is empty, "
+                         "so it has no inf-sup constant")
     dm = VectorDofMap(mesh)
-    loc, b_rows, _, _ = velocity_blocks(mesh, dm, 1.0, 1.0, DEFAULT_QUAD_ORDER)
+    loc, b_rows, *_ = velocity_blocks(mesh, dm, 1.0, 1.0, DEFAULT_QUAD_ORDER)
     dofs = dm.cell_dofs
     X = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], loc)]).toarray()
     B = cell_matrix((mesh.n_cells, dm.ndof),

@@ -16,9 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_brinkman, assemble_fourth_order, solve
+from .assembly import assemble_brinkman, assemble_fourth_order, solve, unit_shape_elements
 from .cases import brinkman_sin_stream, scalar_sin_squared
-from .elements import scalar_dof_values, vector_dof_values
+from .elements import (
+    build_scalar_element,
+    build_vector_element,
+    scalar_dof_values,
+    vector_dof_values,
+)
+from .geometry import QuadGeometry
 from .mesh import DEFAULT_DELTA, make_mesh
 from .norms import brinkman_error_norms, scalar_error_norms
 
@@ -169,7 +175,7 @@ def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
     fourth-order mode (biharmonic=True) the weight is 1.
     """
     case = case or scalar_sin_squared()
-    eq = error_quad_order or quad_order + 2
+    eq = quad_order + 2 if error_quad_order is None else error_quad_order
     f = case.source_biharmonic() if biharmonic else case.source(eps)
 
     def level_errors(mesh):
@@ -177,7 +183,7 @@ def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
             mesh, eps, f, quad_order=quad_order, biharmonic=biharmonic
         )
         dofs = system.dofmap.gather(solve(system))
-        norms = scalar_error_norms(mesh, dofs, case, eps=eps, quad_order=eq)
+        norms = scalar_error_norms(mesh, system.elements, dofs, case, eps=eps, quad_order=eq)
         if biharmonic:
             # the natural energy of the pure fourth-order operator
             norms["energy"] = norms["h2"]
@@ -196,15 +202,15 @@ def run_brinkman_study(nu: float = 1.0, alpha: float = 1.0, *,
                        case=None) -> StudyReport:
     """Solve the flow problem over refinements; a_h velocity and L2 pressure errors."""
     case = case or brinkman_sin_stream()
-    eq = error_quad_order or quad_order + 2
+    eq = quad_order + 2 if error_quad_order is None else error_quad_order
     f = case.source(nu, alpha)
 
     def level_errors(mesh):
         system = assemble_brinkman(mesh, nu, alpha, f, g=case.divergence,
                                    quad_order=quad_order)
         u, p, _ = system.split(solve(system))
-        return brinkman_error_norms(mesh, system.dofmap.gather(u), case, nu, alpha,
-                                    pressure_values=p, quad_order=eq)
+        return brinkman_error_norms(mesh, system.elements, system.dofmap.gather(u), case,
+                                    nu, alpha, pressure_values=p, quad_order=eq)
 
     return _study("brinkman", {"nu": nu, "alpha": alpha},
                   ["velocity_ah", "pressure_l2", "velocity_l2", "velocity_h1"],
@@ -220,8 +226,11 @@ def run_scalar_interpolation_study(*, family: str = "rectangular",
     case = case or scalar_sin_squared()
 
     def level_errors(mesh):
-        dofs = scalar_dof_values(mesh.cell_geometry, case.u, case.grad)
-        return scalar_error_norms(mesh, dofs, case, eps=0.0, quad_order=error_quad_order)
+        geom = mesh.cell_geometry
+        elements = unit_shape_elements(QuadGeometry(geom.local_vertices), build_scalar_element)
+        dofs = scalar_dof_values(geom, case.u, case.grad)
+        return scalar_error_norms(mesh, elements, dofs, case, eps=0.0,
+                                  quad_order=error_quad_order)
 
     return _study("scalar-interpolation", {}, ["h2", "h1"], level_errors,
                   family=family, n_list=n_list, delta=delta, seed=seed,
@@ -236,8 +245,10 @@ def run_vector_interpolation_study(*, family: str = "rectangular",
     case = case or brinkman_sin_stream()
 
     def level_errors(mesh):
-        dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
-        return brinkman_error_norms(mesh, dofs, case, nu=1.0, alpha=1.0,
+        geom = mesh.cell_geometry
+        elements = unit_shape_elements(QuadGeometry(geom.local_vertices), build_vector_element)
+        dofs = vector_dof_values(geom, case.velocity)
+        return brinkman_error_norms(mesh, elements, dofs, case, nu=1.0, alpha=1.0,
                                     quad_order=error_quad_order)
 
     return _study("vector-interpolation", {}, ["velocity_h1", "velocity_l2"],

@@ -3,6 +3,7 @@ matrices transform correctly under similarities, and invalid cells are
 rejected by index."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import quadseq.assembly as assembly
 import quadseq.cli as cli
-import quadseq.norms as norms
+import quadseq.elements as elements
 from quadseq.assembly import (
     CELL_CHUNK,
+    ElementBatch,
     SparseSystem,
     assemble_brinkman,
     assemble_fourth_order,
@@ -26,7 +28,13 @@ from quadseq.assembly import (
 )
 from quadseq.cases import brinkman_sin_stream, scalar_sin_squared
 from quadseq.dofmap import ScalarDofMap, VectorDofMap
-from quadseq.elements import ElementConditioningError, build_scalar_element, build_vector_element
+from quadseq.elements import (
+    ElementConditioningError,
+    ScalarElement,
+    VectorElement,
+    build_scalar_element,
+    build_vector_element,
+)
 from quadseq.geometry import DegenerateCellError, NonConvexCellError, QuadGeometry, _pow2
 from quadseq.mesh import Mesh, make_mesh
 from quadseq.norms import brinkman_error_norms, scalar_error_norms
@@ -191,29 +199,107 @@ def test_shapes_are_keyed_on_bits():
     signed = diamond.copy()
     signed[0, 0] = -0.0
     unit = QuadGeometry(np.stack([diamond, signed]))
-    [(cells, shapes, element, inv)] = unit_shape_elements(unit, build_scalar_element)
+    [(cells, shapes, inv, X)] = unit_shape_elements(unit, build_scalar_element).chunks
     assert (cells, shapes, inv) == (slice(0, CELL_CHUNK), slice(0, CELL_CHUNK), slice(None))
-    assert element.coeff_matrix.shape == (2, 12, 45)
+    assert X.shape == (2, 16, 12)
 
     unit = QuadGeometry(np.stack([diamond, signed, diamond, signed, signed]))
-    [(_, shapes, element, inv)] = unit_shape_elements(unit, build_scalar_element)
+    [(_, shapes, inv, X)] = unit_shape_elements(unit, build_scalar_element).chunks
     np.testing.assert_array_equal(shapes, [0, 1])
     np.testing.assert_array_equal(inv, [0, 1, 0, 1, 1])
-    assert element.coeff_matrix.shape == (2, 12, 45)
+    assert X.shape == (2, 16, 12)
+
+
+@pytest.mark.parametrize("build", [build_scalar_element, build_vector_element])
+def test_batch_reforms_the_built_elements_bitwise(build, monkeypatch):
+    # The batch keeps only the span weights X of each chunk; the elements it
+    # re-forms from them have the built coefficients bit for bit.
+    monkeypatch.setattr(assembly, "CELL_CHUNK", 16)
+    built = []
+    unit = QuadGeometry(make_mesh(6, "random", seed=4).cell_geometry.local_vertices)
+    batch = unit_shape_elements(unit, build, lambda *chunk: built.append(chunk))
+    assert batch.kind is type(built[0][2]) and len(batch.chunks) == len(built) == 3
+    for (cells, shapes, element, inv), again in zip(built, batch.elements(), strict=True):
+        assert (cells, shapes, inv) == again[:2] + again[3:]
+        for name in ("coeff_matrix", "coeff_x", "coeff_y", "div_constants"):
+            if hasattr(element, name):
+                assert np.array_equal(getattr(element, name), getattr(again[2], name))
+
+
+def _count_solves(monkeypatch):
+    """Count the 16x16 nodal solves of every element build from here on."""
+    solves, solve_nodal = [], elements._solve_nodal
+
+    def counting(D, *args):
+        solves.append(len(D))
+        return solve_nodal(D, *args)
+    monkeypatch.setattr(elements, "_solve_nodal", counting)
+    return solves
 
 
 def test_rectangular_chunks_build_one_shape(monkeypatch):
-    # 64 rectangular cells in chunks of 16: every chunk builds one element,
-    # in assembly and in the error norms.
+    # 64 rectangular cells in chunks of 16: assembly builds one element per
+    # chunk, and the error norms reuse them without another build.
     monkeypatch.setattr(assembly, "CELL_CHUNK", 16)
     record = []
-    for module in (assembly, norms):
-        monkeypatch.setattr(module, "build_scalar_element",
-                            _count_cells(record, build_scalar_element))
+    monkeypatch.setattr(assembly, "build_scalar_element",
+                        _count_cells(record, build_scalar_element))
+    solves = _count_solves(monkeypatch)
     mesh = make_mesh(8, "rectangular")
     system = assemble_fourth_order(mesh, 1.0, SCALAR.source(1.0))
-    scalar_error_norms(mesh, system.dofmap.gather(solve(system)), SCALAR)
-    assert record == [1] * 8
+    scalar_error_norms(mesh, system.elements, system.dofmap.gather(solve(system)), SCALAR)
+    assert record == [1] * 4
+    assert solves == [1] * 4
+
+
+def test_random_chunks_build_once_for_assembly_and_norms(monkeypatch):
+    # Every cell of a random mesh is its own shape: 64 cells in chunks of 16
+    # build 16 shapes per chunk, once, for both problems.
+    monkeypatch.setattr(assembly, "CELL_CHUNK", 16)
+    record = []
+    for name, build in [("build_scalar_element", build_scalar_element),
+                        ("build_vector_element", build_vector_element)]:
+        monkeypatch.setattr(assembly, name, _count_cells(record, build))
+    solves = _count_solves(monkeypatch)
+    mesh = make_mesh(8, "random", seed=3)
+    system = assemble_fourth_order(mesh, 1.0, SCALAR.source(1.0))
+    scalar_error_norms(mesh, system.elements, system.dofmap.gather(solve(system)), SCALAR)
+    system = assemble_brinkman(mesh, 1.0, 1.0, FLOW.source(1.0, 1.0))
+    u, p, _ = system.split(solve(system))
+    brinkman_error_norms(mesh, system.elements, system.dofmap.gather(u), FLOW, 1.0, 1.0, p)
+    assert record == solves == [16] * 8
+
+
+@pytest.mark.parametrize("build, element_type, integrate", [
+    ("build_scalar_element", ScalarElement,
+     lambda mesh: assemble_fourth_order(mesh, 1.0, SCALAR.source(1.0))),
+    ("build_vector_element", VectorElement,
+     lambda mesh: velocity_blocks(mesh, VectorDofMap(mesh), 1.0, 1.0, 4, FLOW.source(1.0, 1.0))),
+], ids=["scalar", "vector"])
+def test_chunk_element_and_tables_are_freed_before_the_next_build(
+        build, element_type, integrate, monkeypatch):
+    # Holding a chunk's element and its value/gradient/Hessian tables through
+    # the next build raises the peak memory of a random-mesh study; each
+    # build checks that nothing of the previous chunk is alive.
+    monkeypatch.setattr(assembly, "CELL_CHUNK", 16)
+    alive, builds = [], []
+
+    def recording(geom):
+        assert all(ref() is None for ref in alive)
+        element = getattr(elements, build)(geom)
+        alive.append(weakref.ref(element))
+        builds.append(len(geom))
+        return element
+
+    def tabulate(self, points, original=element_type.tabulate):
+        tables = original(self, points)
+        alive.extend(weakref.ref(t) for t in tables)
+        return tables
+
+    monkeypatch.setattr(assembly, build, recording)
+    monkeypatch.setattr(element_type, "tabulate", tabulate)
+    integrate(make_mesh(8, "random", seed=5))
+    assert builds == [16] * 4 and len(alive) > 4
 
 
 # -- bitwise agreement with one element per cell ------------------------------
@@ -228,6 +314,14 @@ def _one_element_per_cell(unit, build):
     for start in range(0, len(unit), CELL_CHUNK):
         cells = slice(start, start + CELL_CHUNK)
         yield cells, np.arange(len(unit))[cells], build(unit[cells]), None
+
+
+def _per_cell_batch(mesh, build):
+    unit = QuadGeometry(mesh.cell_geometry.local_vertices)
+    chunks = []
+    for cells, shapes, element, inv in _one_element_per_cell(unit, build):
+        chunks.append((cells, shapes, inv, element.solution))
+    return ElementBatch(unit, type(element), chunks)
 
 
 def _per_cell_fourth_order(mesh, eps, f, quad_order=4):
@@ -274,7 +368,7 @@ def _per_cell_velocity_blocks(mesh, dm, nu, alpha, g, f=None):
     w = vector_dof_scaling(h) * dm.cell_signs
     A_loc = (w[:, :, None] * w[:, None, :]) * (nu * G_hat + alpha * _pow2(h[:, None, None]) * M_hat)
     b_rows = w * div_constants / h[:, None] * geom.area[:, None]
-    return A_loc, b_rows, F_hat, (x, wts)
+    return A_loc, b_rows, F_hat, (x, wts), _per_cell_batch(mesh, build_vector_element)
 
 
 def _assert_all_equal(got, want):
@@ -299,27 +393,50 @@ def test_shared_shapes_keep_fourth_order_system_bitwise(mesh, monkeypatch):
     assert np.array_equal(system.rhs, want.rhs)
 
     dofs = system.dofmap.gather(solve(system))
-    errors = scalar_error_norms(mesh, dofs, SCALAR, eps=1.0)
-    monkeypatch.setattr(norms, "unit_shape_elements", _one_element_per_cell)
-    assert errors == scalar_error_norms(mesh, dofs, SCALAR, eps=1.0)
+    errors = scalar_error_norms(mesh, system.elements, dofs, SCALAR, eps=1.0)
+    per_cell = _per_cell_batch(mesh, build_scalar_element)
+    assert errors == scalar_error_norms(mesh, per_cell, dofs, SCALAR, eps=1.0)
 
 
 def test_shared_shapes_keep_flow_system_bitwise(mesh, monkeypatch):
     f, g = FLOW.source(1.0, 1.0), (lambda x, y: 1.0 + x)
     dm = VectorDofMap(mesh)
-    blocks = velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)
+    blocks = velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)[:4]
     system = assemble_brinkman(mesh, 1.0, 1.0, f, g)
     u, p, _ = system.split(solve(system))
     dofs = system.dofmap.gather(u)
-    errors = brinkman_error_norms(mesh, dofs, FLOW, 1.0, 1.0, p)
+    errors = brinkman_error_norms(mesh, system.elements, dofs, FLOW, 1.0, 1.0, p)
 
-    _assert_all_equal(blocks, _per_cell_velocity_blocks(mesh, dm, 1.0, 1.0, 4, f))
+    _assert_all_equal(blocks, _per_cell_velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)[:4])
     monkeypatch.setattr(assembly, "velocity_blocks", _per_cell_velocity_blocks)
     want = assemble_brinkman(mesh, 1.0, 1.0, f, g)
     assert np.array_equal(system.matrix.data, want.matrix.data)
     assert np.array_equal(system.rhs, want.rhs)
-    monkeypatch.setattr(norms, "unit_shape_elements", _one_element_per_cell)
-    assert errors == brinkman_error_norms(mesh, dofs, FLOW, 1.0, 1.0, p)
+    assert errors == brinkman_error_norms(mesh, want.elements, dofs, FLOW, 1.0, 1.0, p)
+
+
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+def test_norms_on_the_assembly_batch_equal_a_fresh_batch(family):
+    # Holding the batch through the solve changes nothing: the errors on the
+    # assembly's elements equal those on a batch built afresh, bit for bit.
+    mesh = make_mesh(8, family, seed=3)
+    unit = QuadGeometry(mesh.cell_geometry.local_vertices)
+    system = assemble_fourth_order(mesh, 1.0, SCALAR.source(1.0))
+    dofs = system.dofmap.gather(solve(system))
+    fresh = unit_shape_elements(unit, build_scalar_element)
+    for got, want in zip(scalar_error_norms(mesh, system.elements, dofs, SCALAR, eps=1.0).values(),
+                         scalar_error_norms(mesh, fresh, dofs, SCALAR, eps=1.0).values(),
+                         strict=True):
+        assert np.array_equal(got, want)
+
+    system = assemble_brinkman(mesh, 1.0, 1.0, FLOW.source(1.0, 1.0), FLOW.divergence)
+    u, p, _ = system.split(solve(system))
+    dofs = system.dofmap.gather(u)
+    fresh = unit_shape_elements(unit, build_vector_element)
+    for got, want in zip(
+            brinkman_error_norms(mesh, system.elements, dofs, FLOW, 1.0, 1.0, p).values(),
+            brinkman_error_norms(mesh, fresh, dofs, FLOW, 1.0, 1.0, p).values(), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_mesh_geometry_is_one_batch():

@@ -53,6 +53,9 @@ def test_usage_errors_exit_two():
     assert main(["study", "brinkman", "--nu", "inf", "--n", "4"]) == 2
     assert main(["study", "brinkman", "--alpha", "nan", "--n", "4"]) == 2
     assert main(["study", "scalar", "--frequency", "0", "--n", "4,8"]) == 2
+    assert main(["study", "scalar", "--quad-order", "0", "--n", "4"]) == 2
+    assert main(["study", "scalar", "--error-quad-order", "0", "--n", "4"]) == 2
+    assert main(["study", "brinkman", "--error-quad-order", "0", "--n", "4"]) == 2
     assert main(["mesh", "--mesh", "random", "--delta", "0.9", "--n", "4",
                  "--out", "/tmp/never.json"]) == 2
     with pytest.raises(SystemExit) as exc:

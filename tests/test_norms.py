@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from quadseq.assembly import unit_shape_rule
-from quadseq.elements import build_scalar_element, scalar_dof_values, vector_dof_values
+from quadseq.assembly import unit_shape_elements, unit_shape_rule
+from quadseq.elements import (
+    build_scalar_element,
+    build_vector_element,
+    scalar_dof_values,
+    vector_dof_values,
+)
 from quadseq.cases import BrinkmanCase, brinkman_sin_stream, scalar_poly2_case, scalar_sin_squared
+from quadseq.geometry import QuadGeometry
 from quadseq.mesh import make_mesh
 from quadseq.norms import brinkman_error_norms, scalar_error_norms
+
+
+def _elements(mesh, build):
+    return unit_shape_elements(QuadGeometry(mesh.cell_geometry.local_vertices), build)
 
 
 def test_quadratic_exactly_captured():
@@ -13,7 +23,7 @@ def test_quadratic_exactly_captured():
     case = scalar_poly2_case()
     mesh = make_mesh(3, "random", seed=12)
     dofs = scalar_dof_values(mesh.cell_geometry, case.u, case.grad)
-    norms = scalar_error_norms(mesh, dofs, case, eps=1.0)
+    norms = scalar_error_norms(mesh, _elements(mesh, build_scalar_element), dofs, case, eps=1.0)
     assert norms["h1"] < 1e-10
     assert norms["h2"] < 1e-10
     assert norms["energy"] < 1e-10
@@ -23,7 +33,7 @@ def test_energy_reduces_to_h1_at_zero_parameter():
     case = scalar_sin_squared()
     mesh = make_mesh(4, "rectangular")
     dofs = scalar_dof_values(mesh.cell_geometry, case.u, case.grad)
-    norms = scalar_error_norms(mesh, dofs, case, eps=0.0)
+    norms = scalar_error_norms(mesh, _elements(mesh, build_scalar_element), dofs, case, eps=0.0)
     assert norms["energy"] == pytest.approx(norms["h1"], rel=1e-14)
 
 
@@ -41,7 +51,8 @@ def test_linear_velocity_exactly_captured():
     )
     mesh = make_mesh(3, "trapezoidal")
     dofs = vector_dof_values(mesh.cell_geometry, lin.velocity)
-    norms = brinkman_error_norms(mesh, dofs, lin, nu=1.0, alpha=1.0)
+    norms = brinkman_error_norms(mesh, _elements(mesh, build_vector_element), dofs, lin,
+                                 nu=1.0, alpha=1.0)
     assert norms["velocity_l2"] < 1e-11
     assert norms["velocity_h1"] < 1e-10
 
@@ -50,7 +61,8 @@ def test_darcy_norm_is_l2():
     case = brinkman_sin_stream()
     mesh = make_mesh(4, "rectangular")
     dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
-    norms = brinkman_error_norms(mesh, dofs, case, nu=0.0, alpha=1.0)
+    norms = brinkman_error_norms(mesh, _elements(mesh, build_vector_element), dofs, case,
+                                 nu=0.0, alpha=1.0)
     assert norms["velocity_ah"] == pytest.approx(norms["velocity_l2"], rel=1e-14)
 
 
@@ -59,7 +71,8 @@ def test_pressure_error_of_zero_function():
     case = brinkman_sin_stream()
     mesh = make_mesh(8, "rectangular")
     dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
-    err = brinkman_error_norms(mesh, dofs, case, nu=1.0, alpha=1.0,
+    err = brinkman_error_norms(mesh, _elements(mesh, build_vector_element), dofs, case,
+                               nu=1.0, alpha=1.0,
                                pressure_values=np.zeros(mesh.n_cells))["pressure_l2"]
     assert err == pytest.approx(np.sqrt(0.5 - 4.0 / np.pi**2), rel=1e-9)
 
@@ -73,3 +86,14 @@ def test_error_rule_tables_agree_on_rectangles():
     val, grad, hess = elt.tabulate(pts)
     for table in (elt.coeff_matrix, w, val, grad, hess):
         assert np.abs(table - table[0]).max() <= 1e-13 * np.abs(table).max()
+
+
+def test_norms_take_the_batch_of_their_mesh_and_kind():
+    # A batch of the other element kind, or of another mesh, is refused.
+    case = brinkman_sin_stream()
+    mesh = make_mesh(4, "random", seed=2)
+    dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
+    for elements in (_elements(mesh, build_scalar_element),
+                     _elements(make_mesh(4, "random", seed=3), build_vector_element)):
+        with pytest.raises(ValueError, match="VectorElement batch of this mesh"):
+            brinkman_error_norms(mesh, elements, dofs, case, nu=1.0, alpha=1.0)

@@ -165,3 +165,10 @@ def test_inf_sup_witness_bounded():
     assert all(b > 0.3 for b in betas)
     # mesh-independence: no collapse under refinement
     assert betas[-1] > 0.8 * betas[0]
+
+
+def test_inf_sup_of_one_cell_names_the_empty_pressure_space():
+    # One cell has no mean-zero pressure, so there is nothing to bound.
+    mesh = Mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
+    with pytest.raises(ValueError, match="mean-zero pressure space .* is empty"):
+        inf_sup_constant(mesh)
