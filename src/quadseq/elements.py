@@ -62,7 +62,7 @@ def _swap(a):
 
 
 def _vt(points):
-    """Transposed monomial matrix (..., 45, npts) at local points."""
+    """Transposed monomial matrix (..., 28, npts) at local points."""
     return _swap(vandermonde(points))
 
 
@@ -71,8 +71,8 @@ def _vt(points):
 # ---------------------------------------------------------------------------
 
 # Span polynomials are chains of affine factors (..., 3) = (c0, cx, cy),
-# multiplied out on packed rows (..., 45); their degrees stay <= 6, within
-# the degree-8 monomial table, so no product loses a term.
+# multiplied out on packed rows (..., 28); their degrees stay <= 6, the
+# degree of the monomial table, so no product loses a term.
 
 _CUBICS = np.eye(len(MONOMIALS))[:10]              # 1, x, y, x^2, ..., y^3
 _LINEAR_FIELDS = np.zeros((2, 6, len(MONOMIALS)))  # (1,0), (0,1), (x,0), (0,x), (y,0), (0,y)
@@ -84,7 +84,7 @@ def _batched(constant_rows, geom):
 
 
 def _corrector_span(geom: QuadGeometry):
-    """(..., 2, 45): the two quintic correctors c1, c2."""
+    """(..., 2, 28): the two quintic correctors c1, c2."""
     l1, l2, l3, l4 = (geom.edge_line_coeffs[..., k, :] for k in range(4))
     m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
     s1, s2 = geom.s[..., 0, None], geom.s[..., 1, None]
@@ -107,7 +107,7 @@ def _corrector_span(geom: QuadGeometry):
 
 
 def _bubble_span(geom: QuadGeometry):
-    """(..., 4, 45): b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4."""
+    """(..., 4, 28): b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4."""
     lines = geom.edge_line_coeffs
     b0 = affine_row(lines[..., 0, :])
     for k in range(1, 4):
@@ -121,7 +121,7 @@ def _bubble_span(geom: QuadGeometry):
 
 
 def _stream_span(geom: QuadGeometry):
-    """(..., 16, 45): cubic monomials, the two correctors, the four bubbles."""
+    """(..., 16, 28): cubic monomials, the two correctors, the four bubbles."""
     # The span is allocated before its parts, so their temporaries are freed
     # above it. A span allocated after them (np.concatenate) leaves holes in
     # the heap that raise the peak RSS of a random-mesh study at n = 64 by
@@ -134,7 +134,7 @@ def _stream_span(geom: QuadGeometry):
 
 
 def _vector_span(geom: QuadGeometry):
-    """x- and y-components (..., 16, 45) of the vector span fields: linear
+    """x- and y-components (..., 16, 28) of the vector span fields: linear
     vectors, then rotated gradients of the cubic monomials, the correctors
     and the bubbles."""
     stream = _stream_span(geom)[..., 6:, :]
@@ -147,7 +147,7 @@ def _vector_span(geom: QuadGeometry):
 # ---------------------------------------------------------------------------
 # packed functional evaluation
 # ---------------------------------------------------------------------------
-# Packed polynomial sets are (..., k, 45) coefficient matrices; Vv and Ve are
+# Packed polynomial sets are (..., k, 28) coefficient matrices; Vv and Ve are
 # transposed monomial matrices at the local vertices and at the stacked edge
 # Gauss points (5 per edge, edge by edge).
 
@@ -206,7 +206,7 @@ class ScalarElement:
 
     DoF ordering: values at V1..V4, then d/dx at V1..V4, then d/dy at V1..V4
     (physical derivatives). Basis polynomials take cell-local coordinates
-    (x - b) / h; ``coeff_matrix`` (..., 12, 45) holds them packed over the
+    (x - b) / h; ``coeff_matrix`` (..., 12, 28) holds them packed over the
     monomial table. The auxiliary basis, bubble duals, aggregation weights
     and residual diagnostics are computed on first access; diagnostics carry
     the geometry's batch shape.
@@ -214,7 +214,7 @@ class ScalarElement:
 
     def __init__(self, geom, span, solution, dof_matrix=None, condition=None):
         self.geometry = geom
-        self.span = span                  # (..., 16, 45): cubics, correctors, bubbles
+        self.span = span                  # (..., 16, 28): cubics, correctors, bubbles
         self.dof_matrix = dof_matrix      # (..., 16, 16): DoF and constraint rows
         self.solution = solution          # (..., 16, 12): span weights of the basis
         self.condition = condition
@@ -231,7 +231,7 @@ class ScalarElement:
 
     @cached_property
     def aux_matrix(self):
-        """(..., 12, 45) auxiliary nodal basis: the bubble-free block solve."""
+        """(..., 12, 28) auxiliary nodal basis: the bubble-free block solve."""
         X_aux = np.linalg.solve(self.dof_matrix[..., :12, :12], np.eye(12))
         return _swap(X_aux) @ self.span[..., :12, :]
 
@@ -302,7 +302,7 @@ def _scalar_tables(geom, C, points, inv=None):
 
 
 def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
-    C = _stream_span(geom)                               # (..., 16, 45)
+    C = _stream_span(geom)                               # (..., 16, 28)
     h = geom.h[..., None, None]
     Vv, Ve = _frames(geom)
 
@@ -325,7 +325,7 @@ class VectorElement:
 
     DoF ordering: integrals of v . n over E1..E4 (outward normals), then
     x-components at V1..V4, then y-components at V1..V4. ``coeff_x`` and
-    ``coeff_y`` (..., 12, 45) pack the two components over the monomial
+    ``coeff_y`` (..., 12, 28) pack the two components over the monomial
     table in cell-local coordinates, formed from the x- and y-components
     of the span and its weights ``solution`` (..., 16, 12); every basis
     field has constant divergence, recorded in ``div_constants`` (physical
@@ -505,8 +505,8 @@ _MU_NODES = [(0, 0), (0, 1), (2, 2), (2, 3)]
 
 
 def _unisolvency_rows(geom: QuadGeometry):
-    """Packed polynomials (..., 4, 45) whose tangential derivatives make M
-    and N, and (..., 4, 4, 45) whose edge means along edge i make row i of B-."""
+    """Packed polynomials (..., 4, 28) whose tangential derivatives make M
+    and N, and (..., 4, 4, 28) whose edge means along edge i make row i of B-."""
     lines = [geom.edge_line_coeffs[..., k, :] for k in range(4)]
     l1, l2, l3, l4 = lines
     d13, d24 = geom.diag_13_coeffs, geom.diag_24_coeffs

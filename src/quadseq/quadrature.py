@@ -8,13 +8,19 @@ import numpy as np
 
 from .geometry import QuadGeometry
 
-__all__ = ["QuadratureRule", "gauss01"]
+__all__ = ["QuadratureRule", "check_order", "gauss01"]
 
 
 @lru_cache(maxsize=32)
 def _leggauss(g: int):
     x, w = np.polynomial.legendre.leggauss(g)
     return x, w
+
+
+def check_order(g: int, name: str = "per-axis order g"):
+    """Raise ``ValueError``, naming ``name``, unless 2 <= g <= 8."""
+    if not 2 <= g <= 8:
+        raise ValueError(f"{name} must lie in 2..8, got {g}")
 
 
 @lru_cache(maxsize=32)
@@ -32,8 +38,7 @@ class QuadratureRule:
     """
 
     def __init__(self, g: int):
-        if not 2 <= g <= 8:
-            raise ValueError("per-axis order g must lie in 2..8")
+        check_order(g)
         self.g = g
         x, w = _leggauss(g)
         xx, yy = np.meshgrid(x, x, indexing="ij")

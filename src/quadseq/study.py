@@ -27,6 +27,7 @@ from .elements import (
 from .geometry import QuadGeometry
 from .mesh import DEFAULT_DELTA, make_mesh
 from .norms import brinkman_error_norms, scalar_error_norms
+from .quadrature import check_order
 
 __all__ = [
     "StudyReport",
@@ -164,6 +165,16 @@ def _study(problem, params, norms, level_errors, *, family, n_list, delta, seed,
     )
 
 
+def _error_order(quad_order, error_quad_order):
+    """Check both rule orders before any level runs; return the error order."""
+    check_order(quad_order, "quad_order")
+    if error_quad_order is None:
+        check_order(quad_order + 2, "error_quad_order (default quad_order + 2)")
+        return quad_order + 2
+    check_order(error_quad_order, "error_quad_order")
+    return error_quad_order
+
+
 def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
                      family: str = "rectangular", n_list=(4, 8, 16, 32, 64),
                      delta: float | None = None, seed: int = 0,
@@ -175,7 +186,7 @@ def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
     fourth-order mode (biharmonic=True) the weight is 1.
     """
     case = case or scalar_sin_squared()
-    eq = quad_order + 2 if error_quad_order is None else error_quad_order
+    eq = _error_order(quad_order, error_quad_order)
     f = case.source_biharmonic() if biharmonic else case.source(eps)
 
     def level_errors(mesh):
@@ -202,7 +213,7 @@ def run_brinkman_study(nu: float = 1.0, alpha: float = 1.0, *,
                        case=None) -> StudyReport:
     """Solve the flow problem over refinements; a_h velocity and L2 pressure errors."""
     case = case or brinkman_sin_stream()
-    eq = quad_order + 2 if error_quad_order is None else error_quad_order
+    eq = _error_order(quad_order, error_quad_order)
     f = case.source(nu, alpha)
 
     def level_errors(mesh):
@@ -224,6 +235,7 @@ def run_scalar_interpolation_study(*, family: str = "rectangular",
                                    error_quad_order: int = 6, case=None) -> StudyReport:
     """Broken H1/H2 errors of the nodal interpolant of the scalar solution."""
     case = case or scalar_sin_squared()
+    check_order(error_quad_order, "error_quad_order")
 
     def level_errors(mesh):
         geom = mesh.cell_geometry
@@ -243,6 +255,7 @@ def run_vector_interpolation_study(*, family: str = "rectangular",
                                    error_quad_order: int = 6, case=None) -> StudyReport:
     """L2 and broken H1 errors of the nodal interpolant of the flow velocity."""
     case = case or brinkman_sin_stream()
+    check_order(error_quad_order, "error_quad_order")
 
     def level_errors(mesh):
         geom = mesh.cell_geometry

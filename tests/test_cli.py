@@ -40,6 +40,15 @@ def test_study_brinkman(tmp_path):
     assert header.startswith("n,velocity_ah,pressure_l2")
 
 
+def test_rule_order_errors_name_the_parameter(capsys):
+    # Checked when the study starts, before the n = 64 level is solved.
+    assert main(["study", "scalar", "--mesh", "random", "--n", "64",
+                 "--error-quad-order", "0"]) == 2
+    assert "error_quad_order must lie in 2..8, got 0" in capsys.readouterr().err
+    assert main(["study", "brinkman", "--n", "64", "--quad-order", "9"]) == 2
+    assert "quad_order must lie in 2..8, got 9" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["study", "scalar", "--n", "1,2"])

@@ -198,13 +198,16 @@ def test_bubbles_vanish_at_vertices(random_quads):
 
 def test_spans_stay_within_degree_six():
     # Span and unisolvency polynomials are products of at most six affine
-    # forms, or derivatives of such products, so the degree-8 monomial table
-    # holds every product exactly.
-    high = np.array([i + j > 6 for i, j in MONOMIALS])
-    for g in (make_mesh(8, "random", seed=3).cell_geometry, random_convex_quads(200, seed=5)):
+    # forms, or derivatives of such products. The degree-6 monomial table
+    # holds them (``mul_affine`` raises on a product past it), and it is
+    # tight: the bubble b0 * d13 * d24 has degree 6 on every cell.
+    top = np.array([i + j == 6 for i, j in MONOMIALS])
+    meshes = [make_mesh(4, "rectangular"), make_mesh(4, "trapezoidal"),
+              make_mesh(8, "random", seed=3)]
+    for g in [m.cell_geometry for m in meshes] + [random_convex_quads(200, seed=5)]:
         for rows in (_stream_span(g), *_vector_span(g), *_unisolvency_rows(g)):
             assert rows.shape[-1] == len(MONOMIALS)
-            assert not rows[..., high].any()
+        assert _bubble_span(g)[..., 3, top].any(-1).all()
 
 
 def test_conditioning_error_on_near_degenerate():

@@ -18,6 +18,7 @@ import quadseq.mesh as qmesh
 from quadseq.elements import build_scalar_element, build_vector_element
 from quadseq.geometry import QuadGeometry
 from quadseq.mesh import make_mesh
+from quadseq.poly import MONOMIALS
 from quadseq.sequence import inf_sup_constant, verify_exact_sequence
 from quadseq.study import run_brinkman_study, run_scalar_study
 
@@ -44,14 +45,21 @@ def test_study_errors_match_golden(key):
 
 
 def test_element_coefficients_match_golden():
+    # The golden coefficients were recorded on the 45 monomials of degree
+    # <= 8; the table now stops at degree 6, its first 28 monomials, and the
+    # recorded coefficients of degrees 7 and 8 are exact zeros.
     ref = GOLDEN["elements"]
+    m = len(MONOMIALS)
     for k, verts in enumerate(ref["vertices"]):
         geom = QuadGeometry(verts)
         se = build_scalar_element(geom)
         ve = build_vector_element(geom)
-        _assert_close(se.coeff_matrix, ref["coeff_matrix"][k])
-        _assert_close(ve.coeff_x, ref["coeff_x"][k])
-        _assert_close(ve.coeff_y, ref["coeff_y"][k])
+        for got, key in ((se.coeff_matrix, "coeff_matrix"), (ve.coeff_x, "coeff_x"),
+                         (ve.coeff_y, "coeff_y")):
+            want = np.asarray(ref[key][k], dtype=float)
+            assert want.shape[-1] == 45
+            assert not want[..., m:].any()
+            _assert_close(got, want[..., :m])
         _assert_close(ve.div_constants, ref["div_constants"][k])
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import quadseq.study
 from quadseq.study import (
     fit_order,
     pairwise_orders,
@@ -33,6 +34,27 @@ def test_fit_order_on_exact_power_law():
 def test_resolutions_must_increase(study, n_list):
     with pytest.raises(ValueError, match="increase strictly"):
         study(n_list=n_list)
+
+
+@pytest.mark.parametrize("study, orders, name", [
+    (run_scalar_study, {"quad_order": 0}, "quad_order"),
+    (run_scalar_study, {"quad_order": 9}, "quad_order"),
+    (run_scalar_study, {"error_quad_order": 0}, "error_quad_order"),
+    (run_scalar_study, {"quad_order": 7}, r"error_quad_order \(default quad_order \+ 2\)"),
+    (run_brinkman_study, {"quad_order": 9}, "quad_order"),
+    (run_brinkman_study, {"error_quad_order": 0}, "error_quad_order"),
+    (run_scalar_interpolation_study, {"error_quad_order": 1}, "error_quad_order"),
+    (run_vector_interpolation_study, {"error_quad_order": 9}, "error_quad_order"),
+], ids=["scalar-quad0", "scalar-quad9", "scalar-error0", "scalar-quad7-default-error9",
+        "brinkman-quad9", "brinkman-error0", "scalar-interpolation-error1",
+        "vector-interpolation-error9"])
+def test_rule_orders_are_checked_before_any_level(monkeypatch, study, orders, name):
+    def no_level(*args, **kwargs):
+        raise AssertionError("a mesh level was built before the orders were checked")
+
+    monkeypatch.setattr(quadseq.study, "make_mesh", no_level)
+    with pytest.raises(ValueError, match=f"^{name} must lie in 2..8"):
+        study(n_list=[4, 8], **orders)
 
 
 def test_scalar_study_decreases():
