@@ -210,20 +210,12 @@ class SparseSystem:
     def ndof(self) -> int:
         return self.matrix.shape[0]
 
-    def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
     def split(self, x: np.ndarray):
         """Brinkman solution -> (velocity coefficients, cell pressures, multiplier)."""
         if self.kind != "brinkman":
             raise ValueError("split applies to Brinkman systems only")
         nu_, np_ = self.n_velocity, self.n_pressure
         return x[:nu_], x[nu_:nu_ + np_], float(x[-1])
-
-    def write_matrix_market(self, path):
-        from scipy.io import mmwrite
-        mmwrite(str(path), self.matrix.tocoo())
 
 
 def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_QUAD_ORDER,
@@ -308,21 +300,22 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
                         elements=elements)
 
 
-def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: int, f=None):
+# Its return frees G_hat/M_hat before the scatter: inlined, stokes-rect peak RSS was 189 vs 178 MB.
+def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: int, f):
     """Per-cell blocks of the velocity equations on a g x g rule.
 
     Returns the local matrices nu * (broken gradient) + alpha * (mass) and
     the divergence rows (area times the constant divergence), both in the
-    global edge-sign convention; the unit-shape load integrals of f (None
-    without f); the physical points and unit-shape weights of the rule; and
-    the ``ElementBatch`` of the vector elements.
+    global edge-sign convention; the unit-shape load integrals of f; the
+    physical points and unit-shape weights of the rule; and the
+    ``ElementBatch`` of the vector elements.
     """
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, g)
-    fv = None if f is None else np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
+    fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
     G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
     div_constants = np.empty((mesh.n_cells, 12))
-    F_hat = None if f is None else np.empty((mesh.n_cells, 12))
+    F_hat = np.empty((mesh.n_cells, 12))
 
     def integrate(cells, shapes, element, inv):
         val, grad = element.tabulate(pts[shapes])
@@ -330,8 +323,7 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
         G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)[inv]
         M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)[inv]
         div_constants[cells] = element.div_constants[inv]
-        if f is not None:
-            F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val[inv], wts[cells], fv[cells])
+        F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val[inv], wts[cells], fv[cells])
 
     elements = unit_shape_elements(unit, build_vector_element, integrate)
 

@@ -171,18 +171,23 @@ def _edge_means(fx, fy, directions):
     return _swap(comp @ _EDGE_W)
 
 
-def _normal_derivative_rows(C, geom: QuadGeometry, Vv=None, Ve=None):
-    """Rows g_i (..., 4, k): edge mean of the normal derivative minus its endpoint average."""
-    if Vv is None:
-        Vv, Ve = _frames(geom)
+def _scalar_dof_rows(C, geom: QuadGeometry, Vv, Ve):
+    """12 DoF rows + 4 normal-derivative constraint rows (..., 16, k) for
+    packed polynomials: values, then d/dx and d/dy at the vertices, then
+    each edge mean of the normal derivative minus its endpoint average."""
     h = geom.h[..., None, None]
     Cx, Cy = C @ DX.T, C @ DY.T
     vx, vy = Cx @ Vv, Cy @ Vv                          # (..., k, 4)
-    mean = _edge_means(Cx @ Ve, Cy @ Ve, geom.normals) / h
     n = geom.normals[..., None, :, :]
     at_start = (vx * n[..., 0] + vy * n[..., 1]) / h
     at_end = (vx[..., _NEXT] * n[..., 0] + vy[..., _NEXT] * n[..., 1]) / h
-    return mean - _swap(0.5 * (at_start + at_end))
+    D = np.empty(vx.shape[:-2] + (16, vx.shape[-2]))
+    D[..., 0:4, :] = _swap(C @ Vv)
+    D[..., 4:8, :] = _swap(vx) / h
+    D[..., 8:12, :] = _swap(vy) / h
+    D[..., 12:16, :] = (_edge_means(Cx @ Ve, Cy @ Ve, geom.normals) / h
+                        - _swap(0.5 * (at_start + at_end)))
+    return D
 
 
 def _solve_nodal(D: np.ndarray, n_basis: int, index):
@@ -248,18 +253,17 @@ class ScalarElement:
         return self._bubble_means @ self.solution[..., 12:, :]
 
     @cached_property
+    def _dof_rows(self):
+        return _scalar_dof_rows(self.coeff_matrix, self.geometry, *_frames(self.geometry))
+
+    @cached_property
     def constraint_residual(self):
         """Largest edge-mean constraint residual, frame-relative (scaled by h)."""
-        rows = _normal_derivative_rows(self.coeff_matrix, self.geometry)
-        return np.abs(rows).max((-2, -1)) * self.geometry.h
+        return np.abs(self._dof_rows[..., 12:, :]).max((-2, -1)) * self.geometry.h
 
     @cached_property
     def duality_defect(self):
-        C, Vv, h = self.coeff_matrix, _frames(self.geometry)[0], self.geometry.h[..., None, None]
-        tau = np.concatenate(
-            [_swap(C @ Vv), _swap((C @ DX.T) @ Vv) / h, _swap((C @ DY.T) @ Vv) / h], axis=-2
-        )
-        return np.abs(tau - np.eye(12)).max((-2, -1))
+        return np.abs(self._dof_rows[..., :12, :] - np.eye(12)).max((-2, -1))
 
     def tabulate(self, points):
         """Values (..., npts, 12), gradients (..., npts, 12, 2) and Hessians
@@ -303,15 +307,7 @@ def _scalar_tables(geom, C, points, inv=None):
 
 def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
     C = _stream_span(geom)                               # (..., 16, 28)
-    h = geom.h[..., None, None]
-    Vv, Ve = _frames(geom)
-
-    D = np.empty(C.shape[:-2] + (16, 16))
-    D[..., 0:4, :] = _swap(C @ Vv)
-    D[..., 4:8, :] = _swap((C @ DX.T) @ Vv) / h
-    D[..., 8:12, :] = _swap((C @ DY.T) @ Vv) / h
-    D[..., 12:16, :] = _normal_derivative_rows(C, geom, Vv, Ve)
-
+    D = _scalar_dof_rows(C, geom, *_frames(geom))
     X, cond = _solve_nodal(D, 12, geom.index)
     return ScalarElement(geom, C, X, D, cond)
 
@@ -360,7 +356,7 @@ class VectorElement:
 
     @cached_property
     def _dof_rows(self):
-        return _vector_dof_rows(self.coeff_x, self.coeff_y, self.geometry)
+        return _vector_dof_rows(self.coeff_x, self.coeff_y, self.geometry, *_frames(self.geometry))
 
     @cached_property
     def duality_defect(self):
@@ -393,10 +389,8 @@ def _vector_tables(geom, Cx, Cy, points, inv=None):
     return val, grad
 
 
-def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv=None, Ve=None):
+def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv, Ve):
     """12 DoF rows + 4 tangential constraint rows (..., 16, k) for packed vector fields."""
-    if Vv is None:
-        Vv, Ve = _frames(geom)
     vx, vy = Cx @ Vv, Cy @ Vv                          # (..., k, 4)
     ex, ey = Cx @ Ve, Cy @ Ve
     t = geom.tangents[..., None, :, :]
@@ -414,7 +408,7 @@ def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv=None, Ve=None):
 
 def build_vector_element(geom: QuadGeometry) -> VectorElement:
     span = _vector_span(geom)
-    X, cond = _solve_nodal(_vector_dof_rows(*span, geom), 12, geom.index)
+    X, cond = _solve_nodal(_vector_dof_rows(*span, geom, *_frames(geom)), 12, geom.index)
     return VectorElement(geom, span, X, cond)
 
 
@@ -461,7 +455,7 @@ def aggregation_coeffs_formula(geom: QuadGeometry, element: ScalarElement) -> np
     auxiliary basis' normal derivatives. Cross-check against
     ``element.aggregation``.
     """
-    return -_normal_derivative_rows(element.aux_matrix, geom)
+    return -_scalar_dof_rows(element.aux_matrix, geom, *_frames(geom))[..., 12:, :]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,29 @@ def _convexity_shape(cell_vertices) -> np.ndarray:
     return np.where(singular, np.inf, np.abs(s).sum(-1))
 
 
+def _array(value, name: str, dtype=None) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric input
+        raise ValueError(f"{name} is not a numeric array: {exc}") from exc
+
+
+def _vertex_indices(cells, n_vertices: int) -> np.ndarray:
+    """``cells`` as an (m, 4) integer array, or ``ValueError`` naming the
+    first cell whose entries are not integers in [0, n_vertices)."""
+    c = _array(cells, "cells")
+    if c.ndim != 2 or c.shape[1] != 4:
+        raise ValueError(f"cells must have shape (m, 4), got {c.shape}")
+    if c.dtype.kind not in "iuf":
+        raise ValueError(f"cells must hold vertex indices, got dtype {c.dtype}")
+    bad = ~((c == np.floor(c)) & (c >= 0) & (c < n_vertices))
+    if bad.any():
+        k = int(bad.any(1).argmax())
+        raise ValueError(f"cells: cell {k} has vertex indices {c[k].tolist()}, "
+                         f"not all integers in [0, {n_vertices})")
+    return c.astype(int)
+
+
 class Mesh:
     """Vertices, counterclockwise quads, and edge connectivity with fixed frames.
 
@@ -45,13 +68,17 @@ class Mesh:
     of the edge direction taken from lower to higher vertex index). Per cell,
     ``cell_edge_signs`` records whether the cell's outward normal on that
     edge agrees with n_E. ``cell_geometry`` is the geometry of all cells as
-    one batch; building it rejects clockwise, degenerate and non-convex
-    cells, naming the first offending cell.
+    one batch; building it rejects vertices not of shape (n, 2), cells not
+    of shape (m, 4) or with indices that are not integers in [0, n), and
+    clockwise, degenerate and non-convex cells, naming the field or the
+    first offending cell.
     """
 
     def __init__(self, vertices, cells, family="custom", n=None, delta=0.0, seed=None):
-        self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-        self.cells = np.asarray(cells, dtype=int).reshape(-1, 4)
+        self.vertices = _array(vertices, "vertices", float)
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise ValueError(f"vertices must have shape (n, 2), got {self.vertices.shape}")
+        self.cells = _vertex_indices(cells, len(self.vertices))
         self.family = family
         self.n = n
         self.delta = delta
@@ -132,6 +159,11 @@ class Mesh:
     @classmethod
     def from_json(cls, text: str) -> "Mesh":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"mesh JSON must be an object, got {type(doc).__name__}")
+        for key in ("vertices", "cells"):
+            if key not in doc:
+                raise ValueError(f"mesh JSON has no {key!r} field")
         return cls(
             doc["vertices"], doc["cells"],
             family=doc.get("family", "custom"), n=doc.get("n"),
@@ -183,6 +215,8 @@ def make_mesh(n: int, family: str, delta: float | None = None, seed: int = 0) ->
         delta = DEFAULT_DELTA[family]
     if not 0.0 <= delta <= 0.25:
         raise ValueError("delta must lie in [0, 0.25]")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
     vertices, cells = _grid(n)
     h = 1.0 / n

@@ -25,8 +25,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh as scipy_eigh
 
 from .assembly import (
-    DEFAULT_QUAD_ORDER,
-    velocity_blocks,
+    assemble_brinkman,
     cell_matrix,
     scalar_dof_scaling,
     vector_dof_scaling,
@@ -227,18 +226,18 @@ def inf_sup_constant(mesh: Mesh) -> float:
 
     beta = min over mean-zero cell pressures q of
     max over v of b(v, q) / (||v||_1h ||q||_0), computed densely from the
-    velocity H1 Gram matrix and the cell-area pressure mass. A one-cell
+    velocity H1 Gram matrix X and the cell-area pressure mass. X and the
+    divergence B are the blocks [[X, -B^T, 0], [-B, 0, -c], ...] of the
+    Brinkman matrix with nu = alpha = 1 (``assemble_brinkman``). A one-cell
     mesh has no mean-zero pressure and raises ``ValueError``.
     """
     if mesh.n_cells < 2:
         raise ValueError("the mean-zero pressure space of a one-cell mesh is empty, "
                          "so it has no inf-sup constant")
-    dm = VectorDofMap(mesh)
-    loc, b_rows, *_ = velocity_blocks(mesh, dm, 1.0, 1.0, DEFAULT_QUAD_ORDER)
-    dofs = dm.cell_dofs
-    X = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], loc)]).toarray()
-    B = cell_matrix((mesh.n_cells, dm.ndof),
-                    [(np.arange(mesh.n_cells)[:, None], dofs, b_rows)]).toarray()
+    system = assemble_brinkman(mesh, 1.0, 1.0, lambda x, y: np.zeros(np.shape(x) + (2,)))
+    K, n_u = system.matrix, system.n_velocity
+    X = K[:n_u, :n_u].toarray()
+    B = -K[n_u:n_u + system.n_pressure, :n_u].toarray()
     S = B @ np.linalg.solve(X, B.T)
     M_p = np.diag(mesh.cell_geometry.area)
     vals = scipy_eigh(S, M_p, eigvals_only=True)  # in ascending order

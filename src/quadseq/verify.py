@@ -19,10 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import (
+    _EDGE_T,
+    _EDGE_W,
+    _NEXT,
     _bubble_span,
+    _edge_means,
+    _frames,
     _swap,
     _vector_dof_rows,
-    _vt,
     aggregation_coeffs_formula,
     build_scalar_element,
     build_vector_element,
@@ -34,11 +38,8 @@ from .elements import (
 from .geometry import REF_CORNERS, QuadGeometry
 from .mesh import make_mesh
 from .poly import DX, DY
-from .quadrature import gauss01
 
 __all__ = ["ElementCertificate", "element_certificate", "random_convex_quads"]
-
-_ET, _EW = gauss01(5)
 
 THRESHOLDS = {
     "det_rel_err": 1e-9,
@@ -70,6 +71,8 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
     coefficient-space identities whose meaningful tolerance assumes
     reasonably shaped cells.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < samples:
@@ -102,43 +105,31 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
 def _edge_mean_identity_residual(geom: QuadGeometry, coeff: np.ndarray) -> np.ndarray:
     """Cubic edge-mean identity: edge mean vs Simpson endpoint expression."""
     h = geom.h[..., None, None]
-    Vv = _vt(geom.local_vertices)
-    vals_v = coeff @ Vv
+    Vv, Ve = _frames(geom)
+    vals_v = coeff @ Vv                                # (..., k, 4)
     gx, gy = (coeff @ DX.T) @ Vv, (coeff @ DY.T) @ Vv
-    worst = 0.0
-    for i in range(4):
-        t = geom.tangents[..., i, None, None, :]
-        loc = geom.to_local(geom.edge_points(i, _ET))
-        mean = (coeff @ _vt(loc)) @ _EW
-        dt = (gx * t[..., 0] + gy * t[..., 1]) / h
-        j = (i + 1) % 4
-        resid = (
-            mean - 0.5 * (vals_v[..., i] + vals_v[..., j])
-            + geom.edge_len[..., i, None] / 12.0 * (dt[..., j] - dt[..., i])
-        )
-        worst = np.maximum(worst, np.abs(resid).max(-1))
-    return worst
+    mean = (coeff @ Ve).reshape(vals_v.shape[:-1] + (4, len(_EDGE_W))) @ _EDGE_W
+    # Tangential derivatives along edge i at its first and second vertex.
+    t = geom.tangents[..., None, :, :]
+    dt_start = (gx * t[..., 0] + gy * t[..., 1]) / h
+    dt_end = (gx[..., _NEXT] * t[..., 0] + gy[..., _NEXT] * t[..., 1]) / h
+    resid = (
+        mean - 0.5 * (vals_v + vals_v[..., _NEXT])
+        + geom.edge_len[..., None, :] / 12.0 * (dt_end - dt_start)
+    )
+    return np.abs(resid).max((-2, -1))
 
 
 def _weighted_normal_identity_residual(geom: QuadGeometry, elt) -> np.ndarray:
-    """(1/|E|) int (v.n) xi ds = (v(V_{i+1}) - v(V_i)).n / 6 for basis fields."""
-    worst = 0.0
-    Vv = _vt(geom.local_vertices)
-    vx_v = elt.coeff_x @ Vv
-    vy_v = elt.coeff_y @ Vv
-    for i in range(4):
-        n = geom.normals[..., i, None, :]
-        loc = geom.to_local(geom.edge_points(i, _ET))
-        V = _vt(loc)
-        vn = (elt.coeff_x @ V) * n[..., None, 0] + (elt.coeff_y @ V) * n[..., None, 1]
-        xi = geom.edge_param_coeffs[..., i, None, :]
-        xi_vals = xi[..., 0] + xi[..., 1] * loc[..., 0] + xi[..., 2] * loc[..., 1]
-        lhs = (vn @ (_EW * xi_vals)[..., None])[..., 0]
-        j = (i + 1) % 4
-        rhs = ((vx_v[..., j] - vx_v[..., i]) * n[..., 0]
-               + (vy_v[..., j] - vy_v[..., i]) * n[..., 1]) / 6.0
-        worst = np.maximum(worst, np.abs(lhs - rhs).max(-1))
-    return worst
+    """(1/|E|) int (v.n) xi ds = (v(V_{i+1}) - v(V_i)).n / 6 for basis fields,
+    with xi the edge parameter, -1 at V_i and +1 at V_{i+1}."""
+    Vv, Ve = _frames(geom)
+    vx, vy = elt.coeff_x @ Vv, elt.coeff_y @ Vv        # (..., k, 4)
+    xi = np.tile(2.0 * _EDGE_T - 1.0, 4)
+    lhs = _edge_means((elt.coeff_x @ Ve) * xi, (elt.coeff_y @ Ve) * xi, geom.normals)
+    n = geom.normals[..., None, :, :]
+    rhs = ((vx[..., _NEXT] - vx) * n[..., 0] + (vy[..., _NEXT] - vy) * n[..., 1]) / 6.0
+    return np.abs(lhs - _swap(rhs)).max((-2, -1))
 
 
 def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
@@ -153,7 +144,7 @@ def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
     """
     curl_x = scalar_elt.coeff_matrix @ DY.T
     curl_y = -(scalar_elt.coeff_matrix @ DX.T)
-    S = _swap(_vector_dof_rows(curl_x, curl_y, geom)[..., :12, :])
+    S = _swap(_vector_dof_rows(curl_x, curl_y, geom, *_frames(geom))[..., :12, :])
     rx = S @ vector_elt.coeff_x - curl_x
     ry = S @ vector_elt.coeff_y - curl_y
     flux = np.abs(S[..., :4].sum(-1)).max(-1)
@@ -199,23 +190,18 @@ def _bubble_residuals(geom: QuadGeometry):
     C = _bubble_span(geom)
     Cx, Cy = C @ DX.T, C @ DY.T
     h = geom.h[..., None, None]
-    Vv = _vt(geom.local_vertices)
+    Vv, Ve = _frames(geom)
     vals = np.maximum(np.abs(C @ Vv).max((-2, -1)),
                       np.maximum(np.abs(Cx @ Vv).max((-2, -1)) / geom.h,
                                  np.abs(Cy @ Vv).max((-2, -1)) / geom.h))
 
-    # Tangential trace of the rotated gradient vs normal-derivative mean.
-    worst = 0.0
-    for i in range(4):
-        n, t = geom.normals[..., i, None, None, :], geom.tangents[..., i, None, None, :]
-        length = geom.edge_len[..., i, None]
-        Ve = _vt(geom.to_local(geom.edge_points(i, _ET)))
-        gxe, gye = Cx @ Ve, Cy @ Ve
-        # int curl b . t ds = -|E| * mean(db/dn)
-        curl_t = ((gye * t[..., 0] - gxe * t[..., 1]) / h) @ _EW * length
-        dn_mean = ((gxe * n[..., 0] + gye * n[..., 1]) / h) @ _EW
-        worst = np.maximum(worst, np.abs(curl_t + length * dn_mean).max(-1))
-    return vals, worst
+    # Tangential trace of the rotated gradient vs normal-derivative mean:
+    # int curl b . t ds = -|E| * mean(db/dn) on each edge.
+    gxe, gye = Cx @ Ve, Cy @ Ve
+    length = geom.edge_len[..., :, None]
+    curl_t = _edge_means(gye, -gxe, geom.tangents) / h * length
+    dn_mean = _edge_means(gxe, gye, geom.normals) / h
+    return vals, np.abs(curl_t + length * dn_mean).max((-2, -1))
 
 
 @dataclass
@@ -225,7 +211,7 @@ class ElementCertificate:
     identity_samples: int
     seed: int
     residuals: dict = field(default_factory=dict)
-    thresholds: dict = field(default_factory=lambda: dict(THRESHOLDS))
+    thresholds = THRESHOLDS  # not a field: every certificate has the same bounds
 
     @property
     def passed(self) -> bool:

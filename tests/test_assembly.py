@@ -41,7 +41,8 @@ def test_dof_counts():
 def test_scalar_matrix_spd(eps):
     mesh = make_mesh(4, "trapezoidal")
     system = assemble_fourth_order(mesh, eps, CASE.source(eps))
-    assert system.symmetry_defect() < 1e-12
+    K = system.matrix
+    assert np.abs((K - K.T).toarray()).max() < 1e-12
     eigs = np.linalg.eigvalsh(system.matrix.toarray())
     assert eigs.min() > 0
 
@@ -52,7 +53,8 @@ def test_brinkman_block_structure():
     assert system.n_velocity == 6  # 2 * 1 interior vertex + 4 interior edges
     assert system.n_pressure == 4
     assert system.ndof == 6 + 4 + 1
-    assert system.symmetry_defect() < 1e-12
+    K = system.matrix
+    assert np.abs((K - K.T).toarray()).max() < 1e-12
 
 
 def test_invalid_parameters():
@@ -132,16 +134,6 @@ def test_quadrature_insensitivity_of_orders():
                              error_quad_order=8)
         orders.append(r.order_last("energy"))
     assert abs(orders[0] - orders[1]) <= 0.02
-
-
-def test_matrix_market_dump(tmp_path):
-    mesh = make_mesh(2, "rectangular")
-    system = assemble_fourth_order(mesh, 1.0, CASE.source(1.0))
-    path = tmp_path / "system.mtx"
-    system.write_matrix_market(path)
-    from scipy.io import mmread
-    M = mmread(str(path))
-    assert np.abs((M - system.matrix).toarray()).max() < 1e-15
 
 
 def _gram_matrices(geom, g=4):

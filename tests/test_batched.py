@@ -181,7 +181,8 @@ def test_conditioning_error_names_the_first_cell_of_a_repeated_shape(bad):
     with pytest.raises(ElementConditioningError, match=f"cell {min(bad)}:"):
         assemble_fourth_order(mesh, 1.0, lambda x, y: np.zeros_like(x))
     with pytest.raises(ElementConditioningError, match=f"cell {min(bad)}:"):
-        velocity_blocks(mesh, VectorDofMap(mesh), 1.0, 1.0, 4)
+        velocity_blocks(mesh, VectorDofMap(mesh), 1.0, 1.0, 4,
+                        lambda x, y: np.zeros(x.shape + (2,)))
 
 
 def _count_cells(record, build):
@@ -349,21 +350,20 @@ def _per_cell_fourth_order(mesh, eps, f, quad_order=4):
                         "scalar", dm)
 
 
-def _per_cell_velocity_blocks(mesh, dm, nu, alpha, g, f=None):
+def _per_cell_velocity_blocks(mesh, dm, nu, alpha, g, f):
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, g)
-    fv = None if f is None else np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
+    fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
     G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
     div_constants = np.empty((mesh.n_cells, 12))
-    F_hat = None if f is None else np.empty((mesh.n_cells, 12))
+    F_hat = np.empty((mesh.n_cells, 12))
     for cells, _, element, _ in _one_element_per_cell(unit, build_vector_element):
         val, grad = element.tabulate(pts[cells])
         w = wts[cells]
         G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)
         M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)
         div_constants[cells] = element.div_constants
-        if f is not None:
-            F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val, w, fv[cells])
+        F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val, w, fv[cells])
     h = geom.h
     w = vector_dof_scaling(h) * dm.cell_signs
     A_loc = (w[:, :, None] * w[:, None, :]) * (nu * G_hat + alpha * _pow2(h[:, None, None]) * M_hat)

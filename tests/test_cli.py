@@ -49,6 +49,16 @@ def test_rule_order_errors_name_the_parameter(capsys):
     assert "quad_order must lie in 2..8, got 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["study", "scalar", "--mesh", "random", "--seed", "-1", "--n", "4"],
+    ["verify", "element", "--seed", "-1"],
+    ["verify", "sequence", "--seed", "-2"],
+])
+def test_negative_seed_is_named(argv, capsys):
+    assert main(argv) == 2
+    assert "seed must be non-negative, got -" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["study", "scalar", "--n", "1,2"])

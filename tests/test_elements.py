@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from quadseq.elements import (
 from quadseq.geometry import NonConvexCellError, QuadGeometry
 from quadseq.mesh import make_mesh
 from quadseq.poly import DX, DY, MONOMIALS, vandermonde
+from quadseq.quadrature import gauss01
 from quadseq.verify import (
     THRESHOLDS,
     _bubble_residuals,
@@ -288,6 +291,107 @@ def test_bubble_trace_relation(random_quads):
     for g in random_quads[:10]:
         vals, trace = _bubble_residuals(g)
         assert trace < 1e-10
+
+
+# Per-edge loop versions of the three edge identities, each on its own
+# 5-point edge rule, as the certificate computed them before it evaluated
+# them on the element's stacked edge frame: oracles for the batched helpers.
+_ET, _EW = gauss01(5)
+
+
+def _vt(points):
+    return np.swapaxes(vandermonde(points), -1, -2)
+
+
+def _edge_mean_identity_loop(geom, coeff):
+    h = geom.h[..., None, None]
+    Vv = _vt(geom.local_vertices)
+    vals_v = coeff @ Vv
+    gx, gy = (coeff @ DX.T) @ Vv, (coeff @ DY.T) @ Vv
+    worst = 0.0
+    for i in range(4):
+        t = geom.tangents[..., i, None, None, :]
+        loc = geom.to_local(geom.edge_points(i, _ET))
+        mean = (coeff @ _vt(loc)) @ _EW
+        dt = (gx * t[..., 0] + gy * t[..., 1]) / h
+        j = (i + 1) % 4
+        resid = (
+            mean - 0.5 * (vals_v[..., i] + vals_v[..., j])
+            + geom.edge_len[..., i, None] / 12.0 * (dt[..., j] - dt[..., i])
+        )
+        worst = np.maximum(worst, np.abs(resid).max(-1))
+    return worst
+
+
+def _weighted_normal_identity_loop(geom, elt):
+    worst = 0.0
+    Vv = _vt(geom.local_vertices)
+    vx_v = elt.coeff_x @ Vv
+    vy_v = elt.coeff_y @ Vv
+    for i in range(4):
+        n = geom.normals[..., i, None, :]
+        loc = geom.to_local(geom.edge_points(i, _ET))
+        V = _vt(loc)
+        vn = (elt.coeff_x @ V) * n[..., None, 0] + (elt.coeff_y @ V) * n[..., None, 1]
+        xi = geom.edge_param_coeffs[..., i, None, :]
+        xi_vals = xi[..., 0] + xi[..., 1] * loc[..., 0] + xi[..., 2] * loc[..., 1]
+        lhs = (vn @ (_EW * xi_vals)[..., None])[..., 0]
+        j = (i + 1) % 4
+        rhs = ((vx_v[..., j] - vx_v[..., i]) * n[..., 0]
+               + (vy_v[..., j] - vy_v[..., i]) * n[..., 1]) / 6.0
+        worst = np.maximum(worst, np.abs(lhs - rhs).max(-1))
+    return worst
+
+
+def _bubble_trace_loop(geom):
+    C = _bubble_span(geom)
+    Cx, Cy = C @ DX.T, C @ DY.T
+    h = geom.h[..., None, None]
+    worst = 0.0
+    for i in range(4):
+        n, t = geom.normals[..., i, None, None, :], geom.tangents[..., i, None, None, :]
+        length = geom.edge_len[..., i, None]
+        Ve = _vt(geom.to_local(geom.edge_points(i, _ET)))
+        gxe, gye = Cx @ Ve, Cy @ Ve
+        curl_t = ((gye * t[..., 0] - gxe * t[..., 1]) / h) @ _EW * length
+        dn_mean = ((gxe * n[..., 0] + gye * n[..., 1]) / h) @ _EW
+        worst = np.maximum(worst, np.abs(curl_t + length * dn_mean).max(-1))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def oracle_cells():
+    return random_convex_quads(200, 21, max_skew=0.8, max_aspect=2.0)
+
+
+def _random_rows(seed, cells):
+    # Random packed rows on all 28 monomials of degree <= 6: they satisfy
+    # neither identity, so the residuals are far above rounding.
+    return np.random.default_rng(seed).standard_normal((len(cells), 12, len(MONOMIALS)))
+
+
+def test_edge_mean_identity_equals_the_edge_loop(oracle_cells):
+    rows = _random_rows(0, oracle_cells)
+    got = _edge_mean_identity_residual(oracle_cells, rows)
+    want = _edge_mean_identity_loop(oracle_cells, rows)
+    assert want.min() > 1e-3  # far above rounding
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_weighted_normal_identity_equals_the_edge_loop(oracle_cells):
+    fields = SimpleNamespace(coeff_x=_random_rows(1, oracle_cells),
+                             coeff_y=_random_rows(2, oracle_cells))
+    got = _weighted_normal_identity_residual(oracle_cells, fields)
+    want = _weighted_normal_identity_loop(oracle_cells, fields)
+    assert want.min() > 1e-3  # far above rounding
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_bubble_trace_relation_equals_the_edge_loop(oracle_cells):
+    # The relation holds for every polynomial, so both residuals are
+    # rounding; they must agree to 1e-12 of the bubbles' magnitude.
+    vals, trace = _bubble_residuals(oracle_cells)
+    assert np.all(np.abs(trace - _bubble_trace_loop(oracle_cells)) <= 1e-12 * vals)
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3},

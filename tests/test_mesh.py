@@ -103,6 +103,49 @@ def test_validation_errors():
         make_mesh(4, "random", delta=0.4)
 
 
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("vertices, cells, message", [
+    (SQUARE, [[0, 1, 2.7, 3]], r"cells: cell 0 has vertex indices \[0.0, 1.0, 2.7, 3.0\]"),
+    (SQUARE, [[0, 1, 2, 3], [0, 1, 2, 4]], r"cells: cell 1 .* not all integers in \[0, 4\)"),
+    (SQUARE, [[0, 1, 2, 3], [0, 1, 2, -1]], r"cells: cell 1 "),
+    (SQUARE, [[0, 1, 2, float("nan")]], r"cells: cell 0 "),
+    (SQUARE, [[0, 1, 2], [0, 2, 3], [1, 2, 3], [0, 1, 3]],
+     r"cells must have shape \(m, 4\), got \(4, 3\)"),
+    (SQUARE, [0, 1, 2, 3], r"cells must have shape \(m, 4\), got \(4,\)"),
+    (SQUARE, [["a", "b", "c", "d"]], "cells must hold vertex indices"),
+    (SQUARE, [[0, 1, 2, 3], [0, 1]], "cells is not a numeric array"),
+    ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], [[0, 1, 2, 3]],
+     r"vertices must have shape \(n, 2\), got \(4, 3\)"),
+    ([[0, 0], [1, 0], [1]], [[0, 1, 2, 3]], "vertices is not a numeric array"),
+])
+def test_malformed_mesh_input_names_the_field(vertices, cells, message):
+    with pytest.raises(ValueError, match=message):
+        Mesh(vertices, cells)
+
+
+def test_integer_valued_float_indices_keep_the_hash():
+    assert Mesh(SQUARE, [[0.0, 1.0, 2.0, 3.0]]).content_hash() == \
+        Mesh(SQUARE, [[0, 1, 2, 3]]).content_hash()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "mesh JSON has no 'vertices' field"),
+    ('{"vertices": [[0, 0]]}', "mesh JSON has no 'cells' field"),
+    ("[1, 2]", "mesh JSON must be an object, got list"),
+])
+def test_malformed_mesh_json_names_the_field(text, message):
+    with pytest.raises(ValueError, match=message):
+        Mesh.from_json(text)
+
+
+@pytest.mark.parametrize("family", ["rectangular", "random"])
+def test_negative_seed_is_named(family):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        make_mesh(4, family, seed=-1)
+
+
 def test_resample_cap_raises(monkeypatch):
     import quadseq.mesh as m
     monkeypatch.setattr(m, "_MAX_RESAMPLES", 0)

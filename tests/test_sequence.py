@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import quadseq.sequence as sequence
+from quadseq.assembly import DEFAULT_QUAD_ORDER, cell_matrix, velocity_blocks
 from quadseq.dofmap import ScalarDofMap, VectorDofMap
 from quadseq.mesh import Mesh, make_mesh
 from quadseq.sequence import (
@@ -165,6 +167,30 @@ def test_inf_sup_witness_bounded():
     assert all(b > 0.3 for b in betas)
     # mesh-independence: no collapse under refinement
     assert betas[-1] > 0.8 * betas[0]
+
+
+def _cell_block_inf_sup(mesh):
+    """Dense oracle: beta_h from the per-cell velocity blocks scattered into
+    X and B directly, as ``inf_sup_constant`` formed them before it read
+    them from the assembled Brinkman matrix."""
+    dm = VectorDofMap(mesh)
+    loc, b_rows, *_ = velocity_blocks(mesh, dm, 1.0, 1.0, DEFAULT_QUAD_ORDER,
+                                      lambda x, y: np.zeros(x.shape + (2,)))
+    dofs = dm.cell_dofs
+    X = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], loc)]).toarray()
+    B = cell_matrix((mesh.n_cells, dm.ndof),
+                    [(np.arange(mesh.n_cells)[:, None], dofs, b_rows)]).toarray()
+    S = B @ np.linalg.solve(X, B.T)
+    vals = scipy.linalg.eigh(S, np.diag(mesh.cell_geometry.area), eigvals_only=True)
+    return float(np.sqrt(max(vals[1], 0.0)))
+
+
+@pytest.mark.parametrize("family, seed", [("rectangular", 0), ("trapezoidal", 0),
+                                          ("random", 0), ("random", 3)])
+def test_inf_sup_equals_the_cell_block_oracle(family, seed):
+    # random seed 3 at n = 8 is the mesh of tests/golden_batched.json.
+    mesh = make_mesh(8, family, seed=seed)
+    assert inf_sup_constant(mesh) == pytest.approx(_cell_block_inf_sup(mesh), rel=1e-12, abs=0)
 
 
 def test_inf_sup_of_one_cell_names_the_empty_pressure_space():
