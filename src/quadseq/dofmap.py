@@ -5,16 +5,18 @@ DoFs at boundary vertices are constrained to zero. Vector space: two
 component unknowns per interior vertex plus one signed normal-integral
 unknown per interior edge, measured in the edge's global frame n_E; boundary
 edges and boundary vertices are constrained. Constrained slots carry index
--1 in the local-to-global tables.
+-1 in the local-to-global tables. ``curl_operator`` maps the scalar unknowns
+to the vector unknowns of their rotated gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh
 
-__all__ = ["ScalarDofMap", "VectorDofMap"]
+__all__ = ["ScalarDofMap", "VectorDofMap", "curl_operator"]
 
 
 class ScalarDofMap:
@@ -95,3 +97,25 @@ class VectorDofMap:
         out = np.zeros(self.cell_dofs.shape)
         out[free] = x[self.cell_dofs[free]] * self.cell_signs[free]
         return out
+
+
+def curl_operator(sdm: ScalarDofMap, vdm: VectorDofMap) -> sp.csr_matrix:
+    """Sparse map taking scalar DoFs to the vector DoFs of the rotated gradient.
+
+    Vertex part: (w_y, -w_x) at each interior vertex. Edge part: the normal
+    integral of the rotated gradient equals the difference of the endpoint
+    values of w taken along the edge's global tangent. No entry repeats, so
+    the matrix holds exactly the values +1 and -1.
+    """
+    mesh = sdm.mesh
+    inner = ~mesh.vertex_is_boundary
+    # t_E = -(unit vector from a to b) for edge (a, b), so the integral of
+    # d w / d t_E along the edge is w(V_a) - w(V_b).
+    ends = sdm.vertex_dofs[mesh.edge_vertices, 0]
+    edge = np.broadcast_to(vdm.edge_dofs[:, None], ends.shape)
+    free = (edge >= 0) & (ends >= 0)
+    rows = np.concatenate([vdm.vertex_dofs[inner, 0], vdm.vertex_dofs[inner, 1], edge[free]])
+    cols = np.concatenate([sdm.vertex_dofs[inner, 2], sdm.vertex_dofs[inner, 1], ends[free]])
+    vals = np.concatenate([np.ones(inner.sum()), -np.ones(inner.sum()),
+                           np.broadcast_to([1.0, -1.0], ends.shape)[free]])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(vdm.ndof, sdm.ndof))

@@ -91,8 +91,7 @@ class QuadGeometry:
     joins vertex i to vertex (i+1) % 4; normals point outward, tangents run
     counterclockwise. Line forms: ``edge_line_coeffs`` (..., 4, 3), the
     midlines ``mid_13_coeffs``/``mid_24_coeffs`` and diagonals
-    ``diag_13_coeffs``/``diag_24_coeffs`` (..., 3), and the signed edge
-    parameters ``edge_param_coeffs`` (..., 4, 3). Indexing a batch gives the
+    ``diag_13_coeffs``/``diag_24_coeffs`` (..., 3). Indexing a batch gives the
     geometry of the selected cells; ``index`` keeps their positions in the
     batch the geometry was built from, which errors report. Invalid cells
     raise ``ValueError`` (non-finite or clockwise), ``DegenerateCellError``
@@ -103,7 +102,7 @@ class QuadGeometry:
         "vertices", "A", "b", "d", "s", "h", "area",
         "edge_mid", "edge_len", "tangents", "normals", "local_vertices",
         "edge_line_coeffs", "mid_13_coeffs", "mid_24_coeffs",
-        "diag_13_coeffs", "diag_24_coeffs", "edge_param_coeffs", "index",
+        "diag_13_coeffs", "diag_24_coeffs", "index",
     )
 
     def __init__(self, vertices):
@@ -146,13 +145,6 @@ class QuadGeometry:
         self.mid_24_coeffs = _line_through(lm[..., 1, :], lm[..., 3, :], lm[..., 2, :])
         self.diag_13_coeffs = _line_through(lv[..., 0, :], lv[..., 2, :], lv[..., 3, :])
         self.diag_24_coeffs = _line_through(lv[..., 1, :], lv[..., 3, :], lv[..., 2, :])
-
-        # Signed edge parameter: -1 at V_i, +1 at V_{i+1}, affine in the plane.
-        t = self.tangents
-        c = 2.0 * self.h[..., None] / self.edge_len
-        self.edge_param_coeffs = np.stack(
-            [-c * _dot(lm, t), c * t[..., 0], c * t[..., 1]], axis=-1
-        )
 
     def __getitem__(self, index) -> "QuadGeometry":
         out = object.__new__(QuadGeometry)

@@ -21,7 +21,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh as scipy_eigh
 
 from .assembly import (
@@ -31,7 +30,7 @@ from .assembly import (
     vector_dof_scaling,
 )
 from .cases import brinkman_sin_stream
-from .dofmap import ScalarDofMap, VectorDofMap
+from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import build_scalar_element, build_vector_element, vector_dof_values
 from .geometry import QuadGeometry
 from .mesh import Mesh
@@ -68,26 +67,10 @@ def _divergence_matrix(mesh, dm, element):
 
 
 def curl_matrix(mesh: Mesh):
-    """Map taking scalar DoFs to the vector DoFs of the rotated gradient.
-
-    Vertex part: (w_y, -w_x) at each interior vertex. Edge part: the normal
-    integral of the rotated gradient equals the difference of the endpoint
-    values of w taken along the edge's global tangent.
-    """
-    sdm = ScalarDofMap(mesh)
-    vdm = VectorDofMap(mesh)
-    inner = ~mesh.vertex_is_boundary
-    # t_E = -(unit vector from a to b) for edge (a, b), so the integral of
-    # d w / d t_E along the edge is w(V_a) - w(V_b).
-    ends = sdm.vertex_dofs[mesh.edge_vertices, 0]
-    edge = np.broadcast_to(vdm.edge_dofs[:, None], ends.shape)
-    free = (edge >= 0) & (ends >= 0)
-    rows = np.concatenate([vdm.vertex_dofs[inner, 0], vdm.vertex_dofs[inner, 1], edge[free]])
-    cols = np.concatenate([sdm.vertex_dofs[inner, 2], sdm.vertex_dofs[inner, 1], ends[free]])
-    vals = np.concatenate([np.ones(inner.sum()), -np.ones(inner.sum()),
-                           np.broadcast_to([1.0, -1.0], ends.shape)[free]])
-    C = sp.coo_matrix((vals, (rows, cols)), shape=(vdm.ndof, sdm.ndof))
-    return C.toarray(), sdm, vdm
+    """Sparse CSR map taking scalar DoFs to the vector DoFs of the rotated
+    gradient (``dofmap.curl_operator``), with the two DoF maps."""
+    sdm, vdm = ScalarDofMap(mesh), VectorDofMap(mesh)
+    return curl_operator(sdm, vdm), sdm, vdm
 
 
 @dataclass
@@ -153,6 +136,7 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     vdm = VectorDofMap(mesh)
     D = _divergence_matrix(mesh, vdm, vc)
     C, sdm, _ = curl_matrix(mesh)
+    C = C.toarray()  # dense for the SVDs
 
     sv_div = np.linalg.svd(D, compute_uv=False)
     rank_div, gap = _rank(sv_div, CUTOFF)

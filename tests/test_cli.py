@@ -59,6 +59,15 @@ def test_negative_seed_is_named(argv, capsys):
     assert "seed must be non-negative, got -" in capsys.readouterr().err
 
 
+def test_flow_study_on_a_mesh_with_a_hole_exits_two(monkeypatch, capsys):
+    # The 5 x 5 grid without its centre cell has Euler characteristic 0.
+    grid = make_mesh(5, "rectangular")
+    annulus = Mesh(grid.vertices, [c for k, c in enumerate(grid.cells) if k != 12])
+    monkeypatch.setattr("quadseq.study.make_mesh", lambda *args, **kwargs: annulus)
+    assert main(["study", "brinkman", "--n", "5"]) == 2
+    assert "Euler characteristic 0" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["study", "scalar", "--n", "1,2"])

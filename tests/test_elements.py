@@ -323,6 +323,14 @@ def _edge_mean_identity_loop(geom, coeff):
     return worst
 
 
+def _edge_param(geom, i):
+    """Signed parameter of edge i, -1 at V_i and +1 at V_{i+1}, as affine
+    coefficients (..., 1, 3) in the cell-local plane."""
+    t, lm = geom.tangents[..., i, :], geom.to_local(geom.edge_mid)[..., i, :]
+    c = 2.0 * geom.h / geom.edge_len[..., i]
+    return np.stack([-c * (lm * t).sum(-1), c * t[..., 0], c * t[..., 1]], axis=-1)[..., None, :]
+
+
 def _weighted_normal_identity_loop(geom, elt):
     worst = 0.0
     Vv = _vt(geom.local_vertices)
@@ -333,7 +341,7 @@ def _weighted_normal_identity_loop(geom, elt):
         loc = geom.to_local(geom.edge_points(i, _ET))
         V = _vt(loc)
         vn = (elt.coeff_x @ V) * n[..., None, 0] + (elt.coeff_y @ V) * n[..., None, 1]
-        xi = geom.edge_param_coeffs[..., i, None, :]
+        xi = _edge_param(geom, i)
         xi_vals = xi[..., 0] + xi[..., 1] * loc[..., 0] + xi[..., 2] * loc[..., 1]
         lhs = (vn @ (_EW * xi_vals)[..., None])[..., 0]
         j = (i + 1) % 4

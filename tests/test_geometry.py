@@ -81,10 +81,18 @@ def test_intermediate_vertices_map_back(random_quads):
         np.testing.assert_allclose(mapped, g.vertices, atol=1e-12 * max(1.0, g.h))
 
 
+def edge_param_coeffs(g):
+    """Signed edge parameters (..., 4, 3): -1 at V_i, +1 at V_{i+1}, affine
+    in the cell-local plane."""
+    t, lm = g.tangents, g.to_local(g.edge_mid)
+    c = 2.0 * g.h[..., None] / g.edge_len
+    return np.stack([-c * (lm * t).sum(-1), c * t[..., 0], c * t[..., 1]], axis=-1)
+
+
 def test_edge_parameter_endpoints(random_quads):
     for g in random_quads:
         lv = g.local_vertices
-        for i, xi in enumerate(g.edge_param_coeffs):
+        for i, xi in enumerate(edge_param_coeffs(g)):
             assert _affine(xi, lv[i]) == pytest.approx(-1.0, abs=1e-12)
             assert _affine(xi, lv[(i + 1) % 4]) == pytest.approx(1.0, abs=1e-12)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import quadseq.sequence as sequence
 from quadseq.assembly import DEFAULT_QUAD_ORDER, cell_matrix, velocity_blocks
@@ -17,10 +18,11 @@ from quadseq.sequence import (
 
 def _stacked_rank(D, C):
     """Dense oracle: rank [C | ker D] from a full SVD of D, its kernel basis
-    and an SVD of the stack, each rank at the relative cut CUTOFF."""
+    and an SVD of the stack, each rank at the relative cut CUTOFF. C is
+    sparse, as ``curl_matrix`` returns it."""
     _, s, Vt = np.linalg.svd(D)
     rank_div = int((s > CUTOFF * s[0]).sum())
-    s = np.linalg.svd(np.hstack([C, Vt[rank_div:].T]), compute_uv=False)
+    s = np.linalg.svd(np.hstack([C.toarray(), Vt[rank_div:].T]), compute_uv=False)
     return int((s > CUTOFF * s[0]).sum())
 
 
@@ -64,8 +66,9 @@ def test_kernel_count_as_strict_as_stacked_oracle(monkeypatch, direction):
     v = Vt[0 if direction == "top" else rank_div - 1]
     flagged = []
     for eps in np.logspace(-14, -4, 11):
-        shifted = C.copy()
+        shifted = C.toarray()
         shifted[:, 5] += eps * v
+        shifted = sp.csr_matrix(shifted)  # sparse, as curl_matrix returns it
         monkeypatch.setattr(sequence, "curl_matrix", lambda mesh: (shifted, sdm, vdm))
         report = verify_exact_sequence(mesh)
         if _stacked_rank(D, shifted) > report.nullity_div:
@@ -114,8 +117,9 @@ def test_curl_lands_in_divergence_kernel():
     mesh = make_mesh(4, "random", seed=1)
     D, _ = divergence_matrix(mesh)
     C, sdm, vdm = curl_matrix(mesh)
+    assert sp.issparse(C) and C.format == "csr"
     assert np.abs(D @ C).max() < 1e-12
-    assert np.linalg.matrix_rank(C) == sdm.ndof
+    assert np.linalg.matrix_rank(C.toarray()) == sdm.ndof
 
 
 def _loop_curl_matrix(mesh):
@@ -145,7 +149,7 @@ def _loop_curl_matrix(mesh):
 @pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
 def test_curl_matrix_equals_loop_reference(family):
     mesh = make_mesh(4, family, seed=6)
-    assert np.array_equal(curl_matrix(mesh)[0], _loop_curl_matrix(mesh))
+    assert np.array_equal(curl_matrix(mesh)[0].toarray(), _loop_curl_matrix(mesh))
 
 
 def test_probe_divergence_projection_vanishes():
