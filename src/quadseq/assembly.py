@@ -191,8 +191,9 @@ def cell_matrix(shape, blocks):
 
 
 def _load(dofs, F, ndof):
+    # bincount of no free DoF returns int64 zeros, which g cannot update.
     free = dofs >= 0
-    return np.bincount(dofs[free], weights=F[free], minlength=ndof)
+    return np.bincount(dofs[free], weights=F[free], minlength=ndof).astype(float, copy=False)
 
 
 class SparseSystem:

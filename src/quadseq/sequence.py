@@ -6,12 +6,17 @@ The three global spaces form the chain
 
 and exactness is an integer statement: the divergence matrix is onto the
 mean-zero pressures, its kernel has the dimension of the scalar space, and
-the rotated gradients of the scalar basis span that kernel. Ranks come from
-singular values with a relative cutoff, and the report records the spectral
-gap of the divergence matrix D at the cut. Kernel spanning needs no kernel
-basis: rank [C | ker D] = nullity(D) + rank(D C) for the curl matrix C, with
-rank(D C) cut at CUTOFF * sigma_r(D) * sigma_1(C) (``verify_exact_sequence``
-says why). The per-cell curl re-interpolation check is the one the element
+the rotated gradients of the scalar basis span that kernel. Every rank is
+relative to CUTOFF. The rank of the divergence matrix D, and the spectral gap
+the report records at the cut, come from the value-only SVD of D, the one
+dense matrix of the certificate. The curl matrix C stays sparse: it is
+injective when the extreme eigenvalues of C^T C (Lanczos) are far apart, and
+only otherwise is it densified for an exact count. Kernel spanning needs no
+kernel basis: rank [C | ker D] = nullity(D) + rank(D C), with rank(D C) cut at
+CUTOFF * sigma_r(D) * sigma_1(C) (``verify_exact_sequence`` says why), and it
+is zero without an SVD when the Frobenius norm of the sparse D C is below the
+cut. The inf-sup constant solves with a sparse factor of the velocity Gram
+matrix. The per-cell curl re-interpolation check is the one the element
 certificate runs (``quadseq.verify``), applied to the unit-shape cells.
 """
 
@@ -22,8 +27,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh as scipy_eigh
+from scipy.sparse.linalg import eigsh
 
 from .assembly import (
+    _factor_spd,
     assemble_brinkman,
     cell_matrix,
     scalar_dof_scaling,
@@ -50,7 +57,8 @@ TOL = 1e-10    # bound on the residuals of the exact identities
 
 
 def divergence_matrix(mesh: Mesh):
-    """Dense matrix of the cellwise divergence: vector DoFs -> cell constants."""
+    """Sparse CSR matrix of the cellwise divergence: vector DoFs -> cell
+    constants, with the vector DoF map."""
     dm = VectorDofMap(mesh)
     geom = mesh.cell_geometry
     element = build_vector_element(QuadGeometry(geom.local_vertices))
@@ -63,7 +71,7 @@ def _divergence_matrix(mesh, dm, element):
         vector_dof_scaling(geom.h) * dm.cell_signs * element.div_constants / geom.h[:, None]
     )
     return cell_matrix((mesh.n_cells, dm.ndof),
-                       [(np.arange(mesh.n_cells)[:, None], dm.cell_dofs, div_phys)]).toarray()
+                       [(np.arange(mesh.n_cells)[:, None], dm.cell_dofs, div_phys)]).tocsr()
 
 
 def curl_matrix(mesh: Mesh):
@@ -112,6 +120,33 @@ def _rank(singular_values: np.ndarray, cutoff: float):
     return rank, gap
 
 
+def _curl_rank(C):
+    """rank C and sigma_1(C) for the sparse curl matrix C.
+
+    With lambda_min > CUTOFF * lambda_max for the extreme eigenvalues of
+    C^T C, sigma_min(C) / sigma_1(C) exceeds sqrt(CUTOFF), far above the
+    relative cut of a rank, so C is injective. On meshes that ratio depends
+    on the topology only (about 1.57 / n on an n x n grid). Otherwise, or
+    when C^T C is singular and its factor fails, the rank is counted from
+    the singular values of the dense C. The fixed start vector makes
+    repeated calls bit-identical.
+    """
+    n_s = C.shape[1]
+    if n_s == 0:
+        return 0, 0.0
+    G = (C.T @ C).tocsc()
+    v0 = np.ones(n_s)
+    try:
+        lam_max = eigsh(G, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+        lam_min = eigsh(G, k=1, sigma=0, v0=v0, return_eigenvectors=False)[0]
+    except RuntimeError:  # a singular factor, or no convergence
+        lam_max = lam_min = 0.0
+    if lam_min > CUTOFF * lam_max:
+        return n_s, float(np.sqrt(lam_max))
+    sv = np.linalg.svd(C.toarray(), compute_uv=False)
+    return _rank(sv, CUTOFF)[0], sv[0]
+
+
 def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     """Check exactness of the discrete sequence on one mesh.
 
@@ -136,20 +171,21 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     vdm = VectorDofMap(mesh)
     D = _divergence_matrix(mesh, vdm, vc)
     C, sdm, _ = curl_matrix(mesh)
-    C = C.toarray()  # dense for the SVDs
 
-    sv_div = np.linalg.svd(D, compute_uv=False)
+    sv_div = np.linalg.svd(D.toarray(), compute_uv=False)
     rank_div, gap = _rank(sv_div, CUTOFF)
     nullity = vdm.ndof - rank_div
-    sv_curl = np.linalg.svd(C, compute_uv=False)
-    rank_curl, _ = _rank(sv_curl, CUTOFF)
+    rank_curl, sigma_curl = _curl_rank(C)
 
     DC = D @ C
     # With rank(D) or rank(C) zero, D C is zero and every cut counts nothing.
-    cut = CUTOFF * sv_div[rank_div - 1] * sv_curl[0] if rank_div and rank_curl else 0.0
-    rank_combined = nullity + int((np.linalg.svd(DC, compute_uv=False) > cut).sum())
+    cut = CUTOFF * sv_div[rank_div - 1] * sigma_curl if rank_div and rank_curl else 0.0
+    # sigma_1 <= Frobenius norm, so below the cut no singular value counts.
+    rank_combined = nullity
+    if np.linalg.norm(DC.data) > cut:
+        rank_combined += int((np.linalg.svd(DC.toarray(), compute_uv=False) > cut).sum())
 
-    div_curl_max = float(np.abs(DC).max(initial=0.0))
+    div_curl_max = float(np.abs(DC.data).max(initial=0.0))
 
     # Per cell: the rotated gradient of each scalar basis function,
     # re-interpolated through the vector DoFs, must reproduce itself.
@@ -209,9 +245,11 @@ def inf_sup_constant(mesh: Mesh) -> float:
     """Smallest nonzero generalized singular value of the divergence form.
 
     beta = min over mean-zero cell pressures q of
-    max over v of b(v, q) / (||v||_1h ||q||_0), computed densely from the
-    velocity H1 Gram matrix X and the cell-area pressure mass. X and the
-    divergence B are the blocks [[X, -B^T, 0], [-B, 0, -c], ...] of the
+    max over v of b(v, q) / (||v||_1h ||q||_0), from the velocity H1 Gram
+    matrix X and the cell-area pressure mass M_p: the generalized
+    eigenvalues of S = B X^-1 B^T against M_p, with S formed through a
+    sparse factor of X (Chapelle & Bathe, Comput. Struct. 47, 1993). X and
+    the divergence B are the blocks [[X, -B^T, 0], [-B, 0, -c], ...] of the
     Brinkman matrix with nu = alpha = 1 (``assemble_brinkman``). A one-cell
     mesh has no mean-zero pressure and raises ``ValueError``.
     """
@@ -220,9 +258,9 @@ def inf_sup_constant(mesh: Mesh) -> float:
                          "so it has no inf-sup constant")
     system = assemble_brinkman(mesh, 1.0, 1.0, lambda x, y: np.zeros(np.shape(x) + (2,)))
     K, n_u = system.matrix, system.n_velocity
-    X = K[:n_u, :n_u].toarray()
-    B = -K[n_u:n_u + system.n_pressure, :n_u].toarray()
-    S = B @ np.linalg.solve(X, B.T)
+    X = K[:n_u, :n_u]
+    B = -K[n_u:n_u + system.n_pressure, :n_u]
+    S = B @ _factor_spd(X).solve(B.T.toarray())
     M_p = np.diag(mesh.cell_geometry.area)
     vals = scipy_eigh(S, M_p, eigvals_only=True)  # in ascending order
     return float(np.sqrt(max(vals[1], 0.0)))

@@ -198,6 +198,18 @@ def test_brinkman_solve_with_incompatible_divergence():
     assert abs(lam - lam_ref) <= 1e-10 * abs(lam_ref)
 
 
+def test_brinkman_divergence_source_without_velocity_dofs():
+    # One cell has no free velocity DoF, so the load sums over no DoF; the
+    # divergence source must still enter a float right-hand side.
+    mesh = Mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
+    system = assemble_brinkman(mesh, 1.0, 1.0, FLOW.source(1.0, 1.0), g=lambda x, y: 1.0 + x)
+    assert system.n_velocity == 0
+    assert system.rhs.dtype == np.float64
+    _, p, lam = system.split(solve(system))
+    assert np.array_equal(p, [0.0])
+    assert lam == pytest.approx(1.5, rel=1e-14)
+
+
 def test_brinkman_solve_round_trip():
     # A right-hand side K x0 with a nonzero border entry: pressures with a
     # nonzero mean and a nonzero multiplier.

@@ -17,9 +17,9 @@ from quadseq.sequence import (
 
 
 def _stacked_rank(D, C):
-    """Dense oracle: rank [C | ker D] from a full SVD of D, its kernel basis
-    and an SVD of the stack, each rank at the relative cut CUTOFF. C is
-    sparse, as ``curl_matrix`` returns it."""
+    """Dense oracle: rank [C | ker D] from a full SVD of the dense D, its
+    kernel basis and an SVD of the stack, each rank at the relative cut
+    CUTOFF. C is sparse, as ``curl_matrix`` returns it."""
     _, s, Vt = np.linalg.svd(D)
     rank_div = int((s > CUTOFF * s[0]).sum())
     s = np.linalg.svd(np.hstack([C.toarray(), Vt[rank_div:].T]), compute_uv=False)
@@ -48,7 +48,7 @@ def test_exactness_across_families(family, seed, n):
     assert report.rank_div == report.dims["pressure"]
     assert report.nullity_div == report.dims["scalar"]
     assert report.sv_gap > 1e6
-    D, _ = divergence_matrix(mesh)
+    D = divergence_matrix(mesh)[0].toarray()
     C, _, _ = curl_matrix(mesh)
     assert report.rank_combined == _stacked_rank(D, C)
 
@@ -59,7 +59,7 @@ def test_kernel_count_as_strict_as_stacked_oracle(monkeypatch, direction):
     # wherever the dense oracle sees the column leave the kernel, so must the
     # rank-nullity count.
     mesh = make_mesh(8, "random", seed=3)
-    D, _ = divergence_matrix(mesh)
+    D = divergence_matrix(mesh)[0].toarray()
     C, sdm, vdm = curl_matrix(mesh)
     _, s, Vt = np.linalg.svd(D)
     rank_div = int((s > CUTOFF * s[0]).sum())
@@ -78,7 +78,8 @@ def test_kernel_count_as_strict_as_stacked_oracle(monkeypatch, direction):
     assert flagged and flagged[-1] == 1e-4
 
 
-def test_certificate_takes_three_value_only_svds(monkeypatch):
+def test_certificate_takes_one_value_only_svd(monkeypatch):
+    # C and D C stay sparse on a mesh: only D is densified, for sv_gap.
     svd, calls = np.linalg.svd, []
 
     def recording_svd(a, *args, **kwargs):
@@ -87,10 +88,56 @@ def test_certificate_takes_three_value_only_svds(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     d = verify_exact_sequence(make_mesh(4, "random", seed=9)).dims
-    values_only = ((), {"compute_uv": False})
-    assert calls == [((d["n_cells"], d["vector"]), *values_only),
-                     ((d["vector"], d["scalar"]), *values_only),
-                     ((d["n_cells"], d["scalar"]), *values_only)]
+    assert calls == [((d["n_cells"], d["vector"]), (), {"compute_uv": False})]
+
+
+def test_duplicated_curl_column_is_counted_not_raised(monkeypatch):
+    # C^T C is singular, so the sparse injectivity test cannot decide and
+    # the rank falls back to the dense count.
+    mesh = make_mesh(4, "random", seed=9)
+    C, sdm, vdm = curl_matrix(mesh)
+    n_s = C.shape[1]
+    duplicated = C[:, np.r_[0, 0, 2:n_s]]
+    monkeypatch.setattr(sequence, "curl_matrix", lambda mesh: (duplicated, sdm, vdm))
+    report = verify_exact_sequence(mesh)
+    assert report.rank_curl == n_s - 1
+    assert not report.checks["curl_injective"]
+
+
+def _dense_ranks(mesh):
+    """Dense oracle: rank D, nullity D, rank C and rank [C | ker D] from
+    value-only SVDs of the dense D, C and D C, as ``verify_exact_sequence``
+    counted them before C and D C stayed sparse."""
+    def rank(s):
+        return int((s > CUTOFF * s[0]).sum()) if len(s) and s[0] else 0
+
+    D = divergence_matrix(mesh)[0].toarray()
+    C = curl_matrix(mesh)[0].toarray()
+    sv_div = np.linalg.svd(D, compute_uv=False)
+    sv_curl = np.linalg.svd(C, compute_uv=False)
+    rank_div, rank_curl = rank(sv_div), rank(sv_curl)
+    nullity = D.shape[1] - rank_div
+    cut = CUTOFF * sv_div[rank_div - 1] * sv_curl[0] if rank_div and rank_curl else 0.0
+    rank_combined = nullity + int((np.linalg.svd(D @ C, compute_uv=False) > cut).sum())
+    return [rank_div, nullity, rank_curl, rank_combined]
+
+
+@pytest.mark.parametrize("family,seed", [
+    ("rectangular", 0), ("trapezoidal", 0), ("random", 9),
+])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_ranks_equal_the_dense_oracle(family, seed, n):
+    mesh = make_mesh(n, family, seed=seed)
+    report = verify_exact_sequence(mesh)
+    got = [report.rank_div, report.nullity_div, report.rank_curl, report.rank_combined]
+    assert got == _dense_ranks(mesh)
+
+
+def test_repeated_certificates_are_bitwise_equal():
+    mesh = make_mesh(16, "random", seed=3)
+    first, second = verify_exact_sequence(mesh), verify_exact_sequence(mesh)
+    assert first.to_dict() == second.to_dict()
+    assert first.to_json() == second.to_json()
 
 
 @pytest.mark.parametrize("vertices,cells", [
@@ -117,8 +164,9 @@ def test_curl_lands_in_divergence_kernel():
     mesh = make_mesh(4, "random", seed=1)
     D, _ = divergence_matrix(mesh)
     C, sdm, vdm = curl_matrix(mesh)
+    assert sp.issparse(D) and D.format == "csr"
     assert sp.issparse(C) and C.format == "csr"
-    assert np.abs(D @ C).max() < 1e-12
+    assert np.abs((D @ C).toarray()).max() < 1e-12
     assert np.linalg.matrix_rank(C.toarray()) == sdm.ndof
 
 
