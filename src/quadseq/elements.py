@@ -18,6 +18,14 @@ explicit bubble-aggregation formula is available separately as an
 independent cross-check. Closed-form determinants of three auxiliary
 unisolvency matrices serve as oracles for the construction.
 
+The DoF rows are read off the monomial frames of the cell: the monomial
+matrices at its vertices and at the Gauss points of its edges. A built
+element keeps the frames its build evaluated (``frames``), and every check
+on it (duality, constraints, aggregation) reads them there; an element
+re-formed by ``from_solution`` evaluates them only when a check asks.
+Building both elements on one geometry shares one stream span and one pair
+of frames between the two builds (``_build_pair``).
+
 Every function works on a ``QuadGeometry`` of any batch shape: one cell,
 or all cells of a mesh at once, in which case the packed spans, the 16x16
 systems, their condition numbers and solves are stacked along the leading
@@ -133,11 +141,13 @@ def _stream_span(geom: QuadGeometry):
     return C
 
 
-def _vector_span(geom: QuadGeometry):
+def _vector_span(geom: QuadGeometry, stream=None):
     """x- and y-components (..., 16, 28) of the vector span fields: linear
     vectors, then rotated gradients of the cubic monomials, the correctors
-    and the bubbles."""
-    stream = _stream_span(geom)[..., 6:, :]
+    and the bubbles. ``stream`` is ``_stream_span(geom)`` if already made."""
+    if stream is None:
+        stream = _stream_span(geom)
+    stream = stream[..., 6:, :]
     lin = _batched(_LINEAR_FIELDS, geom)
     cx = np.concatenate([lin[..., 0, :, :], stream @ DY.T], axis=-2)
     cy = np.concatenate([lin[..., 1, :, :], -(stream @ DX.T)], axis=-2)
@@ -159,6 +169,7 @@ def _all_edge_local_points(geom: QuadGeometry):
 
 
 def _frames(geom: QuadGeometry):
+    """(Vv, Ve): the monomial frames of the cells, (..., 28, 4) and (..., 28, 20)."""
     return _vt(geom.local_vertices), _vt(_all_edge_local_points(geom))
 
 
@@ -214,7 +225,8 @@ class ScalarElement:
     (x - b) / h; ``coeff_matrix`` (..., 12, 28) holds them packed over the
     monomial table. The auxiliary basis, bubble duals, aggregation weights
     and residual diagnostics are computed on first access; diagnostics carry
-    the geometry's batch shape.
+    the geometry's batch shape. ``frames`` holds the monomial frames the
+    build formed the DoF rows on; the diagnostics read them there.
     """
 
     def __init__(self, geom, span, solution, dof_matrix=None, condition=None):
@@ -231,8 +243,14 @@ class ScalarElement:
         ``solution`` of a build on ``geom``, without its 16x16 solve: the
         span is recomputed and the coefficients formed as the build forms
         them, so they equal the built ones bit for bit. It carries no DoF
-        matrix or condition numbers, which only the build computes."""
+        matrix or condition numbers, which only the build computes, and
+        evaluates its frames only when a diagnostic reads them."""
         return cls(geom, _stream_span(geom), solution)
+
+    @cached_property
+    def frames(self):
+        """(Vv, Ve) of ``_frames``: set by the build, else evaluated on first access."""
+        return _frames(self.geometry)
 
     @cached_property
     def aux_matrix(self):
@@ -243,7 +261,7 @@ class ScalarElement:
     @cached_property
     def _bubble_means(self):
         """(..., 4, 4) edge means of the bubbles' normal derivatives."""
-        bubbles, Ve = self.span[..., 12:, :], _frames(self.geometry)[1]
+        bubbles, Ve = self.span[..., 12:, :], self.frames[1]
         return _edge_means((bubbles @ DX.T) @ Ve, (bubbles @ DY.T) @ Ve,
                            self.geometry.normals) / self.geometry.h[..., None, None]
 
@@ -254,7 +272,7 @@ class ScalarElement:
 
     @cached_property
     def _dof_rows(self):
-        return _scalar_dof_rows(self.coeff_matrix, self.geometry, *_frames(self.geometry))
+        return _scalar_dof_rows(self.coeff_matrix, self.geometry, *self.frames)
 
     @cached_property
     def constraint_residual(self):
@@ -306,10 +324,17 @@ def _scalar_tables(geom, C, points, inv=None):
 
 
 def build_scalar_element(geom: QuadGeometry) -> ScalarElement:
-    C = _stream_span(geom)                               # (..., 16, 28)
-    D = _scalar_dof_rows(C, geom, *_frames(geom))
+    return _build_scalar(geom, _stream_span(geom), _frames(geom))
+
+
+def _build_scalar(geom, stream, frames):
+    """The scalar element on the stream span (..., 16, 28) and ``frames``
+    of ``geom``; it keeps the frames."""
+    D = _scalar_dof_rows(stream, geom, *frames)
     X, cond = _solve_nodal(D, 12, geom.index)
-    return ScalarElement(geom, C, X, D, cond)
+    element = ScalarElement(geom, stream, X, D, cond)
+    element.frames = frames
+    return element
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +351,7 @@ class VectorElement:
     of the span and its weights ``solution`` (..., 16, 12); every basis
     field has constant divergence, recorded in ``div_constants`` (physical
     scale). Divergences and residual diagnostics are computed on first
-    access.
+    access; ``frames`` is as for ``ScalarElement``.
     """
 
     def __init__(self, geom, span, solution, condition=None):
@@ -340,6 +365,11 @@ class VectorElement:
         """The element re-formed from the span weights of a build on
         ``geom``, bit for bit, as ``ScalarElement.from_solution``."""
         return cls(geom, _vector_span(geom), solution)
+
+    @cached_property
+    def frames(self):
+        """(Vv, Ve) of ``_frames``: set by the build, else evaluated on first access."""
+        return _frames(self.geometry)
 
     @cached_property
     def _div_rows(self):
@@ -356,7 +386,7 @@ class VectorElement:
 
     @cached_property
     def _dof_rows(self):
-        return _vector_dof_rows(self.coeff_x, self.coeff_y, self.geometry, *_frames(self.geometry))
+        return _vector_dof_rows(self.coeff_x, self.coeff_y, self.geometry, *self.frames)
 
     @cached_property
     def duality_defect(self):
@@ -407,9 +437,25 @@ def _vector_dof_rows(Cx, Cy, geom: QuadGeometry, Vv, Ve):
 
 
 def build_vector_element(geom: QuadGeometry) -> VectorElement:
-    span = _vector_span(geom)
-    X, cond = _solve_nodal(_vector_dof_rows(*span, geom, *_frames(geom)), 12, geom.index)
-    return VectorElement(geom, span, X, cond)
+    return _build_vector(geom, _stream_span(geom), _frames(geom))
+
+
+def _build_vector(geom, stream, frames):
+    """The vector element on the rotated gradients of the stream span and
+    ``frames`` of ``geom``; it keeps the frames."""
+    span = _vector_span(geom, stream)
+    X, cond = _solve_nodal(_vector_dof_rows(*span, geom, *frames), 12, geom.index)
+    element = VectorElement(geom, span, X, cond)
+    element.frames = frames
+    return element
+
+
+def _build_pair(geom: QuadGeometry):
+    """Both elements on ``geom``, as ``build_scalar_element`` and
+    ``build_vector_element`` build them, from one stream span and one pair
+    of frames."""
+    stream, frames = _stream_span(geom), _frames(geom)
+    return _build_scalar(geom, stream, frames), _build_vector(geom, stream, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +498,10 @@ def aggregation_coeffs_formula(geom: QuadGeometry, element: ScalarElement) -> np
     """Bubble weights from the explicit endpoint-average formula.
 
     Independent of the direct 16x16 solve: computed by edge quadrature of the
-    auxiliary basis' normal derivatives. Cross-check against
-    ``element.aggregation``.
+    auxiliary basis' normal derivatives on the element's frames. Cross-check
+    against ``element.aggregation``.
     """
-    return -_scalar_dof_rows(element.aux_matrix, geom, *_frames(geom))[..., 12:, :]
+    return -_scalar_dof_rows(element.aux_matrix, geom, *element.frames)[..., 12:, :]
 
 
 # ---------------------------------------------------------------------------

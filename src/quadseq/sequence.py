@@ -38,7 +38,7 @@ from .assembly import (
 )
 from .cases import brinkman_sin_stream
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
-from .elements import build_scalar_element, build_vector_element, vector_dof_values
+from .elements import _build_pair, build_vector_element, vector_dof_values
 from .geometry import QuadGeometry
 from .mesh import Mesh
 from .poly import DX, DY, vandermonde
@@ -83,6 +83,14 @@ def curl_matrix(mesh: Mesh):
 
 @dataclass
 class SequenceReport:
+    """The ranks, residuals and checks of ``verify_exact_sequence``.
+
+    ``sv_gap`` is sigma_r / sigma_{r+1} of D at the cut, infinite when no
+    singular value lies below it (as when D has none). ``to_dict`` and
+    ``to_json`` write a non-finite gap as null, so the JSON is strict: it
+    holds no NaN or Infinity, and ``to_json`` raises rather than write one.
+    """
+
     dims: dict
     rank_div: int
     nullity_div: int
@@ -101,10 +109,11 @@ class SequenceReport:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        gap = self.sv_gap if np.isfinite(self.sv_gap) else None
+        return {**asdict(self), "sv_gap": gap, "passed": self.passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _rank(singular_values: np.ndarray, cutoff: float):
@@ -167,7 +176,7 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     """
     geom = mesh.cell_geometry
     unit = QuadGeometry(geom.local_vertices)
-    sc, vc = build_scalar_element(unit), build_vector_element(unit)
+    sc, vc = _build_pair(unit)  # one stream span and one pair of frames
     vdm = VectorDofMap(mesh)
     D = _divergence_matrix(mesh, vdm, vc)
     C, sdm, _ = curl_matrix(mesh)

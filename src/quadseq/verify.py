@@ -9,6 +9,12 @@ reproduction, membership of the rotated scalar gradients in the vector
 space (the curl re-interpolation check that ``quadseq.sequence`` also
 runs), and the bubble trace relations. Residuals are aggregated as maxima
 over the cells and compared against fixed thresholds.
+
+The battery evaluates each cell's monomial frames and stream span once:
+both elements are built from one span and one pair of frames, they keep
+the frames, and every identity check on those cells reads the frames and
+the span of the element it checks. The reproduction checks share one
+monomial table at their sample points.
 """
 
 from __future__ import annotations
@@ -22,14 +28,12 @@ from .elements import (
     _EDGE_T,
     _EDGE_W,
     _NEXT,
-    _bubble_span,
+    _build_pair,
     _edge_means,
-    _frames,
     _swap,
     _vector_dof_rows,
+    _vt,
     aggregation_coeffs_formula,
-    build_scalar_element,
-    build_vector_element,
     det_oracles,
     numeric_dets,
     scalar_dof_values,
@@ -100,12 +104,14 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
 
 
 # The residual helpers below take geometries and elements of any batch shape
-# and return one residual per cell, with that batch shape.
+# and return one residual per cell, with that batch shape. ``frames`` are the
+# monomial frames (Vv, Ve) of the geometry, as ``elements._frames`` makes them
+# and a built element keeps them.
 
-def _edge_mean_identity_residual(geom: QuadGeometry, coeff: np.ndarray) -> np.ndarray:
+def _edge_mean_identity_residual(geom: QuadGeometry, coeff: np.ndarray, frames) -> np.ndarray:
     """Cubic edge-mean identity: edge mean vs Simpson endpoint expression."""
     h = geom.h[..., None, None]
-    Vv, Ve = _frames(geom)
+    Vv, Ve = frames
     vals_v = coeff @ Vv                                # (..., k, 4)
     gx, gy = (coeff @ DX.T) @ Vv, (coeff @ DY.T) @ Vv
     mean = (coeff @ Ve).reshape(vals_v.shape[:-1] + (4, len(_EDGE_W))) @ _EDGE_W
@@ -120,10 +126,10 @@ def _edge_mean_identity_residual(geom: QuadGeometry, coeff: np.ndarray) -> np.nd
     return np.abs(resid).max((-2, -1))
 
 
-def _weighted_normal_identity_residual(geom: QuadGeometry, elt) -> np.ndarray:
+def _weighted_normal_identity_residual(geom: QuadGeometry, elt, frames) -> np.ndarray:
     """(1/|E|) int (v.n) xi ds = (v(V_{i+1}) - v(V_i)).n / 6 for basis fields,
     with xi the edge parameter, -1 at V_i and +1 at V_{i+1}."""
-    Vv, Ve = _frames(geom)
+    Vv, Ve = frames
     vx, vy = elt.coeff_x @ Vv, elt.coeff_y @ Vv        # (..., k, 4)
     xi = np.tile(2.0 * _EDGE_T - 1.0, 4)
     lhs = _edge_means((elt.coeff_x @ Ve) * xi, (elt.coeff_y @ Ve) * xi, geom.normals)
@@ -141,10 +147,11 @@ def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
     cells carry large local coefficients and the identity holds to relative
     rounding there, so the element certificate divides the residual by the
     scale; the exact-sequence certificate, on unit-diameter cells, does not.
+    The vector DoFs are read on the vector element's frames.
     """
     curl_x = scalar_elt.coeff_matrix @ DY.T
     curl_y = -(scalar_elt.coeff_matrix @ DX.T)
-    S = _swap(_vector_dof_rows(curl_x, curl_y, geom, *_frames(geom))[..., :12, :])
+    S = _swap(_vector_dof_rows(curl_x, curl_y, geom, *vector_elt.frames)[..., :12, :])
     rx = S @ vector_elt.coeff_x - curl_x
     ry = S @ vector_elt.coeff_y - curl_y
     flux = np.abs(S[..., :4].sum(-1)).max(-1)
@@ -155,7 +162,9 @@ def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
 
 
 def _reproduction_residuals(geom: QuadGeometry):
-    """Quadratic (scalar) and linear (vector) reproduction through the DoFs."""
+    """Quadratic (scalar) and linear (vector) reproduction through the DoFs,
+    with the two elements built on ``geom`` (``_build_pair``). Values only:
+    both elements are evaluated on one monomial table at 40 sample points."""
     b, h = geom.b[..., None, :], geom.h[..., None]
 
     def u(x, y):
@@ -166,31 +175,35 @@ def _reproduction_residuals(geom: QuadGeometry):
         X, Y = (x - b[..., 0]) / h, (y - b[..., 1]) / h
         return np.stack([(-1.1 + 1.8 * X - 1.3 * Y) / h, (0.7 - 1.3 * X + 1.0 * Y) / h], -1)
 
-    se = build_scalar_element(geom)
+    se, ve = _build_pair(geom)
     dofs = scalar_dof_values(geom, u, gu)
     rng = np.random.default_rng(11)
     ref = rng.uniform(-1, 1, (40, 2))
     pts = geom.map_reference(ref)
-    vals = (se.tabulate(pts)[0] @ dofs[..., None])[..., 0]
+    V = _vt(geom.to_local(pts))  # as ``tabulate`` makes it, so the values match its bits
+    vals = (_swap(se.coeff_matrix @ V) @ dofs[..., None])[..., 0]
     err_s = np.abs(vals - u(pts[..., 0], pts[..., 1])).max(-1)
 
     def v(x, y):
         X, Y = (x - b[..., 0]) / h, (y - b[..., 1]) / h
         return np.stack([0.3 + 0.8 * Y - 0.2 * X, -0.6 + 0.5 * X + 0.9 * Y], -1)
 
-    ve = build_vector_element(geom)
     vdofs = vector_dof_values(geom, v)
+    vvals = np.stack([_swap(ve.coeff_x @ V), _swap(ve.coeff_y @ V)], axis=-1)
     err_v = np.abs(
-        np.einsum("...qjc,...j->...qc", ve.tabulate(pts)[0], vdofs) - v(pts[..., 0], pts[..., 1])
+        np.einsum("...qjc,...j->...qc", vvals, vdofs) - v(pts[..., 0], pts[..., 1])
     ).max((-2, -1))
     return err_s, err_v, se, ve
 
 
-def _bubble_residuals(geom: QuadGeometry):
-    C = _bubble_span(geom)
+def _bubble_residuals(scalar_elt):
+    """Vertex values and trace relation of the bubbles of the scalar span,
+    on the element's frames."""
+    geom = scalar_elt.geometry
+    C = scalar_elt.span[..., 12:, :]  # the bubbles (``elements._bubble_span``)
     Cx, Cy = C @ DX.T, C @ DY.T
     h = geom.h[..., None, None]
-    Vv, Ve = _frames(geom)
+    Vv, Ve = scalar_elt.frames
     vals = np.maximum(np.abs(C @ Vv).max((-2, -1)),
                       np.maximum(np.abs(Cx @ Vv).max((-2, -1)) / geom.h,
                                  np.abs(Cy @ Vv).max((-2, -1)) / geom.h))
@@ -276,7 +289,7 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
 
     err_s, err_v, se, ve = _reproduction_residuals(cells)
     incl, scale, flux = _curl_inclusion_residual(cells, se, ve)
-    bv, btr = _bubble_residuals(cells)
+    bv, btr = _bubble_residuals(se)
     per_cell = {
         "det_rel_err": np.abs((num - orc) / orc),
         "p2_reproduction": err_s,
@@ -286,10 +299,10 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
         "vector_duality": ve.duality_defect,
         "vector_constraint": ve.constraint_residual,
         "div_in_p0": ve.div_residual,
-        "edge_mean_identity": _edge_mean_identity_residual(cells, se.coeff_matrix),
+        "edge_mean_identity": _edge_mean_identity_residual(cells, se.coeff_matrix, se.frames),
         "aggregation_crosscheck":
             np.abs(se.aggregation - aggregation_coeffs_formula(cells, se)),
-        "weighted_normal_identity": _weighted_normal_identity_residual(cells, ve),
+        "weighted_normal_identity": _weighted_normal_identity_residual(cells, ve, ve.frames),
         "curl_inclusion": incl / scale,
         "curl_flux_sum": flux,
         "bubble_vertex_values": bv,

@@ -7,6 +7,7 @@ from quadseq.elements import (
     ElementConditioningError,
     _bubble_span,
     _corrector_span,
+    _frames,
     _stream_span,
     _unisolvency_rows,
     _vector_span,
@@ -109,7 +110,7 @@ def test_correctors_vanish_at_vertices():
 
 def test_correctors_satisfy_edge_mean_identity(random_quads):
     for g in random_quads[:10]:
-        resid = _edge_mean_identity_residual(g, _corrector_span(g))
+        resid = _edge_mean_identity_residual(g, _corrector_span(g), _frames(g))
         assert resid < 1e-12
 
 
@@ -178,14 +179,14 @@ def test_aggregation_nontrivial_on_rectangle(unit_square):
 def test_edge_mean_identity_on_basis(random_quads):
     for g in random_quads:
         e = build_scalar_element(g)
-        assert _edge_mean_identity_residual(g, e.coeff_matrix) < 1e-10
+        assert _edge_mean_identity_residual(g, e.coeff_matrix, e.frames) < 1e-10
 
 
 def test_edge_mean_identity_cubic_example(unit_square):
     # w = x^3 on the bottom edge: mean 1/4 equals 1/2 - 3/12.
     w = np.zeros((1, len(MONOMIALS)))
     w[0, MONOMIALS.index((3, 0))] = 1.0
-    resid = _edge_mean_identity_residual(unit_square, w)
+    resid = _edge_mean_identity_residual(unit_square, w, _frames(unit_square))
     assert resid < 1e-13
     assert 0.25 == pytest.approx(0.5 - 3.0 / 12.0)
 
@@ -257,13 +258,13 @@ def test_weighted_normal_identity_linear_example(unit_square):
     integral = np.trapezoid(vn * xi, t)
     assert integral == pytest.approx(-1.0 / 6.0, abs=1e-4)
     e = build_vector_element(unit_square)
-    assert _weighted_normal_identity_residual(unit_square, e) < 1e-10
+    assert _weighted_normal_identity_residual(unit_square, e, e.frames) < 1e-10
 
 
 def test_weighted_normal_identity_on_basis(random_quads):
     for g in random_quads:
         e = build_vector_element(g)
-        assert _weighted_normal_identity_residual(g, e) < 1e-10
+        assert _weighted_normal_identity_residual(g, e, e.frames) < 1e-10
 
 
 def test_curl_inclusion_on_mesh_cells():
@@ -289,7 +290,7 @@ def test_divergence_of_interpolated_curl_vanishes(unit_square):
 
 def test_bubble_trace_relation(random_quads):
     for g in random_quads[:10]:
-        vals, trace = _bubble_residuals(g)
+        vals, trace = _bubble_residuals(build_scalar_element(g))
         assert trace < 1e-10
 
 
@@ -380,7 +381,7 @@ def _random_rows(seed, cells):
 
 def test_edge_mean_identity_equals_the_edge_loop(oracle_cells):
     rows = _random_rows(0, oracle_cells)
-    got = _edge_mean_identity_residual(oracle_cells, rows)
+    got = _edge_mean_identity_residual(oracle_cells, rows, _frames(oracle_cells))
     want = _edge_mean_identity_loop(oracle_cells, rows)
     assert want.min() > 1e-3  # far above rounding
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -389,7 +390,7 @@ def test_edge_mean_identity_equals_the_edge_loop(oracle_cells):
 def test_weighted_normal_identity_equals_the_edge_loop(oracle_cells):
     fields = SimpleNamespace(coeff_x=_random_rows(1, oracle_cells),
                              coeff_y=_random_rows(2, oracle_cells))
-    got = _weighted_normal_identity_residual(oracle_cells, fields)
+    got = _weighted_normal_identity_residual(oracle_cells, fields, _frames(oracle_cells))
     want = _weighted_normal_identity_loop(oracle_cells, fields)
     assert want.min() > 1e-3  # far above rounding
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -398,7 +399,7 @@ def test_weighted_normal_identity_equals_the_edge_loop(oracle_cells):
 def test_bubble_trace_relation_equals_the_edge_loop(oracle_cells):
     # The relation holds for every polynomial, so both residuals are
     # rounding; they must agree to 1e-12 of the bubbles' magnitude.
-    vals, trace = _bubble_residuals(oracle_cells)
+    vals, trace = _bubble_residuals(build_scalar_element(oracle_cells))
     assert np.all(np.abs(trace - _bubble_trace_loop(oracle_cells)) <= 1e-12 * vals)
 
 
@@ -423,7 +424,7 @@ def _one_cell_certificate(quads, cells):
     for g in map(QuadGeometry, cells.vertices):
         err_s, err_v, se, ve = _reproduction_residuals(g)
         incl, scale, flux = _curl_inclusion_residual(g, se, ve)
-        bv, btr = _bubble_residuals(g)
+        bv, btr = _bubble_residuals(se)
         for key, value in [
             ("p2_reproduction", err_s), ("p1_vector_reproduction", err_v),
             ("scalar_duality", se.duality_defect),
@@ -431,10 +432,10 @@ def _one_cell_certificate(quads, cells):
             ("vector_duality", ve.duality_defect),
             ("vector_constraint", ve.constraint_residual),
             ("div_in_p0", ve.div_residual),
-            ("edge_mean_identity", _edge_mean_identity_residual(g, se.coeff_matrix)),
+            ("edge_mean_identity", _edge_mean_identity_residual(g, se.coeff_matrix, se.frames)),
             ("aggregation_crosscheck",
              np.abs(se.aggregation - aggregation_coeffs_formula(g, se))),
-            ("weighted_normal_identity", _weighted_normal_identity_residual(g, ve)),
+            ("weighted_normal_identity", _weighted_normal_identity_residual(g, ve, ve.frames)),
             ("curl_inclusion", incl / scale), ("curl_flux_sum", flux),
             ("bubble_vertex_values", bv), ("bubble_trace_relation", btr),
         ]:

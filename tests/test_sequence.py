@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -150,6 +152,28 @@ def test_meshes_without_interior_vertices(vertices, cells):
     assert report.passed, report.checks
     assert report.rank_div == report.dims["pressure"] == len(cells) - 1
     assert report.rank_combined == report.nullity_div == 0
+
+
+def test_infinite_gap_is_written_as_null():
+    # One cell: D has no singular value, so the gap is infinite. The report
+    # keeps it as a float, and its JSON holds null, which a strict parser reads.
+    report = verify_exact_sequence(Mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]]))
+    assert report.rank_div == 0
+    assert isinstance(report.sv_gap, float) and report.sv_gap == np.inf
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(report.to_json(), parse_constant=reject)
+    assert doc["sv_gap"] is None
+    assert doc == report.to_dict()
+
+
+def test_report_json_rejects_any_other_non_finite_field():
+    report = verify_exact_sequence(make_mesh(2, "rectangular"))
+    report.div_curl_max = np.nan
+    with pytest.raises(ValueError):
+        report.to_json()
 
 
 def test_divergence_rows_sum_to_zero_weighted():
