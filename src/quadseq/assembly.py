@@ -7,21 +7,21 @@ cells, which bounds their temporaries), the local matrices are formed with
 batched products, and the global matrix comes from one COO scatter.
 Elements are built on the cells' unit shapes, the vertex positions in the
 cell-local frame (x - b) / h, which keeps the local systems well conditioned
-at every mesh size. The physical local matrices follow from the unit-shape integrals
-by exact powers of the cell diameter together with a diagonal DoF rescaling
-(gradient DoFs scale with h in the scalar element, edge-integral DoFs with
-1/h in the vector element). User callables are evaluated once per mesh on
-point arrays of shape (n_cells, npts).
+at every mesh size. The physical local matrices follow from the unit-shape
+integrals by exact powers of the cell diameter together with a diagonal DoF
+rescaling (gradient DoFs scale with h in the scalar element, edge-integral
+DoFs with 1/h in the vector element). User callables are evaluated once per
+mesh on point arrays of shape (n_cells, npts), and checked (``_source``).
 
 Within each chunk, cells whose unit shapes agree bit for bit share one
 element: ``unit_shape_elements`` builds each distinct shape once, the
-shape-only work (tabulation, Gram matrices, divergence constants) runs per
-shape, and its results are gathered back to the cells. A rectangular mesh
-has one shape, a trapezoidal one a few dozen; on a random mesh every cell
-is its own shape. Each mesh level's elements are built once: assembly
-returns them on the system as an ``ElementBatch`` (the unit geometry and
-each chunk's span weights), and the error norms of the solution re-form
-them from it instead of building them again.
+shape-only work (tabulation, Gram matrices) runs per shape, and its results
+are gathered back to the cells. A rectangular mesh has one shape, a
+trapezoidal one a few dozen; on a random mesh every cell is its own shape.
+Each mesh level's elements are built once: assembly returns them on the
+system as an ``ElementBatch`` (the unit geometry and each chunk's span
+weights), and the error norms of the solution re-form them from it instead
+of building them again.
 
 Batched products keep the operand layouts and reduction kernels a loop over
 cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
@@ -32,15 +32,10 @@ the per-cell kernels that read them see the strides they saw before the
 shapes were shared. That matters: the fourth-order solve amplifies rounding
 differences in the matrix by its condition number.
 
-Solves are direct sparse LU factorizations (``spla.splu``). The scalar SPD
-matrix is factored as it is, in COLAMD order. The Brinkman saddle matrix
-keeps its dense mean-zero border row and column, but ``solve`` factors
-neither it nor the saddle block: the sequence scalar -> vector -> pressure
-is exact on a mesh of Euler characteristic 1, so the divergence-free
-velocities are the curls C psi, and C^T A C, the scalar element's own SPD
-matrix, is factored with the cell graph matrix B B^T, both in symmetric
-minimum-degree order. The relative residual is always measured on the
-assembled matrix.
+Solves are direct sparse LU factorizations (``spla.splu``). The Brinkman
+matrix keeps its mean-zero border, but ``solve`` factors neither it nor the
+saddle block: it goes through the exact sequence (``_solve_stream_function``).
+The relative residual is always measured on the assembled matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import build_scalar_element, build_vector_element
-from .geometry import QuadGeometry, _dot, _pow2
+from .geometry import QuadGeometry, _check, _dot, _pow2
 from .mesh import Mesh
 from .quadrature import QuadratureRule
 
@@ -190,6 +185,19 @@ def cell_matrix(shape, blocks):
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
+def _source(fn, name, x, shape):
+    """Float values (``shape``) of the source ``fn`` at the points x; raises
+    ``ValueError`` naming it on a wrong shape or type or a non-finite value."""
+    values = np.asarray(fn(x[..., 0], x[..., 1]))
+    if values.shape != shape or values.dtype.kind not in "biuf":
+        raise ValueError(f"source {name} must return real numbers of shape {shape} on points "
+                         f"of shape {x.shape[:-1]}, got {values.dtype} of shape {values.shape}")
+    values = np.asarray(values, dtype=float)
+    _check(~np.isfinite(values).reshape(len(values), -1).all(-1), ValueError,
+           f"source {name} is not finite at a quadrature point")
+    return values
+
+
 def _load(dofs, F, ndof):
     # bincount of no free DoF returns int64 zeros, which g cannot update.
     free = dofs >= 0
@@ -236,7 +244,7 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     dm = ScalarDofMap(mesh)
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
-    fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
+    fv = _source(f, "f", x, x.shape[:-1])
     A_hat, B_hat = np.empty((2, mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
 
@@ -271,7 +279,7 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     (velocity, cell pressures, multiplier), where c holds the cell areas; the
     bordering row enforces the zero pressure mean symmetrically. nu and
     alpha are non-negative and not both zero; f maps (x, y) to (..., 2) and
-    g, if given, to (...,).
+    g, if given, to (...,). B is the DoF map's edge signs (``verify._div_flux_residual``).
     """
     if not (0 <= nu < np.inf and 0 <= alpha < np.inf):
         raise ValueError(f"nu and alpha must be finite and non-negative, got {nu} and {alpha}")
@@ -280,8 +288,7 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     dm = VectorDofMap(mesh)
     n_u, n_p = dm.ndof, mesh.n_cells
     ndof = n_u + n_p + 1
-    A_loc, b_rows, F_hat, (x, wts), elements = velocity_blocks(mesh, dm, nu, alpha,
-                                                               quad_order, f)
+    A_loc, F_hat, (x, wts), elements = velocity_blocks(mesh, dm, nu, alpha, quad_order, f)
 
     dofs = dm.cell_dofs
     p_dofs = n_u + np.arange(n_p)
@@ -289,8 +296,8 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     area = mesh.cell_geometry.area[:, None]
     K = cell_matrix((ndof, ndof), [
         (dofs[:, :, None], dofs[:, None, :], A_loc),
-        (pd, dofs, -b_rows),
-        (dofs, pd, -b_rows),
+        (pd, dofs[:, :4], -dm.cell_signs[:, :4]),
+        (dofs[:, :4], pd, -dm.cell_signs[:, :4]),
         (pd, border, -area),
         (border, pd, -area),
     ])
@@ -299,7 +306,7 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     w = vector_dof_scaling(mesh.cell_geometry.h) * dm.cell_signs
     rhs = _load(dofs, w * F_hat * h2, ndof)
     if g is not None:
-        gv = np.asarray(g(x[..., 0], x[..., 1]), dtype=float)
+        gv = _source(g, "g", x, x.shape[:-1])
         rhs[p_dofs] -= _dot(wts, gv) * h2[:, 0]
     return SparseSystem(K, rhs, "brinkman", dm, n_velocity=n_u, n_pressure=n_p,
                         elements=elements)
@@ -309,17 +316,15 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
 def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: int, f):
     """Per-cell blocks of the velocity equations on a g x g rule.
 
-    Returns the local matrices nu * (broken gradient) + alpha * (mass) and
-    the divergence rows (area times the constant divergence), both in the
-    global edge-sign convention; the unit-shape load integrals of f; the
-    physical points and unit-shape weights of the rule; and the
-    ``ElementBatch`` of the vector elements.
+    Returns the local matrices nu * (broken gradient) + alpha * (mass) in
+    the global edge-sign convention; the unit-shape load integrals of f;
+    the physical points and unit-shape weights of the rule; and the
+    ``ElementBatch`` of the vector elements. The divergence reads no element.
     """
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, g)
-    fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
+    fv = _source(f, "f", x, x.shape[:-1] + (2,))
     G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
-    div_constants = np.empty((mesh.n_cells, 12))
     F_hat = np.empty((mesh.n_cells, 12))
 
     def integrate(cells, shapes, element, inv):
@@ -327,7 +332,6 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
         w = wts[shapes]
         G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)[inv]
         M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)[inv]
-        div_constants[cells] = element.div_constants[inv]
         F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val[inv], wts[cells], fv[cells])
 
     elements = unit_shape_elements(unit, build_vector_element, integrate)
@@ -335,8 +339,7 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
     h = geom.h
     w = vector_dof_scaling(h) * dm.cell_signs
     A_loc = (w[:, :, None] * w[:, None, :]) * (nu * G_hat + alpha * _pow2(h[:, None, None]) * M_hat)
-    b_rows = w * div_constants / h[:, None] * geom.area[:, None]
-    return A_loc, b_rows, F_hat, (x, wts), elements
+    return A_loc, F_hat, (x, wts), elements
 
 
 def solve(system: SparseSystem) -> np.ndarray:

@@ -4,20 +4,19 @@ The three global spaces form the chain
 
     scalar space --rotated gradient--> vector space --divergence--> pressures
 
-and exactness is an integer statement: the divergence matrix is onto the
+and exactness is an integer statement: the divergence matrix D is onto the
 mean-zero pressures, its kernel has the dimension of the scalar space, and
-the rotated gradients of the scalar basis span that kernel. Every rank is
-relative to CUTOFF. The rank of the divergence matrix D, and the spectral gap
-the report records at the cut, come from the value-only SVD of D, the one
-dense matrix of the certificate. The curl matrix C stays sparse: it is
-injective when the extreme eigenvalues of C^T C (Lanczos) are far apart, and
-only otherwise is it densified for an exact count. Kernel spanning needs no
-kernel basis: rank [C | ker D] = nullity(D) + rank(D C), with rank(D C) cut at
-CUTOFF * sigma_r(D) * sigma_1(C) (``verify_exact_sequence`` says why), and it
-is zero without an SVD when the Frobenius norm of the sparse D C is below the
-cut. The inf-sup constant solves with a sparse factor of the velocity Gram
-matrix. The per-cell curl re-interpolation check is the one the element
-certificate runs (``quadseq.verify``), applied to the unit-shape cells.
+the rotated gradients of the scalar basis span that kernel. D C = 0 holds
+exactly: the curl matrix C (+-1) and D (the signed edge incidence over the
+cell areas) come from the DoF maps alone. The element enters through two
+per-cell identities, which the element certificate (``quadseq.verify``) also
+runs: each rotated scalar gradient re-interpolates to itself (C is the curl)
+and each vector basis field's divergence integrates to its outward flux (D
+is the divergence). Ranks are relative to CUTOFF. Rank D and the gap at the
+cut come from the value-only SVD of D, the one dense matrix; C is injective
+by the extreme eigenvalues of the sparse C^T C, and rank [C | ker D] =
+nullity(D) + rank(D C) needs no kernel basis. The inf-sup constant solves
+with a sparse factor of the velocity Gram matrix.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ from .assembly import (
 )
 from .cases import brinkman_sin_stream
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
-from .elements import _build_pair, build_vector_element, vector_dof_values
+from .elements import _build_pair, vector_dof_values
 from .geometry import QuadGeometry
 from .mesh import Mesh
 from .poly import DX, DY, vandermonde
-from .verify import _curl_inclusion_residual
+from .verify import _curl_inclusion_residual, _div_flux_residual
 
 __all__ = [
     "divergence_matrix",
@@ -57,21 +56,14 @@ TOL = 1e-10    # bound on the residuals of the exact identities
 
 
 def divergence_matrix(mesh: Mesh):
-    """Sparse CSR matrix of the cellwise divergence: vector DoFs -> cell
-    constants, with the vector DoF map."""
+    """Sparse CSR matrix of the cellwise divergence, vector DoFs -> cell
+    constants, with the vector DoF map: the signed edge incidence with each
+    row divided by the cell area."""
     dm = VectorDofMap(mesh)
-    geom = mesh.cell_geometry
-    element = build_vector_element(QuadGeometry(geom.local_vertices))
-    return _divergence_matrix(mesh, dm, element), dm
-
-
-def _divergence_matrix(mesh, dm, element):
-    geom = mesh.cell_geometry
-    div_phys = (
-        vector_dof_scaling(geom.h) * dm.cell_signs * element.div_constants / geom.h[:, None]
-    )
-    return cell_matrix((mesh.n_cells, dm.ndof),
-                       [(np.arange(mesh.n_cells)[:, None], dm.cell_dofs, div_phys)]).tocsr()
+    rows = dm.cell_signs[:, :4] / mesh.cell_geometry.area[:, None]
+    D = cell_matrix((mesh.n_cells, dm.ndof),
+                    [(np.arange(mesh.n_cells)[:, None], dm.cell_dofs[:, :4], rows)])
+    return D.tocsr(), dm
 
 
 def curl_matrix(mesh: Mesh):
@@ -99,6 +91,7 @@ class SequenceReport:
     sv_gap: float
     div_curl_max: float
     curl_reinterp_residual: float
+    div_flux_residual: float
     curl_global_consistency: float
     commuting_residual: float
     cutoff: float
@@ -163,8 +156,9 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     (per-cell re-interpolation and global DoF consistency), the divergence
     matrix annihilates them, its rank is the pressure dimension N_K - 1, its
     nullity is the scalar dimension 3 N_V^i, the rotated-gradient image
-    spans the kernel, and the per-cell commuting identity: the divergence of
-    the interpolant integrates to the boundary flux for a smooth probe.
+    spans the kernel, the flux identity of the basis fields, and the
+    per-cell commuting identity: the divergence of the interpolant
+    integrates to the boundary flux for a smooth probe.
 
     Kernel spanning uses rank [C | ker D] = nullity(D) + rank(D C) and
     ||D x|| >= sigma_r(D) * dist(x, ker D) for every x, where ker D is spanned
@@ -177,8 +171,7 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     geom = mesh.cell_geometry
     unit = QuadGeometry(geom.local_vertices)
     sc, vc = _build_pair(unit)  # one stream span and one pair of frames
-    vdm = VectorDofMap(mesh)
-    D = _divergence_matrix(mesh, vdm, vc)
+    D, vdm = divergence_matrix(mesh)
     C, sdm, _ = curl_matrix(mesh)
 
     sv_div = np.linalg.svd(D.toarray(), compute_uv=False)
@@ -196,9 +189,10 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
 
     div_curl_max = float(np.abs(DC.data).max(initial=0.0))
 
-    # Per cell: the rotated gradient of each scalar basis function,
-    # re-interpolated through the vector DoFs, must reproduce itself.
+    # Per cell: each rotated scalar basis gradient re-interpolates to itself,
+    # and each vector basis field's divergence integrates to its flux.
     reinterp = float(_curl_inclusion_residual(unit, sc, vc)[0].max())
+    div_flux = float(_div_flux_residual(vc).max())
 
     # Global consistency: push a random scalar coefficient vector through the
     # matrix and compare against per-cell DoFs of the local rotated gradient.
@@ -238,6 +232,7 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
         "curl_spans_kernel": rank_combined == nullity,
         "div_curl_zero": div_curl_max <= TOL,
         "curl_reinterpolation": reinterp <= TOL,
+        "divergence_is_flux": div_flux <= TOL,
         "curl_global_consistency": consistency <= 1e-8,
         "commuting": commuting <= TOL,
         "alternating_sum_zero": sdm.ndof - vdm.ndof + (mesh.n_cells - 1) == 0,
@@ -245,7 +240,8 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     return SequenceReport(
         dims=dims, rank_div=rank_div, nullity_div=nullity, rank_curl=rank_curl,
         rank_combined=rank_combined, sv_gap=gap, div_curl_max=div_curl_max,
-        curl_reinterp_residual=reinterp, curl_global_consistency=consistency,
+        curl_reinterp_residual=reinterp, div_flux_residual=div_flux,
+        curl_global_consistency=consistency,
         commuting_residual=commuting, cutoff=CUTOFF, checks=checks,
     )
 

@@ -7,7 +7,8 @@ both elements, the cubic edge-mean identity and the weighted normal-trace
 identity on every nodal basis function, quadratic and linear-vector
 reproduction, membership of the rotated scalar gradients in the vector
 space (the curl re-interpolation check that ``quadseq.sequence`` also
-runs), and the bubble trace relations. Residuals are aggregated as maxima
+runs), the flux identity of the vector divergence (also run there), and
+the bubble trace relations. Residuals are aggregated as maxima
 over the cells and compared against fixed thresholds.
 
 The battery evaluates each cell's monomial frames and stream span once:
@@ -58,6 +59,7 @@ THRESHOLDS = {
     "p1_vector_reproduction": 1e-10,
     "curl_inclusion": 1e-10,
     "curl_flux_sum": 1e-10,
+    "div_is_flux": 1e-10,
     "bubble_vertex_values": 1e-12,
     "bubble_trace_relation": 1e-10,
     "div_in_p0": 1e-10,
@@ -159,6 +161,19 @@ def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
                                        np.abs(curl_y).max((-2, -1))))
     resid = np.maximum(np.abs(rx).max((-2, -1)), np.abs(ry).max((-2, -1)))
     return resid, scale, flux
+
+
+_FLUX = np.repeat([1.0, 0.0], [4, 8])  # the sum of each basis field's edge DoFs
+
+
+def _div_flux_residual(vector_elt):
+    """Divergence is flux: each basis field's constant divergence times the
+    cell area is its outward flux, the sum of its edge DoFs (one for an edge
+    field, zero for a vertex field). This makes the divergence matrix the
+    signed edge incidence (``assembly.assemble_brinkman``). Returns the
+    largest deviation per cell."""
+    area = vector_elt.geometry.area[..., None]
+    return np.abs(vector_elt.div_constants * area - _FLUX).max(-1)
 
 
 def _reproduction_residuals(geom: QuadGeometry):
@@ -305,6 +320,7 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
         "weighted_normal_identity": _weighted_normal_identity_residual(cells, ve, ve.frames),
         "curl_inclusion": incl / scale,
         "curl_flux_sum": flux,
+        "div_is_flux": _div_flux_residual(ve),
         "bubble_vertex_values": bv,
         "bubble_trace_relation": btr,
     }

@@ -67,6 +67,81 @@ def test_invalid_parameters():
         assemble_fourth_order(mesh, -0.5, CASE.source(1.0))
 
 
+def test_brinkman_divergence_block_is_the_signed_edge_incidence():
+    # The pressure rows hold -B, and B is the DoF map's edge signs on each
+    # cell's edge DoFs: exactly +-1, with no entry on a vertex DoF.
+    mesh = make_mesh(8, "random", seed=3)
+    system = assemble_brinkman(mesh, 1.0, 1.0, FLOW.source(1.0, 1.0))
+    n_u, dm = system.n_velocity, system.dofmap
+    B = -system.matrix[n_u:n_u + system.n_pressure, :n_u].toarray()
+    want = np.zeros_like(B)
+    free = dm.cell_dofs[:, :4] >= 0
+    cells = np.broadcast_to(np.arange(mesh.n_cells)[:, None], free.shape)
+    want[cells[free], dm.cell_dofs[:, :4][free]] = dm.cell_signs[:, :4][free]
+    assert np.array_equal(B, want)
+    assert np.array_equal(-system.matrix[:n_u, n_u:n_u + system.n_pressure].toarray(), want.T)
+
+
+MESH = make_mesh(4, "rectangular")
+
+
+def _zero_flow(x, y):
+    return np.zeros(np.shape(x) + (2,))
+
+
+def _shape_error(name, shape):
+    return (rf"source {name} must return real numbers of shape \({shape}\) "
+            r"on points of shape \(16, 16\), ")
+
+
+@pytest.mark.parametrize("assemble, message", [
+    (lambda f: assemble_fourth_order(MESH, 1.0, f), _shape_error("f", "16, 16")),
+    (lambda f: assemble_brinkman(MESH, 1.0, 1.0, f), _shape_error("f", "16, 16, 2")),
+    (lambda g: assemble_brinkman(MESH, 1.0, 1.0, _zero_flow, g), _shape_error("g", "16, 16")),
+], ids=["scalar-f", "brinkman-f", "brinkman-g"])
+def test_constant_source_is_rejected_by_name(assemble, message):
+    with pytest.raises(ValueError, match=message + r"got float64 of shape \(\)"):
+        assemble(lambda x, y: 1.0)
+
+
+def test_scalar_source_of_vector_values_is_rejected_by_name():
+    message = _shape_error("f", "16, 16") + r"got float64 of shape \(16, 16, 2\)"
+    with pytest.raises(ValueError, match=message):
+        assemble_fourth_order(MESH, 1.0, FLOW.source(1.0, 1.0))
+
+
+def test_brinkman_source_of_scalar_values_is_rejected_by_name():
+    message = _shape_error("f", "16, 16, 2") + r"got float64 of shape \(16, 16\)"
+    with pytest.raises(ValueError, match=message):
+        assemble_brinkman(MESH, 1.0, 1.0, CASE.source(1.0))
+
+
+@pytest.mark.parametrize("value, dtype", [("1", "<U1"), (1j, "complex128"), (None, "object")])
+def test_non_real_source_is_rejected_by_name(value, dtype):
+    message = _shape_error("f", "16, 16") + f"got {dtype} of shape \\(16, 16\\)"
+    with pytest.raises(ValueError, match=message):
+        assemble_fourth_order(MESH, 1.0, lambda x, y: np.full(x.shape, value))
+
+
+# Cells of the last column (x from 0.75 to 1) have quadrature points past
+# x = 0.9; the first of them in mesh order is the one named.
+LAST_COLUMN = int(np.flatnonzero(MESH.cell_geometry.vertices[..., 0].max(-1) == 1.0)[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("assemble, name", [
+    (lambda f: assemble_fourth_order(MESH, 1.0, f), "f"),
+    (lambda f: assemble_brinkman(MESH, 1.0, 1.0, lambda x, y: np.stack([f(x, y), x], -1)), "f"),
+    (lambda g: assemble_brinkman(MESH, 1.0, 1.0, _zero_flow, g), "g"),
+], ids=["scalar-f", "brinkman-f", "brinkman-g"])
+def test_non_finite_source_names_its_first_cell(assemble, name, bad):
+    # Raised at assembly, before anything is factored (it used to surface
+    # from the solve as a SolverError that named nothing).
+    assert LAST_COLUMN > 0
+    with pytest.raises(ValueError, match=f"cell {LAST_COLUMN}: source {name} is not finite"):
+        assemble(lambda x, y: np.where(x > 0.9, bad, x))
+
+
 def test_solve_round_trip():
     mesh = make_mesh(4, "rectangular")
     system = assemble_fourth_order(mesh, 1.0, CASE.source(1.0))

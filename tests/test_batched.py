@@ -355,20 +355,17 @@ def _per_cell_velocity_blocks(mesh, dm, nu, alpha, g, f):
     unit, pts, x, wts = unit_shape_rule(geom, g)
     fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
     G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
-    div_constants = np.empty((mesh.n_cells, 12))
     F_hat = np.empty((mesh.n_cells, 12))
     for cells, _, element, _ in _one_element_per_cell(unit, build_vector_element):
         val, grad = element.tabulate(pts[cells])
         w = wts[cells]
         G_hat[cells] = np.einsum("nq,nqicd,nqjcd->nij", w, grad, grad)
         M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)
-        div_constants[cells] = element.div_constants
         F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val, w, fv[cells])
     h = geom.h
     w = vector_dof_scaling(h) * dm.cell_signs
     A_loc = (w[:, :, None] * w[:, None, :]) * (nu * G_hat + alpha * _pow2(h[:, None, None]) * M_hat)
-    b_rows = w * div_constants / h[:, None] * geom.area[:, None]
-    return A_loc, b_rows, F_hat, (x, wts), _per_cell_batch(mesh, build_vector_element)
+    return A_loc, F_hat, (x, wts), _per_cell_batch(mesh, build_vector_element)
 
 
 def _assert_all_equal(got, want):
@@ -401,13 +398,13 @@ def test_shared_shapes_keep_fourth_order_system_bitwise(mesh, monkeypatch):
 def test_shared_shapes_keep_flow_system_bitwise(mesh, monkeypatch):
     f, g = FLOW.source(1.0, 1.0), (lambda x, y: 1.0 + x)
     dm = VectorDofMap(mesh)
-    blocks = velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)[:4]
+    blocks = velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)[:3]
     system = assemble_brinkman(mesh, 1.0, 1.0, f, g)
     u, p, _ = system.split(solve(system))
     dofs = system.dofmap.gather(u)
     errors = brinkman_error_norms(mesh, system.elements, dofs, FLOW, 1.0, 1.0, p)
 
-    _assert_all_equal(blocks, _per_cell_velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)[:4])
+    _assert_all_equal(blocks, _per_cell_velocity_blocks(mesh, dm, 1.0, 1.0, 4, f)[:3])
     monkeypatch.setattr(assembly, "velocity_blocks", _per_cell_velocity_blocks)
     want = assemble_brinkman(mesh, 1.0, 1.0, f, g)
     assert np.array_equal(system.matrix.data, want.matrix.data)

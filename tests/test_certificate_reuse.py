@@ -199,6 +199,8 @@ def _oracle_residuals(quads, cells):
         "weighted_normal_identity": _weighted_normal_identity_oracle(cells, ve),
         "curl_inclusion": incl / scale,
         "curl_flux_sum": flux,
+        "div_is_flux": np.abs(ve.div_constants * cells.area[:, None]
+                              - np.repeat([1.0, 0.0], [4, 8])).max(-1),
         "bubble_vertex_values": bv,
         "bubble_trace_relation": btr,
     }
@@ -217,7 +219,7 @@ def _certificate_cells(family, samples, seed, identity_samples):
 def test_certificate_residuals_equal_the_per_helper_oracle(family):
     cert = element_certificate(200, seed=2, family=family)
     want = _oracle_residuals(*_certificate_cells(family, 200, 2, 200))
-    assert len(cert.residuals) == 15
+    assert len(cert.residuals) == 16
     assert cert.residuals == want  # bit for bit
 
 

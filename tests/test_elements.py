@@ -27,6 +27,7 @@ from quadseq.verify import (
     THRESHOLDS,
     _bubble_residuals,
     _curl_inclusion_residual,
+    _div_flux_residual,
     _edge_mean_identity_residual,
     _reproduction_residuals,
     _weighted_normal_identity_residual,
@@ -437,6 +438,7 @@ def _one_cell_certificate(quads, cells):
              np.abs(se.aggregation - aggregation_coeffs_formula(g, se))),
             ("weighted_normal_identity", _weighted_normal_identity_residual(g, ve, ve.frames)),
             ("curl_inclusion", incl / scale), ("curl_flux_sum", flux),
+            ("div_is_flux", _div_flux_residual(ve)),
             ("bubble_vertex_values", bv), ("bubble_trace_relation", btr),
         ]:
             bump(key, value)

@@ -6,8 +6,16 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import quadseq.sequence as sequence
-from quadseq.assembly import DEFAULT_QUAD_ORDER, cell_matrix, velocity_blocks
+from quadseq.assembly import (
+    DEFAULT_QUAD_ORDER,
+    cell_matrix,
+    vector_dof_scaling,
+    velocity_blocks,
+)
+from quadseq.cases import brinkman_sin_stream
 from quadseq.dofmap import ScalarDofMap, VectorDofMap
+from quadseq.elements import build_vector_element, vector_dof_values
+from quadseq.geometry import QuadGeometry
 from quadseq.mesh import Mesh, make_mesh
 from quadseq.sequence import (
     CUTOFF,
@@ -184,6 +192,37 @@ def test_divergence_rows_sum_to_zero_weighted():
     assert np.abs(mesh.cell_geometry.area @ D).max() < 1e-12
 
 
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_divergence_of_curls_is_exactly_zero(family, n):
+    # D is the signed edge incidence over the cell areas and C holds +-1, so
+    # each entry of D C sums a and -a: zero in floating point, at every size.
+    mesh = make_mesh(n, family, seed=3)
+    D, _ = divergence_matrix(mesh)
+    C, _, _ = curl_matrix(mesh)
+    assert (D @ C).count_nonzero() == 0
+    assert verify_exact_sequence(mesh).div_curl_max == 0.0
+
+
+def test_flux_check_flags_a_field_whose_divergence_is_not_its_flux(monkeypatch):
+    # Scaling the first edge field of every cell by 1 + 1e-6 keeps its
+    # divergence constant, but its divergence no longer integrates to its
+    # unit flux; the exact D C = 0 cannot see that, the flux check does.
+    build_pair = sequence._build_pair
+
+    def scaled(geom):
+        sc, vc = build_pair(geom)
+        vc.coeff_x[..., 0, :] *= 1 + 1e-6
+        vc.coeff_y[..., 0, :] *= 1 + 1e-6
+        return sc, vc
+
+    monkeypatch.setattr(sequence, "_build_pair", scaled)
+    report = verify_exact_sequence(make_mesh(4, "random", seed=9))
+    assert report.div_flux_residual == pytest.approx(1e-6, rel=1e-6)
+    assert not report.checks["divergence_is_flux"]
+    assert report.div_curl_max == 0.0
+
+
 def test_curl_lands_in_divergence_kernel():
     mesh = make_mesh(4, "random", seed=1)
     D, _ = divergence_matrix(mesh)
@@ -226,10 +265,6 @@ def test_curl_matrix_equals_loop_reference(family):
 
 def test_probe_divergence_projection_vanishes():
     # The interpolated rotated gradient is divergence free cellwise.
-    from quadseq.assembly import vector_dof_scaling
-    from quadseq.cases import brinkman_sin_stream
-    from quadseq.elements import build_vector_element, vector_dof_values
-    from quadseq.geometry import QuadGeometry
     mesh = make_mesh(4, "rectangular")
     geom = mesh.cell_geometry
     elt = build_vector_element(QuadGeometry(geom.local_vertices))
@@ -248,10 +283,16 @@ def test_inf_sup_witness_bounded():
 def _cell_block_inf_sup(mesh):
     """Dense oracle: beta_h from the per-cell velocity blocks scattered into
     X and B directly, as ``inf_sup_constant`` formed them before it read
-    them from the assembled Brinkman matrix."""
+    them from the assembled Brinkman matrix, with B from the element's
+    divergence constants (area times the constant divergence of each basis
+    field), as assembly formed it before it took the edge incidence."""
     dm = VectorDofMap(mesh)
-    loc, b_rows, *_ = velocity_blocks(mesh, dm, 1.0, 1.0, DEFAULT_QUAD_ORDER,
-                                      lambda x, y: np.zeros(x.shape + (2,)))
+    loc, *_ = velocity_blocks(mesh, dm, 1.0, 1.0, DEFAULT_QUAD_ORDER,
+                              lambda x, y: np.zeros(x.shape + (2,)))
+    geom = mesh.cell_geometry
+    div_constants = build_vector_element(QuadGeometry(geom.local_vertices)).div_constants
+    w = vector_dof_scaling(geom.h) * dm.cell_signs
+    b_rows = w * div_constants / geom.h[:, None] * geom.area[:, None]
     dofs = dm.cell_dofs
     X = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], loc)]).toarray()
     B = cell_matrix((mesh.n_cells, dm.ndof),
