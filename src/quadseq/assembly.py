@@ -32,6 +32,15 @@ the per-cell kernels that read them see the strides they saw before the
 shapes were shared. That matters: the fourth-order solve amplifies rounding
 differences in the matrix by its condition number.
 
+Allocate in the layout the kernel reads. The element tables are written in
+place into arrays allocated in the layout their kernels read (see
+``elements._table``), the local matrices are formed in place with ``out=``
+ufuncs, in the order of their defining expressions, and ``cell_matrix``
+writes every block straight into one array per part. Freed temporaries stay
+resident in the heap, under the memory of the factorization that follows:
+these rules took the peak RSS of a random-mesh scalar study to n = 64 from
+168 to about 146 MB, without changing a bit of any result.
+
 Solves are direct sparse LU factorizations (``spla.splu``). The Brinkman
 matrix keeps its mean-zero border, but ``solve`` factors neither it nor the
 saddle block: it goes through the exact sequence (``_solve_stream_function``).
@@ -166,23 +175,40 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
 
 
 def cell_matrix(shape, blocks):
-    """COO matrix of per-cell blocks ``(rows, cols, vals)``, each broadcast
-    to (n_cells, ...), keeping the entries whose row and column are free
-    (>= 0). Entries run cell by cell and block by block within a cell, and
-    ``.toarray()`` adds duplicates up in that order, as a cell loop would
-    (a CSR conversion sums them in another order). The indices are built in
-    the COO index type, so the constructor keeps them without a copy: int64
-    indices and their int32 copies change the heap layout enough to raise
-    the peak memory of the n = 64 scalar study by about 35 MB."""
+    """COO matrix of per-cell blocks ``(rows, cols, vals)``, rows and cols
+    broadcast to the shape (n_cells, ...) of vals, keeping the entries whose
+    row and column are free (>= 0). Entries run cell by cell and block by
+    block within a cell, and ``.toarray()`` adds duplicates up in that
+    order, as a cell loop would (a CSR conversion sums them in another
+    order).
+
+    Each of rows, cols and vals is written block by block into one
+    (n_cells, width) array, without a broadcast copy or a concatenation,
+    and the indices are compressed to the kept entries before the values
+    are written: at the n = 64 scalar assembly that lowers the heap's high
+    point, and the peak RSS of the random-mesh study, by about 4.5 MB. The
+    indices are built in the COO index type, so the constructor keeps them
+    without a copy: int64 indices and their int32 copies change the heap
+    layout enough to raise the peak memory of the n = 64 scalar study by
+    about 35 MB."""
     idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-    parts = []
-    for rows, cols, vals in blocks:
-        vals = np.asarray(vals)
-        parts.append([np.broadcast_to(a, vals.shape).reshape(len(vals), -1)
-                      for a in (np.asarray(rows, idx), np.asarray(cols, idx), vals)])
-    rows, cols, vals = (np.concatenate(p, axis=1) for p in zip(*parts))
+    rows, cols, vals = zip(*blocks)
+    vals = [np.asarray(v) for v in vals]
+    n_cells = len(vals[0])
+    width = sum(v.size // n_cells for v in vals)
+
+    def fill(parts, dtype):
+        out, start = np.empty((n_cells, width), dtype), 0
+        for part, v in zip(parts, vals):
+            stop = start + v.size // n_cells
+            out[:, start:stop].reshape(v.shape, copy=False)[...] = part
+            start = stop
+        return out
+
+    rows, cols = fill(rows, idx), fill(cols, idx)
     keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    rows, cols = rows[keep], cols[keep]
+    return sp.coo_matrix((fill(vals, np.result_type(*vals))[keep], (rows, cols)), shape=shape)
 
 
 def _source(fn, name, x, shape):
@@ -245,7 +271,7 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
     fv = _source(f, "f", x, x.shape[:-1])
-    A_hat, B_hat = np.empty((2, mesh.n_cells, 12, 12))
+    A_hat, B_hat = np.empty((mesh.n_cells, 12, 12)), np.empty((mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
 
     def integrate(cells, shapes, element, inv):
@@ -260,13 +286,24 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
 
     h2 = _pow2(geom.h[:, None])
     lam = scalar_dof_scaling(geom.h)
-    scale = lam[:, :, None] * lam[:, None, :]
+    # K_loc = scale * (eps^2 * A_hat / h^2 + B_hat), or scale * A_hat / h^2,
+    # formed in A_hat in that order; B_hat holds the scale once added. Both
+    # are freed before the scatter, and K_loc before the CSR conversion.
+    K_loc, scale = A_hat, B_hat
     if biharmonic:
-        K_loc = scale * A_hat / h2[..., None]
+        np.multiply(lam[:, :, None], lam[:, None, :], out=scale)
+        np.multiply(scale, K_loc, out=K_loc)
+        np.divide(K_loc, h2[..., None], out=K_loc)
     else:
-        K_loc = scale * (eps**2 * A_hat / h2[..., None] + B_hat)
+        np.multiply(eps**2, K_loc, out=K_loc)
+        np.divide(K_loc, h2[..., None], out=K_loc)
+        np.add(K_loc, B_hat, out=K_loc)
+        np.multiply(lam[:, :, None], lam[:, None, :], out=scale)
+        np.multiply(scale, K_loc, out=K_loc)
+    del A_hat, B_hat, scale
     dofs = dm.cell_dofs
     K = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], K_loc)])
+    del K_loc
     return SparseSystem(K, _load(dofs, lam * F_hat * h2, dm.ndof), "scalar", dm,
                         elements=elements)
 
@@ -312,7 +349,8 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
                         elements=elements)
 
 
-# Its return frees G_hat/M_hat before the scatter: inlined, stokes-rect peak RSS was 189 vs 178 MB.
+# Its return frees M_hat (A_loc is formed in G_hat) before the scatter: inlined, stokes-rect
+# peak RSS was 189 vs 178 MB.
 def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: int, f):
     """Per-cell blocks of the velocity equations on a g x g rule.
 
@@ -324,7 +362,7 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, g)
     fv = _source(f, "f", x, x.shape[:-1] + (2,))
-    G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
+    G_hat, M_hat = np.empty((mesh.n_cells, 12, 12)), np.empty((mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
 
     def integrate(cells, shapes, element, inv):
@@ -338,7 +376,12 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
 
     h = geom.h
     w = vector_dof_scaling(h) * dm.cell_signs
-    A_loc = (w[:, :, None] * w[:, None, :]) * (nu * G_hat + alpha * _pow2(h[:, None, None]) * M_hat)
+    # A_loc = (w w^T) * (nu * G_hat + alpha * h^2 * M_hat), formed in G_hat
+    # in that order; M_hat holds the mass term, then w w^T.
+    A_loc = np.multiply(nu, G_hat, out=G_hat)
+    np.multiply(alpha * _pow2(h[:, None, None]), M_hat, out=M_hat)
+    np.add(A_loc, M_hat, out=A_loc)
+    np.multiply(np.multiply(w[:, :, None], w[:, None, :], out=M_hat), A_loc, out=A_loc)
     return A_loc, F_hat, (x, wts), elements
 
 
@@ -353,18 +396,17 @@ def solve(system: SparseSystem) -> np.ndarray:
     non-finite solution or a residual above ``RESIDUAL_TOL`` raises
     ``SolverError``.
     """
-    K = system.matrix.tocsc()
     try:
         if system.kind == "brinkman":
             x = _solve_stream_function(system)
         else:
-            x = spla.splu(K).solve(system.rhs)
+            x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite entries")
     rnorm = np.linalg.norm(system.rhs)
-    resid = np.linalg.norm(K @ x - system.rhs) / (rnorm if rnorm > 0 else 1.0)
+    resid = np.linalg.norm(system.matrix @ x - system.rhs) / (rnorm if rnorm > 0 else 1.0)
     if resid > RESIDUAL_TOL:
         raise SolverError(f"solver residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return x

@@ -310,16 +310,29 @@ def _local_monomials(geom, points, inv):
     return (V, h) if inv is None else (V[inv], h[inv])
 
 
+def _table(like, components):
+    """An empty (..., q, k, *components) table for the (..., q, k) table
+    ``like``, laid out in memory as (..., k, q, *components): the layout
+    ``np.stack`` gives swapped (..., k, q) products, and so the strides the
+    Gram ``einsum`` reads. A C-contiguous table holds the same values but
+    changes that einsum's summation order and the last bits of the local
+    matrices."""
+    *lead, q, k = like.shape
+    return np.swapaxes(np.empty((*lead, k, q) + components), len(lead), len(lead) + 1)
+
+
 def _scalar_tables(geom, C, points, inv=None):
     V, h = _local_monomials(geom, points, inv)
     h = h[..., None, None, None]
     Cx, Cy = C @ DX.T, C @ DY.T
     val = _swap(C @ V)
-    grad = np.stack([_swap(Cx @ V), _swap(Cy @ V)], axis=-1) / h
-    hxx, hxy, hyy = (_swap(c @ V) for c in (Cx @ DX.T, Cx @ DY.T, Cy @ DY.T))
-    hess = np.stack(
-        [np.stack([hxx, hxy], -1), np.stack([hxy, hyy], -1)], axis=-2
-    ) / _pow2(h[..., None])
+    grad, hess = _table(val, (2,)), _table(val, (2, 2))
+    grad[..., 0], grad[..., 1] = _swap(Cx @ V), _swap(Cy @ V)
+    grad /= h
+    hess[..., 0, 0] = _swap((Cx @ DX.T) @ V)
+    hess[..., 0, 1] = hess[..., 1, 0] = _swap((Cx @ DY.T) @ V)
+    hess[..., 1, 1] = _swap((Cy @ DY.T) @ V)
+    hess /= _pow2(h[..., None])
     return val, grad, hess
 
 
@@ -413,9 +426,13 @@ class VectorElement:
 
 def _vector_tables(geom, Cx, Cy, points, inv=None):
     V, h = _local_monomials(geom, points, inv)
-    val = np.stack([_swap(Cx @ V), _swap(Cy @ V)], axis=-1)
-    rows = [np.stack([_swap((C @ DX.T) @ V), _swap((C @ DY.T) @ V)], -1) for C in (Cx, Cy)]
-    grad = np.stack(rows, axis=-2) / h[..., None, None, None, None]
+    vx = _swap(Cx @ V)
+    val, grad = _table(vx, (2,)), _table(vx, (2, 2))
+    val[..., 0], val[..., 1] = vx, _swap(Cy @ V)
+    for c, C in enumerate((Cx, Cy)):
+        grad[..., c, 0] = _swap((C @ DX.T) @ V)
+        grad[..., c, 1] = _swap((C @ DY.T) @ V)
+    grad /= h[..., None, None, None, None]
     return val, grad
 
 

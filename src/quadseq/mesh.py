@@ -69,9 +69,9 @@ class Mesh:
     ``cell_edge_signs`` records whether the cell's outward normal on that
     edge agrees with n_E. ``cell_geometry`` is the geometry of all cells as
     one batch; building it rejects vertices not of shape (n, 2), cells not
-    of shape (m, 4) or with indices that are not integers in [0, n), and
-    clockwise, degenerate and non-convex cells, naming the field or the
-    first offending cell.
+    of shape (m, 4) or with indices that are not integers in [0, n),
+    vertices that no cell uses, and clockwise, degenerate and non-convex
+    cells, naming the field or the first offending vertex or cell.
     """
 
     def __init__(self, vertices, cells, family="custom", n=None, delta=0.0, seed=None):
@@ -84,6 +84,10 @@ class Mesh:
         self.delta = delta
         self.seed = seed
         self.cell_geometry = QuadGeometry(self.vertices[self.cells])
+        # A vertex of no cell would count as interior and break the sequence.
+        unused = np.bincount(self.cells.ravel(), minlength=self.n_vertices) == 0
+        if unused.any():
+            raise ValueError(f"vertices: vertex {int(unused.argmax())} is used by no cell")
         self._build_edges()
 
     def _build_edges(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -366,3 +368,25 @@ def test_solver_error_on_singular_brinkman(monkeypatch):
                             n_velocity=system.n_velocity, n_pressure=system.n_pressure)
     with pytest.raises(SolverError):
         solve(singular)
+
+
+# Peak traced allocation of one assembly on a random n = 32 mesh, after a
+# warm-up that fills the mesh's cached geometry. Forming the local matrices
+# in place and filling the scatter arrays without copies took it from
+# 48.6 to 42.1 MB (scalar) and from 40.7 to 33.4 MB (Brinkman); the bounds
+# sit about 10 % above the lower values.
+@pytest.mark.parametrize("assemble, bound_mb", [
+    (lambda mesh: assemble_fourth_order(mesh, 1.0, CASE.source(1.0)), 46.0),
+    (lambda mesh: assemble_brinkman(mesh, 1.0, 1.0, FLOW.source(1.0, 1.0),
+                                    g=FLOW.divergence), 37.0),
+], ids=["scalar", "brinkman"])
+def test_assembly_peak_memory(assemble, bound_mb):
+    mesh = make_mesh(32, "random", seed=1)
+    assemble(mesh)
+    tracemalloc.start()
+    try:
+        assemble(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < bound_mb

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,32 @@ def test_malformed_mesh_input_names_the_field(vertices, cells, message):
 def test_integer_valued_float_indices_keep_the_hash():
     assert Mesh(SQUARE, [[0.0, 1.0, 2.0, 3.0]]).content_hash() == \
         Mesh(SQUARE, [[0, 1, 2, 3]]).content_hash()
+
+
+def test_unused_vertex_is_rejected_by_name():
+    # A spare vertex counted as interior: a 4 x 4 mesh reported 10 interior
+    # vertices and Euler characteristic 2, and its scalar solve failed with
+    # an unnamed singular factorization.
+    mesh = make_mesh(4, "rectangular")
+    vertices = np.vstack([mesh.vertices[:3], [[0.5, 0.5]], mesh.vertices[3:]])
+    cells = np.where(mesh.cells >= 3, mesh.cells + 1, mesh.cells)
+    with pytest.raises(ValueError, match="vertices: vertex 3 is used by no cell"):
+        Mesh(vertices, cells)
+    doc = json.loads(mesh.to_json())
+    doc["vertices"].append([0.5, 0.5])
+    with pytest.raises(ValueError, match="vertices: vertex 25 is used by no cell"):
+        Mesh.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("rectangular", "a976c9f715c4003df18167ebe1dbc22ccb2c456a8b6cff09caf1c05281f9d6fd"),
+    ("trapezoidal", "02f227449c0f52b3ea331b4571556cc230a63bcc312d8128d4145218e878da2f"),
+    ("random", "3803e15bb53432cdd460b98c49cae9cb78c67565cdc7f763925ee99cb01f680c"),
+])
+def test_valid_meshes_keep_their_content_hash(family, digest):
+    mesh = make_mesh(4, family, seed=1)
+    assert mesh.content_hash() == digest
+    assert Mesh.from_json(mesh.to_json()).content_hash() == digest
 
 
 @pytest.mark.parametrize("text, message", [
