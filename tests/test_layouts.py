@@ -8,8 +8,8 @@ fourth-order solve amplified the changed bits of the Hessian Gram matrix
 and moved the h1 error of the random n = 64 study from 0x1.605a4cec30e5dp-11
 to 0x1.605a4d2c26008p-11. These tests pin the strides and values of the
 tables against test-local copies of the expressions that first made them
-(``np.stack`` of swapped products), and the strides of the ``[inv]``
-gathers that spread per-shape tables over the cells.
+(``np.stack`` of swapped products), and the strides of the monomial
+matrices that ``[inv]`` gathers spread from the cell shapes over the cells.
 """
 
 import numpy as np
@@ -109,20 +109,6 @@ def test_one_cell_tables_keep_their_layout(unit_rule):
     _assert_same(ve.tabulate(p), _reference_vector_tables(cell, ve.coeff_x, ve.coeff_y, p))
 
 
-def test_gram_matrices_equal_those_of_the_reference_tables(unit_rule):
-    unit, pts, _, w = unit_rule
-    se, ve = build_scalar_element(unit), build_vector_element(unit)
-    (_, sg, sh), (vv, vg) = se.tabulate(pts), ve.tabulate(pts)
-    (_, rsg, rsh) = _reference_scalar_tables(unit, se.coeff_matrix, pts)
-    (rvv, rvg) = _reference_vector_tables(unit, ve.coeff_x, ve.coeff_y, pts)
-    for got, want in [(sh, rsh), (vg, rvg)]:
-        assert np.array_equal(np.einsum("nq,nqicd,nqjcd->nij", w, got, got),
-                              np.einsum("nq,nqicd,nqjcd->nij", w, want, want))
-    for got, want in [(sg, rsg), (vv, rvv)]:
-        assert np.array_equal(np.einsum("nq,nqic,nqjc->nij", w, got, got),
-                              np.einsum("nq,nqic,nqjc->nij", w, want, want))
-
-
 def _shared_chunks(unit, build):
     chunks = []
     unit_shape_elements(unit, build, lambda *chunk: chunks.append(chunk))
@@ -147,16 +133,11 @@ def test_field_tables_with_gathers_keep_their_layout(unit_rule):
                      [want[0][..., 0, :], want[1][..., 0, :, :]])
 
 
-def test_gathers_keep_the_table_layout(unit_rule):
-    # ``table[inv]`` allocates the gathered rows in the table's axis order,
-    # so a per-shape table gathered to the cells has the strides of one
-    # tabulated per cell, and so do the gathered monomial matrices.
+def test_gathered_monomials_keep_their_layout(unit_rule):
+    # A per-shape monomial matrix gathered to the cells has the strides of
+    # one built from the gathered local points.
     unit, pts, _, _ = unit_rule
-    for cells, shapes, element, inv in _shared_chunks(unit, build_scalar_element):
-        tables = element.tabulate(pts[shapes])
-        per_cell = _reference_scalar_tables(unit[cells], element.coeff_matrix[inv], pts[cells])
-        for table, want in zip(tables, per_cell, strict=True):
-            assert table[inv].strides == want.strides
+    for _, shapes, element, inv in _shared_chunks(unit, build_scalar_element):
         V, h = _local_monomials(element.geometry, pts[shapes], inv)
         want_V = _vt(element.geometry.to_local(pts[shapes]))[inv]
         assert V.strides == want_V.strides and np.array_equal(V, want_V)
