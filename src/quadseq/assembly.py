@@ -23,6 +23,24 @@ system as an ``ElementBatch`` (the unit geometry and each chunk's span
 weights), and the error norms of the solution re-form them from it instead
 of building them again.
 
+The per-cell element work runs on both CPUs. A chunk of at least
+THREADED_CHUNK cells whose unit shapes are all distinct (every chunk of a
+random mesh from n = 32 on) is split into tasks of TASK_CELLS cells, and
+each task's build and integrals (assembly) or field tables (error norms)
+run on a pool of WORKERS = min(2, CPUs) threads, made on first use; numpy
+releases the GIL in the power, matmul, einsum and linalg kernels of that
+work. Chunks with repeated shapes and smaller chunks run on the caller
+thread, as do the user callables and everything outside the tasks. A task
+writes only its own rows of arrays the caller allocated, and a cell's
+results are those of its own build, so no result depends on the number of
+workers or the task size. The tasks are small because glibc gives each
+thread its own malloc arena, which keeps freed memory resident: the peak
+RSS of a random-mesh scalar study to n = 64 rose by 3 % with 64-cell
+tasks, 7 % with 128 and 28 % with 512. On Python 3.11 and older,
+``functools.cached_property`` takes one lock per property for all
+instances, so no task may be the first to compute one; tasks read only
+plain attributes of their elements.
+
 Batched products keep the operand layouts and reduction kernels a loop over
 cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
 products), so every cell's local matrix and load equal its one-cell values
@@ -49,6 +67,10 @@ The relative residual is always measured on the assembled matrix.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent import futures
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -71,6 +93,9 @@ __all__ = [
 
 DEFAULT_QUAD_ORDER = 4  # the 16-node tensor rule
 CELL_CHUNK = 1024       # cells per element batch
+THREADED_CHUNK = 512    # fewest distinct shapes in a chunk that its tasks split
+TASK_CELLS = 64         # cells per task of such a chunk
+WORKERS = min(2, os.cpu_count() or 1)  # threads that run the tasks of a split chunk
 RESIDUAL_TOL = 1e-9     # largest relative residual ``solve`` accepts
 
 
@@ -102,17 +127,55 @@ def unit_shape_rule(geom: QuadGeometry, g: int, unit: QuadGeometry | None = None
     return unit, pts, geom.from_local(pts), wts
 
 
+_POOL, _POOL_LOCK = None, threading.Lock()
+
+
+def _forget_pool():
+    # A forked child has none of its parent's threads: an inherited pool
+    # would queue its tasks forever.
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool() -> futures.ThreadPoolExecutor:
+    """The pool of WORKERS threads, made on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = futures.ThreadPoolExecutor(WORKERS, thread_name_prefix="quadseq")
+        return _POOL
+
+
+def _run(tasks, work):
+    """``work(*task)`` of every task, in task order. A single task runs on
+    the caller thread, several on the pool. The first failing task in order
+    raises, once the tasks not yet started are cancelled and those running
+    have ended."""
+    if len(tasks) == 1 or WORKERS == 1:
+        return [work(*task) for task in tasks]
+    running = [_pool().submit(work, *task) for task in tasks]
+    try:
+        return [future.result() for future in running]
+    finally:
+        for future in running:
+            future.cancel()
+        futures.wait(running)
+
+
 class ElementBatch:
     """The unit-shape elements of one mesh level, as ``unit_shape_elements``
     built them.
 
     ``unit`` is the unit-shape geometry of all cells and ``kind`` the element
-    class. ``chunks`` holds ``(cells, shapes, inv, X)`` per chunk, with
-    ``cells``, ``shapes`` and ``inv`` as ``unit_shape_elements`` passes them
-    to its ``use`` and X (n_shapes, 16, 12) the span weights of the built
-    elements. An element is its span and X, so the batch keeps X, not the
-    larger coefficient arrays, and ``elements`` re-forms each chunk's
-    element from a recomputed span bit for bit, without a 16x16 solve.
+    class. ``chunks`` holds per chunk its tasks ``(cells, shapes, inv, X)``,
+    with ``cells``, ``shapes`` and ``inv`` as ``unit_shape_elements`` passes
+    them to its ``use`` and X (n_shapes, 16, 12) the span weights of the
+    task's element. An element is its span and X, so the batch keeps X, not
+    the larger coefficient arrays, and ``walk`` re-forms each task's element
+    from a recomputed span bit for bit, without a 16x16 solve.
     """
 
     def __init__(self, unit: QuadGeometry, kind, chunks):
@@ -120,10 +183,33 @@ class ElementBatch:
         self.kind = kind
         self.chunks = chunks
 
-    def elements(self):
-        """Yield ``(cells, shapes, element, inv)`` per chunk, as built."""
-        for cells, shapes, inv, X in self.chunks:
-            yield cells, shapes, self.kind.from_solution(self.unit[shapes], X), inv
+    def walk(self, use):
+        """``use(cells, shapes, element, inv)`` on every task's element, run
+        as ``unit_shape_elements`` ran the builds."""
+        def task(cells, shapes, inv, X):
+            use(cells, shapes, self.kind.from_solution(self.unit[shapes], X), inv)
+
+        for tasks in self.chunks:
+            _run(tasks, task)
+
+
+def _chunk_tasks(unit: QuadGeometry):
+    """The tasks ``(cells, shapes, inv)`` of each chunk of ``unit``, one list
+    per chunk (see ``unit_shape_elements``)."""
+    for start in range(0, len(unit), CELL_CHUNK):
+        stop = min(start + CELL_CHUNK, len(unit))
+        cells = slice(start, stop)
+        v = np.ascontiguousarray(unit.vertices[cells])
+        keys = v.view(np.uint64).reshape(len(v), -1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        if len(first) < len(v):
+            order = np.argsort(first)  # shapes by first occurrence
+            yield [(cells, start + first[order], np.argsort(order)[inverse.ravel()])]
+        elif len(v) < THREADED_CHUNK:
+            yield [(cells, cells, slice(None))]
+        else:
+            yield [(part, part, slice(None)) for part in
+                   (slice(a, min(a + TASK_CELLS, stop)) for a in range(start, stop, TASK_CELLS))]
 
 
 def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
@@ -131,46 +217,47 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
     from ``unit_shape_rule``), one build per shape and chunk, into an
     ``ElementBatch``.
 
-    ``build`` is an element builder. The cells run in consecutive slices
-    ``cells`` of at most CELL_CHUNK cells: ``shapes`` indexes the first mesh
-    cell of each distinct shape in the chunk, in order of first occurrence,
-    the chunk's element is built on ``unit[shapes]``, and ``inv`` maps each
-    cell of the chunk to its shape, so ``table[inv]`` turns a per-shape
-    table into a per-cell one. A chunk without repeated shapes (as on a
-    random mesh) has ``shapes = cells`` and ``inv = slice(None)``, so its
-    gathers are views that copy nothing. ``use(cells, shapes, element,
-    inv)``, if given, takes what it needs from each element; the element
-    and the tables ``use`` made from it are freed before the next build.
-    Held through the next build, they raised the peak RSS of a random-mesh
-    study at n = 64 from 168-169 MB to 209-210 MB in 2 of 6 runs.
+    ``build`` is an element builder. The cells run in consecutive chunks of
+    at most CELL_CHUNK cells, and each chunk in tasks ``(cells, shapes,
+    inv)``: ``cells`` is a slice of consecutive mesh cells, ``shapes``
+    indexes the first mesh cell of each distinct shape in it, in order of
+    first occurrence, the task's element is built on ``unit[shapes]``, and
+    ``inv`` maps each cell of ``cells`` to its shape, so ``table[inv]``
+    turns a per-shape table into a per-cell one. A chunk with repeated
+    shapes is one task. A chunk without them (as on a random mesh) has
+    ``shapes = cells`` and ``inv = slice(None)``, so its gathers are views
+    that copy nothing; it is one task below THREADED_CHUNK cells, else
+    tasks of TASK_CELLS cells, which run on WORKERS threads (``_run``).
+    ``use(cells, shapes, element, inv)``, if given, takes what it needs from
+    each element and writes only the rows ``cells`` of its arrays; the
+    element and the tables ``use`` made from it are freed when the task
+    ends, so at most WORKERS tasks hold theirs at once. Every cell's
+    results are those of its one-cell build, whatever the task size and
+    the number of workers.
 
     Shapes are keyed on the bits of the vertex coordinates, not their values
     (``-0.0`` and ``0.0`` differ), so cells that share an element would
-    build bit-identical ones, and an ill-conditioned shape is reported at
-    the first mesh cell that has it. Deduplicating per chunk, not per mesh,
-    bounds the temporaries of the build and of the tables callers take from
-    it. Gather a table in the memory layout the per-cell kernel reads it in
-    (``table[inv]`` keeps the layout of ``table``, even of a transposed
-    view): a C-contiguous copy of the vector value table changes the
-    summation order of the load ``einsum`` and the last bits of the load.
+    build bit-identical ones. An ill-conditioned shape is reported at the
+    first mesh cell that has it, and of several in the first task in cell
+    order, so the error names the lowest bad cell. Deduplicating per chunk,
+    not per mesh, bounds the temporaries of the build and of the tables
+    callers take from it. Gather a table in the memory layout the per-cell
+    kernel reads it in (``table[inv]`` keeps the layout of ``table``, even
+    of a transposed view): a C-contiguous copy of the vector value table
+    changes the summation order of the load ``einsum`` and the last bits of
+    the load.
     """
-    kind, chunks = None, []
-    for start in range(0, len(unit), CELL_CHUNK):
-        cells = slice(start, start + CELL_CHUNK)
-        v = np.ascontiguousarray(unit.vertices[cells])
-        keys = v.view(np.uint64).reshape(len(v), -1)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        if len(first) == len(v):
-            shapes, inv = cells, slice(None)
-        else:
-            order = np.argsort(first)  # shapes by first occurrence
-            shapes, inv = start + first[order], np.argsort(order)[inverse.ravel()]
+    def task(cells, shapes, inv):
         element = build(unit[shapes])
         if use is not None:
             use(cells, shapes, element, inv)
-        kind = type(element)
-        chunks.append((cells, shapes, inv, element.solution))
-        del element  # freed before the next build
+        return type(element), element.solution
+
+    kind, chunks = None, []
+    for tasks in _chunk_tasks(unit):
+        built = _run(tasks, task)
+        kind = built[0][0]
+        chunks.append([(*t, X) for t, (_, X) in zip(tasks, built)])
     return ElementBatch(unit, kind, chunks)
 
 

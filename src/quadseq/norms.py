@@ -59,8 +59,11 @@ def scalar_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
     pts, x, wts = _rule(mesh, elements, ScalarElement, quad_order)
     c = dofs * scalar_dof_scaling(geom.h)
     grad_h, hess_h = np.empty(x.shape), np.empty(x.shape + (2,))
-    for cells, shapes, element, inv in elements.elements():
+
+    def tables(cells, shapes, element, inv):
         _, grad_h[cells], hess_h[cells] = element.field_tables(c[cells], pts[shapes], inv)
+
+    elements.walk(tables)
     h = geom.h[:, None]
     grad_h /= h[..., None]
     hess_h /= _pow2(h[..., None, None])
@@ -88,8 +91,11 @@ def brinkman_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
     pts, x, wts = _rule(mesh, elements, VectorElement, quad_order)
     c = dofs * vector_dof_scaling(geom.h)
     val_h, grad_h = np.empty(x.shape), np.empty(x.shape + (2,))
-    for cells, shapes, element, inv in elements.elements():
+
+    def tables(cells, shapes, element, inv):
         val_h[cells], grad_h[cells] = element.field_tables(c[cells], pts[shapes], inv)
+
+    elements.walk(tables)
     h = geom.h[:, None]
     grad_h /= h[..., None, None]
 

@@ -200,12 +200,12 @@ def test_shapes_are_keyed_on_bits():
     signed = diamond.copy()
     signed[0, 0] = -0.0
     unit = QuadGeometry(np.stack([diamond, signed]))
-    [(cells, shapes, inv, X)] = unit_shape_elements(unit, build_scalar_element).chunks
-    assert (cells, shapes, inv) == (slice(0, CELL_CHUNK), slice(0, CELL_CHUNK), slice(None))
+    [[(cells, shapes, inv, X)]] = unit_shape_elements(unit, build_scalar_element).chunks
+    assert (cells, shapes, inv) == (slice(0, 2), slice(0, 2), slice(None))
     assert X.shape == (2, 16, 12)
 
     unit = QuadGeometry(np.stack([diamond, signed, diamond, signed, signed]))
-    [(_, shapes, inv, X)] = unit_shape_elements(unit, build_scalar_element).chunks
+    [[(_, shapes, inv, X)]] = unit_shape_elements(unit, build_scalar_element).chunks
     np.testing.assert_array_equal(shapes, [0, 1])
     np.testing.assert_array_equal(inv, [0, 1, 0, 1, 1])
     assert X.shape == (2, 16, 12)
@@ -218,9 +218,11 @@ def test_batch_reforms_the_built_elements_bitwise(build, monkeypatch):
     monkeypatch.setattr(assembly, "CELL_CHUNK", 16)
     built = []
     unit = QuadGeometry(make_mesh(6, "random", seed=4).cell_geometry.local_vertices)
-    batch = unit_shape_elements(unit, build, lambda *chunk: built.append(chunk))
+    batch = unit_shape_elements(unit, build, lambda *task: built.append(task))
     assert batch.kind is type(built[0][2]) and len(batch.chunks) == len(built) == 3
-    for (cells, shapes, element, inv), again in zip(built, batch.elements(), strict=True):
+    reformed = []
+    batch.walk(lambda *task: reformed.append(task))
+    for (cells, shapes, element, inv), again in zip(built, reformed, strict=True):
         assert (cells, shapes, inv) == again[:2] + again[3:]
         for name in ("coeff_matrix", "coeff_x", "coeff_y", "div_constants"):
             if hasattr(element, name):
@@ -321,7 +323,7 @@ def _per_cell_batch(mesh, build):
     unit = QuadGeometry(mesh.cell_geometry.local_vertices)
     chunks = []
     for cells, shapes, element, inv in _one_element_per_cell(unit, build):
-        chunks.append((cells, shapes, inv, element.solution))
+        chunks.append([(cells, shapes, inv, element.solution)])
     return ElementBatch(unit, type(element), chunks)
 
 
