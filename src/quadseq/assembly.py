@@ -34,9 +34,10 @@ thread, as do the user callables and everything outside the tasks. A task
 writes only its own rows of arrays the caller allocated, and a cell's
 results are those of its own build, so no result depends on the number of
 workers or the task size. The tasks are small because glibc gives each
-thread its own malloc arena, which keeps freed memory resident: the peak
-RSS of a random-mesh scalar study to n = 64 rose by 3 % with 64-cell
-tasks, 7 % with 128 and 28 % with 512. On Python 3.11 and older,
+thread its own malloc arena, which keeps freed memory resident: against
+one thread, the peak RSS of a random-mesh scalar study to n = 64 rose by
+3.7 % with 64-cell tasks, 7.1 % with 128, 14 % with 256 and 28 % with 512
+(32-cell tasks took 2.2 % but ran 9 % slower). On Python 3.11 and older,
 ``functools.cached_property`` takes one lock per property for all
 instances, so no task may be the first to compute one; tasks read only
 plain attributes of their elements.
@@ -93,7 +94,7 @@ __all__ = [
 
 DEFAULT_QUAD_ORDER = 4  # the 16-node tensor rule
 CELL_CHUNK = 1024       # cells per element batch
-THREADED_CHUNK = 512    # fewest distinct shapes in a chunk that its tasks split
+THREADED_CHUNK = 512    # smallest chunk of distinct shapes split into tasks
 TASK_CELLS = 64         # cells per task of such a chunk
 WORKERS = min(2, os.cpu_count() or 1)  # threads that run the tasks of a split chunk
 RESIDUAL_TOL = 1e-9     # largest relative residual ``solve`` accepts
