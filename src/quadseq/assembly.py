@@ -27,20 +27,20 @@ The per-cell element work runs on both CPUs. A chunk of at least
 THREADED_CHUNK cells whose unit shapes are all distinct (every chunk of a
 random mesh from n = 32 on) is split into tasks of TASK_CELLS cells, and
 each task's build and integrals (assembly) or field tables (error norms)
-run on a pool of WORKERS = min(2, CPUs) threads, made on first use; numpy
-releases the GIL in the power, matmul, einsum and linalg kernels of that
-work. Chunks with repeated shapes and smaller chunks run on the caller
-thread, as do the user callables and everything outside the tasks. A task
-writes only its own rows of arrays the caller allocated, and a cell's
-results are those of its own build, so no result depends on the number of
-workers or the task size. The tasks are small because glibc gives each
-thread its own malloc arena, which keeps freed memory resident: against
-one thread, the peak RSS of a random-mesh scalar study to n = 64 rose by
-3.7 % with 64-cell tasks, 7.1 % with 128, 14 % with 256 and 28 % with 512
-(32-cell tasks took 2.2 % but ran 9 % slower). On Python 3.11 and older,
-``functools.cached_property`` takes one lock per property for all
-instances, so no task may be the first to compute one; tasks read only
-plain attributes of their elements.
+run on a pool of WORKERS = min(2, CPUs) threads that lives for one call, so
+no quadseq thread outlives it (``_run``); numpy releases the GIL in the
+power, matmul, einsum and linalg kernels of that work. Chunks with repeated
+shapes and smaller chunks run on the caller thread, as do the user
+callables and everything outside the tasks. A task writes only its own rows
+of arrays the caller allocated, and a cell's results are those of its own
+build, so no result depends on the number of workers or the task size. The
+tasks are small because glibc gives each thread its own malloc arena, which
+keeps freed memory resident: against one thread, the peak RSS of a
+random-mesh scalar study to n = 64 rose by 3.7 % with 64-cell tasks, 7.1 %
+with 128, 14 % with 256 and 28 % with 512 (32-cell tasks took 2.2 % but ran
+9 % slower). On Python 3.11 and older, ``functools.cached_property`` takes
+one lock per property for all instances, so no task may be the first to
+compute one; tasks read only plain attributes of their elements.
 
 Batched products keep the operand layouts and reduction kernels a loop over
 cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
@@ -69,7 +69,6 @@ The relative residual is always measured on the assembled matrix.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent import futures
 
 import numpy as np
@@ -128,42 +127,20 @@ def unit_shape_rule(geom: QuadGeometry, g: int, unit: QuadGeometry | None = None
     return unit, pts, geom.from_local(pts), wts
 
 
-_POOL, _POOL_LOCK = None, threading.Lock()
-
-
-def _forget_pool():
-    # A forked child has none of its parent's threads: an inherited pool
-    # would queue its tasks forever.
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool() -> futures.ThreadPoolExecutor:
-    """The pool of WORKERS threads, made on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = futures.ThreadPoolExecutor(WORKERS, thread_name_prefix="quadseq")
-        return _POOL
-
-
-def _run(tasks, work):
-    """``work(*task)`` of every task, in task order. A single task runs on
-    the caller thread, several on the pool. The first failing task in order
-    raises, once the tasks not yet started are cancelled and those running
-    have ended."""
-    if len(tasks) == 1 or WORKERS == 1:
-        return [work(*task) for task in tasks]
-    running = [_pool().submit(work, *task) for task in tasks]
-    try:
-        return [future.result() for future in running]
-    finally:
-        for future in running:
-            future.cancel()
-        futures.wait(running)
+def _run(chunks, work):
+    """``work(*task)`` of every task, one list per chunk of tasks, in task
+    order. A chunk of one task runs on the caller thread. If any chunk has
+    several, they run on one pool of WORKERS threads that lives for this
+    call: a pool per chunk starts its threads while the last ones may still
+    hold their malloc arenas, and the extra arena glibc then makes raised
+    the peak RSS of a random-mesh scalar study to n = 64 by 4 MB. The first
+    failing task in order raises, once the tasks not yet started are
+    cancelled and those running have ended."""
+    if WORKERS == 1 or all(len(tasks) == 1 for tasks in chunks):
+        return [[work(*task) for task in tasks] for tasks in chunks]
+    with futures.ThreadPoolExecutor(WORKERS, thread_name_prefix="quadseq") as pool:
+        return [list(pool.map(work, *zip(*tasks))) if len(tasks) > 1 else [work(*tasks[0])]
+                for tasks in chunks]
 
 
 class ElementBatch:
@@ -190,8 +167,7 @@ class ElementBatch:
         def task(cells, shapes, inv, X):
             use(cells, shapes, self.kind.from_solution(self.unit[shapes], X), inv)
 
-        for tasks in self.chunks:
-            _run(tasks, task)
+        _run(self.chunks, task)
 
 
 def _chunk_tasks(unit: QuadGeometry):
@@ -228,7 +204,8 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
     shapes is one task. A chunk without them (as on a random mesh) has
     ``shapes = cells`` and ``inv = slice(None)``, so its gathers are views
     that copy nothing; it is one task below THREADED_CHUNK cells, else
-    tasks of TASK_CELLS cells, which run on WORKERS threads (``_run``).
+    tasks of TASK_CELLS cells, run on a pool that ends with the call
+    (``_run``).
     ``use(cells, shapes, element, inv)``, if given, takes what it needs from
     each element and writes only the rows ``cells`` of its arrays; the
     element and the tables ``use`` made from it are freed when the task
@@ -254,12 +231,12 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
             use(cells, shapes, element, inv)
         return type(element), element.solution
 
-    kind, chunks = None, []
-    for tasks in _chunk_tasks(unit):
-        built = _run(tasks, task)
+    chunks = list(_chunk_tasks(unit))
+    kind, batch = None, []
+    for tasks, built in zip(chunks, _run(chunks, task)):
         kind = built[0][0]
-        chunks.append([(*t, X) for t, (_, X) in zip(tasks, built)])
-    return ElementBatch(unit, kind, chunks)
+        batch.append([(*t, X) for t, (_, X) in zip(tasks, built)])
+    return ElementBatch(unit, kind, batch)
 
 
 def cell_matrix(shape, blocks):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import operator
 
 import numpy as np
 
@@ -45,12 +47,21 @@ def _array(value, name: str, dtype=None) -> np.ndarray:
         raise ValueError(f"{name} is not a numeric array: {exc}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int (a NumPy integer too, a bool not), or ``ValueError`` naming it."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _vertex_indices(cells, n_vertices: int) -> np.ndarray:
     """``cells`` as an (m, 4) integer array, or ``ValueError`` naming the
     first cell whose entries are not integers in [0, n_vertices)."""
     c = _array(cells, "cells")
     if c.ndim != 2 or c.shape[1] != 4:
         raise ValueError(f"cells must have shape (m, 4), got {c.shape}")
+    if not len(c):
+        raise ValueError("cells: a mesh needs at least one cell, got none")
     if c.dtype.kind not in "iuf":
         raise ValueError(f"cells must hold vertex indices, got dtype {c.dtype}")
     bad = ~((c == np.floor(c)) & (c >= 0) & (c < n_vertices))
@@ -69,9 +80,9 @@ class Mesh:
     ``cell_edge_signs`` records whether the cell's outward normal on that
     edge agrees with n_E. ``cell_geometry`` is the geometry of all cells as
     one batch; building it rejects vertices not of shape (n, 2), cells not
-    of shape (m, 4) or with indices that are not integers in [0, n),
-    vertices that no cell uses, and clockwise, degenerate and non-convex
-    cells, naming the field or the first offending vertex or cell.
+    of shape (m, 4) with m >= 1 or with indices that are not integers in
+    [0, n), vertices that no cell uses, and clockwise, degenerate and
+    non-convex cells, naming the field or the first offending vertex or cell.
     """
 
     def __init__(self, vertices, cells, family="custom", n=None, delta=0.0, seed=None):
@@ -209,16 +220,19 @@ def make_mesh(n: int, family: str, delta: float | None = None, seed: int = 0) ->
     delta is the displacement amplitude as a fraction of the grid spacing:
     the vertical alternation of the trapezoids, or the half-width of the
     uniform square from which random displacements are drawn. Boundary
-    vertices are never displaced.
+    vertices are never displaced. An n, delta or seed of the wrong type raises
+    ``ValueError`` naming it.
     """
+    n = _integer(n, "n")
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise ValueError(f"n must be at least 2, got {n}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if delta is None:
         delta = DEFAULT_DELTA[family]
-    if not 0.0 <= delta <= 0.25:
-        raise ValueError("delta must lie in [0, 0.25]")
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 <= delta <= 0.25:
+        raise ValueError(f"delta must be a number in [0, 0.25], got {delta!r}")
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 

@@ -4,7 +4,8 @@ A field is given by its DoF vectors on all cells at once, (n_cells, 12):
 a solved global coefficient vector gathered through the DoF map
 (``dofmap.gather(x)``), or the nodal interpolant of a manufactured solution
 (``scalar_dof_values``/``vector_dof_values`` on ``mesh.cell_geometry``, no
-boundary conditions involved). Error quadrature uses an independent,
+boundary conditions involved); another shape raises ``ValueError`` before
+any table is formed. Error quadrature uses an independent,
 higher-order rule than assembly, batched over cells like assembly.
 
 The norms build no element. They take the mesh level's ``ElementBatch``:
@@ -33,9 +34,13 @@ def _at(fn, x):
     return np.asarray(fn(x[..., 0], x[..., 1]), dtype=float)
 
 
-def _rule(mesh: Mesh, elements: ElementBatch, kind, quad_order: int):
+def _rule(mesh: Mesh, elements: ElementBatch, kind, quad_order: int, dofs):
     """Points and weights of the error rule on the batch's unit shapes,
-    which must be the ``kind`` elements of ``mesh``."""
+    which must be the ``kind`` elements of ``mesh``, for the DoF rows
+    ``dofs``, which must be (n_cells, 12)."""
+    if np.shape(dofs) != (mesh.n_cells, 12):
+        raise ValueError(f"dofs must have shape (n_cells, 12) = {(mesh.n_cells, 12)}, "
+                         f"got {np.shape(dofs)}")
     geom = mesh.cell_geometry
     if elements.kind is not kind or not np.array_equal(elements.unit.vertices,
                                                        geom.local_vertices):
@@ -56,7 +61,7 @@ def scalar_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
     contracts full Hessians.
     """
     geom = mesh.cell_geometry
-    pts, x, wts = _rule(mesh, elements, ScalarElement, quad_order)
+    pts, x, wts = _rule(mesh, elements, ScalarElement, quad_order, dofs)
     c = dofs * scalar_dof_scaling(geom.h)
     grad_h, hess_h = np.empty(x.shape), np.empty(x.shape + (2,))
 
@@ -87,8 +92,11 @@ def brinkman_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
     cell DoF vectors ``dofs`` (n_cells, 12) on the vector ``elements`` of
     ``mesh``, and the pressure L2 error of the cellwise constant
     ``pressure_values``."""
+    if pressure_values is not None and np.shape(pressure_values) != (mesh.n_cells,):
+        raise ValueError(f"pressure_values must have shape (n_cells,) = {(mesh.n_cells,)}, "
+                         f"got {np.shape(pressure_values)}")
     geom = mesh.cell_geometry
-    pts, x, wts = _rule(mesh, elements, VectorElement, quad_order)
+    pts, x, wts = _rule(mesh, elements, VectorElement, quad_order, dofs)
     c = dofs * vector_dof_scaling(geom.h)
     val_h, grad_h = np.empty(x.shape), np.empty(x.shape + (2,))
 

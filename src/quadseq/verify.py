@@ -41,7 +41,7 @@ from .elements import (
     vector_dof_values,
 )
 from .geometry import REF_CORNERS, QuadGeometry
-from .mesh import make_mesh
+from .mesh import _integer, make_mesh
 from .poly import DX, DY
 
 __all__ = ["ElementCertificate", "element_certificate", "random_convex_quads"]
@@ -77,7 +77,7 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
     coefficient-space identities whose meaningful tolerance assumes
     reasonably shaped cells.
     """
-    if seed < 0:
+    if _integer(seed, "seed") < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     out = []

@@ -5,6 +5,7 @@ import pytest
 
 from quadseq.geometry import QuadGeometry
 from quadseq.mesh import Mesh, MeshGenerationError, make_mesh
+from quadseq.verify import random_convex_quads
 
 
 def test_two_by_two_counts():
@@ -180,3 +181,39 @@ def test_resample_cap_raises(monkeypatch):
     monkeypatch.setattr(m, "_convexity_shape", lambda cells: np.full(len(cells), np.inf))
     with pytest.raises(MeshGenerationError):
         make_mesh(3, "random", seed=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=2.5), "n must be an integer, got 2.5"),
+    (dict(n="4"), "n must be an integer, got '4'"),
+    (dict(n=True), "n must be an integer, got True"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(seed=True), "seed must be an integer, got True"),
+    (dict(delta="0.1"), r"delta must be a number in \[0, 0.25\], got '0.1'"),
+    (dict(delta=True), r"delta must be a number in \[0, 0.25\], got True"),
+])
+def test_make_mesh_names_a_wrongly_typed_argument(kwargs, message):
+    args = dict(n=4, family="random", seed=1) | kwargs
+    with pytest.raises(ValueError, match=message):
+        make_mesh(**args)
+
+
+def test_numpy_integers_keep_the_hash():
+    mesh = make_mesh(np.int64(4), "random", seed=np.uint8(1))
+    assert mesh.content_hash() == make_mesh(4, "random", seed=1).content_hash()
+    assert type(mesh.n) is int and type(mesh.seed) is int
+
+
+def test_a_mesh_without_cells_is_rejected_by_name():
+    with pytest.raises(ValueError, match="cells: a mesh needs at least one cell"):
+        Mesh(np.zeros((0, 2)), np.zeros((0, 4), int))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    (-1, "seed must be non-negative, got -1"),
+])
+def test_random_convex_quads_names_a_bad_seed(seed, message):
+    with pytest.raises(ValueError, match=message):
+        random_convex_quads(4, seed)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadseq.assembly import unit_shape_elements, unit_shape_rule
+from quadseq.assembly import assemble_fourth_order, solve, unit_shape_elements, unit_shape_rule
 from quadseq.elements import (
     build_scalar_element,
     build_vector_element,
@@ -97,3 +97,23 @@ def test_norms_take_the_batch_of_their_mesh_and_kind():
                      _elements(make_mesh(4, "random", seed=3), build_vector_element)):
         with pytest.raises(ValueError, match="VectorElement batch of this mesh"):
             brinkman_error_norms(mesh, elements, dofs, case, nu=1.0, alpha=1.0)
+
+
+def test_norms_name_wrongly_shaped_fields():
+    # A global solution, DoF rows of the wrong width and pressures of the
+    # wrong length are refused by name, before the elements are read.
+    mesh = make_mesh(4, "rectangular")
+    scalar = assemble_fourth_order(mesh, 1.0, scalar_sin_squared().source(1.0))
+    x = solve(scalar)
+    for dofs in (x, np.zeros((mesh.n_cells, 6))):
+        with pytest.raises(ValueError, match=r"dofs must have shape \(n_cells, 12\) = \(16, 12\)"):
+            scalar_error_norms(mesh, None, dofs, scalar_sin_squared(), eps=1.0)
+    assert scalar_error_norms(mesh, scalar.elements, scalar.dofmap.gather(x),
+                              scalar_sin_squared(), eps=1.0)["h2"] > 0
+    case = brinkman_sin_stream()
+    dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
+    with pytest.raises(ValueError, match=r"dofs must have shape \(n_cells, 12\)"):
+        brinkman_error_norms(mesh, None, dofs[:, :6], case, nu=1.0, alpha=1.0)
+    with pytest.raises(ValueError, match=r"pressure_values must have shape \(n_cells,\) = \(16,\)"):
+        brinkman_error_norms(mesh, None, dofs, case, nu=1.0, alpha=1.0,
+                             pressure_values=np.zeros(mesh.n_cells + 1))

@@ -315,3 +315,12 @@ def test_inf_sup_of_one_cell_names_the_empty_pressure_space():
     mesh = Mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
     with pytest.raises(ValueError, match="mean-zero pressure space .* is empty"):
         inf_sup_constant(mesh)
+
+
+def test_curl_rank_of_a_singular_matrix_takes_the_dense_path():
+    # C^T C is singular, so its shift-invert factor fails and the rank is
+    # counted from the dense singular values: sigma = (sqrt 3, 1, 0).
+    C = sp.csr_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 1, 0]], dtype=float)
+    rank, sigma_1 = sequence._curl_rank(C)
+    assert rank == 2
+    assert sigma_1 == pytest.approx(np.sqrt(3.0), rel=1e-14)

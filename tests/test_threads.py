@@ -1,6 +1,7 @@
 """Element tasks on worker threads: results do not depend on how the cells
 are split into tasks or on the number of workers, errors name the lowest bad
-cell, and importing or certifying starts no thread."""
+cell, a call's pool ends with it, and importing or certifying starts no
+thread."""
 
 import os
 import signal
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -61,20 +63,17 @@ def serial():
 @pytest.mark.parametrize("task_cells, workers", [(16, 4), (64, 1), (100, 2), (1024, 2)])
 def test_results_do_not_depend_on_tasks_or_workers(serial, task_cells, workers, monkeypatch):
     # Every chunk of distinct shapes is split, n = 16 included; 100-cell
-    # tasks leave a shorter last one in each chunk. A fresh pool of more
-    # workers than CPUs, switching threads often, stresses the row writes.
+    # tasks leave a shorter last one in each chunk. A pool of more workers
+    # than CPUs, switching threads often, stresses the row writes.
     monkeypatch.setattr(assembly, "THREADED_CHUNK", 1)
     monkeypatch.setattr(assembly, "TASK_CELLS", task_cells)
     monkeypatch.setattr(assembly, "WORKERS", workers)
-    monkeypatch.setattr(assembly, "_POOL", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         errors, systems = _outcomes(monkeypatch)
     finally:
         sys.setswitchinterval(interval)
-        if assembly._POOL is not None:
-            assembly._POOL.shutdown()
     want_errors, want_systems = serial
     assert repr(errors) == repr(want_errors)
     assert len(systems) == len(want_systems) == 12
@@ -98,7 +97,7 @@ def _random_unit_shapes_with_flat(cells):
 def test_conditioning_error_names_the_lowest_cell_across_tasks(flat, monkeypatch):
     # The bad cells fall into different tasks of one chunk. The task of the
     # lowest one is held back, so a later task fails first; the error still
-    # names the lowest bad cell.
+    # names the lowest bad cell, and no pool thread outlives the call.
     monkeypatch.setattr(assembly, "WORKERS", 2)
     unit = _random_unit_shapes_with_flat(flat)
     [tasks] = assembly._chunk_tasks(unit)
@@ -115,7 +114,7 @@ def test_conditioning_error_names_the_lowest_cell_across_tasks(flat, monkeypatch
     mesh = make_mesh(32, "random", seed=1)
     system = assemble_fourth_order(mesh, 1.0, scalar_sin_squared().source(1.0))
     assert system.elements.kind is ScalarElement
-    assert threading.active_count() <= threads + assembly.WORKERS
+    assert threading.active_count() == threads
 
 
 def test_import_and_certificates_start_no_thread():
@@ -141,13 +140,55 @@ assert idle()
     assert proc.returncode == 0, proc.stderr
 
 
+def test_threaded_assembly_and_norms_leave_no_thread():
+    # A pool lives for one call: after a random n = 32 assembly and its
+    # error norms (a pool each, for the split chunk), only the main thread
+    # is left.
+    code = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+import quadseq.assembly as assembly
+from quadseq import assemble_fourth_order, make_mesh, scalar_error_norms, solve
+from quadseq.cases import scalar_sin_squared
+assembly.WORKERS = 2
+case = scalar_sin_squared()
+mesh = make_mesh(32, "random", seed=1)
+system = assemble_fourth_order(mesh, 1.0, case.source(1.0))
+x = solve(system)
+scalar_error_norms(mesh, system.elements, system.dofmap.gather(x), case, eps=1.0)
+assert threading.active_count() == 1, threading.enumerate()
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_one_pool_per_call(monkeypatch):
+    # The four split chunks of a random n = 64 mesh share one pool: a pool
+    # per chunk starts threads while the last ones may still hold their
+    # malloc arenas, and the extra arena raises the peak memory.
+    pools = []
+
+    class Counted(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(assembly, "WORKERS", 2)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
+    system = assemble_fourth_order(make_mesh(64, "random", seed=1), 1.0,
+                                   scalar_sin_squared().source(1.0))
+    assert [len(tasks) for tasks in system.elements.chunks] == [16] * 4
+    assert len(pools) == 1
+
+
 def test_a_forked_child_makes_its_own_pool(monkeypatch):
-    # A child forked after the pool started has none of its threads; a
-    # pool inherited from the parent would never run the child's tasks.
+    # A child forked after threaded work has none of the parent's threads;
+    # its assembly makes its own pools and gives the parent's results.
     monkeypatch.setattr(assembly, "WORKERS", 2)
     mesh, f = make_mesh(32, "random", seed=1), scalar_sin_squared().source(1.0)
     want = assemble_fourth_order(mesh, 1.0, f).rhs
-    assert assembly._POOL is not None
     pid = os.fork()
     if pid == 0:
         os._exit(0 if np.array_equal(assemble_fourth_order(mesh, 1.0, f).rhs, want) else 1)
