@@ -54,6 +54,28 @@ def _integer(value, name: str) -> int:
     return operator.index(value)
 
 
+def _seed(value) -> int:
+    """``value`` as a non-negative int, or ``ValueError`` naming the seed."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _metadata(n, delta, seed):
+    """(n, delta, seed) by the rules of ``make_mesh``: n an integer of at
+    least 2, delta a real number in [0, 0.25] and seed a non-negative
+    integer, with NumPy integers as ints. None passes for n and seed. Raises
+    ``ValueError`` naming the first field that breaks them."""
+    if n is not None:
+        n = _integer(n, "n")
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 <= delta <= 0.25:
+        raise ValueError(f"delta must be a number in [0, 0.25], got {delta!r}")
+    return n, delta, None if seed is None else _seed(seed)
+
+
 def _vertex_indices(cells, n_vertices: int) -> np.ndarray:
     """``cells`` as an (m, 4) integer array, or ``ValueError`` naming the
     first cell whose entries are not integers in [0, n_vertices)."""
@@ -83,6 +105,8 @@ class Mesh:
     of shape (m, 4) with m >= 1 or with indices that are not integers in
     [0, n), vertices that no cell uses, and clockwise, degenerate and
     non-convex cells, naming the field or the first offending vertex or cell.
+    The metadata ``n``, ``delta`` and ``seed`` follow the rules of
+    ``make_mesh``, except that n and seed may be None.
     """
 
     def __init__(self, vertices, cells, family="custom", n=None, delta=0.0, seed=None):
@@ -91,9 +115,7 @@ class Mesh:
             raise ValueError(f"vertices must have shape (n, 2), got {self.vertices.shape}")
         self.cells = _vertex_indices(cells, len(self.vertices))
         self.family = family
-        self.n = n
-        self.delta = delta
-        self.seed = seed
+        self.n, self.delta, self.seed = _metadata(n, delta, seed)
         self.cell_geometry = QuadGeometry(self.vertices[self.cells])
         # A vertex of no cell would count as interior and break the sequence.
         unused = np.bincount(self.cells.ravel(), minlength=self.n_vertices) == 0
@@ -223,18 +245,11 @@ def make_mesh(n: int, family: str, delta: float | None = None, seed: int = 0) ->
     vertices are never displaced. An n, delta or seed of the wrong type raises
     ``ValueError`` naming it.
     """
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if delta is None:
-        delta = DEFAULT_DELTA[family]
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 <= delta <= 0.25:
-        raise ValueError(f"delta must be a number in [0, 0.25], got {delta!r}")
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    # A generated mesh has an n and a seed, so None is refused here.
+    n, delta, seed = _metadata(_integer(n, "n"), DEFAULT_DELTA[family] if delta is None else delta,
+                               _integer(seed, "seed"))
 
     vertices, cells = _grid(n)
     h = 1.0 / n

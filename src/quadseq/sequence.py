@@ -15,8 +15,10 @@ and each vector basis field's divergence integrates to its outward flux (D
 is the divergence). Ranks are relative to CUTOFF. Rank D and the gap at the
 cut come from the value-only SVD of D, the one dense matrix; C is injective
 by the extreme eigenvalues of the sparse C^T C, and rank [C | ker D] =
-nullity(D) + rank(D C) needs no kernel basis. The inf-sup constant solves
-with a sparse factor of the velocity Gram matrix.
+nullity(D) + rank(D C) needs no kernel basis. The inf-sup constant forms
+no dense matrix: it is the extreme eigenvalue of an operator that one
+stream-function sweep of the Brinkman solve applies, so it needs a mesh of
+Euler characteristic 1, as that solve does.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh as scipy_eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .assembly import (
-    _factor_spd,
+    _StreamSolver,
     assemble_brinkman,
     cell_matrix,
     scalar_dof_scaling,
@@ -251,21 +252,39 @@ def inf_sup_constant(mesh: Mesh) -> float:
 
     beta = min over mean-zero cell pressures q of
     max over v of b(v, q) / (||v||_1h ||q||_0), from the velocity H1 Gram
-    matrix X and the cell-area pressure mass M_p: the generalized
-    eigenvalues of S = B X^-1 B^T against M_p, with S formed through a
-    sparse factor of X (Chapelle & Bathe, Comput. Struct. 47, 1993). X and
-    the divergence B are the blocks [[X, -B^T, 0], [-B, 0, -c], ...] of the
-    Brinkman matrix with nu = alpha = 1 (``assemble_brinkman``). A one-cell
-    mesh has no mean-zero pressure and raises ``ValueError``.
+    matrix X and the cell-area pressure mass M_p = diag(a): beta^2 is the
+    smallest nonzero generalized eigenvalue of S = B X^-1 B^T against M_p
+    (Chapelle & Bathe, Comput. Struct. 47, 1993). X and the divergence B
+    are the blocks [[X, -B^T, 0], [-B, 0, -c], ...] of the Brinkman matrix
+    with nu = alpha = 1 (``assemble_brinkman``), and no dense matrix is
+    formed: 1 / beta^2 is the largest eigenvalue (``eigsh``, from a fixed
+    start vector, so repeated calls are bit-identical) of
+    w -> P (sqrt(a) * S^+ (sqrt(a) * P w)), where P projects out sqrt(a),
+    and one stream-function sweep of the Brinkman solve
+    (``assembly._StreamSolver``) applies S^+ to a pressure of mean zero.
+
+    A one-cell mesh has no mean-zero pressure and raises ``ValueError``, and
+    so does a mesh whose Euler characteristic is not 1, which the sweep
+    cannot solve on.
     """
     if mesh.n_cells < 2:
         raise ValueError("the mean-zero pressure space of a one-cell mesh is empty, "
                          "so it has no inf-sup constant")
     system = assemble_brinkman(mesh, 1.0, 1.0, lambda x, y: np.zeros(np.shape(x) + (2,)))
-    K, n_u = system.matrix, system.n_velocity
-    X = K[:n_u, :n_u]
-    B = -K[n_u:n_u + system.n_pressure, :n_u]
-    S = B @ _factor_spd(X).solve(B.T.toarray())
-    M_p = np.diag(mesh.cell_geometry.area)
-    vals = scipy_eigh(S, M_p, eigvals_only=True)  # in ascending order
-    return float(np.sqrt(max(vals[1], 0.0)))
+    solver = _StreamSolver(system)
+    root = np.sqrt(solver.c)
+    unit = root / np.linalg.norm(root)
+    r = np.zeros(system.ndof)
+
+    def project(w):
+        return w - (unit @ w) * unit
+
+    def apply(w):
+        r[solver.pressure] = -root * project(w)
+        return project(root * solver.sweep(r)[solver.pressure])
+
+    n_p = system.n_pressure
+    op = LinearOperator((n_p, n_p), matvec=apply, dtype=float)
+    v0 = project(np.random.default_rng(0).standard_normal(n_p))
+    lam = eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+    return float(1.0 / np.sqrt(lam))

@@ -41,7 +41,7 @@ from .elements import (
     vector_dof_values,
 )
 from .geometry import REF_CORNERS, QuadGeometry
-from .mesh import _integer, make_mesh
+from .mesh import _seed, make_mesh
 from .poly import DX, DY
 
 __all__ = ["ElementCertificate", "element_certificate", "random_convex_quads"]
@@ -77,9 +77,7 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
     coefficient-space identities whose meaningful tolerance assumes
     reasonably shaped cells.
     """
-    if _integer(seed, "seed") < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     out = []
     while len(out) < samples:
         s = rng.uniform(-max_skew, max_skew, 2)

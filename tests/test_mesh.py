@@ -204,6 +204,30 @@ def test_numpy_integers_keep_the_hash():
     assert type(mesh.n) is int and type(mesh.seed) is int
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(seed=True, n=2.5, delta="x"), "n must be an integer, got 2.5"),
+    (dict(seed=True), "seed must be an integer, got True"),
+    (dict(seed=-1), "seed must be non-negative, got -1"),
+    (dict(n=1), "n must be at least 2, got 1"),
+    (dict(delta="x"), r"delta must be a number in \[0, 0.25\], got 'x'"),
+    (dict(delta=None), r"delta must be a number in \[0, 0.25\], got None"),
+])
+def test_mesh_json_names_bad_metadata(fields, message):
+    # Mesh checks n, delta and seed by the rules of make_mesh, so a loaded
+    # mesh cannot carry metadata that make_mesh would refuse.
+    doc = json.loads(make_mesh(4, "random", seed=1).to_json()) | fields
+    with pytest.raises(ValueError, match=message):
+        Mesh.from_json(json.dumps(doc))
+
+
+def test_mesh_metadata_may_be_unset():
+    mesh = Mesh(SQUARE, [[0, 1, 2, 3]], n=np.int64(2), seed=None)
+    assert type(mesh.n) is int and mesh.seed is None
+    again = Mesh.from_json(mesh.to_json())
+    assert (again.n, again.delta, again.seed) == (2, 0.0, None)
+    assert again.content_hash() == mesh.content_hash()
+
+
 def test_a_mesh_without_cells_is_rejected_by_name():
     with pytest.raises(ValueError, match="cells: a mesh needs at least one cell"):
         Mesh(np.zeros((0, 2)), np.zeros((0, 4), int))

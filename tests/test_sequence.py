@@ -306,8 +306,30 @@ def _cell_block_inf_sup(mesh):
                                           ("random", 0), ("random", 3)])
 def test_inf_sup_equals_the_cell_block_oracle(family, seed):
     # random seed 3 at n = 8 is the mesh of tests/golden_batched.json.
-    mesh = make_mesh(8, family, seed=seed)
-    assert inf_sup_constant(mesh) == pytest.approx(_cell_block_inf_sup(mesh), rel=1e-12, abs=0)
+    for n in (8, 16):
+        mesh = make_mesh(n, family, seed=seed)
+        assert inf_sup_constant(mesh) == pytest.approx(_cell_block_inf_sup(mesh), rel=1e-12,
+                                                       abs=0), n
+
+
+def test_repeated_inf_sup_constants_are_bitwise_equal():
+    # eigsh starts from a fixed vector, so the Lanczos run repeats exactly.
+    mesh = make_mesh(16, "random", seed=3)
+    assert inf_sup_constant(mesh).hex() == inf_sup_constant(mesh).hex()
+
+
+def test_inf_sup_of_a_mesh_with_a_hole_names_its_euler_characteristic():
+    # The 4 x 4 grid without the four cells at its centre vertex (which goes
+    # too) has Euler characteristic 0; the stream-function sweep needs 1.
+    grid = make_mesh(4, "rectangular")
+    cells = np.delete(grid.cells, [5, 6, 9, 10], axis=0)
+    centre = 12
+    assert not (cells == centre).any()
+    mesh = Mesh(np.delete(grid.vertices, centre, axis=0), np.where(cells > centre, cells - 1, cells))
+    assert mesh.euler_characteristic() == 0
+    with pytest.raises(ValueError, match="needs a mesh of Euler characteristic 1 .* got Euler "
+                                         "characteristic 0"):
+        inf_sup_constant(mesh)
 
 
 def test_inf_sup_of_one_cell_names_the_empty_pressure_space():
