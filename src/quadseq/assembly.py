@@ -55,19 +55,28 @@ Allocate in the layout the kernel reads. The element tables are written in
 place into arrays allocated in the layout their kernels read (see
 ``elements._table``), the local matrices are formed in place with ``out=``
 ufuncs, in the order of their defining expressions, and ``cell_matrix``
-writes every block straight into one array per part. Freed temporaries stay
-resident in the heap, under the memory of the factorization that follows:
-these rules took the peak RSS of a random-mesh scalar study to n = 64 from
-168 to about 146 MB, without changing a bit of any result.
+writes every block straight into one array per part: these rules took the
+peak RSS of a random-mesh scalar study to n = 64 from 168 to about 146 MB,
+without changing a bit of any result.
 
 Solves are direct sparse LU factorizations (``spla.splu``). The Brinkman
 matrix keeps its mean-zero border, but ``solve`` factors neither it nor the
 saddle block: it goes through the exact sequence (``_StreamSolver``).
-The relative residual is always measured on the assembled matrix.
+The relative residual is always measured on the assembled matrix. Each
+factorization is the memory high point of its study, so it starts from a
+heap that holds only live data and one copy of the matrix it factors: the
+scalar matrix is stored in the CSC layout ``splu`` reads, the stream solver
+reads the velocity block in place in the Brinkman matrix, and freed memory,
+which glibc keeps resident (in the main heap and in the element threads'
+arenas), is handed back to the system just before the scalar factor and the
+stream factor (``_release_freed_memory``). Together these took the peak RSS
+of the random-mesh scalar study to n = 64 from 151 to about 137 MB, and of
+the Stokes study on rectangular meshes from 122 to about 111 MB.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent import futures
 
@@ -101,6 +110,20 @@ RESIDUAL_TOL = 1e-9     # largest relative residual ``solve`` accepts
 
 class SolverError(RuntimeError):
     """Direct factorization failed or left a large residual."""
+
+
+try:  # glibc; other C libraries keep no such call, and there it does nothing
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_freed_memory():
+    """Hand the freed memory of every malloc arena back to the system
+    (glibc ``malloc_trim(0)``), so that the factorization that follows is
+    not stacked on top of it. Changes no allocator setting."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def scalar_dof_scaling(h) -> np.ndarray:
@@ -298,11 +321,20 @@ def _load(dofs, F, ndof):
 class SparseSystem:
     """Assembled sparse linear system with DoF metadata and the
     ``ElementBatch`` assembly built (``elements``), which the error norms
-    of its solution take."""
+    of its solution take.
+
+    ``matrix`` is stored in the layout its solver reads, so that the solve
+    needs no second copy of it: CSC for a scalar system, which ``splu``
+    factors as it is, and CSR for a Brinkman system, whose rows
+    ``_StreamSolver`` slices. Either is converted from the CSR matrix of
+    the input: a direct COO to CSC conversion sums duplicate entries in
+    another order, and so changes the last bits of the matrix.
+    """
 
     def __init__(self, matrix, rhs, kind, dofmap, n_velocity=None, n_pressure=None,
                  elements=None):
-        self.matrix = matrix.tocsr()
+        matrix = matrix.tocsr()
+        self.matrix = matrix.tocsc() if kind == "scalar" else matrix
         self.rhs = rhs
         self.kind = kind            # "scalar" or "brinkman"
         self.dofmap = dofmap
@@ -403,13 +435,15 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
         (pd, border, -area),
         (border, pd, -area),
     ])
+    del A_loc
 
     h2 = _pow2(mesh.cell_geometry.h[:, None])
     w = vector_dof_scaling(mesh.cell_geometry.h) * dm.cell_signs
     rhs = _load(dofs, w * F_hat * h2, ndof)
+    del F_hat
     if g is not None:
-        gv = _source(g, "g", x, x.shape[:-1])
-        rhs[p_dofs] -= _dot(wts, gv) * h2[:, 0]
+        rhs[p_dofs] -= _dot(wts, _source(g, "g", x, x.shape[:-1])) * h2[:, 0]
+    del x, wts  # blocks, loads and points are freed before the CSR conversion
     return SparseSystem(K, rhs, "brinkman", dm, n_velocity=n_u, n_pressure=n_p,
                         elements=elements)
 
@@ -453,19 +487,21 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
 def solve(system: SparseSystem) -> np.ndarray:
     """Direct sparse LU solve with a relative-residual guarantee.
 
-    Scalar systems are factored as they are. A Brinkman system is solved
-    through the exact sequence (``_StreamSolver``), which needs a
-    mesh of Euler characteristic 1 and raises ``ValueError`` on any other
-    before it factors anything. In both cases the relative residual is
-    measured on ``system.matrix`` itself, and a failed factorization, a
-    non-finite solution or a residual above ``RESIDUAL_TOL`` raises
-    ``SolverError``.
+    Scalar systems are factored as they are: ``splu`` takes the stored CSC
+    matrix itself, without a copy, after ``_release_freed_memory``. A
+    Brinkman system is solved through the exact sequence
+    (``_StreamSolver``), which needs a mesh of Euler characteristic 1 and
+    raises ``ValueError`` on any other before it factors anything. In both
+    cases the relative residual is measured on the stored
+    ``system.matrix``, and a failed factorization, a non-finite solution or
+    a residual above ``RESIDUAL_TOL`` raises ``SolverError``.
     """
     try:
         if system.kind == "brinkman":
             x = _StreamSolver(system).solve(system.rhs)
         else:
-            x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+            _release_freed_memory()
+            x = spla.splu(system.matrix).solve(system.rhs)
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -505,10 +541,20 @@ class _StreamSolver:
     residual is 5 to 1900 times larger (rectangular, trapezoidal and random
     meshes, n = 16 and 32).
 
-    Any other mesh raises ``ValueError`` before anything is factored. The
-    stream matrix is factored before the graph matrix: the other order
-    raised the peak RSS of the Stokes study on rectangular meshes to n = 64
-    by 7.5 MB.
+    Any other mesh raises ``ValueError`` before anything is factored.
+
+    The solver keeps no copy of A. ``rows`` is a CSR view of the velocity
+    rows of K, over K's own ``data``, ``indices`` and the head of its
+    ``indptr``; it is applied to vectors and to C padded with zeros in the
+    pressure and multiplier slots (``_apply_A``). Each sorted row of K holds
+    its -B^T entries after its velocity columns, so a product with the view
+    sums A's terms in A's order and then adds only zeros (none at all for
+    the padded C, whose extra rows are empty): every result keeps the bits
+    of the product with a copied A. The stream matrix is factored before
+    the graph matrix, just after ``_release_freed_memory``, because C^T A C
+    is the larger factor and the graph factor would sit under it: the other
+    order raises the peak RSS of the Stokes study on rectangular meshes to
+    n = 64 by about 1 MB.
     """
 
     def __init__(self, system: SparseSystem):
@@ -520,13 +566,24 @@ class _StreamSolver:
         K, n_u, n = system.matrix, system.n_velocity, system.ndof
         self.K = K
         self.velocity, self.pressure = slice(0, n_u), slice(n_u, n - 1)
-        self.A = A = K[self.velocity, self.velocity]
+        self.rows = sp.csr_matrix((K.data, K.indices, K.indptr[:n_u + 1]), shape=(n_u, n))
         self.B = B = -K[self.pressure, self.velocity]
         self.c = -K[self.pressure, n - 1].toarray()[:, 0]  # cell areas, from the border column
         self.total = self.c.sum()
         self.C = C = curl_operator(ScalarDofMap(mesh), system.dofmap)
-        self.stream = _factor_spd(C.T @ (A @ C))
+        padded = sp.csr_matrix((C.data, C.indices, np.pad(C.indptr, (0, n - n_u), "edge")),
+                               shape=(n, C.shape[1]))
+        stream = (C.T @ (self.rows @ padded)).tocsc()
+        _release_freed_memory()
+        self.stream = _factor_spd(stream)
+        del stream
         self.graph = _factor_spd((B @ B.T)[1:, 1:])
+
+    def _apply_A(self, u):
+        """A u, from the velocity rows and u padded with zeros."""
+        padded = np.zeros(self.K.shape[1])
+        padded[self.velocity] = u
+        return self.rows @ padded
 
     def _pinned(self, r):
         q = np.zeros(len(r))
@@ -535,12 +592,12 @@ class _StreamSolver:
 
     def sweep(self, r):
         """One solve of K x = r through the sequence."""
-        A, B, C, c = self.A, self.B, self.C, self.c
+        B, C, c = self.B, self.C, self.c
         r_u, r_p = r[self.velocity], r[self.pressure]
         lam = -r_p.sum() / self.total
         u = B.T @ self._pinned(-r_p - lam * c)
-        u += C @ self.stream.solve(C.T @ (r_u - A @ u))
-        p = self._pinned(B @ (A @ u - r_u))
+        u += C @ self.stream.solve(C.T @ (r_u - self._apply_A(u)))
+        p = self._pinned(B @ (self._apply_A(u) - r_u))
         p += (-r[-1] - c @ p) / self.total
         return np.concatenate([u, p, [lam]])
 

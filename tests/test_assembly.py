@@ -16,7 +16,7 @@ from quadseq.assembly import (
     vector_dof_scaling,
 )
 from quadseq.cases import brinkman_sin_stream, scalar_sin_squared
-from quadseq.dofmap import ScalarDofMap, VectorDofMap
+from quadseq.dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from quadseq.elements import build_scalar_element, build_vector_element, vector_dof_values
 from quadseq.geometry import QuadGeometry
 from quadseq.mesh import Mesh, make_mesh
@@ -330,7 +330,7 @@ def test_brinkman_solve_factors_once_without_border(monkeypatch):
 
 def test_brinkman_solve_factors_the_stream_matrix_first(monkeypatch):
     # Factoring C^T A C before the pinned B B^T lowers the peak RSS of the
-    # Stokes study on rectangular meshes to n = 64 by 7.5 MB.
+    # Stokes study on rectangular meshes to n = 64 by about 1 MB.
     factor, shapes = assembly._factor_spd, []
 
     def recording(M):
@@ -342,6 +342,103 @@ def test_brinkman_solve_factors_the_stream_matrix_first(monkeypatch):
     solve(assemble_brinkman(mesh, 1.0, 0.0, FLOW.source(1.0, 0.0)))
     n_s = 3 * mesh.n_interior_vertices
     assert shapes == [(n_s, n_s), (mesh.n_cells - 1, mesh.n_cells - 1)]
+
+
+def test_scalar_solve_factors_the_stored_matrix_without_a_copy(monkeypatch):
+    recorder = _RecordingSpla()
+    monkeypatch.setattr(assembly, "spla", recorder)
+    system = assemble_fourth_order(make_mesh(8, "random", seed=3), 1.0, CASE.source(1.0))
+    solve(system)
+    [(A, _)] = recorder.calls
+    assert A is system.matrix
+    assert A.format == "csc"
+
+
+def _copied_block_solve(system):
+    """Test oracle: the stream-function solve of ``assembly._StreamSolver``
+    with the velocity block A copied out of K by slicing."""
+    K, n_u, n = system.matrix, system.n_velocity, system.ndof
+    vel, pres = slice(0, n_u), slice(n_u, n - 1)
+    A, B = K[vel, vel], -K[pres, vel]
+    c = -K[pres, n - 1].toarray()[:, 0]
+    C = curl_operator(ScalarDofMap(system.dofmap.mesh), system.dofmap)
+    stream = assembly._factor_spd(C.T @ (A @ C))
+    graph = assembly._factor_spd((B @ B.T)[1:, 1:])
+
+    def pinned(r):
+        q = np.zeros(len(r))
+        q[1:] = graph.solve(r[1:])
+        return q
+
+    def sweep(r):
+        r_u, r_p = r[vel], r[pres]
+        lam = -r_p.sum() / c.sum()
+        u = B.T @ pinned(-r_p - lam * c)
+        u += C @ stream.solve(C.T @ (r_u - A @ u))
+        p = pinned(B @ (A @ u - r_u))
+        p += (-r[-1] - c @ p) / c.sum()
+        return np.concatenate([u, p, [lam]])
+
+    x = sweep(system.rhs)
+    return x + sweep(system.rhs - K @ x)
+
+
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_stream_solver_reads_the_velocity_block_in_place(family, alpha):
+    system = assemble_brinkman(make_mesh(16, family, seed=3), 1.0, alpha,
+                               FLOW.source(1.0, alpha), g=FLOW.divergence)
+    solver = assembly._StreamSolver(system)
+    K = system.matrix
+    assert np.shares_memory(solver.rows.data, K.data)
+    assert np.shares_memory(solver.rows.indices, K.indices)
+    assert np.shares_memory(solver.rows.indptr, K.indptr)
+    assert not hasattr(solver, "A")
+    assert np.array_equal(solver.solve(system.rhs), _copied_block_solve(system))
+
+
+class _Events:
+    """Records, in order, the memory release, ``_factor_spd`` and ``splu``."""
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        factor = assembly._factor_spd
+        monkeypatch.setattr(assembly, "_release_freed_memory",
+                            lambda: self.events.append("release"))
+        monkeypatch.setattr(assembly, "_factor_spd",
+                            lambda M: self.events.append("factor") or factor(M))
+        monkeypatch.setattr(assembly, "spla", self)
+
+    def splu(self, A, *args, **kwargs):
+        self.events.append("splu")
+        return spla.splu(A, *args, **kwargs)
+
+
+def _system(kind):
+    mesh = make_mesh(8, "random", seed=3)
+    if kind == "scalar":
+        return assemble_fourth_order(mesh, 1.0, CASE.source(1.0))
+    return assemble_brinkman(mesh, 1.0, 1.0, FLOW.source(1.0, 1.0), g=FLOW.divergence)
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("scalar", ["release", "splu"]),
+    # released once, before the stream factor; the graph factor is small
+    ("brinkman", ["release", "factor", "splu", "factor", "splu"]),
+])
+def test_freed_memory_is_released_before_the_first_factor(kind, want, monkeypatch):
+    system = _system(kind)
+    events = _Events(monkeypatch)
+    solve(system)
+    assert events.events == want
+
+
+@pytest.mark.parametrize("kind", ["scalar", "brinkman"])
+def test_solve_without_malloc_trim_is_bitwise_equal(kind, monkeypatch):
+    system = _system(kind)
+    x = solve(system)
+    monkeypatch.setattr(assembly, "_malloc_trim", None)
+    assert np.array_equal(solve(system), x)
 
 
 def _annulus():

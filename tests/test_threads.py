@@ -36,7 +36,7 @@ FAMILIES = ("rectangular", "trapezoidal", "random")
 
 
 def _outcomes(monkeypatch):
-    """Study errors and the CSR arrays and right-hand side of every system
+    """Study errors and the compressed arrays and right-hand side of every system
     the studies solve, at n = 16 and 32 on all three mesh families."""
     systems, solve = [], study.solve
 
