@@ -23,15 +23,20 @@ system as an ``ElementBatch`` (the unit geometry and each chunk's span
 weights), and the error norms of the solution re-form them from it instead
 of building them again.
 
-The per-cell element work runs on both CPUs. A chunk of at least
-THREADED_CHUNK cells whose unit shapes are all distinct (every chunk of a
-random mesh from n = 32 on) is split into tasks of TASK_CELLS cells, and
-each task's build and integrals (assembly) or field tables (error norms)
-run on a pool of WORKERS = min(2, CPUs) threads that lives for one call, so
-no quadseq thread outlives it (``_run``); numpy releases the GIL in the
-power, matmul, einsum and linalg kernels of that work. Chunks with repeated
-shapes and smaller chunks run on the caller thread, as do the user
-callables and everything outside the tasks. A task writes only its own rows
+The per-cell element work runs in tasks of at most TASK_CELLS cells, on
+both CPUs where the chunk is large. Every chunk whose unit shapes are all
+distinct (every chunk of a random mesh) is split into tasks of TASK_CELLS
+cells, so no task holds the temporaries of more cells than that. The tasks
+of a chunk of at least THREADED_CHUNK cells (every chunk of a random mesh
+from n = 32 on) build their elements and integrals (assembly) or field
+tables (error norms) on a pool of WORKERS = min(2, CPUs) threads that lives
+for one call, so no quadseq thread outlives it (``_run``); numpy releases
+the GIL in the power, matmul, einsum and linalg kernels of that work. The
+tasks of smaller chunks run in order on the caller thread, as do chunks
+with repeated shapes (one task each), the user callables and everything
+outside the tasks. The certificates (``quadseq.verify``,
+``quadseq.sequence``) walk their cells in the same TASK_CELLS slices
+(``_slices``). A task writes only its own rows
 of arrays the caller allocated, and a cell's results are those of its own
 build, so no result depends on the number of workers or the task size. The
 tasks are small because glibc gives each thread its own malloc arena, which
@@ -102,8 +107,8 @@ __all__ = [
 
 DEFAULT_QUAD_ORDER = 4  # the 16-node tensor rule
 CELL_CHUNK = 1024       # cells per element batch
-THREADED_CHUNK = 512    # smallest chunk of distinct shapes split into tasks
-TASK_CELLS = 64         # cells per task of such a chunk
+THREADED_CHUNK = 512    # smallest chunk whose tasks run on the thread pool
+TASK_CELLS = 64         # cells per task of a chunk of distinct shapes, and per certificate slice
 WORKERS = min(2, os.cpu_count() or 1)  # threads that run the tasks of a split chunk
 RESIDUAL_TOL = 1e-9     # largest relative residual ``solve`` accepts
 
@@ -150,20 +155,29 @@ def unit_shape_rule(geom: QuadGeometry, g: int, unit: QuadGeometry | None = None
     return unit, pts, geom.from_local(pts), wts
 
 
+def _slices(start, stop):
+    """Consecutive slices of at most TASK_CELLS cells that cover start:stop."""
+    return [slice(a, min(a + TASK_CELLS, stop)) for a in range(start, stop, TASK_CELLS)]
+
+
 def _run(chunks, work):
     """``work(*task)`` of every task, one list per chunk of tasks, in task
-    order. A chunk of one task runs on the caller thread. If any chunk has
-    several, they run on one pool of WORKERS threads that lives for this
-    call: a pool per chunk starts its threads while the last ones may still
-    hold their malloc arenas, and the extra arena glibc then makes raised
-    the peak RSS of a random-mesh scalar study to n = 64 by 4 MB. The first
-    failing task in order raises, once the tasks not yet started are
-    cancelled and those running have ended."""
-    if WORKERS == 1 or all(len(tasks) == 1 for tasks in chunks):
+    order; the first entry of a task is its slice of cells. The tasks of a
+    chunk of at least THREADED_CHUNK cells run on one pool of WORKERS
+    threads that lives for this call, and those of a smaller chunk (or of a
+    chunk of one task) run in order on the caller thread, so a call without
+    such a chunk starts no thread. A pool per chunk starts its threads
+    while the last ones may still hold their malloc arenas, and the extra
+    arena glibc then makes raised the peak RSS of a random-mesh scalar
+    study to n = 64 by 4 MB. The first failing task in order raises, once
+    the tasks not yet started are cancelled and those running have ended."""
+    pooled = [WORKERS > 1 and len(tasks) > 1
+              and tasks[-1][0].stop - tasks[0][0].start >= THREADED_CHUNK for tasks in chunks]
+    if not any(pooled):
         return [[work(*task) for task in tasks] for tasks in chunks]
     with futures.ThreadPoolExecutor(WORKERS, thread_name_prefix="quadseq") as pool:
-        return [list(pool.map(work, *zip(*tasks))) if len(tasks) > 1 else [work(*tasks[0])]
-                for tasks in chunks]
+        return [list(pool.map(work, *zip(*tasks))) if threaded else [work(*t) for t in tasks]
+                for tasks, threaded in zip(chunks, pooled)]
 
 
 class ElementBatch:
@@ -195,7 +209,9 @@ class ElementBatch:
 
 def _chunk_tasks(unit: QuadGeometry):
     """The tasks ``(cells, shapes, inv)`` of each chunk of ``unit``, one list
-    per chunk (see ``unit_shape_elements``)."""
+    per chunk (see ``unit_shape_elements``): one task for a chunk with
+    repeated shapes, else tasks of TASK_CELLS cells, whatever the chunk's
+    size (``_run`` decides where they run)."""
     for start in range(0, len(unit), CELL_CHUNK):
         stop = min(start + CELL_CHUNK, len(unit))
         cells = slice(start, stop)
@@ -205,11 +221,8 @@ def _chunk_tasks(unit: QuadGeometry):
         if len(first) < len(v):
             order = np.argsort(first)  # shapes by first occurrence
             yield [(cells, start + first[order], np.argsort(order)[inverse.ravel()])]
-        elif len(v) < THREADED_CHUNK:
-            yield [(cells, cells, slice(None))]
         else:
-            yield [(part, part, slice(None)) for part in
-                   (slice(a, min(a + TASK_CELLS, stop)) for a in range(start, stop, TASK_CELLS))]
+            yield [(part, part, slice(None)) for part in _slices(start, stop)]
 
 
 def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
@@ -226,9 +239,9 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
     turns a per-shape table into a per-cell one. A chunk with repeated
     shapes is one task. A chunk without them (as on a random mesh) has
     ``shapes = cells`` and ``inv = slice(None)``, so its gathers are views
-    that copy nothing; it is one task below THREADED_CHUNK cells, else
-    tasks of TASK_CELLS cells, run on a pool that ends with the call
-    (``_run``).
+    that copy nothing; it is split into tasks of TASK_CELLS cells, which
+    run on a pool that ends with the call if the chunk has at least
+    THREADED_CHUNK cells, else in order on the caller thread (``_run``).
     ``use(cells, shapes, element, inv)``, if given, takes what it needs from
     each element and writes only the rows ``cells`` of its arrays; the
     element and the tables ``use`` made from it are freed when the task
@@ -276,9 +289,9 @@ def cell_matrix(shape, blocks):
     are written: at the n = 64 scalar assembly that lowers the heap's high
     point, and the peak RSS of the random-mesh study, by about 4.5 MB. The
     indices are built in the COO index type, so the constructor keeps them
-    without a copy: int64 indices and their int32 copies change the heap
-    layout enough to raise the peak memory of the n = 64 scalar study by
-    about 35 MB."""
+    without a copy. Int64 indices, which it copies to int32, measure within
+    the run-to-run spread (about 1 MB) of the peak RSS of the random-mesh
+    scalar study to n = 64: 134.4 against 135.5 MB, medians of five runs."""
     idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
     rows, cols, vals = zip(*blocks)
     vals = [np.asarray(v) for v in vals]
@@ -448,8 +461,8 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
                         elements=elements)
 
 
-# Its return frees M_hat (A_loc is formed in G_hat) before the scatter: inlined, stokes-rect
-# peak RSS was 189 vs 178 MB.
+# Its return frees M_hat (A_loc is formed in G_hat) before the scatter: inlined, the peak RSS
+# of the rectangular Stokes study to n = 64 was 112.2 vs 110.8 MB (medians of five runs).
 def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: int, f):
     """Per-cell blocks of the velocity equations on a g x g rule.
 

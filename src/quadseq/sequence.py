@@ -12,7 +12,10 @@ cell areas) come from the DoF maps alone. The element enters through two
 per-cell identities, which the element certificate (``quadseq.verify``) also
 runs: each rotated scalar gradient re-interpolates to itself (C is the curl)
 and each vector basis field's divergence integrates to its outward flux (D
-is the divergence). Ranks are relative to CUTOFF. Rank D and the gap at the
+is the divergence). They run on the cells in slices of
+``assembly.TASK_CELLS``, which bounds their temporaries: on a random mesh
+with n = 32 the certificate peaks at 129 MB, against 163 MB with all cells
+in one batch. Ranks are relative to CUTOFF. Rank D and the gap at the
 cut come from the value-only SVD of D, the one dense matrix; C is injective
 by the extreme eigenvalues of the sparse C^T C, and rank [C | ker D] =
 nullity(D) + rank(D C) needs no kernel basis. The inf-sup constant forms
@@ -29,14 +32,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .assembly import (
-    _StreamSolver,
-    assemble_brinkman,
-    cell_matrix,
-    scalar_dof_scaling,
-    vector_dof_scaling,
-)
-from .cases import brinkman_sin_stream
+from . import assembly
+from .assembly import _StreamSolver, assemble_brinkman, cell_matrix, scalar_dof_scaling
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import _build_pair, vector_dof_values
 from .geometry import QuadGeometry
@@ -94,7 +91,6 @@ class SequenceReport:
     curl_reinterp_residual: float
     div_flux_residual: float
     curl_global_consistency: float
-    commuting_residual: float
     cutoff: float
     checks: dict = field(default_factory=dict)
 
@@ -157,9 +153,16 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     (per-cell re-interpolation and global DoF consistency), the divergence
     matrix annihilates them, its rank is the pressure dimension N_K - 1, its
     nullity is the scalar dimension 3 N_V^i, the rotated-gradient image
-    spans the kernel, the flux identity of the basis fields, and the
-    per-cell commuting identity: the divergence of the interpolant
-    integrates to the boundary flux for a smooth probe.
+    spans the kernel, and the flux identity of the basis fields. The flux
+    identity also gives the commuting identity of the interpolant (its
+    divergence integrates to its boundary flux), whose residual is a linear
+    combination of the per-field residuals, so the report does not repeat it.
+
+    The per-cell checks run in slices of ``assembly.TASK_CELLS`` cells: each
+    slice builds its elements, checks them and compares its rotated
+    gradients with the global curl matrix, and only the running maxima
+    outlive it. A cell's residuals do not depend on its slice, so the
+    report is the same bit for bit for every slice size.
 
     Kernel spanning uses rank [C | ker D] = nullity(D) + rank(D C) and
     ||D x|| >= sigma_r(D) * dist(x, ker D) for every x, where ker D is spanned
@@ -171,7 +174,6 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     """
     geom = mesh.cell_geometry
     unit = QuadGeometry(geom.local_vertices)
-    sc, vc = _build_pair(unit)  # one stream span and one pair of frames
     D, vdm = divergence_matrix(mesh)
     C, sdm, _ = curl_matrix(mesh)
 
@@ -190,33 +192,33 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
 
     div_curl_max = float(np.abs(DC.data).max(initial=0.0))
 
-    # Per cell: each rotated scalar basis gradient re-interpolates to itself,
-    # and each vector basis field's divergence integrates to its flux.
-    reinterp = float(_curl_inclusion_residual(unit, sc, vc)[0].max())
-    div_flux = float(_div_flux_residual(vc).max())
-
     # Global consistency: push a random scalar coefficient vector through the
     # matrix and compare against per-cell DoFs of the local rotated gradient.
     rng = np.random.default_rng(0)
     w = rng.standard_normal(sdm.ndof)
-    u = C @ w
     c = sdm.gather(w) * scalar_dof_scaling(geom.h)
-    h = geom.h[:, None]
-    field_x = np.einsum("nj,njm->nm", c, sc.coeff_matrix @ DY.T) / h
-    field_y = np.einsum("nj,njm->nm", c, -(sc.coeff_matrix @ DX.T)) / h
+    sigma_global = vdm.gather(C @ w)
 
-    def rotated_gradient(x, y):
-        V = vandermonde(geom.to_local(np.stack([x, y], axis=-1)))
-        return np.stack([np.einsum("nmk,nk->nm", V, f) for f in (field_x, field_y)], axis=-1)
+    reinterp = div_flux = consistency = 0.0
+    for part in assembly._slices(0, mesh.n_cells):
+        shapes = unit[part]
+        sc, vc = _build_pair(shapes)  # one stream span and one pair of frames
+        # Per cell: each rotated scalar basis gradient re-interpolates to
+        # itself, and each vector basis field's divergence integrates to its flux.
+        reinterp = np.maximum(reinterp, _curl_inclusion_residual(shapes, sc, vc)[0].max())
+        div_flux = np.maximum(div_flux, _div_flux_residual(vc).max())
 
-    sigma = vector_dof_values(geom, rotated_gradient)
-    consistency = float(np.abs(sigma - vdm.gather(u)).max())
+        cells, h = geom[part], geom.h[part, None]
+        field_x = np.einsum("nj,njm->nm", c[part], sc.coeff_matrix @ DY.T) / h
+        field_y = np.einsum("nj,njm->nm", c[part], -(sc.coeff_matrix @ DX.T)) / h
 
-    # Commuting identity for a smooth probe: cellwise divergence of the
-    # interpolant integrates to the boundary flux.
-    sigma = vector_dof_values(geom, brinkman_sin_stream().velocity)
-    div_const = ((sigma * vector_dof_scaling(geom.h)) * vc.div_constants).sum(-1) / geom.h
-    commuting = float(np.abs(div_const * geom.area - sigma[:, :4].sum(-1)).max())
+        def rotated_gradient(x, y):
+            V = vandermonde(cells.to_local(np.stack([x, y], axis=-1)))
+            return np.stack([np.einsum("nmk,nk->nm", V, f) for f in (field_x, field_y)], axis=-1)
+
+        sigma = vector_dof_values(cells, rotated_gradient)
+        consistency = np.maximum(consistency, np.abs(sigma - sigma_global[part]).max())
+    reinterp, div_flux, consistency = float(reinterp), float(div_flux), float(consistency)
 
     dims = {
         "scalar": sdm.ndof,
@@ -235,15 +237,13 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
         "curl_reinterpolation": reinterp <= TOL,
         "divergence_is_flux": div_flux <= TOL,
         "curl_global_consistency": consistency <= 1e-8,
-        "commuting": commuting <= TOL,
         "alternating_sum_zero": sdm.ndof - vdm.ndof + (mesh.n_cells - 1) == 0,
     }
     return SequenceReport(
         dims=dims, rank_div=rank_div, nullity_div=nullity, rank_curl=rank_curl,
         rank_combined=rank_combined, sv_gap=gap, div_curl_max=div_curl_max,
         curl_reinterp_residual=reinterp, div_flux_residual=div_flux,
-        curl_global_consistency=consistency,
-        commuting_residual=commuting, cutoff=CUTOFF, checks=checks,
+        curl_global_consistency=consistency, cutoff=CUTOFF, checks=checks,
     )
 
 

@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import quadseq.assembly as assembly
 import quadseq.elements as elements
 import quadseq.sequence as sequence
 import quadseq.verify as verify
@@ -47,13 +48,14 @@ FAMILIES = ["sweep", "rectangular", "trapezoidal", "random"]
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Count ``_frames`` and ``_stream_span`` calls per geometry object."""
-    counts = {"frames": Counter(), "span": Counter()}
-    seen = []  # keeps the geometries alive, so their ids stay unique
+    """Count ``_frames`` and ``_stream_span`` calls per geometry object;
+    ``geometries`` maps each id to its geometry and keeps it alive, so
+    the ids stay unique."""
+    counts = {"frames": Counter(), "span": Counter(), "geometries": {}}
 
     def counted(kind, fn):
         def wrapper(geom, *args, **kwargs):
-            seen.append(geom)
+            counts["geometries"][id(geom)] = geom
             counts[kind][id(geom)] += 1
             return fn(geom, *args, **kwargs)
         return wrapper
@@ -68,12 +70,25 @@ def evaluations(monkeypatch):
 
 @pytest.mark.parametrize("family", ["sweep", "random"])
 def test_element_certificate_evaluates_frames_and_span_once(evaluations, family):
-    element_certificate(200, seed=1, family=family)
+    element_certificate(200, seed=1, family=family, identity_samples=150)
     frames, span = evaluations["frames"], evaluations["span"]
-    # The determinant quads and the identity cells: one evaluation each.
-    assert len(frames) == 2 and set(frames.values()) == {1}
-    assert list(span.values()) == [1]
+    geometries = evaluations["geometries"]
+    # Each evaluated geometry, a slice of the determinant quads or of the
+    # identity cells, evaluates its frames once, and an identity slice its
+    # span once.
+    assert set(frames.values()) == {1} and set(span.values()) == {1}
     assert set(span) <= set(frames)
+    # The slices partition the quads and the identity cells, in order, and
+    # none holds more than TASK_CELLS cells.
+    quads, cells = _certificate_cells(family, 200, 1, 150)
+    sizes = [len(geometries[k]) for k in frames]
+    assert sum(sizes) == 200 + 150 and max(sizes) <= assembly.TASK_CELLS
+
+    def stacked(keys):
+        return np.concatenate([geometries[k].vertices for k in keys])
+
+    assert np.array_equal(stacked(k for k in frames if k not in span), quads.vertices)
+    assert np.array_equal(stacked(span), cells.vertices)
 
 
 def test_sequence_certificate_evaluates_frames_and_span_once(evaluations):
