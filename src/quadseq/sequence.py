@@ -32,8 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from . import assembly
-from .assembly import _StreamSolver, assemble_brinkman, cell_matrix, scalar_dof_scaling
+from .assembly import _StreamSolver, _slices, assemble_brinkman, cell_matrix, scalar_dof_scaling
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import _build_pair, vector_dof_values
 from .geometry import QuadGeometry
@@ -200,7 +199,7 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     sigma_global = vdm.gather(C @ w)
 
     reinterp = div_flux = consistency = 0.0
-    for part in assembly._slices(0, mesh.n_cells):
+    for part in _slices(0, mesh.n_cells):
         shapes = unit[part]
         sc, vc = _build_pair(shapes)  # one stream span and one pair of frames
         # Per cell: each rotated scalar basis gradient re-interpolates to

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly
+from .assembly import _slices
 from .elements import (
     _EDGE_T,
     _EDGE_W,
@@ -307,12 +307,12 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
         raise ValueError(f"unknown family {family!r}")
 
     res = {}
-    for part in assembly._slices(0, len(quads)):
+    for part in _slices(0, len(quads)):
         q = quads[part]
         num = np.stack(numeric_dets(q), axis=-1)
         orc = np.stack(det_oracles(q.s[:, 0], q.s[:, 1]), axis=-1)
         _fold_max(res, {"det_rel_err": np.abs((num - orc) / orc)})
-    for part in assembly._slices(0, len(cells)):
+    for part in _slices(0, len(cells)):
         _fold_max(res, _identity_residuals(cells[part]))
     return ElementCertificate(
         family=family, samples=len(quads), identity_samples=identity_samples,
