@@ -43,9 +43,8 @@ tasks are small because glibc gives each thread its own malloc arena, which
 keeps freed memory resident: against one thread, the peak RSS of a
 random-mesh scalar study to n = 64 rose by 3.7 % with 64-cell tasks, 7.1 %
 with 128, 14 % with 256 and 28 % with 512 (32-cell tasks took 2.2 % but ran
-9 % slower). On Python 3.11 and older, ``functools.cached_property`` takes
-one lock per property for all instances, so no task may be the first to
-compute one; tasks read only plain attributes of their elements.
+9 % slower). Elements hold no lazily filled state, so a task may call any
+of their diagnostics.
 
 Batched products keep the operand layouts and reduction kernels a loop over
 cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
@@ -190,7 +189,9 @@ class ElementBatch:
     them to its ``use`` and X (n_shapes, 16, 12) the span weights of the
     task's element. An element is its span and X, so the batch keeps X, not
     the larger coefficient arrays, and ``walk`` re-forms each task's element
-    from a recomputed span bit for bit, without a 16x16 solve.
+    from a recomputed span bit for bit, without a 16x16 solve
+    (``from_solution``: it has no frames, DoF rows or condition numbers, so
+    it serves tabulation, not the diagnostics that read them).
     """
 
     def __init__(self, unit: QuadGeometry, kind, chunks):
@@ -243,7 +244,8 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
     run on a pool that ends with the call if the chunk has at least
     THREADED_CHUNK cells, else in order on the caller thread (``_run``).
     ``use(cells, shapes, element, inv)``, if given, takes what it needs from
-    each element and writes only the rows ``cells`` of its arrays; the
+    each element (built, so with its frames and every diagnostic) and
+    writes only the rows ``cells`` of its arrays; the
     element and the tables ``use`` made from it are freed when the task
     ends, so at most WORKERS tasks hold theirs at once. Every cell's
     results are those of its one-cell build, whatever the task size and

@@ -19,12 +19,14 @@ independent cross-check. Closed-form determinants of three auxiliary
 unisolvency matrices serve as oracles for the construction.
 
 The DoF rows are read off the monomial frames of the cell: the monomial
-matrices at its vertices and at the Gauss points of its edges. A built
-element keeps the frames its build evaluated (``frames``), and every check
-on it (duality, constraints, aggregation) reads them there; an element
-re-formed by ``from_solution`` evaluates them only when a check asks.
-Building both elements on one geometry shares one stream span and one pair
-of frames between the two builds (``_build_pair``).
+matrices at its vertices and at the Gauss points of its edges. Elements are
+plain values: the constructor sets every attribute, and nothing is filled
+in later. A built element keeps the frames its build evaluated
+(``frames``), and every check on it (duality, constraints, aggregation)
+reads them there; an element re-formed by ``from_solution`` has none. The
+diagnostics are methods that store nothing: each call computes its
+result afresh. Building both elements on one geometry shares one stream span and
+one pair of frames between the two builds (``_build_pair``).
 
 Every function works on a ``QuadGeometry`` of any batch shape: one cell,
 or all cells of a mesh at once, in which case the packed spans, the 16x16
@@ -33,8 +35,6 @@ cell axis.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -141,12 +141,10 @@ def _stream_span(geom: QuadGeometry):
     return C
 
 
-def _vector_span(geom: QuadGeometry, stream=None):
+def _vector_span(geom: QuadGeometry, stream):
     """x- and y-components (..., 16, 28) of the vector span fields: linear
     vectors, then rotated gradients of the cubic monomials, the correctors
-    and the bubbles. ``stream`` is ``_stream_span(geom)`` if already made."""
-    if stream is None:
-        stream = _stream_span(geom)
+    and the bubbles. ``stream`` is ``_stream_span(geom)``."""
     stream = stream[..., 6:, :]
     lin = _batched(_LINEAR_FIELDS, geom)
     cx = np.concatenate([lin[..., 0, :, :], stream @ DY.T], axis=-2)
@@ -201,6 +199,12 @@ def _scalar_dof_rows(C, geom: QuadGeometry, Vv, Ve):
     return D
 
 
+def _dof_residuals(D):
+    """Largest duality defect and constraint residual per cell of the DoF
+    rows (..., 16, 12) of a nodal basis."""
+    return np.abs(D[..., :12, :] - np.eye(12)).max((-2, -1)), np.abs(D[..., 12:, :]).max((-2, -1))
+
+
 def _solve_nodal(D: np.ndarray, n_basis: int, index):
     cond = np.linalg.cond(D)
     _check(~np.isfinite(cond) | (cond > COND_LIMIT), ElementConditioningError,
@@ -223,17 +227,19 @@ class ScalarElement:
     DoF ordering: values at V1..V4, then d/dx at V1..V4, then d/dy at V1..V4
     (physical derivatives). Basis polynomials take cell-local coordinates
     (x - b) / h; ``coeff_matrix`` (..., 12, 28) holds them packed over the
-    monomial table. The auxiliary basis, bubble duals, aggregation weights
-    and residual diagnostics are computed on first access; diagnostics carry
-    the geometry's batch shape. ``frames`` holds the monomial frames the
-    build formed the DoF rows on; the diagnostics read them there.
+    monomial table. A build also keeps the monomial frames it formed the
+    DoF rows on (``frames``), those rows (``dof_matrix``) and their
+    condition numbers (``condition``). The diagnostics (``dof_residuals``,
+    ``aggregation``, ``aux_matrix``) are computed on each call, read
+    ``frames`` or ``dof_matrix`` and carry the geometry's batch shape.
     """
 
-    def __init__(self, geom, span, solution, dof_matrix=None, condition=None):
+    def __init__(self, geom, span, solution, frames, dof_matrix, condition):
         self.geometry = geom
         self.span = span                  # (..., 16, 28): cubics, correctors, bubbles
-        self.dof_matrix = dof_matrix      # (..., 16, 16): DoF and constraint rows
         self.solution = solution          # (..., 16, 12): span weights of the basis
+        self.frames = frames              # (Vv, Ve) of ``_frames``
+        self.dof_matrix = dof_matrix      # (..., 16, 16): DoF and constraint rows
         self.condition = condition
         self.coeff_matrix = _swap(solution) @ span
 
@@ -242,72 +248,55 @@ class ScalarElement:
         """The element on ``geom`` whose basis has the span weights
         ``solution`` of a build on ``geom``, without its 16x16 solve: the
         span is recomputed and the coefficients formed as the build forms
-        them, so they equal the built ones bit for bit. It carries no DoF
-        matrix or condition numbers, which only the build computes, and
-        evaluates its frames only when a diagnostic reads them."""
-        return cls(geom, _stream_span(geom), solution)
+        them, so they equal the built ones bit for bit. Its ``frames``,
+        ``dof_matrix`` and ``condition`` are None, since only the build
+        computes them, so it serves tabulation, not the diagnostics."""
+        return cls(geom, _stream_span(geom), solution, None, None, None)
 
-    @cached_property
-    def frames(self):
-        """(Vv, Ve) of ``_frames``: set by the build, else evaluated on first access."""
-        return _frames(self.geometry)
-
-    @cached_property
     def aux_matrix(self):
         """(..., 12, 28) auxiliary nodal basis: the bubble-free block solve."""
         X_aux = np.linalg.solve(self.dof_matrix[..., :12, :12], np.eye(12))
         return _swap(X_aux) @ self.span[..., :12, :]
 
-    @cached_property
-    def _bubble_means(self):
-        """(..., 4, 4) edge means of the bubbles' normal derivatives."""
-        bubbles, Ve = self.span[..., 12:, :], self.frames[1]
-        return _edge_means((bubbles @ DX.T) @ Ve, (bubbles @ DY.T) @ Ve,
-                           self.geometry.normals) / self.geometry.h[..., None, None]
-
-    @cached_property
     def aggregation(self):
-        """(..., 4, 12) bubble weights of each nodal basis function."""
-        return self._bubble_means @ self.solution[..., 12:, :]
+        """(..., 4, 12) bubble weights of each nodal basis function: the
+        edge means of the bubbles' normal derivatives times their weights."""
+        bubbles, Ve = self.span[..., 12:, :], self.frames[1]
+        means = _edge_means((bubbles @ DX.T) @ Ve, (bubbles @ DY.T) @ Ve,
+                            self.geometry.normals) / self.geometry.h[..., None, None]
+        return means @ self.solution[..., 12:, :]
 
-    @cached_property
-    def _dof_rows(self):
-        return _scalar_dof_rows(self.coeff_matrix, self.geometry, *self.frames)
-
-    @cached_property
-    def constraint_residual(self):
-        """Largest edge-mean constraint residual, frame-relative (scaled by h)."""
-        return np.abs(self._dof_rows[..., 12:, :]).max((-2, -1)) * self.geometry.h
-
-    @cached_property
-    def duality_defect(self):
-        return np.abs(self._dof_rows[..., :12, :] - np.eye(12)).max((-2, -1))
+    def dof_residuals(self):
+        """Largest duality defect and edge-mean constraint residual per cell;
+        the constraint residual is frame-relative (scaled by h)."""
+        duality, constraint = _dof_residuals(
+            _scalar_dof_rows(self.coeff_matrix, self.geometry, *self.frames))
+        return duality, constraint * self.geometry.h
 
     def tabulate(self, points):
         """Values (..., npts, 12), gradients (..., npts, 12, 2) and Hessians
         (..., npts, 12, 2, 2) at physical points (..., npts, 2)."""
         return _scalar_tables(self.geometry, self.coeff_matrix, points)
 
-    def field_tables(self, dofs, points, inv=None):
+    def field_tables(self, dofs, points, inv=...):
         """Values (..., npts), gradients and Hessians of the fields with DoF
         vectors ``dofs`` (..., 12), without tabulating each basis function.
 
         ``points`` lie on the element's cells. With ``inv`` (an index into
         the batch axis), field k lives on cell ``inv[k]`` of a batch element:
         the monomials are evaluated once per cell of the element and
-        gathered to the fields.
+        gathered to the fields. The default ``...`` takes each cell's own.
         """
-        coeff = self.coeff_matrix if inv is None else self.coeff_matrix[inv]
-        C = np.einsum("...j,...jm->...m", dofs, coeff)[..., None, :]
+        C = np.einsum("...j,...jm->...m", dofs, self.coeff_matrix[inv])[..., None, :]
         val, grad, hess = _scalar_tables(self.geometry, C, points, inv)
         return val[..., 0], grad[..., 0, :], hess[..., 0, :, :]
 
 
 def _local_monomials(geom, points, inv):
     """Transposed monomial matrix at the points and the cell diameters, both
-    gathered by ``inv`` if given (the gather keeps the matrix's memory layout)."""
-    V, h = _vt(geom.to_local(points)), geom.h
-    return (V, h) if inv is None else (V[inv], h[inv])
+    gathered by ``inv`` (the gather keeps the matrix's memory layout, and
+    ``...`` gathers views of both)."""
+    return _vt(geom.to_local(points))[inv], geom.h[inv]
 
 
 def _table(like, components):
@@ -321,7 +310,7 @@ def _table(like, components):
     return np.swapaxes(np.empty((*lead, k, q) + components), len(lead), len(lead) + 1)
 
 
-def _scalar_tables(geom, C, points, inv=None):
+def _scalar_tables(geom, C, points, inv=...):
     V, h = _local_monomials(geom, points, inv)
     h = h[..., None, None, None]
     Cx, Cy = C @ DX.T, C @ DY.T
@@ -345,9 +334,7 @@ def _build_scalar(geom, stream, frames):
     of ``geom``; it keeps the frames."""
     D = _scalar_dof_rows(stream, geom, *frames)
     X, cond = _solve_nodal(D, 12, geom.index)
-    element = ScalarElement(geom, stream, X, D, cond)
-    element.frames = frames
-    return element
+    return ScalarElement(geom, stream, X, frames, D, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +349,15 @@ class VectorElement:
     ``coeff_y`` (..., 12, 28) pack the two components over the monomial
     table in cell-local coordinates, formed from the x- and y-components
     of the span and its weights ``solution`` (..., 16, 12); every basis
-    field has constant divergence, recorded in ``div_constants`` (physical
-    scale). Divergences and residual diagnostics are computed on first
-    access; ``frames`` is as for ``ScalarElement``.
+    field has constant divergence (``divergence``). ``frames`` and
+    ``condition`` are as for ``ScalarElement``, and so are the diagnostics
+    (``dof_residuals``, ``divergence``), computed on each call.
     """
 
-    def __init__(self, geom, span, solution, condition=None):
+    def __init__(self, geom, span, solution, frames, condition):
         self.geometry = geom
         self.solution = solution
+        self.frames = frames
         self.condition = condition
         self.coeff_x, self.coeff_y = (_swap(solution) @ C for C in span)
 
@@ -377,54 +365,37 @@ class VectorElement:
     def from_solution(cls, geom, solution):
         """The element re-formed from the span weights of a build on
         ``geom``, bit for bit, as ``ScalarElement.from_solution``."""
-        return cls(geom, _vector_span(geom), solution)
+        return cls(geom, _vector_span(geom, _stream_span(geom)), solution, None, None)
 
-    @cached_property
-    def frames(self):
-        """(Vv, Ve) of ``_frames``: set by the build, else evaluated on first access."""
-        return _frames(self.geometry)
+    def divergence(self):
+        """The constant divergence of each basis field (..., 12) and the
+        largest non-constant divergence coefficient per cell, both at the
+        physical scale."""
+        rows = self.coeff_x @ DX.T + self.coeff_y @ DY.T
+        h = self.geometry.h
+        return rows[..., 0] / h[..., None], np.abs(rows[..., 1:]).max((-2, -1)) / h
 
-    @cached_property
-    def _div_rows(self):
-        return self.coeff_x @ DX.T + self.coeff_y @ DY.T
-
-    @cached_property
-    def div_constants(self):
-        return self._div_rows[..., 0] / self.geometry.h[..., None]
-
-    @cached_property
-    def div_residual(self):
-        """Largest non-constant divergence coefficient (physical scale)."""
-        return np.abs(self._div_rows[..., 1:]).max((-2, -1)) / self.geometry.h
-
-    @cached_property
-    def _dof_rows(self):
-        return _vector_dof_rows(self.coeff_x, self.coeff_y, self.geometry, *self.frames)
-
-    @cached_property
-    def duality_defect(self):
-        return np.abs(self._dof_rows[..., :12, :] - np.eye(12)).max((-2, -1))
-
-    @cached_property
-    def constraint_residual(self):
-        return np.abs(self._dof_rows[..., 12:, :]).max((-2, -1))
+    def dof_residuals(self):
+        """Largest duality defect and tangential constraint residual per cell."""
+        return _dof_residuals(
+            _vector_dof_rows(self.coeff_x, self.coeff_y, self.geometry, *self.frames))
 
     def tabulate(self, points):
         """Values (..., npts, 12, 2) and gradients (..., npts, 12, 2, 2) at
         physical points; gradient [..., c, d] = d v_c / d x_d."""
         return _vector_tables(self.geometry, self.coeff_x, self.coeff_y, points)
 
-    def field_tables(self, dofs, points, inv=None):
+    def field_tables(self, dofs, points, inv=...):
         """Values (..., npts, 2) and gradients (..., npts, 2, 2) of the fields
         with DoF vectors ``dofs`` (..., 12), without tabulating each basis
         field; ``points`` and ``inv`` as in ``ScalarElement.field_tables``."""
-        Cx, Cy = (np.einsum("...j,...jm->...m", dofs, C if inv is None else C[inv])[..., None, :]
+        Cx, Cy = (np.einsum("...j,...jm->...m", dofs, C[inv])[..., None, :]
                   for C in (self.coeff_x, self.coeff_y))
         val, grad = _vector_tables(self.geometry, Cx, Cy, points, inv)
         return val[..., 0, :], grad[..., 0, :, :]
 
 
-def _vector_tables(geom, Cx, Cy, points, inv=None):
+def _vector_tables(geom, Cx, Cy, points, inv=...):
     V, h = _local_monomials(geom, points, inv)
     vx = _swap(Cx @ V)
     val, grad = _table(vx, (2,)), _table(vx, (2, 2))
@@ -462,9 +433,7 @@ def _build_vector(geom, stream, frames):
     ``frames`` of ``geom``; it keeps the frames."""
     span = _vector_span(geom, stream)
     X, cond = _solve_nodal(_vector_dof_rows(*span, geom, *frames), 12, geom.index)
-    element = VectorElement(geom, span, X, cond)
-    element.frames = frames
-    return element
+    return VectorElement(geom, span, X, frames, cond)
 
 
 def _build_pair(geom: QuadGeometry):
@@ -516,9 +485,9 @@ def aggregation_coeffs_formula(geom: QuadGeometry, element: ScalarElement) -> np
 
     Independent of the direct 16x16 solve: computed by edge quadrature of the
     auxiliary basis' normal derivatives on the element's frames. Cross-check
-    against ``element.aggregation``.
+    against ``element.aggregation()``.
     """
-    return -_scalar_dof_rows(element.aux_matrix, geom, *element.frames)[..., 12:, :]
+    return -_scalar_dof_rows(element.aux_matrix(), geom, *element.frames)[..., 12:, :]
 
 
 # ---------------------------------------------------------------------------

@@ -184,16 +184,6 @@ class QuadGeometry:
         det_2 = (1 + yh * s1) * (1 + xh * s2) - xh * yh * s1 * s2
         return detA * det_2
 
-    def affine_factor(self, points):
-        """The affine part x -> A x + b applied to intermediate-frame points."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return p @ np.swapaxes(self.A, -1, -2) + self.b[..., None, :]
-
-    def intermediate_vertices(self):
-        """Preimages of the vertices under the affine factor."""
-        signs = np.array([1.0, -1.0, 1.0, -1.0])
-        return REF_CORNERS + signs[:, None] * self.s[..., None, :]
-
     def edge_points(self, i: int, t):
         """Physical points V_i + t (V_{i+1} - V_i) for t in [0, 1]."""
         t = np.asarray(t, dtype=float)[:, None]

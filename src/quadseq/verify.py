@@ -173,14 +173,14 @@ def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
 _FLUX = np.repeat([1.0, 0.0], [4, 8])  # the sum of each basis field's edge DoFs
 
 
-def _div_flux_residual(vector_elt):
-    """Divergence is flux: each basis field's constant divergence times the
-    cell area is its outward flux, the sum of its edge DoFs (one for an edge
-    field, zero for a vertex field). This makes the divergence matrix the
-    signed edge incidence (``assembly.assemble_brinkman``). Returns the
-    largest deviation per cell."""
-    area = vector_elt.geometry.area[..., None]
-    return np.abs(vector_elt.div_constants * area - _FLUX).max(-1)
+def _div_flux_residual(geom: QuadGeometry, div_constants):
+    """Divergence is flux: each basis field's constant divergence (the
+    first part of ``VectorElement.divergence``) times the cell area is its
+    outward flux, the sum of its edge DoFs (one for an edge field, zero for
+    a vertex field). This makes the divergence matrix the signed edge
+    incidence (``assembly.assemble_brinkman``). Returns the largest
+    deviation per cell."""
+    return np.abs(div_constants * geom.area[..., None] - _FLUX).max(-1)
 
 
 def _reproduction_residuals(geom: QuadGeometry):
@@ -325,21 +325,24 @@ def _identity_residuals(cells: QuadGeometry) -> dict:
     err_s, err_v, se, ve = _reproduction_residuals(cells)
     incl, scale, flux = _curl_inclusion_residual(cells, se, ve)
     bv, btr = _bubble_residuals(se)
+    s_duality, s_constraint = se.dof_residuals()
+    v_duality, v_constraint = ve.dof_residuals()
+    div_constants, div_residual = ve.divergence()
     return {
         "p2_reproduction": err_s,
         "p1_vector_reproduction": err_v,
-        "scalar_duality": se.duality_defect,
-        "scalar_constraint": se.constraint_residual,
-        "vector_duality": ve.duality_defect,
-        "vector_constraint": ve.constraint_residual,
-        "div_in_p0": ve.div_residual,
+        "scalar_duality": s_duality,
+        "scalar_constraint": s_constraint,
+        "vector_duality": v_duality,
+        "vector_constraint": v_constraint,
+        "div_in_p0": div_residual,
         "edge_mean_identity": _edge_mean_identity_residual(cells, se.coeff_matrix, se.frames),
         "aggregation_crosscheck":
-            np.abs(se.aggregation - aggregation_coeffs_formula(cells, se)),
+            np.abs(se.aggregation() - aggregation_coeffs_formula(cells, se)),
         "weighted_normal_identity": _weighted_normal_identity_residual(cells, ve, ve.frames),
         "curl_inclusion": incl / scale,
         "curl_flux_sum": flux,
-        "div_is_flux": _div_flux_residual(ve),
+        "div_is_flux": _div_flux_residual(cells, div_constants),
         "bubble_vertex_values": bv,
         "bubble_trace_relation": btr,
     }

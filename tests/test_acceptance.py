@@ -238,7 +238,7 @@ def test_criterion_08_element_identities():
                                  j * X**i * Y ** (j - 1) / h], -1)
             dofs = scalar_dof_values(g, u, gu)
             pts = g.map_reference(rng.uniform(-1, 1, (25, 2)))
-            vals = vandermonde(g.to_local(pts)) @ (dofs @ e.aux_matrix)
+            vals = vandermonde(g.to_local(pts)) @ (dofs @ e.aux_matrix())
             adini_ok = adini_ok and np.abs(vals - u(pts[:, 0], pts[:, 1])).max() < 1e-10
     ok = ok and adini_ok
     resid = {k: f"{cert.residuals[k]:.1e}" for k in checks}
@@ -252,7 +252,7 @@ def _commuting_residual(mesh):
     sequence report checks the flux identity of every basis field, of
     which this residual is a linear combination."""
     geom = mesh.cell_geometry
-    div_constants = build_vector_element(QuadGeometry(geom.local_vertices)).div_constants
+    div_constants = build_vector_element(QuadGeometry(geom.local_vertices)).divergence()[0]
     sigma = vector_dof_values(geom, brinkman_sin_stream().velocity)
     div_const = ((sigma * vector_dof_scaling(geom.h)) * div_constants).sum(-1) / geom.h
     return float(np.abs(div_const * geom.area - sigma[:, :4].sum(-1)).max())

@@ -178,7 +178,7 @@ def test_divergence_free_solution(nu, alpha):
     geom = mesh.cell_geometry
     elt = build_vector_element(QuadGeometry(geom.local_vertices))
     c = system.dofmap.gather(u) * vector_dof_scaling(geom.h)
-    div_val = (c * elt.div_constants).sum(-1) / geom.h
+    div_val = (c * elt.divergence()[0]).sum(-1) / geom.h
     assert np.abs(div_val).max() <= 1e-10 * max(np.linalg.norm(u), 1.0)
 
 
@@ -198,7 +198,7 @@ def test_commuting_interpolation_preserves_divergence_form():
     geom = mesh.cell_geometry
     elt = build_vector_element(QuadGeometry(geom.local_vertices))
     sigma = vector_dof_values(geom, FLOW.velocity)
-    div_const = ((sigma * vector_dof_scaling(geom.h)) * elt.div_constants).sum(-1) / geom.h
+    div_const = ((sigma * vector_dof_scaling(geom.h)) * elt.divergence()[0]).sum(-1) / geom.h
     flux = sigma[:, :4].sum(-1)
     assert np.abs(div_const * geom.area - flux).max() < 1e-10
 

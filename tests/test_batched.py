@@ -59,9 +59,9 @@ def test_batched_build_equals_one_cell_builds(count, seed):
         g = QuadGeometry(v)
         s1, v1 = build_scalar_element(g), build_vector_element(g)
         for got, want in [(se.coeff_matrix[k], s1.coeff_matrix),
-                          (se.aggregation[k], s1.aggregation),
+                          (se.aggregation()[k], s1.aggregation()),
                           (ve.coeff_x[k], v1.coeff_x), (ve.coeff_y[k], v1.coeff_y),
-                          (ve.div_constants[k], v1.div_constants)]:
+                          (ve.divergence()[0][k], v1.divergence()[0])]:
             _assert_close(got, want, 1e-13)
         assert se.condition[k] == pytest.approx(s1.condition, rel=1e-12)
 
@@ -224,9 +224,12 @@ def test_batch_reforms_the_built_elements_bitwise(build, monkeypatch):
     batch.walk(lambda *task: reformed.append(task))
     for (cells, shapes, element, inv), again in zip(built, reformed, strict=True):
         assert (cells, shapes, inv) == again[:2] + again[3:]
-        for name in ("coeff_matrix", "coeff_x", "coeff_y", "div_constants"):
+        for name in ("coeff_matrix", "coeff_x", "coeff_y"):
             if hasattr(element, name):
                 assert np.array_equal(getattr(element, name), getattr(again[2], name))
+        if hasattr(element, "divergence"):
+            for a, b in zip(element.divergence(), again[2].divergence(), strict=True):
+                assert np.array_equal(a, b)
 
 
 def _count_solves(monkeypatch):

@@ -199,7 +199,7 @@ def _oracle_residuals(quads, cells):
     bubble_means = _edge_means((bubbles @ DX.T) @ Ve, (bubbles @ DY.T) @ Ve,
                                cells.normals) / cells.h[..., None, None]
     aggregation = bubble_means @ se.solution[..., 12:, :]
-    formula = -_scalar_dof_rows(se.aux_matrix, cells, *_frames(cells))[..., 12:, :]
+    formula = -_scalar_dof_rows(se.aux_matrix(), cells, *_frames(cells))[..., 12:, :]
     per_cell = {
         "det_rel_err": np.abs((num - orc) / orc),
         "p2_reproduction": err_s,
@@ -208,13 +208,13 @@ def _oracle_residuals(quads, cells):
         "scalar_constraint": np.abs(s_rows[..., 12:, :]).max((-2, -1)) * cells.h,
         "vector_duality": np.abs(v_rows[..., :12, :] - np.eye(12)).max((-2, -1)),
         "vector_constraint": np.abs(v_rows[..., 12:, :]).max((-2, -1)),
-        "div_in_p0": ve.div_residual,
+        "div_in_p0": ve.divergence()[1],
         "edge_mean_identity": _edge_mean_identity_oracle(cells, se.coeff_matrix),
         "aggregation_crosscheck": np.abs(aggregation - formula),
         "weighted_normal_identity": _weighted_normal_identity_oracle(cells, ve),
         "curl_inclusion": incl / scale,
         "curl_flux_sum": flux,
-        "div_is_flux": np.abs(ve.div_constants * cells.area[:, None]
+        "div_is_flux": np.abs(ve.divergence()[0] * cells.area[:, None]
                               - np.repeat([1.0, 0.0], [4, 8])).max(-1),
         "bubble_vertex_values": bv,
         "bubble_trace_relation": btr,

@@ -5,6 +5,8 @@ import pytest
 
 from quadseq.elements import (
     ElementConditioningError,
+    ScalarElement,
+    VectorElement,
     _bubble_span,
     _corrector_span,
     _frames,
@@ -122,8 +124,9 @@ def test_correctors_satisfy_edge_mean_identity(random_quads):
 def test_scalar_duality_and_constraints(random_quads):
     for g in random_quads:
         e = build_scalar_element(g)
-        assert e.duality_defect < 1e-10
-        assert e.constraint_residual < 1e-10
+        duality, constraint = e.dof_residuals()
+        assert duality < 1e-10
+        assert constraint < 1e-10
         assert e.condition < 1e12
 
 
@@ -155,7 +158,7 @@ def test_adini_space_on_rectangles():
                                  j * X**i * Y ** max(j - 1, 0) / h], -1)
 
             dofs = scalar_dof_values(g, u, gu)
-            interp = dofs @ e.aux_matrix  # auxiliary basis combination
+            interp = dofs @ e.aux_matrix()  # auxiliary basis combination
             pts = g.map_reference(rng.uniform(-1, 1, (30, 2)))
             loc = g.to_local(pts)
             vals = vandermonde(loc) @ interp
@@ -167,14 +170,14 @@ def test_aggregation_formula_cross_check(random_quads):
     for g in random_quads:
         e = build_scalar_element(g)
         c = aggregation_coeffs_formula(g, e)
-        assert np.abs(c - e.aggregation).max() < 1e-8
+        assert np.abs(c - e.aggregation()).max() < 1e-8
 
 
 def test_aggregation_nontrivial_on_rectangle(unit_square):
     # The bubble corrections do not vanish on rectangles: the final space is
     # the cubic-serendipity one only after aggregation.
     e = build_scalar_element(unit_square)
-    assert np.abs(e.aggregation).max() > 1e-3
+    assert np.abs(e.aggregation()).max() > 1e-3
 
 
 def test_edge_mean_identity_on_basis(random_quads):
@@ -210,7 +213,7 @@ def test_spans_stay_within_degree_six():
     meshes = [make_mesh(4, "rectangular"), make_mesh(4, "trapezoidal"),
               make_mesh(8, "random", seed=3)]
     for g in [m.cell_geometry for m in meshes] + [random_convex_quads(200, seed=5)]:
-        for rows in (_stream_span(g), *_vector_span(g), *_unisolvency_rows(g)):
+        for rows in (_stream_span(g), *_vector_span(g, _stream_span(g)), *_unisolvency_rows(g)):
             assert rows.shape[-1] == len(MONOMIALS)
         assert _bubble_span(g)[..., 3, top].any(-1).all()
 
@@ -230,15 +233,42 @@ def test_conditioning_error_on_near_degenerate():
 
 
 # ---------------------------------------------------------------------------
+# both elements
+# ---------------------------------------------------------------------------
+
+def _state(element):
+    return {name: id(value) for name, value in vars(element).items()}
+
+
+def test_elements_hold_no_lazily_filled_state():
+    # Elements are plain values: the constructor sets every attribute, and
+    # no diagnostic adds or replaces one. An element re-formed from its span
+    # weights has no frames.
+    geom = random_convex_quads(20, seed=9, max_skew=0.8, max_aspect=2.0)
+    se, ve = build_scalar_element(geom), build_vector_element(geom)
+    again = [kind.from_solution(geom, e.solution)
+             for kind, e in ((ScalarElement, se), (VectorElement, ve))]
+    elements = [se, ve, *again]
+    before = [_state(e) for e in elements]
+    se.dof_residuals(), se.aggregation(), se.aux_matrix()
+    aggregation_coeffs_formula(geom, se)
+    ve.dof_residuals(), ve.divergence()
+    again[1].divergence()  # the one diagnostic that reads no build result
+    assert [_state(e) for e in elements] == before
+    assert all(e.frames is None for e in again)
+
+
+# ---------------------------------------------------------------------------
 # vector element
 # ---------------------------------------------------------------------------
 
 def test_vector_duality_and_constraints(random_quads):
     for g in random_quads:
         e = build_vector_element(g)
-        assert e.duality_defect < 1e-10
-        assert e.constraint_residual < 1e-10
-        assert e.div_residual < 1e-10
+        duality, constraint = e.dof_residuals()
+        assert duality < 1e-10
+        assert constraint < 1e-10
+        assert e.divergence()[1] < 1e-10
 
 
 def test_vector_p1_reproduction_unit_square(unit_square):
@@ -285,7 +315,7 @@ def test_divergence_of_interpolated_curl_vanishes(unit_square):
     case = brinkman_sin_stream()
     e = build_vector_element(unit_square)
     dofs = vector_dof_values(e.geometry, case.velocity)
-    div_const = dofs @ e.div_constants
+    div_const = dofs @ e.divergence()[0]
     assert abs(div_const * unit_square.area) < 1e-12
 
 
@@ -426,19 +456,22 @@ def _one_cell_certificate(quads, cells):
         err_s, err_v, se, ve = _reproduction_residuals(g)
         incl, scale, flux = _curl_inclusion_residual(g, se, ve)
         bv, btr = _bubble_residuals(se)
+        s_duality, s_constraint = se.dof_residuals()
+        v_duality, v_constraint = ve.dof_residuals()
+        div_constants, div_residual = ve.divergence()
         for key, value in [
             ("p2_reproduction", err_s), ("p1_vector_reproduction", err_v),
-            ("scalar_duality", se.duality_defect),
-            ("scalar_constraint", se.constraint_residual),
-            ("vector_duality", ve.duality_defect),
-            ("vector_constraint", ve.constraint_residual),
-            ("div_in_p0", ve.div_residual),
+            ("scalar_duality", s_duality),
+            ("scalar_constraint", s_constraint),
+            ("vector_duality", v_duality),
+            ("vector_constraint", v_constraint),
+            ("div_in_p0", div_residual),
             ("edge_mean_identity", _edge_mean_identity_residual(g, se.coeff_matrix, se.frames)),
             ("aggregation_crosscheck",
-             np.abs(se.aggregation - aggregation_coeffs_formula(g, se))),
+             np.abs(se.aggregation() - aggregation_coeffs_formula(g, se))),
             ("weighted_normal_identity", _weighted_normal_identity_residual(g, ve, ve.frames)),
             ("curl_inclusion", incl / scale), ("curl_flux_sum", flux),
-            ("div_is_flux", _div_flux_residual(ve)),
+            ("div_is_flux", _div_flux_residual(g, div_constants)),
             ("bubble_vertex_values", bv), ("bubble_trace_relation", btr),
         ]:
             bump(key, value)

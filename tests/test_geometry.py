@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import affine_factor, intermediate_vertices
 
 from quadseq.geometry import (
     DegenerateCellError,
@@ -56,7 +57,7 @@ def test_intermediate_frame_line_pullbacks(random_quads):
         s1, s2 = g.s
         pts = rng.uniform(-1, 1, (25, 2))
         xt, yt = pts[:, 0], pts[:, 1]
-        phys = g.affine_factor(pts)
+        phys = affine_factor(g, pts)
         loc = g.to_local(phys)
 
         expected = {
@@ -77,7 +78,7 @@ def test_intermediate_frame_line_pullbacks(random_quads):
 
 def test_intermediate_vertices_map_back(random_quads):
     for g in random_quads:
-        mapped = g.affine_factor(g.intermediate_vertices())
+        mapped = affine_factor(g, intermediate_vertices(g))
         np.testing.assert_allclose(mapped, g.vertices, atol=1e-12 * max(1.0, g.h))
 
 

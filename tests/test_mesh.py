@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import affine_factor, intermediate_vertices
 
 from quadseq.geometry import QuadGeometry
 from quadseq.mesh import Mesh, MeshGenerationError, make_mesh
@@ -81,7 +82,7 @@ def test_intermediate_vertex_reconstruction(family):
     mesh = make_mesh(4, family, seed=13)
     for ci in range(mesh.n_cells):
         geom = mesh.cell_geometry[ci]
-        mapped = geom.affine_factor(geom.intermediate_vertices())
+        mapped = affine_factor(geom, intermediate_vertices(geom))
         np.testing.assert_allclose(mapped, geom.vertices, atol=1e-12)
 
 

@@ -269,7 +269,7 @@ def test_probe_divergence_projection_vanishes():
     geom = mesh.cell_geometry
     elt = build_vector_element(QuadGeometry(geom.local_vertices))
     sigma = vector_dof_values(geom, brinkman_sin_stream().velocity)
-    div_const = ((sigma * vector_dof_scaling(geom.h)) * elt.div_constants).sum(-1) / geom.h
+    div_const = ((sigma * vector_dof_scaling(geom.h)) * elt.divergence()[0]).sum(-1) / geom.h
     assert np.abs(div_const).max() < 1e-10
 
 
@@ -290,7 +290,7 @@ def _cell_block_inf_sup(mesh):
     loc, *_ = velocity_blocks(mesh, dm, 1.0, 1.0, DEFAULT_QUAD_ORDER,
                               lambda x, y: np.zeros(x.shape + (2,)))
     geom = mesh.cell_geometry
-    div_constants = build_vector_element(QuadGeometry(geom.local_vertices)).div_constants
+    div_constants = build_vector_element(QuadGeometry(geom.local_vertices)).divergence()[0]
     w = vector_dof_scaling(geom.h) * dm.cell_signs
     b_rows = w * div_constants / geom.h[:, None] * geom.area[:, None]
     dofs = dm.cell_dofs

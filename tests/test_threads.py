@@ -55,6 +55,7 @@ def _outcomes(monkeypatch):
 def serial():
     # One task per chunk, on the caller thread: no chunk is split.
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "TASK_CELLS", assembly.CELL_CHUNK)
         mp.setattr(assembly, "THREADED_CHUNK", assembly.CELL_CHUNK + 1)
         mp.setattr(assembly, "WORKERS", 1)
         return _outcomes(mp)
