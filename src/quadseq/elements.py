@@ -31,7 +31,15 @@ one pair of frames between the two builds (``_build_pair``).
 Every function works on a ``QuadGeometry`` of any batch shape: one cell,
 or all cells of a mesh at once, in which case the packed spans, the 16x16
 systems, their condition numbers and solves are stacked along the leading
-cell axis.
+cell axis. The span products are stacked too, one ``mul_affine`` per level
+of the chains (``_span_chain``).
+
+A build rejects a cell whose 16x16 system has a 2-norm condition number
+kappa_2 above COND_LIMIT. It clears most cells by their Frobenius condition
+number kappa_F, an upper bound on kappa_2 that it reads off the solves it
+makes anyway; the SVD of ``np.linalg.cond`` runs only on the cells kappa_F
+cannot clear by a fixed margin (``_solve_nodal``). So an element's
+``condition`` holds kappa_F, not kappa_2.
 """
 
 from __future__ import annotations
@@ -91,41 +99,50 @@ def _batched(constant_rows, geom):
     return np.broadcast_to(constant_rows, geom.h.shape + constant_rows.shape)
 
 
-def _corrector_span(geom: QuadGeometry):
-    """(..., 2, 28): the two quintic correctors c1, c2."""
-    l1, l2, l3, l4 = (geom.edge_line_coeffs[..., k, :] for k in range(4))
-    m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
+# The line forms of a cell by index into ``_forms``: the four edge lines,
+# the midlines m13 and m24, the diagonals d13 and d24.
+_L1, _L2, _L3, _L4, _M13, _M24, _D13, _D24 = range(8)
+
+
+def _forms(geom: QuadGeometry):
+    """(..., 8, 3): the line forms of the cells, in the order of the indices above."""
+    return np.concatenate([geom.edge_line_coeffs, np.stack(
+        [geom.mid_13_coeffs, geom.mid_24_coeffs, geom.diag_13_coeffs, geom.diag_24_coeffs],
+        axis=-2)], axis=-2)
+
+
+def _times(rows, which, forms, factors):
+    """Row ``which[j]`` of the packed rows (..., k, 28) times form ``factors[j]``
+    of ``forms``, for every j: one ``mul_affine`` on stacked operands."""
+    return mul_affine(rows[..., which, :], forms[..., factors, :])
+
+
+def _span_chain(geom: QuadGeometry):
+    """(b, c, bubbles): b (..., 2, 28) holds b13 = l1*l3 and b24 = l2*l4,
+    c (..., 2, 28) the two quintic correctors c1, c2 and bubbles (..., 4, 28)
+    b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4.
+
+    The products are formed level by level, each level one ``mul_affine``
+    on stacked operands. Every entry is the product of the same operands in
+    the same order as a chain of one-row products, ((l1*l2)*l3)*l4 for b0,
+    say, and ``mul_affine`` works entry by entry, so the stacking changes no
+    bit; b24*m13 is formed once and serves q24 and c2.
+    """
+    F = _forms(geom)
     s1, s2 = geom.s[..., 0, None], geom.s[..., 1, None]
-
-    b13 = mul_affine(affine_row(l1), l3)
-    q13 = mul_affine(mul_affine(b13, m24), m24)
-    c1 = (
-        (s2 - 1.0) * (s2 + 1.0) * mul_affine(mul_affine(b13, m13), m24)
-        - s1 * s2 * q13
-        + s1 * mul_affine(q13, m13)
-    )
-    b24 = mul_affine(affine_row(l2), l4)
-    q24 = mul_affine(mul_affine(b24, m13), m13)
-    c2 = (
-        (s1 - 1.0) * (s1 + 1.0) * mul_affine(mul_affine(b24, m13), m24)
-        - s1 * s2 * q24
-        + s2 * mul_affine(q24, m24)
-    )
-    return np.stack([c1, c2], axis=-2)
-
-
-def _bubble_span(geom: QuadGeometry):
-    """(..., 4, 28): b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4."""
-    lines = geom.edge_line_coeffs
-    b0 = affine_row(lines[..., 0, :])
-    for k in range(1, 4):
-        b0 = mul_affine(b0, lines[..., k, :])
-    return np.stack([
-        b0,
-        mul_affine(b0, geom.mid_13_coeffs),
-        mul_affine(b0, geom.mid_24_coeffs),
-        mul_affine(mul_affine(b0, geom.diag_13_coeffs), geom.diag_24_coeffs),
-    ], axis=-2)
+    # b13, b24, l1*l2
+    b = mul_affine(affine_row(F[..., [_L1, _L2, _L1], :]), F[..., [_L3, _L4, _L2], :])
+    # b13*m24, b13*m13, b24*m13, l1*l2*l3
+    t = _times(b, [0, 0, 1, 2], F, [_M24, _M13, _M13, _L3])
+    # q13 = b13*m24*m24, b13*m13*m24, q24 = b24*m13*m13, b24*m13*m24, b0
+    u = _times(t, [0, 1, 2, 2, 3], F, [_M24, _M24, _M13, _M24, _L4])
+    # q13*m13, q24*m24, b0*m13, b0*m24, b0*d13
+    v = _times(u, [0, 2, 4, 4, 4], F, [_M13, _M24, _M13, _M24, _D13])
+    c1 = (s2 - 1.0) * (s2 + 1.0) * u[..., 1, :] - s1 * s2 * u[..., 0, :] + s1 * v[..., 0, :]
+    c2 = (s1 - 1.0) * (s1 + 1.0) * u[..., 3, :] - s1 * s2 * u[..., 2, :] + s2 * v[..., 1, :]
+    bubbles = np.stack([u[..., 4, :], v[..., 2, :], v[..., 3, :],
+                        _times(v, [4], F, [_D24])[..., 0, :]], axis=-2)
+    return b[..., :2, :], np.stack([c1, c2], axis=-2), bubbles
 
 
 def _stream_span(geom: QuadGeometry):
@@ -136,8 +153,7 @@ def _stream_span(geom: QuadGeometry):
     # n = 64 read 134.5 against 135.5 MB (medians of five runs).
     C = np.empty(geom.h.shape + (16, len(MONOMIALS)))
     C[..., :10, :] = _CUBICS
-    C[..., 10:12, :] = _corrector_span(geom)
-    C[..., 12:, :] = _bubble_span(geom)
+    _, C[..., 10:12, :], C[..., 12:, :] = _span_chain(geom)
     return C
 
 
@@ -205,16 +221,52 @@ def _dof_residuals(D):
     return np.abs(D[..., :12, :] - np.eye(12)).max((-2, -1)), np.abs(D[..., 12:, :]).max((-2, -1))
 
 
+# A cell whose kappa_F sits below COND_LIMIT / _COND_MARGIN is accepted
+# without an SVD. kappa_F bounds kappa_2 from above in exact arithmetic. The
+# LU solves are backward stable, so the computed inverse, and with it
+# kappa_F, is off by a relative c * u * kappa_2 <= 1e-4 or so where kappa_2
+# <= COND_LIMIT / _COND_MARGIN, and the SVD's smallest singular value by as
+# little: a margin of 16 leaves np.linalg.cond far below the limit on every
+# cell it clears. (On a 16x16 matrix kappa_F <= 16 kappa_2, so the margin
+# sends to the SVD only cells with kappa_2 above COND_LIMIT / 256.)
+_COND_MARGIN = 16.0
+
+
 def _solve_nodal(D: np.ndarray, n_basis: int, index):
-    cond = np.linalg.cond(D)
-    _check(~np.isfinite(cond) | (cond > COND_LIMIT), ElementConditioningError,
-           f"local DoF matrix condition number exceeds {COND_LIMIT:.0e}", cond, index)
+    """Span weights (..., 16, n_basis) of the nodal basis, and kappa_F(D).
+
+    COND_LIMIT is a bound on kappa_2(D), which ``np.linalg.cond`` computes
+    by an SVD. That SVD runs only on the cells whose Frobenius condition
+    number kappa_F = |D|_F |D^-1|_F >= kappa_2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 6) cannot clear the limit by
+    _COND_MARGIN, or on every cell if a solve finds D singular; it rejects
+    the same cells as an SVD of all of them, naming the first and its
+    kappa_2. D^-1 is the first, unrefined solve together with a solve for
+    the remaining identity columns: a solve for all columns at once would
+    give other last bits in the first ones.
+    """
     rhs = np.zeros((D.shape[-1], n_basis))
     rhs[:n_basis, :] = np.eye(n_basis)
-    X = np.linalg.solve(D, rhs)
+    try:
+        X = np.linalg.solve(D, rhs)
+        rest = np.linalg.solve(D, np.eye(D.shape[-1])[:, n_basis:])
+        inv_sq = (X * X).sum((-2, -1)) + (rest * rest).sum((-2, -1))
+        kappa = np.sqrt((D * D).sum((-2, -1)) * inv_sq)
+        doubt = ~(kappa <= COND_LIMIT / _COND_MARGIN)
+    except np.linalg.LinAlgError:
+        X, kappa, doubt = None, None, np.ones(D.shape[:-2], bool)
+    if doubt.any():
+        if D.ndim > 2:
+            cond, index = np.linalg.cond(D[doubt]), np.asarray(index)[doubt]
+        else:
+            cond = np.linalg.cond(D)
+        _check(~np.isfinite(cond) | (cond > COND_LIMIT), ElementConditioningError,
+               f"local DoF matrix condition number exceeds {COND_LIMIT:.0e}", cond, index)
+    if X is None:  # singular to the LU but not to the SVD: raise as the solve does
+        X = np.linalg.solve(D, rhs)
     for _ in range(2):  # iterative refinement
         X += np.linalg.solve(D, rhs - D @ X)
-    return X, cond
+    return X, kappa
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +281,9 @@ class ScalarElement:
     (x - b) / h; ``coeff_matrix`` (..., 12, 28) holds them packed over the
     monomial table. A build also keeps the monomial frames it formed the
     DoF rows on (``frames``), those rows (``dof_matrix``) and their
-    condition numbers (``condition``). The diagnostics (``dof_residuals``,
+    Frobenius condition numbers kappa_F (``condition``), an upper bound on
+    the kappa_2 that COND_LIMIT bounds: the SVD behind kappa_2 runs only on
+    the cells whose kappa_F cannot clear the limit. The diagnostics (``dof_residuals``,
     ``aggregation``, ``aux_matrix``) are computed on each call, read
     ``frames`` or ``dof_matrix`` and carry the geometry's batch shape.
     """
@@ -350,7 +404,9 @@ class VectorElement:
     table in cell-local coordinates, formed from the x- and y-components
     of the span and its weights ``solution`` (..., 16, 12); every basis
     field has constant divergence (``divergence``). ``frames`` and
-    ``condition`` are as for ``ScalarElement``, and so are the diagnostics
+    ``condition`` (kappa_F, an upper bound on kappa_2; the SVD runs only
+    where kappa_F cannot clear COND_LIMIT) are as for ``ScalarElement``,
+    and so are the diagnostics
     (``dof_residuals``, ``divergence``), computed on each call.
     """
 
@@ -528,35 +584,29 @@ def det_oracles(s1, s2):
 # Tangential-derivative functionals: (edge index, vertex index), zero-based.
 _LAMBDA_NODES = [(1, 1), (1, 2), (3, 3), (3, 0)]
 _MU_NODES = [(0, 0), (0, 1), (2, 2), (2, 3)]
+# Row i: the edge lines other than l_i, in order.
+_OTHER_LINES = np.array([[m for m in range(4) if m != i] for i in range(4)])
 
 
 def _unisolvency_rows(geom: QuadGeometry):
     """Packed polynomials (..., 4, 28) whose tangential derivatives make M
-    and N, and (..., 4, 4, 28) whose edge means along edge i make row i of B-."""
-    lines = [geom.edge_line_coeffs[..., k, :] for k in range(4)]
-    l1, l2, l3, l4 = lines
-    d13, d24 = geom.diag_13_coeffs, geom.diag_24_coeffs
-    m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
-    c1, c2 = np.moveaxis(_corrector_span(geom), -2, 0)
+    and N, and (..., 4, 4, 28) whose edge means along edge i make row i of B-.
+    The products are stacked level by level, as in ``_span_chain``."""
+    F = _forms(geom)
+    b, c, _ = _span_chain(geom)
+    # b13 * {l4, l2, d13}, b24 * {l1, l3, d24}
+    pq = _times(b, [0, 0, 0, 1, 1, 1], F, [_L4, _L2, _D13, _L1, _L3, _D24])
+    P = np.concatenate([pq[..., :3, :], c[..., :1, :]], axis=-2)
+    Q = np.concatenate([pq[..., 3:, :], c[..., 1:, :]], axis=-2)
 
-    b13 = mul_affine(affine_row(l1), l3)
-    b24 = mul_affine(affine_row(l2), l4)
-    P = np.stack([mul_affine(b13, l4), mul_affine(b13, l2), mul_affine(b13, d13), c1], axis=-2)
-    Q = np.stack([mul_affine(b24, l1), mul_affine(b24, l3), mul_affine(b24, d24), c2], axis=-2)
-
-    B = []
-    for i in range(4):
-        others = _batched(affine_row([1.0, 0.0, 0.0]), geom)
-        for m in range(4):
-            if m != i:
-                others = mul_affine(others, lines[m])
-        B.append(np.stack([
-            others,
-            mul_affine(others, m13),
-            mul_affine(others, m24),
-            mul_affine(mul_affine(others, d13), d24),
-        ], axis=-2))
-    return P, Q, np.stack(B, axis=-3)
+    # Row i: 1 times the three edge lines other than l_i, in order.
+    others = _batched(affine_row([[1.0, 0.0, 0.0]] * 4), geom)
+    for level in range(3):
+        others = mul_affine(others, F[..., _OTHER_LINES[:, level], :])
+    # others * {m13, m24, d13}, then (others * d13) * d24
+    e = _times(others, [0, 1, 2, 3] * 3, F, [_M13] * 4 + [_M24] * 4 + [_D13] * 4)
+    dd = _times(e, [8, 9, 10, 11], F, [_D24] * 4)
+    return P, Q, np.stack([others, e[..., :4, :], e[..., 4:8, :], dd], axis=-2)
 
 
 def numeric_unisolvency_matrices(geom: QuadGeometry):

@@ -4,9 +4,11 @@ A polynomial is a row of 28 coefficients over ``MONOMIALS`` (ordered by
 total degree, x-power descending), and a set of polynomials is a (..., k, 28)
 coefficient matrix. ``DX`` and ``DY`` differentiate packed rows (``C @ DX.T``),
 ``mul_affine`` multiplies them by affine forms (c0, cx, cy), which builds
-the element spans from their line forms, and ``vandermonde`` evaluates them
-(``C @ vandermonde(points).T``), so element assembly evaluates fixed
-polynomial sets at many points with a couple of small matrix products.
+the element spans from their line forms (entry by entry, so one call on
+stacked rows and forms gives the bits of one call per row), and
+``vandermonde`` evaluates them (``C @ vandermonde(points).T``), so element
+assembly evaluates fixed polynomial sets at many points with a couple of
+small matrix products.
 
 Degree 6 is the largest degree of the element spans (the bubble
 b0 * d13 * d24, b0 the product of the four edge lines); the vector span is

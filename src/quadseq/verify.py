@@ -29,9 +29,11 @@ certificate is the same bit for bit for every slice size.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .assembly import _slices
 from .elements import (
@@ -50,7 +52,7 @@ from .elements import (
     vector_dof_values,
 )
 from .geometry import REF_CORNERS, QuadGeometry
-from .mesh import _seed, make_mesh
+from .mesh import _integer, _seed, make_mesh
 from .poly import DX, DY
 
 __all__ = ["ElementCertificate", "element_certificate", "random_convex_quads"]
@@ -84,32 +86,81 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
     bounded-anisotropy stretch; unbounded affines exercise the
     affine-invariant checks (the unisolvency determinants), bounded ones the
     coefficient-space identities whose meaningful tolerance assumes
-    reasonably shaped cells.
+    reasonably shaped cells. ``samples`` must be an integer of at least 1,
+    ``max_skew`` lie in [0, 1) and ``max_aspect`` be None or a finite number
+    of at least 1; ``ValueError`` names the argument that is not.
+
+    Each candidate cell reads the next uniform draws of the seeded stream
+    (``Generator.uniform`` is ``low + (high - low) * Generator.random``):
+    two for the shape vector, which is rejected outside the diamond, then
+    four for an unbounded affine factor, rejected if its determinant is
+    below 0.25, then a scale and a translation; with ``max_aspect`` two
+    angles and a stretch, then the scale and the translation, and no
+    rejection. The draws come in blocks of _DRAW_BLOCK, both tests are
+    evaluated at every offset of a block at once, and the chain of
+    candidates steps through the offsets by 2, 6 or 9 draws (2 or 8 with
+    ``max_aspect``). The accepted cells are then built together.
     """
+    samples = _integer(samples, "samples")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not _is_real(max_skew) or not 0.0 <= max_skew < 1.0:
+        raise ValueError(f"max_skew must lie in [0, 1), got {max_skew!r}")
+    if max_aspect is not None and (not _is_real(max_aspect) or not 1.0 <= max_aspect < np.inf):
+        raise ValueError(f"max_aspect must be None or a finite number >= 1, got {max_aspect!r}")
     rng = np.random.default_rng(_seed(seed))
-    out = []
-    while len(out) < samples:
-        s = rng.uniform(-max_skew, max_skew, 2)
-        if abs(s[0]) + abs(s[1]) > max_skew:
-            continue
-        verts = REF_CORNERS + np.array([1.0, -1.0, 1.0, -1.0])[:, None] * s[None, :]
-        if max_aspect is None:
-            L = rng.uniform(-1.0, 1.0, (2, 2))
-            if np.linalg.det(L) < 0.25:
-                continue
-        else:
-            th1, th2 = rng.uniform(0, 2 * np.pi, 2)
+    bounded = max_aspect is not None
+    step = 8 if bounded else 9  # the draws of an accepted candidate
+    u, outside, low_det, starts, p = np.empty(0), [], [], [], 0
+    while len(starts) < samples:
+        u = np.concatenate([u, rng.random(_DRAW_BLOCK)])
+        lo, hi = len(outside), len(u) - step + 1  # the offsets new to this block
+        s = _uniform(u[lo:hi + 1], -max_skew, max_skew)
+        outside += (np.abs(s[:-1]) + np.abs(s[1:]) > max_skew).tolist()
+        if not bounded:
+            L = _uniform(sliding_window_view(u[lo + 2:hi + 5], 4), -1.0, 1.0)
+            low_det += (np.linalg.det(L.reshape(-1, 2, 2)) < 0.25).tolist()
+        while p < hi and len(starts) < samples:
+            if outside[p]:
+                p += 2
+            elif not bounded and low_det[p]:
+                p += 6
+            else:
+                starts.append(p)
+                p += step
 
-            def rot(t):
-                return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    d = u[np.array(starts)[:, None] + np.arange(step)]
+    s = _uniform(d[:, :2], -max_skew, max_skew)
+    verts = REF_CORNERS + np.array([1.0, -1.0, 1.0, -1.0])[:, None] * s[:, None, :]
+    if bounded:
+        th = _uniform(d[:, 2:4], 0.0, 2 * np.pi)
+        stretch = np.zeros((samples, 2, 2))
+        stretch[:, 0, 0], stretch[:, 1, 1] = 1.0, 1.0 / _uniform(d[:, 4], 1.0, max_aspect)
+        L = _rotations(th[:, 0]) @ stretch @ _rotations(th[:, 1])
+        flip = np.linalg.det(L) < 0
+        L[flip] = L[flip] @ np.diag([1.0, -1.0])
+    else:
+        L = _uniform(d[:, 2:6], -1.0, 1.0).reshape(-1, 2, 2)
+    scale = _uniform(d[:, -3], 0.5, 2.0)[:, None, None]
+    return QuadGeometry(verts @ _swap(scale * L) + _uniform(d[:, -2:], -3.0, 3.0)[:, None, :])
 
-            a = rng.uniform(1.0, max_aspect)
-            L = rot(th1) @ np.diag([1.0, 1.0 / a]) @ rot(th2)
-            if np.linalg.det(L) < 0:
-                L = L @ np.diag([1.0, -1.0])
-        scale = rng.uniform(0.5, 2.0)
-        out.append(verts @ (scale * L).T + rng.uniform(-3, 3, 2))
-    return QuadGeometry(np.stack(out))
+
+_DRAW_BLOCK = 8192  # uniform draws per block of the sample stream
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _uniform(u, low, high):
+    """``Generator.uniform(low, high)`` from the draws ``u`` of ``Generator.random``."""
+    return low + (high - low) * u
+
+
+def _rotations(theta):
+    """Rotation matrices (..., 2, 2) by the angles ``theta``."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 # The residual helpers below take geometries and elements of any batch shape
@@ -222,7 +273,7 @@ def _bubble_residuals(scalar_elt):
     """Vertex values and trace relation of the bubbles of the scalar span,
     on the element's frames."""
     geom = scalar_elt.geometry
-    C = scalar_elt.span[..., 12:, :]  # the bubbles (``elements._bubble_span``)
+    C = scalar_elt.span[..., 12:, :]  # the bubbles (``elements._span_chain``)
     Cx, Cy = C @ DX.T, C @ DY.T
     h = geom.h[..., None, None]
     Vv, Ve = scalar_elt.frames

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import NEAR_FLAT, squares_with
+
 import quadseq.assembly as assembly
 import quadseq.cli as cli
 import quadseq.elements as elements
@@ -140,27 +142,11 @@ def test_bad_mesh_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert "cell 1" in capsys.readouterr().err
 
 
-NEAR_FLAT = 1.0 - 2.0**-20
-
-
-def _squares_with(bad):
-    """Separate unit squares, with a nearly degenerate convex quad of shape
-    vector ``bad[k]`` at each index k. Every translation is by an even
-    integer, so with NEAR_FLAT entries all bad cells of one shape vector
-    share their unit shape bit for bit."""
-    count = max(bad) + 5
-    quads = [np.array(SQUARE, dtype=float) + [2.0 * k, 0.0] for k in range(count)]
-    for k, shape in bad.items():
-        quads[k] = (np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-                    + np.array([1.0, -1.0, 1.0, -1.0])[:, None] * shape + [2.0 * k, 0.0])
-    return Mesh(np.concatenate(quads), np.arange(4 * count).reshape(-1, 4))
-
-
 def test_conditioning_error_names_the_mesh_cell():
     # Separate unit squares and one nearly degenerate convex quad placed in
     # the second element batch: the error names its index in the mesh.
     bad = CELL_CHUNK + 3
-    mesh = _squares_with({bad: (0.999999, 0.0)})
+    mesh = squares_with({bad: (0.999999, 0.0)})
     with pytest.raises(ElementConditioningError, match=f"cell {bad}:"):
         assemble_fourth_order(mesh, 1.0, lambda x, y: np.zeros_like(x))
 
@@ -175,7 +161,7 @@ def test_conditioning_error_names_the_first_cell_of_a_repeated_shape(bad):
     # A bad shape that repeats is built once per chunk, on the first cell of
     # the chunk that has it, and shapes are built in order of their first
     # cell: the error names the lowest bad index.
-    mesh = _squares_with(bad)
+    mesh = squares_with(bad)
     unit = mesh.cell_geometry.local_vertices
     assert all(np.array_equal(unit[k], unit[j]) for k in bad for j in bad if bad[k] == bad[j])
     with pytest.raises(ElementConditioningError, match=f"cell {min(bad)}:"):

@@ -21,10 +21,10 @@ from quadseq.elements import (
     _EDGE_T,
     _EDGE_W,
     _NEXT,
-    _bubble_span,
     _edge_means,
     _frames,
     _scalar_dof_rows,
+    _span_chain,
     _swap,
     _vector_dof_rows,
     build_scalar_element,
@@ -172,7 +172,7 @@ def _reproduction_oracle(geom):
 
 
 def _bubble_oracle(geom):
-    C = _bubble_span(geom)
+    C = _span_chain(geom)[2]
     Cx, Cy = C @ DX.T, C @ DY.T
     h = geom.h[..., None, None]
     Vv, Ve = _frames(geom)

@@ -7,9 +7,8 @@ from quadseq.elements import (
     ElementConditioningError,
     ScalarElement,
     VectorElement,
-    _bubble_span,
-    _corrector_span,
     _frames,
+    _span_chain,
     _stream_span,
     _unisolvency_rows,
     _vector_span,
@@ -20,6 +19,11 @@ from quadseq.elements import (
     numeric_dets,
     scalar_dof_values,
     vector_dof_values,
+)
+from conftest import (
+    reference_bubble_span,
+    reference_corrector_span,
+    reference_unisolvency_rows,
 )
 from quadseq.geometry import NonConvexCellError, QuadGeometry
 from quadseq.mesh import make_mesh
@@ -99,7 +103,7 @@ def test_correctors_reduce_on_rectangle():
         loc = g.to_local(g.map_reference(rng.uniform(-1, 1, (40, 2))))
         l1, l2, l3, l4 = (_affine(c, loc) for c in g.edge_line_coeffs)
         mm = _affine(g.mid_13_coeffs, loc) * _affine(g.mid_24_coeffs, loc)
-        vals = vandermonde(loc) @ _corrector_span(g).T
+        vals = vandermonde(loc) @ _span_chain(g)[1].T
         np.testing.assert_allclose(vals[:, 0], -(l1 * l3 * mm), rtol=0, atol=1e-13)
         np.testing.assert_allclose(vals[:, 1], -(l2 * l4 * mm), rtol=0, atol=1e-13)
 
@@ -107,13 +111,13 @@ def test_correctors_reduce_on_rectangle():
 def test_correctors_vanish_at_vertices():
     for v in random_convex_quads(100, seed=21, max_skew=0.8, max_aspect=2.0).vertices:
         g = QuadGeometry(v)
-        vals = _corrector_span(g) @ vandermonde(g.local_vertices).T
+        vals = _span_chain(g)[1] @ vandermonde(g.local_vertices).T
         assert np.abs(vals).max() < 1e-13
 
 
 def test_correctors_satisfy_edge_mean_identity(random_quads):
     for g in random_quads[:10]:
-        resid = _edge_mean_identity_residual(g, _corrector_span(g), _frames(g))
+        resid = _edge_mean_identity_residual(g, _span_chain(g)[1], _frames(g))
         assert resid < 1e-12
 
 
@@ -197,7 +201,7 @@ def test_edge_mean_identity_cubic_example(unit_square):
 
 def test_bubbles_vanish_at_vertices(random_quads):
     for g in random_quads[:10]:
-        C = _bubble_span(g)
+        C = _span_chain(g)[2]
         V = vandermonde(g.local_vertices).T
         assert np.abs(C @ V).max() < 1e-13
         assert np.abs((C @ DX.T) @ V).max() < 1e-13
@@ -215,7 +219,31 @@ def test_spans_stay_within_degree_six():
     for g in [m.cell_geometry for m in meshes] + [random_convex_quads(200, seed=5)]:
         for rows in (_stream_span(g), *_vector_span(g, _stream_span(g)), *_unisolvency_rows(g)):
             assert rows.shape[-1] == len(MONOMIALS)
-        assert _bubble_span(g)[..., 3, top].any(-1).all()
+        assert _span_chain(g)[2][..., 3, top].any(-1).all()
+
+
+def _span_geometries():
+    meshes = [make_mesh(8, "rectangular"), make_mesh(8, "trapezoidal"),
+              make_mesh(8, "random", seed=3), make_mesh(16, "random", seed=1)]
+    batches = [m.cell_geometry for m in meshes]
+    batches += [QuadGeometry(g.local_vertices) for g in batches]
+    batches += [random_convex_quads(300, 2), random_convex_quads(200, 3, 0.8, 2.0)]
+    return batches + [g[k] for g in batches[-3:] for k in (0, 7, 41)]
+
+
+@pytest.mark.parametrize("geom", _span_geometries())
+def test_stacked_span_chains_keep_the_bits_of_one_product_at_a_time(geom):
+    # The chains of ``_span_chain`` and ``_unisolvency_rows`` multiply stacked
+    # operands level by level; every entry must equal, bit for bit, the
+    # chain of one-row products it replaces (reference copies in conftest).
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    stream = _stream_span(geom)
+    assert same(stream[..., 10:12, :], reference_corrector_span(geom))
+    assert same(stream[..., 12:, :], reference_bubble_span(geom))
+    for rows, ref in zip(_unisolvency_rows(geom), reference_unisolvency_rows(geom)):
+        assert same(rows, ref)
 
 
 def test_conditioning_error_on_near_degenerate():
@@ -384,7 +412,7 @@ def _weighted_normal_identity_loop(geom, elt):
 
 
 def _bubble_trace_loop(geom):
-    C = _bubble_span(geom)
+    C = _span_chain(geom)[2]
     Cx, Cy = C @ DX.T, C @ DY.T
     h = geom.h[..., None, None]
     worst = 0.0

@@ -48,6 +48,23 @@ def test_product_past_the_table_raises():
         mul_affine(rows, lines[::-1])
 
 
+def test_product_past_the_table_raises_on_stacked_operands():
+    # The span chains multiply (cells, products, 28) stacks: one entry of
+    # degree 6 times a non-constant form fails the whole stack.
+    rows = np.zeros((3, 4, len(MONOMIALS)))
+    rows[..., 0] = 1.0
+    rows[1, 2] = packed({(3, 3): 1.0})
+    forms = np.broadcast_to(X, (3, 4, 3)).copy()
+    forms[1, 2] = [2.0, 0.0, 0.0]
+    np.testing.assert_array_equal(mul_affine(rows, forms)[1, 2], packed({(3, 3): 2.0}))
+    forms[1, 2] = Y
+    with pytest.raises(ValueError, match="degree 7"):
+        mul_affine(rows, forms)
+    with pytest.raises(ValueError, match="degree 7"):
+        mul_affine(rows[:, 2:], forms[:, 2:])
+    mul_affine(rows[:, :2], forms[:, :2])
+
+
 def test_vandermonde_keeps_the_monomial_axis_outermost():
     """The table is a fancy-index gather, whose monomial axis has the
     largest stride. A C-contiguous gather (``np.take``) of the same values
