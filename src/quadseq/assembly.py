@@ -76,6 +76,20 @@ arenas), is handed back to the system just before the scalar factor and the
 stream factor (``_release_freed_memory``). Together these took the peak RSS
 of the random-mesh scalar study to n = 64 from 151 to about 137 MB, and of
 the Stokes study on rectangular meshes from 122 to about 111 MB.
+
+scipy is imported by the first sparse call, not with the module. Each
+sparse entry point (``cell_matrix``, ``solve``, ``_factor_spd`` and
+``_StreamSolver``) first binds ``scipy.sparse`` and ``scipy.sparse.linalg``
+as the module globals ``sp`` and ``spla`` (``_bind_sparse``), and before
+that the module ``__getattr__`` serves ``assembly.sp`` and
+``assembly.spla`` to readers outside. A name already bound keeps its
+binding, so a stand-in put in ``spla`` (a test's recorder, the
+benchmark's tracer) takes every ``splu`` call. The elements, the element
+certificate and the meshes need only numpy, and ``import quadseq`` no
+longer pays for scipy: cold starts went from 0.41 to 0.18 s and from 62
+to 35 MB peak RSS (medians of 14, 2-vCPU x86-64, Python 3.11, SciPy
+1.17). The first assembly, solve or sequence certificate of a process
+pays the scipy import instead (about 0.18 s).
 """
 
 from __future__ import annotations
@@ -85,8 +99,6 @@ import os
 from concurrent import futures
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import build_scalar_element, build_vector_element
@@ -116,8 +128,30 @@ class SolverError(RuntimeError):
     """Direct factorization failed or left a large residual."""
 
 
+def _bind_sparse():
+    """Bind ``scipy.sparse`` and ``scipy.sparse.linalg`` as the module
+    globals ``sp`` and ``spla``, keeping a name that is already bound (a
+    stand-in put there by a test or a tracer); see the module docstring."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    globals().setdefault("sp", scipy.sparse)
+    globals().setdefault("spla", scipy.sparse.linalg)
+
+
+def __getattr__(name):
+    # Serves ``sp`` and ``spla`` to readers outside the module before the
+    # first sparse call has bound them (PEP 562).
+    if name in ("sp", "spla"):
+        _bind_sparse()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 try:  # glibc; other C libraries keep no such call, and there it does nothing
     _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
@@ -294,6 +328,7 @@ def cell_matrix(shape, blocks):
     without a copy. Int64 indices, which it copies to int32, measure within
     the run-to-run spread (about 1 MB) of the peak RSS of the random-mesh
     scalar study to n = 64: 134.4 against 135.5 MB, medians of five runs."""
+    _bind_sparse()
     idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
     rows, cols, vals = zip(*blocks)
     vals = [np.asarray(v) for v in vals]
@@ -511,6 +546,7 @@ def solve(system: SparseSystem) -> np.ndarray:
     ``system.matrix``, and a failed factorization, a non-finite solution or
     a residual above ``RESIDUAL_TOL`` raises ``SolverError``.
     """
+    _bind_sparse()
     try:
         if system.kind == "brinkman":
             x = _StreamSolver(system).solve(system.rhs)
@@ -531,6 +567,7 @@ def solve(system: SparseSystem) -> np.ndarray:
 def _factor_spd(M):
     """LU factor of a symmetric positive definite matrix, ordered on its
     symmetric structure and pivoted on the diagonal."""
+    _bind_sparse()
     return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
@@ -573,6 +610,7 @@ class _StreamSolver:
     """
 
     def __init__(self, system: SparseSystem):
+        _bind_sparse()
         mesh = system.dofmap.mesh
         chi = mesh.euler_characteristic()
         if chi != 1:

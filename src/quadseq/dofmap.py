@@ -12,7 +12,6 @@ to the vector unknowns of their rotated gradients.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import Mesh
 
@@ -99,14 +98,17 @@ class VectorDofMap:
         return out
 
 
-def curl_operator(sdm: ScalarDofMap, vdm: VectorDofMap) -> sp.csr_matrix:
-    """Sparse map taking scalar DoFs to the vector DoFs of the rotated gradient.
+def curl_operator(sdm: ScalarDofMap, vdm: VectorDofMap):
+    """Sparse CSR matrix (``scipy.sparse.csr_matrix``, imported on the first
+    call) taking scalar DoFs to the vector DoFs of the rotated gradient.
 
     Vertex part: (w_y, -w_x) at each interior vertex. Edge part: the normal
     integral of the rotated gradient equals the difference of the endpoint
     values of w taken along the edge's global tangent. No entry repeats, so
     the matrix holds exactly the values +1 and -1.
     """
+    import scipy.sparse as sp
+
     mesh = sdm.mesh
     inner = ~mesh.vertex_is_boundary
     # t_E = -(unit vector from a to b) for edge (a, b), so the integral of

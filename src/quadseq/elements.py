@@ -241,9 +241,11 @@ def _solve_nodal(D: np.ndarray, n_basis: int, index):
     Stability of Numerical Algorithms, ch. 6) cannot clear the limit by
     _COND_MARGIN, or on every cell if a solve finds D singular; it rejects
     the same cells as an SVD of all of them, naming the first and its
-    kappa_2. D^-1 is the first, unrefined solve together with a solve for
-    the remaining identity columns: a solve for all columns at once would
-    give other last bits in the first ones.
+    kappa_2. A D holding a NaN or an infinity is never cleared, and the SVD
+    cannot run on it, so the first such cell among those sent to it is
+    named before the SVD runs. D^-1 is the first, unrefined solve together
+    with a solve for the remaining identity columns: a solve for all
+    columns at once would give other last bits in the first ones.
     """
     rhs = np.zeros((D.shape[-1], n_basis))
     rhs[:n_basis, :] = np.eye(n_basis)
@@ -256,10 +258,12 @@ def _solve_nodal(D: np.ndarray, n_basis: int, index):
     except np.linalg.LinAlgError:
         X, kappa, doubt = None, None, np.ones(D.shape[:-2], bool)
     if doubt.any():
+        suspect = D
         if D.ndim > 2:
-            cond, index = np.linalg.cond(D[doubt]), np.asarray(index)[doubt]
-        else:
-            cond = np.linalg.cond(D)
+            suspect, index = D[doubt], np.asarray(index)[doubt]
+        _check(~np.isfinite(suspect).all((-2, -1)), ElementConditioningError,
+               "local DoF matrix is not finite", index=index)
+        cond = np.linalg.cond(suspect)
         _check(~np.isfinite(cond) | (cond > COND_LIMIT), ElementConditioningError,
                f"local DoF matrix condition number exceeds {COND_LIMIT:.0e}", cond, index)
     if X is None:  # singular to the LU but not to the SVD: raise as the solve does

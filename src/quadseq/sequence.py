@@ -30,7 +30,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .assembly import _StreamSolver, _slices, assemble_brinkman, cell_matrix, scalar_dof_scaling
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
@@ -132,6 +131,8 @@ def _curl_rank(C):
     the singular values of the dense C. The fixed start vector makes
     repeated calls bit-identical.
     """
+    from scipy.sparse.linalg import eigsh
+
     n_s = C.shape[1]
     if n_s == 0:
         return 0, 0.0
@@ -271,6 +272,8 @@ def inf_sup_constant(mesh: Mesh) -> float:
     so does a mesh whose Euler characteristic is not 1, which the sweep
     cannot solve on.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     if mesh.n_cells < 2:
         raise ValueError("the mean-zero pressure space of a one-cell mesh is empty, "
                          "so it has no inf-sup constant")

@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -439,6 +440,14 @@ def test_solve_without_malloc_trim_is_bitwise_equal(kind, monkeypatch):
     x = solve(system)
     monkeypatch.setattr(assembly, "_malloc_trim", None)
     assert np.array_equal(solve(system), x)
+
+
+@pytest.mark.skipif(assembly._malloc_trim is None, reason="the C library has no malloc_trim")
+def test_malloc_trim_declares_its_signature():
+    # int malloc_trim(size_t pad): without argtypes ctypes would pass a
+    # Python int as a C int.
+    assert assembly._malloc_trim.argtypes == [ctypes.c_size_t]
+    assert assembly._malloc_trim.restype is ctypes.c_int
 
 
 def _annulus():

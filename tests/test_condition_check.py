@@ -119,15 +119,21 @@ def test_condition_check_decides_as_an_svd_of_every_cell(batch, kind):
     assert (kappa >= np.linalg.cond(D)).all()
 
 
-@pytest.mark.parametrize("breaking", ["zero", "repeated row"])
+@pytest.mark.parametrize("breaking", ["zero", "repeated row", "nan", "inf"])
 def test_a_singular_dof_matrix_is_named(breaking):
     geom = _unit(random_convex_quads(6, 2, max_skew=0.5, max_aspect=2.0))
     D = _dof_rows(geom, "scalar")
     if breaking == "zero":
         D[4] = 0.0
-    else:
+    elif breaking == "repeated row":
         D[4, 7] = D[4, 3]
-    with pytest.raises(ElementConditioningError, match="cell 4: "):
+    else:  # the SVD behind np.linalg.cond cannot run on it
+        D[4, 2, 5] = np.nan if breaking == "nan" else np.inf
+    what = "is not finite" if breaking in ("nan", "inf") else "condition number"
+    with pytest.raises(ElementConditioningError, match=f"^cell 4: local DoF matrix {what}"):
         _solve_nodal(D, 12, geom.index)
-    with pytest.raises(ElementConditioningError, match="^local DoF"):
+    with pytest.raises(ElementConditioningError, match=f"^local DoF matrix {what}"):
         _solve_nodal(D[4], 12, geom.index[4])
+    ok = np.arange(len(D)) != 4
+    X, _ = _solve_nodal(D[ok], 12, geom.index[ok])
+    assert np.array_equal(X, _refined_solve(D[ok]))
