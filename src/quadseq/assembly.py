@@ -11,7 +11,7 @@ at every mesh size. The physical local matrices follow from the unit-shape
 integrals by exact powers of the cell diameter together with a diagonal DoF
 rescaling (gradient DoFs scale with h in the scalar element, edge-integral
 DoFs with 1/h in the vector element). User callables are evaluated once per
-mesh on point arrays of shape (n_cells, npts), and checked (``_source``).
+mesh on point arrays of shape (n_cells, npts), and checked (``_values``).
 
 Within each chunk, cells whose unit shapes agree bit for bit share one
 element: ``unit_shape_elements`` builds each distinct shape once, the
@@ -349,16 +349,17 @@ def cell_matrix(shape, blocks):
     return sp.coo_matrix((fill(vals, np.result_type(*vals))[keep], (rows, cols)), shape=shape)
 
 
-def _source(fn, name, x, shape):
-    """Float values (``shape``) of the source ``fn`` at the points x; raises
-    ``ValueError`` naming it on a wrong shape or type or a non-finite value."""
+def _values(fn, name, x, shape):
+    """Float values (``shape``) of the user callable ``fn`` at the points x
+    (n_cells, npts, 2); raises ``ValueError`` naming it (as "source f") on a
+    wrong shape or type, or it and its first cell on a non-finite value."""
     values = np.asarray(fn(x[..., 0], x[..., 1]))
     if values.shape != shape or values.dtype.kind not in "biuf":
-        raise ValueError(f"source {name} must return real numbers of shape {shape} on points "
+        raise ValueError(f"{name} must return real numbers of shape {shape} on points "
                          f"of shape {x.shape[:-1]}, got {values.dtype} of shape {values.shape}")
     values = np.asarray(values, dtype=float)
     _check(~np.isfinite(values).reshape(len(values), -1).all(-1), ValueError,
-           f"source {name} is not finite at a quadrature point")
+           f"{name} is not finite at a quadrature point")
     return values
 
 
@@ -417,7 +418,7 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     dm = ScalarDofMap(mesh)
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
-    fv = _source(f, "f", x, x.shape[:-1])
+    fv = _values(f, "source f", x, x.shape[:-1])
     A_hat, B_hat = np.empty((mesh.n_cells, 12, 12)), np.empty((mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
 
@@ -492,7 +493,7 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     rhs = _load(dofs, w * F_hat * h2, ndof)
     del F_hat
     if g is not None:
-        rhs[p_dofs] -= _dot(wts, _source(g, "g", x, x.shape[:-1])) * h2[:, 0]
+        rhs[p_dofs] -= _dot(wts, _values(g, "source g", x, x.shape[:-1])) * h2[:, 0]
     del x, wts  # blocks, loads and points are freed before the CSR conversion
     return SparseSystem(K, rhs, "brinkman", dm, n_velocity=n_u, n_pressure=n_p,
                         elements=elements)
@@ -510,7 +511,7 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
     """
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, g)
-    fv = _source(f, "f", x, x.shape[:-1] + (2,))
+    fv = _values(f, "source f", x, x.shape[:-1] + (2,))
     G_hat, M_hat = np.empty((mesh.n_cells, 12, 12)), np.empty((mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mesh import _integer
+
 __all__ = [
     "ScalarCase",
     "BrinkmanCase",
@@ -55,10 +57,10 @@ def scalar_sin_squared(frequency: int = 1) -> ScalarCase:
     """u = sin^2(k pi x) sin^2(k pi y); clamped on the unit square.
 
     The default k = 1 is the solution behind the reference convergence
-    tables for the fourth-order problem.
+    tables for the fourth-order problem. k must be an integer of at least
+    1, as u is clamped only then; ``ValueError`` names it otherwise.
     """
-    if frequency < 1:
-        raise ValueError(f"frequency must be at least 1, got {frequency}")
+    frequency = _integer(frequency, "frequency", 1)
     g, g1, g2, g3, g4 = _sin_sq_derivatives(frequency * np.pi)
 
     def u(x, y):

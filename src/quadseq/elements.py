@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import QuadGeometry, NonConvexCellError, _check, _pow2
+from .geometry import _D13, _D24, _L1, _L2, _L3, _L4, _M13, _M24, NonConvexCellError
+from .geometry import QuadGeometry, _check, _pow2
 from .poly import DX, DY, MONOMIALS, affine_row, mul_affine, vandermonde
 from .quadrature import gauss01
 
@@ -99,18 +100,6 @@ def _batched(constant_rows, geom):
     return np.broadcast_to(constant_rows, geom.h.shape + constant_rows.shape)
 
 
-# The line forms of a cell by index into ``_forms``: the four edge lines,
-# the midlines m13 and m24, the diagonals d13 and d24.
-_L1, _L2, _L3, _L4, _M13, _M24, _D13, _D24 = range(8)
-
-
-def _forms(geom: QuadGeometry):
-    """(..., 8, 3): the line forms of the cells, in the order of the indices above."""
-    return np.concatenate([geom.edge_line_coeffs, np.stack(
-        [geom.mid_13_coeffs, geom.mid_24_coeffs, geom.diag_13_coeffs, geom.diag_24_coeffs],
-        axis=-2)], axis=-2)
-
-
 def _times(rows, which, forms, factors):
     """Row ``which[j]`` of the packed rows (..., k, 28) times form ``factors[j]``
     of ``forms``, for every j: one ``mul_affine`` on stacked operands."""
@@ -128,7 +117,7 @@ def _span_chain(geom: QuadGeometry):
     say, and ``mul_affine`` works entry by entry, so the stacking changes no
     bit; b24*m13 is formed once and serves q24 and c2.
     """
-    F = _forms(geom)
+    F = geom.forms
     s1, s2 = geom.s[..., 0, None], geom.s[..., 1, None]
     # b13, b24, l1*l2
     b = mul_affine(affine_row(F[..., [_L1, _L2, _L1], :]), F[..., [_L3, _L4, _L2], :])
@@ -232,8 +221,8 @@ def _dof_residuals(D):
 _COND_MARGIN = 16.0
 
 
-def _solve_nodal(D: np.ndarray, n_basis: int, index):
-    """Span weights (..., 16, n_basis) of the nodal basis, and kappa_F(D).
+def _solve_nodal(D: np.ndarray, index):
+    """Span weights (..., 16, 12) of the nodal basis, and kappa_F(D).
 
     COND_LIMIT is a bound on kappa_2(D), which ``np.linalg.cond`` computes
     by an SVD. That SVD runs only on the cells whose Frobenius condition
@@ -247,11 +236,11 @@ def _solve_nodal(D: np.ndarray, n_basis: int, index):
     with a solve for the remaining identity columns: a solve for all
     columns at once would give other last bits in the first ones.
     """
-    rhs = np.zeros((D.shape[-1], n_basis))
-    rhs[:n_basis, :] = np.eye(n_basis)
+    identity = np.eye(D.shape[-1])
+    rhs = identity[:, :12]  # the DoF columns; the rest belong to the constraint rows
     try:
         X = np.linalg.solve(D, rhs)
-        rest = np.linalg.solve(D, np.eye(D.shape[-1])[:, n_basis:])
+        rest = np.linalg.solve(D, identity[:, 12:])
         inv_sq = (X * X).sum((-2, -1)) + (rest * rest).sum((-2, -1))
         kappa = np.sqrt((D * D).sum((-2, -1)) * inv_sq)
         doubt = ~(kappa <= COND_LIMIT / _COND_MARGIN)
@@ -391,7 +380,7 @@ def _build_scalar(geom, stream, frames):
     """The scalar element on the stream span (..., 16, 28) and ``frames``
     of ``geom``; it keeps the frames."""
     D = _scalar_dof_rows(stream, geom, *frames)
-    X, cond = _solve_nodal(D, 12, geom.index)
+    X, cond = _solve_nodal(D, geom.index)
     return ScalarElement(geom, stream, X, frames, D, cond)
 
 
@@ -492,7 +481,7 @@ def _build_vector(geom, stream, frames):
     """The vector element on the rotated gradients of the stream span and
     ``frames`` of ``geom``; it keeps the frames."""
     span = _vector_span(geom, stream)
-    X, cond = _solve_nodal(_vector_dof_rows(*span, geom, *frames), 12, geom.index)
+    X, cond = _solve_nodal(_vector_dof_rows(*span, geom, *frames), geom.index)
     return VectorElement(geom, span, X, frames, cond)
 
 
@@ -596,7 +585,7 @@ def _unisolvency_rows(geom: QuadGeometry):
     """Packed polynomials (..., 4, 28) whose tangential derivatives make M
     and N, and (..., 4, 4, 28) whose edge means along edge i make row i of B-.
     The products are stacked level by level, as in ``_span_chain``."""
-    F = _forms(geom)
+    F = geom.forms
     b, c, _ = _span_chain(geom)
     # b13 * {l4, l2, d13}, b24 * {l1, l3, d24}
     pq = _times(b, [0, 0, 0, 1, 1, 1], F, [_L4, _L2, _D13, _L1, _L3, _D24])

@@ -3,9 +3,9 @@
 Each cell carries the decomposition of its bilinear reference map into a
 simple distortion followed by an affine map; the distortion is encoded by a
 shape vector s = (s1, s2) with |s1| + |s2| < 1 exactly when the cell is
-strictly convex. All line forms (edge lines, diagonals, midlines) are stored
-as affine coefficients (c0, cx, cy) in the cell-local frame (x - b) / h,
-where b is the vertex centroid and h the cell diameter, which keeps
+strictly convex. All line forms (edge lines, midlines, diagonals) are stored
+in one array of affine coefficients (c0, cx, cy) in the cell-local frame
+(x - b) / h, where b is the vertex centroid and h the cell diameter, which keeps
 high-degree shape-function algebra well conditioned independently of the
 mesh size.
 
@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "QuadGeometry",
-    "affine_decomposition",
     "shoelace_area",
     "NonConvexCellError",
     "DegenerateCellError",
@@ -68,20 +67,34 @@ def shoelace_area(vertices) -> np.ndarray:
     return 0.5 * (_dot(x, np.roll(y, -1, axis=-1)) - _dot(y, np.roll(x, -1, axis=-1)))
 
 
-def affine_decomposition(vertices):
-    """(A, b, d) of the bilinear map F(x) = A x + b + d x1 x2 onto the cell."""
+def _shape_decomposition(vertices):
+    """(A, b, d, s, skew): the bilinear map F(x) = A x + b + d x1 x2 onto
+    each cell, its shape vector s = A^-1 d and skew = |s1| + |s2|, below 1
+    exactly on strictly convex cells and inf where A is singular (|det A| <
+    1e-14; s is then solved on the identity instead and means nothing)."""
     V1, V2, V3, V4 = (vertices[..., k, :] for k in range(4))
     A = 0.25 * np.stack([V3 - V4 - V1 + V2, V3 + V4 - V1 - V2], axis=-1)
-    return A, 0.25 * (V1 + V2 + V3 + V4), 0.25 * (V3 - V4 + V1 - V2)
+    b, d = 0.25 * (V1 + V2 + V3 + V4), 0.25 * (V3 - V4 + V1 - V2)
+    singular = np.abs(np.linalg.det(A)) < 1e-14
+    s = np.linalg.solve(np.where(singular[..., None, None], np.eye(2), A), d[..., None])[..., 0]
+    return A, b, d, s, np.where(singular, np.inf, np.abs(s).sum(-1))
 
 
 def _line_through(p, q, norm_point):
-    """Affine form (c0, cx, cy) vanishing on the line pq, equal to 1 at norm_point."""
+    """Affine forms (..., k, 3) = (c0, cx, cy), form j vanishing on the line
+    through p[..., j, :] and q[..., j, :] and equal to 1 at norm_point[..., j, :]."""
     dx, dy = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]
     c = np.stack([dy * p[..., 0] - dx * p[..., 1], -dy, dx], axis=-1)
     scale = c[..., 0] + c[..., 1] * norm_point[..., 0] + c[..., 2] * norm_point[..., 1]
-    _check(scale == 0.0, DegenerateCellError, "line normalization point lies on the line")
+    _check((scale == 0.0).any(-1), DegenerateCellError, "line normalization point lies on the line")
     return c / scale[..., None]
+
+
+_L1, _L2, _L3, _L4, _M13, _M24, _D13, _D24 = range(8)  # the rows of ``QuadGeometry.forms``
+# Form k runs through points _FORM_POINTS[0][k] and [1][k] of V1..V4, M1..M4 (the
+# local vertices and edge midpoints) and is 1 at point [2][k]: l_i(M_{i+2}) = 1,
+# m13(M2) = m24(M3) = 1, d13(V4) = d24(V3) = 1.
+_FORM_POINTS = ([0, 1, 2, 3, 4, 5, 0, 1], [1, 2, 3, 0, 6, 7, 2, 3], [6, 7, 4, 5, 5, 6, 3, 2])
 
 
 class QuadGeometry:
@@ -89,11 +102,11 @@ class QuadGeometry:
 
     ``vertices`` has shape (..., 4, 2), counterclockwise per cell. Edge i
     joins vertex i to vertex (i+1) % 4; normals point outward, tangents run
-    counterclockwise. Line forms: ``edge_line_coeffs`` (..., 4, 3), the
-    midlines ``mid_13_coeffs``/``mid_24_coeffs`` and diagonals
-    ``diag_13_coeffs``/``diag_24_coeffs`` (..., 3). Indexing a batch gives the
-    geometry of the selected cells; ``index`` keeps their positions in the
-    batch the geometry was built from, which errors report. Invalid cells
+    counterclockwise. ``forms`` (..., 8, 3) holds the line forms in rows
+    ``_L1`` ... ``_D24``: the edge lines, the midlines m13, m24 and the
+    diagonals d13, d24. Indexing a batch gives the geometry of the selected
+    cells; ``index`` keeps their positions in the batch the geometry was
+    built from, which errors report. Invalid cells
     raise ``ValueError`` (non-finite or clockwise), ``DegenerateCellError``
     or ``NonConvexCellError``, naming the first offending cell of a batch.
     """
@@ -101,8 +114,7 @@ class QuadGeometry:
     __slots__ = (
         "vertices", "A", "b", "d", "s", "h", "area",
         "edge_mid", "edge_len", "tangents", "normals", "local_vertices",
-        "edge_line_coeffs", "mid_13_coeffs", "mid_24_coeffs",
-        "diag_13_coeffs", "diag_24_coeffs", "index",
+        "forms", "index",
     )
 
     def __init__(self, vertices):
@@ -118,11 +130,8 @@ class QuadGeometry:
         self.area = shoelace_area(v)
         _check(self.area <= 0.0, ValueError, "vertices must be ordered counterclockwise")
 
-        self.A, self.b, self.d = affine_decomposition(v)
-        _check(np.abs(np.linalg.det(self.A)) < 1e-14, DegenerateCellError,
-               "singular affine factor of the bilinear map")
-        self.s = np.linalg.solve(self.A, self.d[..., None])[..., 0]
-        skew = np.abs(self.s).sum(-1)
+        self.A, self.b, self.d, self.s, skew = _shape_decomposition(v)
+        _check(np.isinf(skew), DegenerateCellError, "singular affine factor of the bilinear map")
         _check(skew >= 1.0, NonConvexCellError, "|s1|+|s2| >= 1", skew)
 
         diffs = v[..., :, None, :] - v[..., None, :, :]
@@ -133,18 +142,9 @@ class QuadGeometry:
         # Outward normal of a counterclockwise polygon: tangent rotated by -90.
         self.normals = np.stack([self.tangents[..., 1], -self.tangents[..., 0]], axis=-1)
 
-        lv = self.to_local(v)
-        lm = self.to_local(self.edge_mid)
-        self.local_vertices = lv
-
-        # Normalization of the line forms: l_i(M_{i+2}) = 1, m13(M_2) = 1,
-        # m24(M_3) = 1, diag through V1V3 equals 1 at V4, V2V4 at V3.
-        nxt, opp = np.roll(np.arange(4), -1), np.roll(np.arange(4), -2)
-        self.edge_line_coeffs = _line_through(lv, lv[..., nxt, :], lm[..., opp, :])
-        self.mid_13_coeffs = _line_through(lm[..., 0, :], lm[..., 2, :], lm[..., 1, :])
-        self.mid_24_coeffs = _line_through(lm[..., 1, :], lm[..., 3, :], lm[..., 2, :])
-        self.diag_13_coeffs = _line_through(lv[..., 0, :], lv[..., 2, :], lv[..., 3, :])
-        self.diag_24_coeffs = _line_through(lv[..., 1, :], lv[..., 3, :], lv[..., 2, :])
+        self.local_vertices = self.to_local(v)
+        pts = np.concatenate([self.local_vertices, self.to_local(self.edge_mid)], axis=-2)
+        self.forms = _line_through(*(pts[..., k, :] for k in _FORM_POINTS))
 
     def __getitem__(self, index) -> "QuadGeometry":
         out = object.__new__(QuadGeometry)

@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .geometry import QuadGeometry, affine_decomposition
+from .geometry import QuadGeometry, _shape_decomposition
 
 __all__ = ["Mesh", "make_mesh", "MeshGenerationError", "FAMILIES"]
 
@@ -32,12 +32,9 @@ class MeshGenerationError(RuntimeError):
 
 def _convexity_shape(cell_vertices) -> np.ndarray:
     """|s1| + |s2| of the bilinear-map distortion per cell (..., 4, 2) -> (...);
-    < 1 means strictly convex, inf marks a singular affine factor."""
-    A, _, d = affine_decomposition(cell_vertices)
-    singular = np.abs(np.linalg.det(A)) < 1e-14
-    A = np.where(singular[..., None, None], np.eye(2), A)
-    s = np.linalg.solve(A, d[..., None])[..., 0]
-    return np.where(singular, np.inf, np.abs(s).sum(-1))
+    < 1 means strictly convex, inf marks a singular affine factor. It is
+    the skew ``QuadGeometry`` checks, bit for bit."""
+    return _shape_decomposition(cell_vertices)[-1]
 
 
 def _array(value, name: str, dtype=None) -> np.ndarray:
@@ -47,11 +44,15 @@ def _array(value, name: str, dtype=None) -> np.ndarray:
         raise ValueError(f"{name} is not a numeric array: {exc}") from exc
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int (a NumPy integer too, a bool not), or ``ValueError`` naming it."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int (a NumPy integer too, a bool not) of at least
+    ``least`` if given, or ``ValueError`` naming it."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _seed(value) -> int:
@@ -68,9 +69,7 @@ def _metadata(n, delta, seed):
     integer, with NumPy integers as ints. None passes for n and seed. Raises
     ``ValueError`` naming the first field that breaks them."""
     if n is not None:
-        n = _integer(n, "n")
-        if n < 2:
-            raise ValueError(f"n must be at least 2, got {n}")
+        n = _integer(n, "n", 2)
     if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 <= delta <= 0.25:
         raise ValueError(f"delta must be a number in [0, 0.25], got {delta!r}")
     return n, delta, None if seed is None else _seed(seed)

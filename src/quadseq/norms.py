@@ -5,8 +5,9 @@ a solved global coefficient vector gathered through the DoF map
 (``dofmap.gather(x)``), or the nodal interpolant of a manufactured solution
 (``scalar_dof_values``/``vector_dof_values`` on ``mesh.cell_geometry``, no
 boundary conditions involved); another shape raises ``ValueError`` before
-any table is formed. Error quadrature uses an independent,
-higher-order rule than assembly, batched over cells like assembly.
+any table is formed, as do exact-solution callables of a wrong shape or
+with a non-finite value (``assembly._values``). Error quadrature uses an
+independent, higher-order rule than assembly, batched over cells like assembly.
 
 The norms build no element. They take the mesh level's ``ElementBatch``:
 the one assembly built (``system.elements``) or, for an interpolant, one
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import ElementBatch, scalar_dof_scaling, unit_shape_rule, vector_dof_scaling
+from .assembly import ElementBatch, _values, scalar_dof_scaling, unit_shape_rule, vector_dof_scaling
 from .cases import BrinkmanCase, ScalarCase
 from .elements import ScalarElement, VectorElement
 from .geometry import _pow2
@@ -28,10 +29,6 @@ from .mesh import Mesh
 __all__ = ["scalar_error_norms", "brinkman_error_norms"]
 
 DEFAULT_ERROR_QUAD = 6
-
-
-def _at(fn, x):
-    return np.asarray(fn(x[..., 0], x[..., 1]), dtype=float)
 
 
 def _rule(mesh: Mesh, elements: ElementBatch, kind, quad_order: int, dofs):
@@ -74,8 +71,9 @@ def scalar_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
     hess_h /= _pow2(h[..., None, None])
 
     w = wts * _pow2(h)
-    E = hess_h - _at(case.hessian, x)
-    h1_sq = float(np.sum(w * ((grad_h - _at(case.grad, x)) ** 2).sum(-1)))
+    E = hess_h - _values(case.hessian, "case.hessian", x, hess_h.shape)
+    grad_u = _values(case.grad, "case.grad", x, x.shape)
+    h1_sq = float(np.sum(w * ((grad_h - grad_u) ** 2).sum(-1)))
     h2_sq = float(np.sum(w * (E[..., 0, 0] ** 2 + E[..., 0, 1] ** 2 + E[..., 1, 1] ** 2)))
     return {
         "h1": np.sqrt(h1_sq),
@@ -108,15 +106,18 @@ def brinkman_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
     grad_h /= h[..., None, None]
 
     w = wts * _pow2(h)
-    l2_sq = float(np.sum(w * ((val_h - _at(case.velocity, x)) ** 2).sum(-1)))
-    h1_sq = float(np.sum(w * ((grad_h - _at(case.velocity_grad, x)) ** 2).sum((-1, -2))))
+    u = _values(case.velocity, "case.velocity", x, x.shape)
+    grad_u = _values(case.velocity_grad, "case.velocity_grad", x, grad_h.shape)
+    l2_sq = float(np.sum(w * ((val_h - u) ** 2).sum(-1)))
+    h1_sq = float(np.sum(w * ((grad_h - grad_u) ** 2).sum((-1, -2))))
     out = {
         "velocity_l2": np.sqrt(l2_sq),
         "velocity_h1": np.sqrt(h1_sq),
         "velocity_ah": np.sqrt(nu * h1_sq + alpha * l2_sq),
     }
     if pressure_values is not None:
-        p_err = _at(case.pressure, x) - np.asarray(pressure_values)[:, None]
+        p_err = (_values(case.pressure, "case.pressure", x, x.shape[:-1])
+                 - np.asarray(pressure_values)[:, None])
         out["pressure_l2"] = np.sqrt(float(np.sum(w * p_err**2)))
     return out
 

@@ -31,13 +31,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import _StreamSolver, _slices, assemble_brinkman, cell_matrix, scalar_dof_scaling
+from .assembly import _StreamSolver, _slices, assemble_brinkman, cell_matrix
+from .assembly import scalar_dof_scaling, vector_dof_scaling
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
-from .elements import _build_pair, vector_dof_values
+from .elements import _build_pair
 from .geometry import QuadGeometry
 from .mesh import Mesh
-from .poly import DX, DY, vandermonde
-from .verify import _curl_inclusion_residual, _div_flux_residual, _fold_max
+from .verify import _curl_dofs, _curl_inclusion_residual, _div_flux_residual, _fold_max
 
 __all__ = [
     "divergence_matrix",
@@ -149,6 +149,13 @@ def _curl_rank(C):
     return _rank(sv, CUTOFF)[0], sv[0]
 
 
+def _rotated_gradient_dofs(S, c, h):
+    """Vector DoFs (n, 12) of the rotated gradients of the scalar fields with
+    unit-shape DoF vectors ``c`` on cells of diameter ``h``: c . S on the
+    unit shapes (S of ``verify._curl_dofs``), rescaled as the fields are."""
+    return (c[:, None, :] @ S)[:, 0, :] / (h[:, None] * vector_dof_scaling(h))
+
+
 def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     """Check exactness of the discrete sequence on one mesh.
 
@@ -162,9 +169,10 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     combination of the per-field residuals, so the report does not repeat it.
 
     The per-cell checks run in slices of ``assembly.TASK_CELLS`` cells: each
-    slice builds its elements, checks them and compares its rotated
-    gradients with the global curl matrix, and only the running maxima
-    outlive it. A cell's residuals do not depend on its slice, so the
+    slice builds its elements, forms S, the vector DoFs of its rotated
+    scalar basis (``verify._curl_dofs``), checks the re-interpolation on S
+    and compares the rotated gradients c . S with the global curl matrix,
+    and only the running maxima outlive it. A cell's residuals do not depend on its slice, so the
     report is the same bit for bit for every slice size.
 
     Kernel spanning uses rank [C | ker D] = nullity(D) + rank(D C) and
@@ -206,22 +214,15 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     for part in _slices(0, mesh.n_cells):
         shapes = unit[part]
         sc, vc = _build_pair(shapes)  # one stream span and one pair of frames
-        cells, h = geom[part], geom.h[part, None]
-        field_x = np.einsum("nj,njm->nm", c[part], sc.coeff_matrix @ DY.T) / h
-        field_y = np.einsum("nj,njm->nm", c[part], -(sc.coeff_matrix @ DX.T)) / h
-
-        def rotated_gradient(x, y):
-            V = vandermonde(cells.to_local(np.stack([x, y], axis=-1)))
-            return np.stack([np.einsum("nmk,nk->nm", V, f) for f in (field_x, field_y)], axis=-1)
-
-        sigma = vector_dof_values(cells, rotated_gradient)
+        S = _curl_dofs(shapes, sc, vc)
         # Per cell: each rotated scalar basis gradient re-interpolates to
         # itself, each vector basis field's divergence integrates to its
         # flux, and the DoFs of the rotated gradient match the curl matrix.
         _fold_max(res, {
-            "reinterp": _curl_inclusion_residual(shapes, sc, vc)[0],
+            "reinterp": _curl_inclusion_residual(S, sc, vc)[0],
             "div_flux": _div_flux_residual(shapes, vc.divergence()[0]),
-            "consistency": np.abs(sigma - sigma_global[part]),
+            "consistency": np.abs(_rotated_gradient_dofs(S, c[part], geom.h[part])
+                                  - sigma_global[part]),
         })
     reinterp, div_flux, consistency = (float(v) for v in res.values())
 

@@ -101,9 +101,7 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
     candidates steps through the offsets by 2, 6 or 9 draws (2 or 8 with
     ``max_aspect``). The accepted cells are then built together.
     """
-    samples = _integer(samples, "samples")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    samples = _integer(samples, "samples", 1)
     if not _is_real(max_skew) or not 0.0 <= max_skew < 1.0:
         raise ValueError(f"max_skew must lie in [0, 1), got {max_skew!r}")
     if max_aspect is not None and (not _is_real(max_aspect) or not 1.0 <= max_aspect < np.inf):
@@ -198,20 +196,26 @@ def _weighted_normal_identity_residual(geom: QuadGeometry, elt, frames) -> np.nd
     return np.abs(lhs - _swap(rhs)).max((-2, -1))
 
 
-def _curl_inclusion_residual(geom: QuadGeometry, scalar_elt, vector_elt):
+def _curl_dofs(geom: QuadGeometry, scalar_elt, vector_elt):
+    """S (..., 12, 12): row j holds the vector DoFs of the rotated gradient
+    of scalar basis function j, read on the vector element's frames."""
+    C = scalar_elt.coeff_matrix
+    return _swap(_vector_dof_rows(C @ DY.T, -(C @ DX.T), geom, *vector_elt.frames)[..., :12, :])
+
+
+def _curl_inclusion_residual(S, scalar_elt, vector_elt):
     """Re-interpolating each rotated scalar gradient must reproduce it.
 
-    Returns, per cell, the max coefficient of the difference, the
-    coefficient magnitude of the rotated gradients (at least one) and the
-    largest total edge flux of a re-interpolated gradient. Strongly skewed
-    cells carry large local coefficients and the identity holds to relative
-    rounding there, so the element certificate divides the residual by the
-    scale; the exact-sequence certificate, on unit-diameter cells, does not.
-    The vector DoFs are read on the vector element's frames.
+    ``S`` is ``_curl_dofs`` of the two elements. Returns, per cell, the max
+    coefficient of the difference, the coefficient magnitude of the rotated
+    gradients (at least one) and the largest total edge flux of a
+    re-interpolated gradient. Strongly skewed cells carry large local
+    coefficients and the identity holds to relative rounding there, so the
+    element certificate divides the residual by the scale; the
+    exact-sequence certificate, on unit-diameter cells, does not.
     """
     curl_x = scalar_elt.coeff_matrix @ DY.T
     curl_y = -(scalar_elt.coeff_matrix @ DX.T)
-    S = _swap(_vector_dof_rows(curl_x, curl_y, geom, *vector_elt.frames)[..., :12, :])
     rx = S @ vector_elt.coeff_x - curl_x
     ry = S @ vector_elt.coeff_y - curl_y
     flux = np.abs(S[..., :4].sum(-1)).max(-1)
@@ -341,11 +345,12 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
     with skew up to 0.95 and unbounded affine distortion; the
     coefficient-space identity battery runs on ``identity_samples``
     shape-bounded quads (default: min(samples, 200), skew up to 0.8, aspect
-    up to 2), where the 1e-10 tolerances are meaningful.
+    up to 2), where the 1e-10 tolerances are meaningful. Both counts must be
+    integers of at least 1; ``ValueError`` names the one that is not.
     """
-    if samples < 1 or (identity_samples is not None and identity_samples < 1):
-        raise ValueError("samples and identity_samples must be at least 1")
-    identity_samples = identity_samples or min(samples, 200)
+    samples = _integer(samples, "samples", 1)
+    identity_samples = min(samples, 200) if identity_samples is None else identity_samples
+    identity_samples = _integer(identity_samples, "identity_samples", 1)
     if family == "sweep":
         quads = random_convex_quads(samples, seed)
         cells = random_convex_quads(identity_samples, seed + 1, max_skew=0.8, max_aspect=2.0)
@@ -374,7 +379,7 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
 def _identity_residuals(cells: QuadGeometry) -> dict:
     """The identity battery on ``cells``: one residual per cell and check."""
     err_s, err_v, se, ve = _reproduction_residuals(cells)
-    incl, scale, flux = _curl_inclusion_residual(cells, se, ve)
+    incl, scale, flux = _curl_inclusion_residual(_curl_dofs(cells, se, ve), se, ve)
     bv, btr = _bubble_residuals(se)
     s_duality, s_constraint = se.dof_residuals()
     v_duality, v_constraint = ve.dof_residuals()

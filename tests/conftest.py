@@ -63,11 +63,16 @@ def intermediate_vertices(geom):
 # their bits.
 # ---------------------------------------------------------------------------
 
+def line_forms(geom):
+    """The line forms (..., 3) of ``geom.forms``, one by one: l1, l2, l3, l4,
+    m13, m24, d13, d24."""
+    return tuple(np.moveaxis(geom.forms, -2, 0))
+
+
 def reference_corrector_span(geom):
     """(..., 2, 28): the two quintic correctors c1, c2."""
     from quadseq.poly import affine_row, mul_affine
-    l1, l2, l3, l4 = (geom.edge_line_coeffs[..., k, :] for k in range(4))
-    m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
+    l1, l2, l3, l4, m13, m24, _, _ = line_forms(geom)
     s1, s2 = geom.s[..., 0, None], geom.s[..., 1, None]
 
     b13 = mul_affine(affine_row(l1), l3)
@@ -90,25 +95,23 @@ def reference_corrector_span(geom):
 def reference_bubble_span(geom):
     """(..., 4, 28): b0 * {1, m13, m24, d13*d24} with b0 = l1*l2*l3*l4."""
     from quadseq.poly import affine_row, mul_affine
-    lines = geom.edge_line_coeffs
-    b0 = affine_row(lines[..., 0, :])
-    for k in range(1, 4):
-        b0 = mul_affine(b0, lines[..., k, :])
+    l1, l2, l3, l4, m13, m24, d13, d24 = line_forms(geom)
+    b0 = affine_row(l1)
+    for line in (l2, l3, l4):
+        b0 = mul_affine(b0, line)
     return np.stack([
         b0,
-        mul_affine(b0, geom.mid_13_coeffs),
-        mul_affine(b0, geom.mid_24_coeffs),
-        mul_affine(mul_affine(b0, geom.diag_13_coeffs), geom.diag_24_coeffs),
+        mul_affine(b0, m13),
+        mul_affine(b0, m24),
+        mul_affine(mul_affine(b0, d13), d24),
     ], axis=-2)
 
 
 def reference_unisolvency_rows(geom):
     """P, Q (..., 4, 28) and B (..., 4, 4, 28) of ``elements._unisolvency_rows``."""
     from quadseq.poly import affine_row, mul_affine
-    lines = [geom.edge_line_coeffs[..., k, :] for k in range(4)]
-    l1, l2, l3, l4 = lines
-    d13, d24 = geom.diag_13_coeffs, geom.diag_24_coeffs
-    m13, m24 = geom.mid_13_coeffs, geom.mid_24_coeffs
+    l1, l2, l3, l4, m13, m24, d13, d24 = line_forms(geom)
+    lines = [l1, l2, l3, l4]
     c1, c2 = np.moveaxis(reference_corrector_span(geom), -2, 0)
 
     b13 = mul_affine(affine_row(l1), l3)

@@ -433,5 +433,5 @@ def test_mesh_geometry_is_one_batch():
     assert geom.h.shape == (mesh.n_cells,)
     one = mesh.cell_geometry[4]
     np.testing.assert_array_equal(one.vertices, mesh.vertices[mesh.cells[4]])
-    np.testing.assert_array_equal(one.edge_line_coeffs, geom.edge_line_coeffs[4])
+    np.testing.assert_array_equal(one.forms, geom.forms[4])
     assert one.h == geom.h[4]

@@ -37,6 +37,27 @@ def test_scalar_case_derivatives(frequency):
                                rtol=1e-5, atol=1e-4)
 
 
+@pytest.mark.parametrize("frequency, message", [
+    (1.5, "frequency must be an integer, got 1.5"),
+    (2.0, "frequency must be an integer, got 2.0"),
+    (True, "frequency must be an integer, got True"),
+    ("2", "frequency must be an integer, got '2'"),
+    (0, "frequency must be at least 1, got 0"),
+    (-2, "frequency must be at least 1, got -2"),
+])
+def test_scalar_frequency_must_be_a_positive_integer(frequency, message):
+    # A fractional k leaves u unclamped (u(1, 0.5) = 0.5 at k = 1.5), so
+    # the scalar study would not converge.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scalar_sin_squared(frequency)
+
+
+def test_scalar_frequency_takes_numpy_integers():
+    case = scalar_sin_squared(np.int64(2))
+    assert case.name == "sin_squared_2"
+    assert case.u(np.array([1.0, 0.25]), np.array([0.5, 0.5])) == pytest.approx([0.0, 0.0])
+
+
 def test_scalar_case_clamped_boundary():
     case = scalar_sin_squared(1)
     t = np.linspace(0, 1, 17)

@@ -100,21 +100,21 @@ def test_condition_check_decides_as_an_svd_of_every_cell(batch, kind):
     for k in range(len(D)):
         if bad[k]:
             with pytest.raises(ElementConditioningError, match=_message(None, cond[k])):
-                _solve_nodal(D[k], 12, geom.index[k])
+                _solve_nodal(D[k], geom.index[k])
         else:
-            X, kappa = _solve_nodal(D[k], 12, geom.index[k])
+            X, kappa = _solve_nodal(D[k], geom.index[k])
             assert np.array_equal(X, _refined_solve(D[k]))
             assert kappa >= cond[k]
     # The whole batch names its first bad cell, else keeps every span weight.
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         with pytest.raises(ElementConditioningError, match=_message(first, cond[first])):
-            _solve_nodal(D, 12, geom.index)
+            _solve_nodal(D, geom.index)
         ok = ~bad
-        X, kappa = _solve_nodal(D[ok], 12, geom.index[ok])
+        X, kappa = _solve_nodal(D[ok], geom.index[ok])
         D = D[ok]
     else:
-        X, kappa = _solve_nodal(D, 12, geom.index)
+        X, kappa = _solve_nodal(D, geom.index)
     assert np.array_equal(X, _refined_solve(D))
     assert (kappa >= np.linalg.cond(D)).all()
 
@@ -131,9 +131,9 @@ def test_a_singular_dof_matrix_is_named(breaking):
         D[4, 2, 5] = np.nan if breaking == "nan" else np.inf
     what = "is not finite" if breaking in ("nan", "inf") else "condition number"
     with pytest.raises(ElementConditioningError, match=f"^cell 4: local DoF matrix {what}"):
-        _solve_nodal(D, 12, geom.index)
+        _solve_nodal(D, geom.index)
     with pytest.raises(ElementConditioningError, match=f"^local DoF matrix {what}"):
-        _solve_nodal(D[4], 12, geom.index[4])
+        _solve_nodal(D[4], geom.index[4])
     ok = np.arange(len(D)) != 4
-    X, _ = _solve_nodal(D[ok], 12, geom.index[ok])
+    X, _ = _solve_nodal(D[ok], geom.index[ok])
     assert np.array_equal(X, _refined_solve(D[ok]))

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from quadseq.quadrature import gauss01
 from quadseq.verify import (
     THRESHOLDS,
     _bubble_residuals,
+    _curl_dofs,
     _curl_inclusion_residual,
     _div_flux_residual,
     _edge_mean_identity_residual,
@@ -101,8 +103,8 @@ def test_correctors_reduce_on_rectangle():
     for verts in RECTANGLES:
         g = QuadGeometry(verts)
         loc = g.to_local(g.map_reference(rng.uniform(-1, 1, (40, 2))))
-        l1, l2, l3, l4 = (_affine(c, loc) for c in g.edge_line_coeffs)
-        mm = _affine(g.mid_13_coeffs, loc) * _affine(g.mid_24_coeffs, loc)
+        l1, l2, l3, l4, m13, m24 = (_affine(c, loc) for c in g.forms[:6])
+        mm = m13 * m24
         vals = vandermonde(loc) @ _span_chain(g)[1].T
         np.testing.assert_allclose(vals[:, 0], -(l1 * l3 * mm), rtol=0, atol=1e-13)
         np.testing.assert_allclose(vals[:, 1], -(l2 * l4 * mm), rtol=0, atol=1e-13)
@@ -329,9 +331,8 @@ def test_weighted_normal_identity_on_basis(random_quads):
 def test_curl_inclusion_on_mesh_cells():
     for family, seed in [("rectangular", 0), ("trapezoidal", 0), ("random", 5)]:
         g = make_mesh(4, family, seed=seed).cell_geometry
-        resid, scale, flux = _curl_inclusion_residual(
-            g, build_scalar_element(g), build_vector_element(g)
-        )
+        se, ve = build_scalar_element(g), build_vector_element(g)
+        resid, scale, flux = _curl_inclusion_residual(_curl_dofs(g, se, ve), se, ve)
         assert (resid / scale).max() < 1e-10
         assert flux.max() < 1e-10
 
@@ -469,6 +470,28 @@ def test_certificate_needs_a_sample(kwargs):
         element_certificate(**kwargs)
 
 
+@pytest.mark.parametrize("family", ["sweep", "rectangular", "random"])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+    ({"samples": True}, "samples must be an integer, got True"),
+    ({"samples": 5, "identity_samples": 2.5}, "identity_samples must be an integer, got 2.5"),
+    ({"samples": 5, "identity_samples": True}, "identity_samples must be an integer, got True"),
+    ({"samples": 5, "identity_samples": 0}, "identity_samples must be at least 1, got 0"),
+])
+def test_certificate_counts_are_named(family, kwargs, message):
+    # On mesh families a fractional count used to escape as an IndexError
+    # from geometry indexing, and a bool landed in the JSON.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        element_certificate(family=family, **kwargs)
+
+
+def test_certificate_counts_take_numpy_integers():
+    cert = element_certificate(np.int64(6), family="random", identity_samples=np.int32(3))
+    doc = json.loads(cert.to_json())
+    assert (doc["samples"], doc["identity_samples"]) == (6, 3)
+    assert type(cert.identity_samples) is int
+
+
 def _one_cell_certificate(quads, cells):
     """The certificate's residuals as maxima over one-cell calls, each on a
     cell built by the one-cell ``QuadGeometry``."""
@@ -482,7 +505,7 @@ def _one_cell_certificate(quads, cells):
         bump("det_rel_err", np.abs((num - orc) / orc))
     for g in map(QuadGeometry, cells.vertices):
         err_s, err_v, se, ve = _reproduction_residuals(g)
-        incl, scale, flux = _curl_inclusion_residual(g, se, ve)
+        incl, scale, flux = _curl_inclusion_residual(_curl_dofs(g, se, ve), se, ve)
         bv, btr = _bubble_residuals(se)
         s_duality, s_constraint = se.dof_residuals()
         v_duality, v_constraint = ve.dof_residuals()

@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
-from conftest import affine_factor, intermediate_vertices
+from conftest import affine_factor, intermediate_vertices, line_forms
 
 from quadseq.geometry import (
+    _D13,
+    _D24,
+    _L1,
+    _L2,
+    _L3,
+    _L4,
+    _M13,
+    _M24,
     DegenerateCellError,
     NonConvexCellError,
     QuadGeometry,
+    _line_through,
     shoelace_area,
 )
+from quadseq.mesh import make_mesh
+from quadseq.verify import random_convex_quads
 
 
 def _affine(c, p):
@@ -39,14 +50,37 @@ def test_line_normalization_conditions(random_quads):
     for g in random_quads:
         lv = g.local_vertices
         lm = g.to_local(g.edge_mid)
-        for i, line in enumerate(g.edge_line_coeffs):
+        *edge_lines, m13, m24, d13, d24 = line_forms(g)
+        for i, line in enumerate(edge_lines):
             assert _affine(line, lm[(i + 2) % 4]) == pytest.approx(1.0, abs=1e-12)
             assert abs(_affine(line, lv[i])) < 1e-14
             assert abs(_affine(line, lv[(i + 1) % 4])) < 1e-14
-        assert _affine(g.mid_13_coeffs, lm[1]) == pytest.approx(1.0, abs=1e-12)
-        assert _affine(g.mid_24_coeffs, lm[2]) == pytest.approx(1.0, abs=1e-12)
-        assert _affine(g.diag_13_coeffs, lv[3]) == pytest.approx(1.0, abs=1e-12)
-        assert _affine(g.diag_24_coeffs, lv[2]) == pytest.approx(1.0, abs=1e-12)
+        assert _affine(m13, lm[1]) == pytest.approx(1.0, abs=1e-12)
+        assert _affine(m24, lm[2]) == pytest.approx(1.0, abs=1e-12)
+        assert _affine(d13, lv[3]) == pytest.approx(1.0, abs=1e-12)
+        assert _affine(d24, lv[2]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("geom", [
+    make_mesh(8, "random", seed=3).cell_geometry,
+    random_convex_quads(300, 4),
+    QuadGeometry([[0.0, 0.0], [1.0, 0.1], [0.8, 0.9], [0.1, 0.7]]),
+], ids=["mesh", "samples", "one-cell"])
+def test_forms_equal_one_line_at_a_time(geom):
+    # ``forms`` comes from one stacked ``_line_through`` call; each line
+    # formed on its own points gives the same bits.
+    lv, lm = geom.local_vertices, geom.to_local(geom.edge_mid)
+    lines = {
+        _L1: (lv, 0, lv, 1, lm, 2), _L2: (lv, 1, lv, 2, lm, 3),
+        _L3: (lv, 2, lv, 3, lm, 0), _L4: (lv, 3, lv, 0, lm, 1),
+        _M13: (lm, 0, lm, 2, lm, 1), _M24: (lm, 1, lm, 3, lm, 2),
+        _D13: (lv, 0, lv, 2, lv, 3), _D24: (lv, 1, lv, 3, lv, 2),
+    }
+    assert geom.forms.shape == geom.h.shape + (8, 3)
+    assert sorted(lines) == list(range(8))
+    for k, (p, i, q, j, r, m) in lines.items():
+        want = _line_through(p[..., i, None, :], q[..., j, None, :], r[..., m, None, :])
+        assert np.array_equal(geom.forms[..., k, :], want[..., 0, :])
 
 
 def test_intermediate_frame_line_pullbacks(random_quads):
@@ -66,14 +100,15 @@ def test_intermediate_frame_line_pullbacks(random_quads):
             2: 0.5 * (s2 / (s1 + 1) * xt - yt + 1),
             3: 0.5 * (xt - s1 / (s2 - 1) * yt + 1),
         }
-        for i, line in enumerate(g.edge_line_coeffs):
+        *edge_lines, m13, m24, d13, d24 = line_forms(g)
+        for i, line in enumerate(edge_lines):
             np.testing.assert_allclose(_affine(line, loc), expected[i], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(_affine(g.mid_13_coeffs, loc), xt, atol=1e-12)
-        np.testing.assert_allclose(_affine(g.mid_24_coeffs, loc), yt, atol=1e-12)
-        d13 = (-xt + yt + s1 - s2) / (2 * (s1 - s2 + 1))
-        d24 = (xt + yt + s1 + s2) / (2 * (s1 + s2 + 1))
-        np.testing.assert_allclose(_affine(g.diag_13_coeffs, loc), d13, atol=1e-12)
-        np.testing.assert_allclose(_affine(g.diag_24_coeffs, loc), d24, atol=1e-12)
+        np.testing.assert_allclose(_affine(m13, loc), xt, atol=1e-12)
+        np.testing.assert_allclose(_affine(m24, loc), yt, atol=1e-12)
+        want_d13 = (-xt + yt + s1 - s2) / (2 * (s1 - s2 + 1))
+        want_d24 = (xt + yt + s1 + s2) / (2 * (s1 + s2 + 1))
+        np.testing.assert_allclose(_affine(d13, loc), want_d13, atol=1e-12)
+        np.testing.assert_allclose(_affine(d24, loc), want_d24, atol=1e-12)
 
 
 def test_intermediate_vertices_map_back(random_quads):

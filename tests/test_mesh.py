@@ -176,6 +176,23 @@ def test_negative_seed_is_named(family):
         make_mesh(4, family, seed=-1)
 
 
+def test_convexity_shape_is_the_geometry_shape_vector():
+    # The repair loop and QuadGeometry share one solve for s, so on valid
+    # cells |s1| + |s2| is the geometry's bit for bit, in a batch or one
+    # cell at a time; a cell with a singular affine factor reads inf and
+    # leaves the others' bits alone.
+    import quadseq.mesh as m
+    cells = np.concatenate([random_convex_quads(300, 6).vertices,
+                            make_mesh(8, "random", seed=1).cell_geometry.vertices])
+    want = np.abs(QuadGeometry(cells).s).sum(-1)
+    assert np.array_equal(m._convexity_shape(cells), want)
+    assert all(m._convexity_shape(cell) == w for cell, w in zip(cells[:20], want[:20]))
+    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    got = m._convexity_shape(np.concatenate([cells[:5], flat[None], cells[5:10]]))
+    assert np.array_equal(got, np.concatenate([want[:5], [np.inf], want[5:10]]))
+    assert m._convexity_shape(flat) == np.inf
+
+
 def test_resample_cap_raises(monkeypatch):
     import quadseq.mesh as m
     monkeypatch.setattr(m, "_MAX_RESAMPLES", 0)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,49 @@ def test_norms_take_the_batch_of_their_mesh_and_kind():
                      _elements(make_mesh(4, "random", seed=3), build_vector_element)):
         with pytest.raises(ValueError, match="VectorElement batch of this mesh"):
             brinkman_error_norms(mesh, elements, dofs, case, nu=1.0, alpha=1.0)
+
+
+def _with(case, **callables):
+    """A copy of ``case`` with some of its callables replaced."""
+    out = copy.copy(case)
+    vars(out).update(callables)
+    return out
+
+
+def test_norms_name_wrongly_shaped_exact_solutions():
+    # Each exact-solution callable is checked as assembly checks a source:
+    # a Hessian of gradient shape used to fail in numpy's broadcasting.
+    mesh = make_mesh(4, "rectangular")
+    scalar = scalar_sin_squared()
+    sdofs = scalar_dof_values(mesh.cell_geometry, scalar.u, scalar.grad)
+    selements = _elements(mesh, build_scalar_element)
+    flow = brinkman_sin_stream()
+    vdofs = vector_dof_values(mesh.cell_geometry, flow.velocity)
+    velements = _elements(mesh, build_vector_element)
+    p = np.zeros(mesh.n_cells)
+
+    def shape_error(name, shape, got):
+        return (rf"^case\.{name} must return real numbers of shape \({shape}\) on points "
+                rf"of shape \(16, 36\), got float64 of shape \({got}\)$")
+
+    for name, bad, shape, got in [
+        ("hessian", scalar.grad, "16, 36, 2, 2", "16, 36, 2"),
+        ("grad", scalar.u, "16, 36, 2", "16, 36"),
+    ]:
+        with pytest.raises(ValueError, match=shape_error(name, shape, got)):
+            scalar_error_norms(mesh, selements, sdofs, _with(scalar, **{name: bad}), eps=1.0)
+    for name, bad, shape, got in [
+        ("velocity", flow.pressure, "16, 36, 2", "16, 36"),
+        ("velocity_grad", flow.velocity, "16, 36, 2, 2", "16, 36, 2"),
+        ("pressure", flow.velocity, "16, 36", "16, 36, 2"),
+    ]:
+        with pytest.raises(ValueError, match=shape_error(name, shape, got)):
+            brinkman_error_norms(mesh, velements, vdofs, _with(flow, **{name: bad}),
+                                 nu=1.0, alpha=1.0, pressure_values=p)
+    nan_pressure = _with(flow, pressure=lambda x, y: np.where(x > 0.9, np.nan, x + 0 * y))
+    with pytest.raises(ValueError, match="^cell 3: case.pressure is not finite"):
+        brinkman_error_norms(mesh, velements, vdofs, nan_pressure, nu=1.0, alpha=1.0,
+                             pressure_values=p)
 
 
 def test_norms_name_wrongly_shaped_fields():

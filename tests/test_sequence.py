@@ -9,21 +9,25 @@ import quadseq.sequence as sequence
 from quadseq.assembly import (
     DEFAULT_QUAD_ORDER,
     cell_matrix,
+    scalar_dof_scaling,
     vector_dof_scaling,
     velocity_blocks,
 )
 from quadseq.cases import brinkman_sin_stream
 from quadseq.dofmap import ScalarDofMap, VectorDofMap
-from quadseq.elements import build_vector_element, vector_dof_values
+from quadseq.elements import _build_pair, build_vector_element, vector_dof_values
 from quadseq.geometry import QuadGeometry
 from quadseq.mesh import Mesh, make_mesh
+from quadseq.poly import DX, DY, vandermonde
 from quadseq.sequence import (
     CUTOFF,
+    _rotated_gradient_dofs,
     curl_matrix,
     divergence_matrix,
     inf_sup_constant,
     verify_exact_sequence,
 )
+from quadseq.verify import _curl_dofs
 
 
 def _stacked_rank(D, C):
@@ -184,6 +188,40 @@ def test_report_json_rejects_any_other_non_finite_field():
         report.to_json()
 
 
+def _rotated_gradient_field_dofs(geom, scalar_elt, c):
+    """Oracle: the vector DoFs (n, 12) of the rotated gradients of the
+    scalar fields with unit-shape DoF vectors ``c`` on the cells ``geom``,
+    the field evaluated by its monomials at the physical edge Gauss points
+    and vertices and integrated by ``vector_dof_values``."""
+    h = geom.h[:, None]
+    field_x = np.einsum("nj,njm->nm", c, scalar_elt.coeff_matrix @ DY.T) / h
+    field_y = np.einsum("nj,njm->nm", c, -(scalar_elt.coeff_matrix @ DX.T)) / h
+
+    def rotated_gradient(x, y):
+        V = vandermonde(geom.to_local(np.stack([x, y], axis=-1)))
+        return np.stack([np.einsum("nmk,nk->nm", V, f) for f in (field_x, field_y)], axis=-1)
+
+    return vector_dof_values(geom, rotated_gradient)
+
+
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+@pytest.mark.parametrize("n", [4, 16, 32])
+def test_rotated_gradient_dofs_match_the_field_oracle(family, n):
+    # The consistency check reads the DoFs of a rotated gradient off the DoF
+    # table S of the rotated scalar basis; the field oracle, evaluated and
+    # integrated on the physical cells, agrees to rounding.
+    mesh = make_mesh(n, family, seed=3)
+    geom = mesh.cell_geometry
+    unit = QuadGeometry(geom.local_vertices)
+    sdm = ScalarDofMap(mesh)
+    w = np.random.default_rng(0).standard_normal(sdm.ndof)
+    c = sdm.gather(w) * scalar_dof_scaling(geom.h)
+    sc, vc = _build_pair(unit)
+    got = _rotated_gradient_dofs(_curl_dofs(unit, sc, vc), c, geom.h)
+    want = _rotated_gradient_field_dofs(geom, sc, c)
+    assert np.abs(got - want).max() <= 1e-11
+
+
 def test_divergence_rows_sum_to_zero_weighted():
     # Area-weighted rows of the divergence matrix add to the total flux,
     # which vanishes for every member of the constrained space.
@@ -221,6 +259,22 @@ def test_flux_check_flags_a_field_whose_divergence_is_not_its_flux(monkeypatch):
     assert report.div_flux_residual == pytest.approx(1e-6, rel=1e-6)
     assert not report.checks["divergence_is_flux"]
     assert report.div_curl_max == 0.0
+
+
+def test_consistency_check_flags_a_curl_matrix_off_the_elements(monkeypatch):
+    # Scaling the curl matrix by 1 + 1e-6 keeps D C = 0, every rank and
+    # every per-cell identity; only the consistency check, which compares
+    # C w with the rotated gradients c . S of the elements, sees it.
+    curl_matrix = sequence.curl_matrix
+
+    def scaled(mesh):
+        C, sdm, vdm = curl_matrix(mesh)
+        return C * (1 + 1e-6), sdm, vdm
+
+    monkeypatch.setattr(sequence, "curl_matrix", scaled)
+    report = verify_exact_sequence(make_mesh(4, "random", seed=9))
+    assert 1e-8 < report.curl_global_consistency < 1e-4
+    assert [k for k, ok in report.checks.items() if not ok] == ["curl_global_consistency"]
 
 
 def test_curl_lands_in_divergence_kernel():
