@@ -11,7 +11,8 @@ at every mesh size. The physical local matrices follow from the unit-shape
 integrals by exact powers of the cell diameter together with a diagonal DoF
 rescaling (gradient DoFs scale with h in the scalar element, edge-integral
 DoFs with 1/h in the vector element). User callables are evaluated once per
-mesh on point arrays of shape (n_cells, npts), and checked (``_values``).
+mesh on point arrays of shape (n_cells, npts), and checked
+(``geometry._values``).
 
 Within each chunk, cells whose unit shapes agree bit for bit share one
 element: ``unit_shape_elements`` builds each distinct shape once, the
@@ -27,24 +28,27 @@ The per-cell element work runs in tasks of at most TASK_CELLS cells, on
 both CPUs where the chunk is large. Every chunk whose unit shapes are all
 distinct (every chunk of a random mesh) is split into tasks of TASK_CELLS
 cells, so no task holds the temporaries of more cells than that. The tasks
-of a chunk of at least THREADED_CHUNK cells (every chunk of a random mesh
-from n = 32 on) build their elements and integrals (assembly) or field
-tables (error norms) on a pool of WORKERS = min(2, CPUs) threads that lives
-for one call, so no quadseq thread outlives it (``_run``); numpy releases
-the GIL in the power, matmul, einsum and linalg kernels of that work. The
-tasks of smaller chunks run in order on the caller thread, as do chunks
-with repeated shapes (one task each), the user callables and everything
-outside the tasks. The certificates (``quadseq.verify``,
-``quadseq.sequence``) walk their cells in the same TASK_CELLS slices
-(``_slices``). A task writes only its own rows
-of arrays the caller allocated, and a cell's results are those of its own
-build, so no result depends on the number of workers or the task size. The
-tasks are small because glibc gives each thread its own malloc arena, which
-keeps freed memory resident: against one thread, the peak RSS of a
-random-mesh scalar study to n = 64 rose by 3.7 % with 64-cell tasks, 7.1 %
-with 128, 14 % with 256 and 28 % with 512 (32-cell tasks took 2.2 % but ran
-9 % slower). Elements hold no lazily filled state, so a task may call any
-of their diagnostics.
+of a chunk that splits into a full chunk's worth of them, CELL_CHUNK //
+TASK_CELLS (every chunk of a random mesh from n = 32 on), build their
+elements and integrals (assembly) or field tables (error norms) on a pool
+of WORKERS = min(2, CPUs) threads that lives for one call, so no quadseq
+thread outlives it (``_run``); numpy releases the GIL in the power,
+matmul, einsum and linalg kernels of that work. The tasks of smaller
+chunks run in order on the caller thread, as do chunks with repeated
+shapes (one task each), the user callables and everything outside the
+tasks. The certificates (``quadseq.verify``, ``quadseq.sequence``) walk
+the same tasks (``_chunk_tasks``) on the caller thread. A task writes only
+its own rows of arrays the caller allocated, and a cell's results are
+those of its own build, so no result depends on the number of workers or
+the task size. The tasks are small because glibc gives each thread its own
+malloc arena, which keeps freed memory resident: against one thread, the
+peak RSS of a random-mesh scalar study to n = 64 rose by 3.7 % with
+64-cell tasks, 7.1 % with 128, 14 % with 256 and 28 % with 512 (32-cell
+tasks took 2.2 % but ran 9 % slower). For the same reason a chunk of a few
+tasks stays on the caller thread: pooling the four tasks of the assembly
+of a random n = 16 mesh raised the peak RSS of a run of the three
+certificates on random meshes to n = 16 by 6 %. Elements hold no lazily
+filled state, so a task may call any of their diagnostics.
 
 Batched products keep the operand layouts and reduction kernels a loop over
 cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
@@ -102,8 +106,8 @@ import numpy as np
 
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import build_scalar_element, build_vector_element
-from .geometry import QuadGeometry, _check, _dot, _pow2
-from .mesh import Mesh
+from .geometry import QuadGeometry, _dot, _pow2, _values
+from .mesh import Mesh, _real
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -118,8 +122,7 @@ __all__ = [
 
 DEFAULT_QUAD_ORDER = 4  # the 16-node tensor rule
 CELL_CHUNK = 1024       # cells per element batch
-THREADED_CHUNK = 512    # smallest chunk whose tasks run on the thread pool
-TASK_CELLS = 64         # cells per task of a chunk of distinct shapes, and per certificate slice
+TASK_CELLS = 64         # cells per task of a chunk of distinct shapes
 WORKERS = min(2, os.cpu_count() or 1)  # threads that run the tasks of a split chunk
 RESIDUAL_TOL = 1e-9     # largest relative residual ``solve`` accepts
 
@@ -188,24 +191,18 @@ def unit_shape_rule(geom: QuadGeometry, g: int, unit: QuadGeometry | None = None
     return unit, pts, geom.from_local(pts), wts
 
 
-def _slices(start, stop):
-    """Consecutive slices of at most TASK_CELLS cells that cover start:stop."""
-    return [slice(a, min(a + TASK_CELLS, stop)) for a in range(start, stop, TASK_CELLS)]
-
-
 def _run(chunks, work):
     """``work(*task)`` of every task, one list per chunk of tasks, in task
-    order; the first entry of a task is its slice of cells. The tasks of a
-    chunk of at least THREADED_CHUNK cells run on one pool of WORKERS
-    threads that lives for this call, and those of a smaller chunk (or of a
-    chunk of one task) run in order on the caller thread, so a call without
-    such a chunk starts no thread. A pool per chunk starts its threads
-    while the last ones may still hold their malloc arenas, and the extra
-    arena glibc then makes raised the peak RSS of a random-mesh scalar
-    study to n = 64 by 4 MB. The first failing task in order raises, once
-    the tasks not yet started are cancelled and those running have ended."""
-    pooled = [WORKERS > 1 and len(tasks) > 1
-              and tasks[-1][0].stop - tasks[0][0].start >= THREADED_CHUNK for tasks in chunks]
+    order. The tasks of a chunk of at least CELL_CHUNK // TASK_CELLS tasks
+    (and at least two) run on one pool of WORKERS threads that lives for
+    this call, and those of a chunk of fewer tasks run in order on the
+    caller thread, so a call without such a chunk starts no thread. A pool
+    per chunk starts its threads while the last ones may still hold their
+    malloc arenas, and the extra arena glibc then makes raised the peak RSS
+    of a random-mesh scalar study to n = 64 by 4 MB. The first failing task
+    in order raises, once the tasks not yet started are cancelled and those
+    running have ended."""
+    pooled = [WORKERS > 1 and len(tasks) >= max(2, CELL_CHUNK // TASK_CELLS) for tasks in chunks]
     if not any(pooled):
         return [[work(*task) for task in tasks] for tasks in chunks]
     with futures.ThreadPoolExecutor(WORKERS, thread_name_prefix="quadseq") as pool:
@@ -257,7 +254,8 @@ def _chunk_tasks(unit: QuadGeometry):
             order = np.argsort(first)  # shapes by first occurrence
             yield [(cells, start + first[order], np.argsort(order)[inverse.ravel()])]
         else:
-            yield [(part, part, slice(None)) for part in _slices(start, stop)]
+            parts = (slice(a, min(a + TASK_CELLS, stop)) for a in range(start, stop, TASK_CELLS))
+            yield [(part, part, slice(None)) for part in parts]
 
 
 def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
@@ -275,8 +273,8 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
     shapes is one task. A chunk without them (as on a random mesh) has
     ``shapes = cells`` and ``inv = slice(None)``, so its gathers are views
     that copy nothing; it is split into tasks of TASK_CELLS cells, which
-    run on a pool that ends with the call if the chunk has at least
-    THREADED_CHUNK cells, else in order on the caller thread (``_run``).
+    run on a pool that ends with the call if they are a full chunk's worth,
+    else in order on the caller thread (``_run``).
     ``use(cells, shapes, element, inv)``, if given, takes what it needs from
     each element (built, so with its frames and every diagnostic) and
     writes only the rows ``cells`` of its arrays; the
@@ -349,20 +347,6 @@ def cell_matrix(shape, blocks):
     return sp.coo_matrix((fill(vals, np.result_type(*vals))[keep], (rows, cols)), shape=shape)
 
 
-def _values(fn, name, x, shape):
-    """Float values (``shape``) of the user callable ``fn`` at the points x
-    (n_cells, npts, 2); raises ``ValueError`` naming it (as "source f") on a
-    wrong shape or type, or it and its first cell on a non-finite value."""
-    values = np.asarray(fn(x[..., 0], x[..., 1]))
-    if values.shape != shape or values.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must return real numbers of shape {shape} on points "
-                         f"of shape {x.shape[:-1]}, got {values.dtype} of shape {values.shape}")
-    values = np.asarray(values, dtype=float)
-    _check(~np.isfinite(values).reshape(len(values), -1).all(-1), ValueError,
-           f"{name} is not finite at a quadrature point")
-    return values
-
-
 def _load(dofs, F, ndof):
     # bincount of no free DoF returns int64 zeros, which g cannot update.
     free = dofs >= 0
@@ -413,8 +397,7 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     term entirely (pure fourth-order operator). f is a vectorized callable
     of (x, y). Clamped boundary conditions are built into the DoF map.
     """
-    if not 0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+    _real(eps, "eps", "must be finite and non-negative", lambda e: 0 <= e < np.inf)
     dm = ScalarDofMap(mesh)
     geom = mesh.cell_geometry
     unit, pts, x, wts = unit_shape_rule(geom, quad_order)
@@ -466,8 +449,8 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     alpha are non-negative and not both zero; f maps (x, y) to (..., 2) and
     g, if given, to (...,). B is the DoF map's edge signs (``verify._div_flux_residual``).
     """
-    if not (0 <= nu < np.inf and 0 <= alpha < np.inf):
-        raise ValueError(f"nu and alpha must be finite and non-negative, got {nu} and {alpha}")
+    for name, value in (("nu", nu), ("alpha", alpha)):
+        _real(value, name, "must be finite and non-negative", lambda v: 0 <= v < np.inf)
     if nu == 0 and alpha == 0:
         raise ValueError("nu and alpha cannot both vanish")
     dm = VectorDofMap(mesh)

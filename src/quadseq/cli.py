@@ -9,6 +9,7 @@ verification, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .assembly import SolverError
 from .cases import scalar_sin_squared
 from .elements import ElementConditioningError
-from .mesh import MeshGenerationError, make_mesh
+from .mesh import Mesh, MeshGenerationError, make_mesh
 from .sequence import verify_exact_sequence
 from .study import run_brinkman_study, run_scalar_study
 from .verify import element_certificate
@@ -144,19 +145,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path):
+    """Raise ``ValueError`` unless the directory of ``--out`` (``path``, or
+    the files ``path.<format>``) exists and is writable; runs before any
+    work, so a bad path costs no study."""
+    directory = os.path.dirname(path or "") or "."
+    if path is not None and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise ValueError(f"--out {path}: directory {directory!r} does not exist "
+                         "or is not writable")
+
+
 def _write_report(report, fmts, prefix):
     if prefix is None:
         return
     for fmt in fmts:
-        path = f"{prefix}.{fmt}"
-        if fmt == "csv":
-            payload = report.to_csv()
-        elif fmt == "md":
-            payload = report.to_markdown()
-        else:
-            payload = report.to_json()
-        with open(path, "w") as fh:
-            fh.write(payload)
+        method = {"csv": "to_csv", "md": "to_markdown", "json": "to_json"}[fmt]
+        with open(f"{prefix}.{fmt}", "w") as fh:
+            fh.write(getattr(report, method)())
 
 
 def _cmd_study(args) -> int:
@@ -205,7 +210,6 @@ def _cmd_mesh(args) -> int:
     print(f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_edges} edges, "
           f"{mesh.n_cells} cells (euler {mesh.euler_characteristic()})")
     if args.roundtrip_check:
-        from .mesh import Mesh
         again = Mesh.load(args.out)
         if again.content_hash() != mesh.content_hash():
             print("error: round-trip hash mismatch", file=sys.stderr)
@@ -218,6 +222,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         if args.command == "study":
             return _cmd_study(args)
         if args.command == "verify":

@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import _D13, _D24, _L1, _L2, _L3, _L4, _M13, _M24, NonConvexCellError
-from .geometry import QuadGeometry, _check, _pow2
+from .geometry import QuadGeometry, _check, _pow2, _values
 from .poly import DX, DY, MONOMIALS, affine_row, mul_affine, vandermonde
 from .quadrature import gauss01
 
@@ -501,11 +501,13 @@ def scalar_dof_values(geom: QuadGeometry, u, grad_u) -> np.ndarray:
     """DoF vectors (..., 12) of a smooth function: values then both gradient components.
 
     u and grad_u are vectorized callables of (x, y) returning shapes (...,)
-    and (..., 2).
+    and (..., 2), called on the vertices (..., 4, 2); ``ValueError`` names
+    the one that returns another shape, a non-real type or a non-finite
+    value (``geometry._values``).
     """
     v = geom.vertices
-    vals = np.asarray(u(v[..., 0], v[..., 1]), dtype=float)
-    grads = np.asarray(grad_u(v[..., 0], v[..., 1]), dtype=float)
+    vals = _values(u, "u", v, v.shape[:-1])
+    grads = _values(grad_u, "grad_u", v, v.shape)
     return np.concatenate([vals, grads[..., 0], grads[..., 1]], axis=-1)
 
 
@@ -513,14 +515,16 @@ def vector_dof_values(geom: QuadGeometry, v) -> np.ndarray:
     """DoF vectors (..., 12) of a smooth field: edge normal integrals then vertex components.
 
     v is a vectorized callable of (x, y) returning (..., 2), called once on
-    the edge Gauss points and vertices of all cells. Edge integrals use the
-    5-point edge rule of the element functionals.
+    the edge Gauss points and vertices of all cells, and named by
+    ``ValueError`` if it returns another shape, a non-real type or a
+    non-finite value (``geometry._values``). Edge integrals use the 5-point
+    edge rule of the element functionals.
     """
     m = 4 * len(_EDGE_T)
     pts = np.concatenate(
         [geom.edge_points(i, _EDGE_T) for i in range(4)] + [geom.vertices], axis=-2
     )
-    vals = np.asarray(v(pts[..., 0], pts[..., 1]), dtype=float)
+    vals = _values(v, "v", pts, pts.shape)
     edge = vals[..., :m, :].reshape(vals.shape[:-2] + (4, len(_EDGE_T), 2))
     normal = (edge * geom.normals[..., :, None, :]).sum(-1)
     at_verts = vals[..., m:, :]

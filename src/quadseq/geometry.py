@@ -49,6 +49,20 @@ def _check(bad, error, message, values=None, index=None):
         raise error(where + message + what)
 
 
+def _values(fn, name, x, shape):
+    """Float values (``shape``) of the user callable ``fn`` at the points x
+    (..., npts, 2); raises ``ValueError`` naming it (as "source f") on a
+    wrong shape or type, or it and its first cell on a non-finite value."""
+    values = np.asarray(fn(x[..., 0], x[..., 1]))
+    if values.shape != shape or values.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must return real numbers of shape {shape} on points "
+                         f"of shape {x.shape[:-1]}, got {values.dtype} of shape {values.shape}")
+    values = np.asarray(values, dtype=float)
+    _check(~np.isfinite(values).reshape(x.shape[:-2] + (-1,)).all(-1), ValueError,
+           f"{name} is not finite at an evaluation point")
+    return values
+
+
 def _dot(a, b):
     """Inner products over the last axis, summed exactly as ``np.dot`` sums
     one pair of vectors (a batched matmul of row by column)."""

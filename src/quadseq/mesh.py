@@ -55,6 +55,15 @@ def _integer(value, name: str, least: int | None = None) -> int:
     return value
 
 
+def _real(value, name: str, rule: str, ok):
+    """``value`` if it is a real number (a NumPy float too, a bool not) for
+    which ``ok`` holds, or ``ValueError`` naming it: "{name} {rule}, got
+    {value!r}"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError(f"{name} {rule}, got {value!r}")
+    return value
+
+
 def _seed(value) -> int:
     """``value`` as a non-negative int, or ``ValueError`` naming the seed."""
     seed = _integer(value, "seed")
@@ -70,8 +79,7 @@ def _metadata(n, delta, seed):
     ``ValueError`` naming the first field that breaks them."""
     if n is not None:
         n = _integer(n, "n", 2)
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 <= delta <= 0.25:
-        raise ValueError(f"delta must be a number in [0, 0.25], got {delta!r}")
+    delta = _real(delta, "delta", "must be a number in [0, 0.25]", lambda d: 0.0 <= d <= 0.25)
     return n, delta, None if seed is None else _seed(seed)
 
 

@@ -6,7 +6,7 @@ a solved global coefficient vector gathered through the DoF map
 (``scalar_dof_values``/``vector_dof_values`` on ``mesh.cell_geometry``, no
 boundary conditions involved); another shape raises ``ValueError`` before
 any table is formed, as do exact-solution callables of a wrong shape or
-with a non-finite value (``assembly._values``). Error quadrature uses an
+with a non-finite value (``geometry._values``). Error quadrature uses an
 independent, higher-order rule than assembly, batched over cells like assembly.
 
 The norms build no element. They take the mesh level's ``ElementBatch``:
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import ElementBatch, _values, scalar_dof_scaling, unit_shape_rule, vector_dof_scaling
+from .assembly import ElementBatch, scalar_dof_scaling, unit_shape_rule, vector_dof_scaling
 from .cases import BrinkmanCase, ScalarCase
 from .elements import ScalarElement, VectorElement
-from .geometry import _pow2
+from .geometry import _pow2, _values
 from .mesh import Mesh
 
 __all__ = ["scalar_error_norms", "brinkman_error_norms"]

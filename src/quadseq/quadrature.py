@@ -7,6 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import QuadGeometry
+from .mesh import _integer
 
 __all__ = ["QuadratureRule", "check_order", "gauss01"]
 
@@ -18,8 +19,9 @@ def _leggauss(g: int):
 
 
 def check_order(g: int, name: str = "per-axis order g"):
-    """Raise ``ValueError``, naming ``name``, unless 2 <= g <= 8."""
-    if not 2 <= g <= 8:
+    """Raise ``ValueError``, naming ``name``, unless g is an integer (a
+    NumPy integer too, a bool not) with 2 <= g <= 8."""
+    if not 2 <= _integer(g, name) <= 8:
         raise ValueError(f"{name} must lie in 2..8, got {g}")
 
 

@@ -12,13 +12,15 @@ cell areas) come from the DoF maps alone. The element enters through two
 per-cell identities, which the element certificate (``quadseq.verify``) also
 runs: each rotated scalar gradient re-interpolates to itself (C is the curl)
 and each vector basis field's divergence integrates to its outward flux (D
-is the divergence). They run on the cells in slices of
-``assembly.TASK_CELLS``, which bounds their temporaries: on a random mesh
-with n = 32 the certificate peaks at 129 MB, against 163 MB with all cells
-in one batch. Ranks are relative to CUTOFF. Rank D and the gap at the
-cut come from the value-only SVD of D, the one dense matrix; C is injective
-by the extreme eigenvalues of the sparse C^T C, and rank [C | ker D] =
-nullity(D) + rank(D C) needs no kernel basis. The inf-sup constant forms
+is the divergence). They run on the element tasks of assembly
+(``assembly._chunk_tasks``), once per distinct unit shape of a chunk, in
+tasks of ``assembly.TASK_CELLS`` cells where a chunk's shapes are all
+distinct, which bounds their temporaries: on a random mesh with n = 32 the
+certificate peaks at 129 MB, against 163 MB with all cells in one batch.
+Ranks are relative to CUTOFF. Rank D and the gap at the cut come from the
+value-only SVD of D, the one dense matrix; C is injective by the extreme
+eigenvalues of the sparse C^T C, and rank [C | ker D] = nullity(D) +
+rank(D C) needs no kernel basis. The inf-sup constant forms
 no dense matrix: it is the extreme eigenvalue of an operator that one
 stream-function sweep of the Brinkman solve applies, so it needs a mesh of
 Euler characteristic 1, as that solve does.
@@ -26,12 +28,13 @@ Euler characteristic 1, as that solve does.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import _StreamSolver, _slices, assemble_brinkman, cell_matrix
+from .assembly import _StreamSolver, _chunk_tasks, assemble_brinkman, cell_matrix
 from .assembly import scalar_dof_scaling, vector_dof_scaling
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import _build_pair
@@ -168,12 +171,14 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     divergence integrates to its boundary flux), whose residual is a linear
     combination of the per-field residuals, so the report does not repeat it.
 
-    The per-cell checks run in slices of ``assembly.TASK_CELLS`` cells: each
-    slice builds its elements, forms S, the vector DoFs of its rotated
-    scalar basis (``verify._curl_dofs``), checks the re-interpolation on S
-    and compares the rotated gradients c . S with the global curl matrix,
-    and only the running maxima outlive it. A cell's residuals do not depend on its slice, so the
-    report is the same bit for bit for every slice size.
+    The per-cell checks run on the element tasks of assembly: each task
+    builds the elements of its distinct unit shapes, forms S, the vector
+    DoFs of their rotated scalar basis (``verify._curl_dofs``), checks the
+    re-interpolation on S and compares the rotated gradients c . S[inv] of
+    its cells with the global curl matrix, and only the running maxima
+    outlive it. A cell's residuals depend on its unit shape and its own
+    coefficients only, so the report is the same bit for bit for every
+    task size and with or without the deduplication.
 
     Kernel spanning uses rank [C | ker D] = nullity(D) + rank(D C) and
     ||D x|| >= sigma_r(D) * dist(x, ker D) for every x, where ker D is spanned
@@ -211,18 +216,19 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     sigma_global = vdm.gather(C @ w)
 
     res = {}
-    for part in _slices(0, mesh.n_cells):
-        shapes = unit[part]
-        sc, vc = _build_pair(shapes)  # one stream span and one pair of frames
-        S = _curl_dofs(shapes, sc, vc)
-        # Per cell: each rotated scalar basis gradient re-interpolates to
-        # itself, each vector basis field's divergence integrates to its
-        # flux, and the DoFs of the rotated gradient match the curl matrix.
+    for cells, shapes, inv in itertools.chain.from_iterable(_chunk_tasks(unit)):
+        distinct = unit[shapes]
+        sc, vc = _build_pair(distinct)  # one stream span and one pair of frames
+        S = _curl_dofs(distinct, sc, vc)
+        # Per shape: each rotated scalar basis gradient re-interpolates to
+        # itself and each vector basis field's divergence integrates to its
+        # flux; per cell, the DoFs of the rotated gradient match the curl
+        # matrix.
         _fold_max(res, {
             "reinterp": _curl_inclusion_residual(S, sc, vc)[0],
-            "div_flux": _div_flux_residual(shapes, vc.divergence()[0]),
-            "consistency": np.abs(_rotated_gradient_dofs(S, c[part], geom.h[part])
-                                  - sigma_global[part]),
+            "div_flux": _div_flux_residual(distinct, vc.divergence()[0]),
+            "consistency": np.abs(_rotated_gradient_dofs(S[inv], c[cells], geom.h[cells])
+                                  - sigma_global[cells]),
         })
     reinterp, div_flux, consistency = (float(v) for v in res.values())
 

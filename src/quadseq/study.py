@@ -147,10 +147,11 @@ class StudyReport:
 def _study(problem, params, norms, level_errors, *, family, n_list, delta, seed,
            quad_order, error_quad_order) -> StudyReport:
     """Collect ``norms`` of ``level_errors(mesh)`` (a dict norm -> error) on
-    the mesh of every n of ``n_list``, which must increase strictly."""
+    the mesh of every n of ``n_list``, which must be non-empty and
+    increase strictly."""
     n_list = list(n_list)
-    if any(n_next <= n for n, n_next in zip(n_list, n_list[1:])):
-        raise ValueError(f"mesh resolutions must increase strictly, got {n_list}")
+    if not n_list or any(n_next <= n for n, n_next in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must be non-empty and increase strictly, got {n_list}")
     t0 = time.perf_counter()
     errors = {nm: [] for nm in norms}
     for n in n_list:

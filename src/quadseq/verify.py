@@ -17,25 +17,30 @@ the frames, and every identity check on those cells reads the frames and
 the span of the element it checks. The reproduction checks share one
 monomial table at their sample points.
 
-The cells run in slices of ``assembly.TASK_CELLS``, as the element tasks
-of assembly do, so the temporaries of the battery are bounded whatever the
-number of samples: ``element_certificate(1000, identity_samples=1000)``
-peaks at 68 MB in slices, against 124 MB with every cell at once.
-A cell's residuals do not depend on its slice, and each certificate
-residual is the maximum over the slices of their maxima over cells, so the
-certificate is the same bit for bit for every slice size.
+The cells run in the element tasks of assembly (``assembly._chunk_tasks``):
+chunks of ``CELL_CHUNK`` cells, each split into tasks of ``TASK_CELLS``
+cells where its cells are all distinct, as in the sweep, or else one task
+on the distinct cells of the chunk, as on the cycled cells of a mesh
+family. So the temporaries of the battery are bounded whatever the number
+of samples (``element_certificate(1000, identity_samples=1000)`` peaks at
+68 MB on the sweep, against 124 MB with every cell at once), and a mesh
+family certificate checks each of its 16 cells once per chunk, however
+many samples cycle through them. A cell's residuals depend on its vertices
+only, and each certificate residual is the maximum over the tasks of their
+maxima over cells, so the certificate is the same bit for bit for every
+task size and with or without the deduplication.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .assembly import _slices
+from .assembly import _chunk_tasks
 from .elements import (
     _EDGE_T,
     _EDGE_W,
@@ -52,7 +57,7 @@ from .elements import (
     vector_dof_values,
 )
 from .geometry import REF_CORNERS, QuadGeometry
-from .mesh import _integer, _seed, make_mesh
+from .mesh import _integer, _real, _seed, make_mesh
 from .poly import DX, DY
 
 __all__ = ["ElementCertificate", "element_certificate", "random_convex_quads"]
@@ -102,10 +107,10 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
     ``max_aspect``). The accepted cells are then built together.
     """
     samples = _integer(samples, "samples", 1)
-    if not _is_real(max_skew) or not 0.0 <= max_skew < 1.0:
-        raise ValueError(f"max_skew must lie in [0, 1), got {max_skew!r}")
-    if max_aspect is not None and (not _is_real(max_aspect) or not 1.0 <= max_aspect < np.inf):
-        raise ValueError(f"max_aspect must be None or a finite number >= 1, got {max_aspect!r}")
+    _real(max_skew, "max_skew", "must lie in [0, 1)", lambda x: 0.0 <= x < 1.0)
+    if max_aspect is not None:
+        _real(max_aspect, "max_aspect", "must be None or a finite number >= 1",
+              lambda x: 1.0 <= x < np.inf)
     rng = np.random.default_rng(_seed(seed))
     bounded = max_aspect is not None
     step = 8 if bounded else 9  # the draws of an accepted candidate
@@ -144,10 +149,6 @@ def random_convex_quads(samples: int, seed: int, max_skew: float = 0.95,
 
 
 _DRAW_BLOCK = 8192  # uniform draws per block of the sample stream
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _uniform(u, low, high):
@@ -363,13 +364,15 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
         raise ValueError(f"unknown family {family!r}")
 
     res = {}
-    for part in _slices(0, len(quads)):
-        q = quads[part]
+    # The element tasks (cells, shapes, inv) of the chunks of each batch, in
+    # order: the distinct cells of a task are quads[shapes] (cells[shapes]).
+    for _, shapes, _ in itertools.chain.from_iterable(_chunk_tasks(quads)):
+        q = quads[shapes]
         num = np.stack(numeric_dets(q), axis=-1)
         orc = np.stack(det_oracles(q.s[:, 0], q.s[:, 1]), axis=-1)
         _fold_max(res, {"det_rel_err": np.abs((num - orc) / orc)})
-    for part in _slices(0, len(cells)):
-        _fold_max(res, _identity_residuals(cells[part]))
+    for _, shapes, _ in itertools.chain.from_iterable(_chunk_tasks(cells)):
+        _fold_max(res, _identity_residuals(cells[shapes]))
     return ElementCertificate(
         family=family, samples=len(quads), identity_samples=identity_samples,
         seed=seed, residuals={k: float(res[k]) for k in THRESHOLDS},
@@ -405,8 +408,8 @@ def _identity_residuals(cells: QuadGeometry) -> dict:
 
 
 def _fold_max(res: dict, per_cell: dict):
-    """Fold the largest residual of each check on one slice into ``res``.
-    Every residual is a maximum over cells, so the maximum over slices is
+    """Fold the largest residual of each check on one task into ``res``.
+    Every residual is a maximum over cells, so the maximum over tasks is
     exact, and ``np.maximum`` keeps a NaN, as the maximum over all cells
     would."""
     for k, v in per_cell.items():

@@ -161,3 +161,61 @@ def reference_random_convex_quads(samples, seed, max_skew=0.95, max_aspect=None)
         scale = rng.uniform(0.5, 2.0)
         out.append(verts @ (scale * L).T + rng.uniform(-3, 3, 2))
     return np.stack(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the certificates' walk before they ran on the element
+# tasks: consecutive slices of 64 cells, every cell checked, none shared.
+# Both certificates must give their bits.
+# ---------------------------------------------------------------------------
+
+def _slices_of_64(stop):
+    return [slice(a, min(a + 64, stop)) for a in range(0, stop, 64)]
+
+
+def sliced_certificate_residuals(family, samples, seed, identity_samples):
+    """The residuals of ``element_certificate`` on a mesh family, walked in
+    slices of 64 sampled cells."""
+    from quadseq.elements import det_oracles, numeric_dets
+    from quadseq.mesh import make_mesh
+    from quadseq.verify import THRESHOLDS, _fold_max, _identity_residuals
+
+    geom = make_mesh(4, family, seed=seed).cell_geometry
+    quads, cells = (geom[np.arange(k) % len(geom)] for k in (samples, identity_samples))
+    res = {}
+    for part in _slices_of_64(len(quads)):
+        q = quads[part]
+        num = np.stack(numeric_dets(q), axis=-1)
+        orc = np.stack(det_oracles(q.s[:, 0], q.s[:, 1]), axis=-1)
+        _fold_max(res, {"det_rel_err": np.abs((num - orc) / orc)})
+    for part in _slices_of_64(len(cells)):
+        _fold_max(res, _identity_residuals(cells[part]))
+    return {k: float(res[k]) for k in THRESHOLDS}
+
+
+def sliced_sequence_residuals(mesh):
+    """The re-interpolation, flux and consistency residuals of
+    ``verify_exact_sequence``, walked in slices of 64 mesh cells."""
+    from quadseq.assembly import scalar_dof_scaling
+    from quadseq.elements import _build_pair
+    from quadseq.sequence import _rotated_gradient_dofs, curl_matrix
+    from quadseq.verify import _curl_dofs, _curl_inclusion_residual, _div_flux_residual, _fold_max
+
+    geom = mesh.cell_geometry
+    unit = QuadGeometry(geom.local_vertices)
+    C, sdm, vdm = curl_matrix(mesh)
+    w = np.random.default_rng(0).standard_normal(sdm.ndof)
+    c = sdm.gather(w) * scalar_dof_scaling(geom.h)
+    sigma_global = vdm.gather(C @ w)
+    res = {}
+    for part in _slices_of_64(mesh.n_cells):
+        shapes = unit[part]
+        sc, vc = _build_pair(shapes)
+        S = _curl_dofs(shapes, sc, vc)
+        _fold_max(res, {
+            "reinterp": _curl_inclusion_residual(S, sc, vc)[0],
+            "div_flux": _div_flux_residual(shapes, vc.divergence()[0]),
+            "consistency": np.abs(_rotated_gradient_dofs(S, c[part], geom.h[part])
+                                  - sigma_global[part]),
+        })
+    return tuple(float(v) for v in res.values())

@@ -145,6 +145,24 @@ def test_non_finite_source_names_its_first_cell(assemble, name, bad):
         assemble(lambda x, y: np.where(x > 0.9, bad, x))
 
 
+@pytest.mark.parametrize("value", ["1", True, None, np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("assemble, name", [
+    (lambda v: assemble_fourth_order(MESH, v, CASE.source(1.0)), "eps"),
+    (lambda v: assemble_brinkman(MESH, v, 1.0, _zero_flow), "nu"),
+    (lambda v: assemble_brinkman(MESH, 1.0, v, _zero_flow), "alpha"),
+], ids=["eps", "nu", "alpha"])
+def test_bad_coefficients_are_named(assemble, name, value):
+    # A string used to raise TypeError from the comparison, and True passed.
+    with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got "):
+        assemble(value)
+
+
+def test_coefficients_take_numpy_floats():
+    want = assemble_fourth_order(MESH, 0.5, CASE.source(0.5)).matrix
+    got = assemble_fourth_order(MESH, np.float64(0.5), CASE.source(0.5)).matrix
+    assert np.array_equal(got.toarray(), want.toarray())
+
+
 def test_solve_round_trip():
     mesh = make_mesh(4, "rectangular")
     system = assemble_fourth_order(mesh, 1.0, CASE.source(1.0))

@@ -34,6 +34,7 @@ from quadseq.elements import (
     scalar_dof_values,
     vector_dof_values,
 )
+from quadseq.geometry import QuadGeometry
 from quadseq.mesh import make_mesh
 from quadseq.poly import DX, DY
 from quadseq.sequence import verify_exact_sequence
@@ -68,27 +69,66 @@ def evaluations(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("family", ["sweep", "random"])
+def _distinct(geom):
+    """The vertices of the distinct cells of ``geom`` (bit for bit), in
+    order of first occurrence."""
+    keys = np.ascontiguousarray(geom.vertices).view(np.uint64).reshape(len(geom), -1)
+    return geom.vertices[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_element_certificate_evaluates_frames_and_span_once(evaluations, family):
     element_certificate(200, seed=1, family=family, identity_samples=150)
     frames, span = evaluations["frames"], evaluations["span"]
     geometries = evaluations["geometries"]
-    # Each evaluated geometry, a slice of the determinant quads or of the
-    # identity cells, evaluates its frames once, and an identity slice its
-    # span once.
+    # Each evaluated geometry, the distinct cells of an element task of the
+    # determinant quads or of the identity cells, evaluates its frames once,
+    # and an identity task its span once.
     assert set(frames.values()) == {1} and set(span.values()) == {1}
     assert set(span) <= set(frames)
-    # The slices partition the quads and the identity cells, in order, and
-    # none holds more than TASK_CELLS cells.
+    # The tasks hold the distinct quads and the distinct identity cells, each
+    # once, in order of first occurrence, and none holds more than
+    # TASK_CELLS cells: the 200 and 150 cells of the sweep are all distinct,
+    # and those of a mesh family cycle through its 16 cells.
     quads, cells = _certificate_cells(family, 200, 1, 150)
     sizes = [len(geometries[k]) for k in frames]
-    assert sum(sizes) == 200 + 150 and max(sizes) <= assembly.TASK_CELLS
+    assert sum(sizes) == (200 + 150 if family == "sweep" else 16 + 16)
+    assert max(sizes) <= assembly.TASK_CELLS
 
     def stacked(keys):
         return np.concatenate([geometries[k].vertices for k in keys])
 
-    assert np.array_equal(stacked(k for k in frames if k not in span), quads.vertices)
-    assert np.array_equal(stacked(span), cells.vertices)
+    assert np.array_equal(stacked(k for k in frames if k not in span), _distinct(quads))
+    assert np.array_equal(stacked(span), _distinct(cells))
+
+
+def test_each_distinct_cell_of_a_chunk_is_evaluated_once(evaluations):
+    # 2000 samples cycle through the 16 cells of a rectangular mesh, in two
+    # chunks of at most CELL_CHUNK cells; each chunk checks the 16 once, for
+    # the determinants and for the identities.
+    assert 1000 < assembly.CELL_CHUNK < 2000
+    element_certificate(2000, seed=1, family="rectangular", identity_samples=2000)
+    geometries = evaluations["geometries"]
+    assert [len(geometries[k]) for k in evaluations["frames"]] == [16] * 4
+    assert [len(geometries[k]) for k in evaluations["span"]] == [16] * 2
+
+
+@pytest.mark.parametrize("family", FAMILIES[1:])
+def test_sequence_certificate_builds_each_distinct_shape_once(monkeypatch, family):
+    # One element pair per distinct unit shape: 1 on a rectangular mesh, a
+    # few on a trapezoidal one, all 64 cells of a random one.
+    built, build = [], sequence._build_pair
+
+    def counted(geom):
+        built.append(geom.vertices)
+        return build(geom)
+
+    monkeypatch.setattr(sequence, "_build_pair", counted)
+    mesh = make_mesh(8, family, seed=3)
+    verify_exact_sequence(mesh)
+    unit = QuadGeometry(mesh.cell_geometry.local_vertices)
+    assert np.array_equal(np.concatenate(built), _distinct(unit))
+    assert (len(np.concatenate(built)) == 1) == (family == "rectangular")
 
 
 def test_sequence_certificate_evaluates_frames_and_span_once(evaluations):

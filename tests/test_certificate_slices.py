@@ -1,17 +1,23 @@
-"""The certificates walk their cells in slices of ``assembly.TASK_CELLS``.
+"""The certificates walk their cells in the element tasks of assembly.
 
-Every certificate residual is a maximum over cells, so the maximum over the
-slices is the same number whatever the slice size: the certificate JSON,
-the sequence report and the inf-sup constant are byte-identical for one
-cell per slice, for slices that leave a short last one, and for one slice
-of all cells. An error still names the bad cell by its position in the
-whole batch, and the traced peak memory stays that of one slice.
+A chunk of distinct cells is split into slices of ``assembly.TASK_CELLS``,
+and a chunk with repeated cells is one task on its distinct cells. Every
+certificate residual is a maximum over cells, so the maximum over the
+tasks is the same number whatever the slice size and with or without the
+deduplication: the certificate JSON, the sequence report and the inf-sup
+constant are byte-identical for one cell per slice, for slices that leave
+a short last one, and for one slice of all cells, and equal the walk in
+64-cell slices that checked every cell (``conftest``). An error still
+names the bad cell by its position in the whole batch, and the traced peak
+memory stays that of one slice.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from conftest import sliced_certificate_residuals, sliced_sequence_residuals
 
 import quadseq.assembly as assembly
 import quadseq.verify as verify
@@ -57,6 +63,21 @@ def test_certificates_pass_on_every_slice_size(by_slice_size):
         for key, text in outputs.items():
             if not key.startswith("inf_sup"):
                 assert '"passed": true' in text, key
+
+
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+def test_certificates_equal_the_walk_that_checks_every_cell(family):
+    # The 200 samples cycle through the 16 cells of a mesh, which the
+    # element tasks check once each; the sequence certificate builds one
+    # element pair per distinct unit shape.
+    cert = element_certificate(200, seed=2, family=family)
+    assert cert.residuals == sliced_certificate_residuals(family, 200, 2, 200)
+    for n in (4, 8):
+        mesh = make_mesh(n, family, seed=2)
+        report = verify_exact_sequence(mesh)
+        got = (report.curl_reinterp_residual, report.div_flux_residual,
+               report.curl_global_consistency)
+        assert got == sliced_sequence_residuals(mesh)
 
 
 def _with_flat_identity_cell(cell, random_convex_quads=verify.random_convex_quads):

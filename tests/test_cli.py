@@ -165,3 +165,30 @@ def test_trapezoid_delta_zero_export_matches_rectangular(tmp_path):
     va = json.loads(a.read_text())["vertices"]
     vb = json.loads(b.read_text())["vertices"]
     assert va == vb
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "scalar", "--n", "4,8,16,32,64"],
+    ["study", "brinkman", "--n", "4,8,16,32,64"],
+    ["verify", "element", "--samples", "1000"],
+    ["verify", "sequence", "--n", "16"],
+    ["mesh", "--n", "4"],
+], ids=["scalar", "brinkman", "element", "sequence", "mesh"])
+def test_unwritable_out_fails_before_the_work(argv, tmp_path, monkeypatch, capsys):
+    # It used to run the whole command and then raise FileNotFoundError.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    for name in ("make_mesh", "run_scalar_study", "run_brinkman_study", "element_certificate"):
+        monkeypatch.setattr(f"quadseq.cli.{name}", no_work)
+    out = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: directory ") and err.count("\n") == 1
+    assert "does not exist" in err and not (tmp_path / "missing").exists()
+
+
+def test_out_in_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["mesh", "--n", "2", "--out", "m.json"]) == 0
+    assert (tmp_path / "m.json").exists()

@@ -539,3 +539,55 @@ def test_certificate_equals_one_cell_maxima(family, samples, seed):
         geom = make_mesh(4, family, seed=seed).cell_geometry
         quads, cells = geom[np.arange(samples) % 16], geom[np.arange(25) % 16]
     assert cert.residuals == _one_cell_certificate(quads, cells)
+
+
+# ---------------------------------------------------------------------------
+# interpolation callables are checked by name
+# ---------------------------------------------------------------------------
+
+INTERP_CELLS = make_mesh(2, "rectangular").cell_geometry
+
+
+def _scalar_u(x, y):
+    return x * y
+
+
+def _scalar_grad(x, y):
+    return np.stack([y, x], -1)
+
+
+@pytest.mark.parametrize("interpolate, name, shape, got", [
+    (lambda bad: scalar_dof_values(INTERP_CELLS, bad(0), _scalar_grad), "u", "4, 4",
+     r"\(4, 4, 2\)"),
+    (lambda bad: scalar_dof_values(INTERP_CELLS, _scalar_u, bad(1)), "grad_u", "4, 4, 2",
+     r"\(4, 4\)"),
+    (lambda bad: vector_dof_values(INTERP_CELLS, bad(2)), "v", "4, 24, 2", r"\(4, 24, 3\)"),
+], ids=["u", "grad_u", "v"])
+def test_interpolation_callables_of_a_wrong_shape_are_named(interpolate, name, shape, got):
+    # A gradient without its last axis used to fail in np.concatenate, and a
+    # velocity of three components in a reshape.
+    wrong = [lambda x, y: np.stack([x, y], -1), lambda x, y: x,
+             lambda x, y: np.stack([x, y, x], -1)]
+    with pytest.raises(ValueError, match=rf"^{name} must return real numbers of shape "
+                                         rf"\({shape}\) on points of shape .*{got}"):
+        interpolate(lambda k: wrong[k])
+
+
+@pytest.mark.parametrize("interpolate, name", [
+    (lambda bad: scalar_dof_values(INTERP_CELLS, bad, _scalar_grad), "u"),
+    (lambda bad: scalar_dof_values(INTERP_CELLS, _scalar_u,
+                                   lambda x, y: np.stack([bad(x, y), x], -1)), "grad_u"),
+    (lambda bad: vector_dof_values(INTERP_CELLS, lambda x, y: np.stack([x, bad(x, y)], -1)), "v"),
+], ids=["u", "grad_u", "v"])
+def test_non_finite_interpolation_callables_name_the_cell(interpolate, name):
+    # A NaN u used to give NaN errors and no exception. Cell 1 is the first
+    # with a vertex at x = 1.
+    with pytest.raises(ValueError, match=f"^cell 1: {name} is not finite"):
+        interpolate(lambda x, y: np.where(x > 0.9, np.nan, y))
+
+
+def test_interpolation_of_one_cell_is_checked(unit_square):
+    with pytest.raises(ValueError, match=r"^u is not finite"):
+        scalar_dof_values(unit_square, lambda x, y: np.full(x.shape, np.inf), _scalar_grad)
+    dofs = scalar_dof_values(unit_square, _scalar_u, _scalar_grad)
+    assert dofs.shape == (12,)

@@ -57,6 +57,35 @@ def test_rule_orders_are_checked_before_any_level(monkeypatch, study, orders, na
         study(n_list=[4, 8], **orders)
 
 
+@pytest.mark.parametrize("study", [run_scalar_study, run_brinkman_study,
+                                   run_scalar_interpolation_study,
+                                   run_vector_interpolation_study])
+def test_empty_resolution_list_is_named(study):
+    # It used to return a report with no level.
+    with pytest.raises(ValueError, match=r"^n_list must be non-empty and increase strictly, "
+                                         r"got \[\]"):
+        study(n_list=[])
+
+
+@pytest.mark.parametrize("study, orders, name", [
+    (run_scalar_study, {"quad_order": 4.5}, "quad_order"),
+    (run_brinkman_study, {"quad_order": True}, "quad_order"),
+    (run_scalar_study, {"error_quad_order": "6"}, "error_quad_order"),
+    (run_vector_interpolation_study, {"error_quad_order": 6.0}, "error_quad_order"),
+], ids=["scalar-quad-float", "brinkman-quad-bool", "scalar-error-str", "vector-error-float"])
+def test_rule_orders_must_be_integers(monkeypatch, study, orders, name):
+    # 4.5 used to fail inside NumPy's Gauss rule ("deg must be an integer").
+    monkeypatch.setattr(quadseq.study, "make_mesh", lambda *args, **kwargs: None)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        study(n_list=[4, 8], **orders)
+
+
+def test_rule_orders_take_numpy_integers():
+    import numpy as np
+    report = run_scalar_interpolation_study(n_list=[4], error_quad_order=np.int64(6))
+    assert report.errors == run_scalar_interpolation_study(n_list=[4]).errors
+
+
 def test_scalar_study_decreases():
     r = run_scalar_study(eps=1.0, n_list=[4, 8, 16])
     e = r.errors["energy"]

@@ -17,11 +17,12 @@ import pytest
 
 import quadseq.assembly as assembly
 import quadseq.study as study
-from quadseq.assembly import assemble_fourth_order, unit_shape_elements
+from quadseq.assembly import assemble_brinkman, assemble_fourth_order, unit_shape_elements
 from quadseq.cases import scalar_sin_squared
 from quadseq.elements import ElementConditioningError, ScalarElement, build_scalar_element
 from quadseq.geometry import QuadGeometry
 from quadseq.mesh import make_mesh
+from quadseq.norms import scalar_error_norms
 from quadseq.verify import random_convex_quads
 
 STUDIES = [
@@ -56,17 +57,22 @@ def serial():
     # One task per chunk, on the caller thread: no chunk is split.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "TASK_CELLS", assembly.CELL_CHUNK)
-        mp.setattr(assembly, "THREADED_CHUNK", assembly.CELL_CHUNK + 1)
         mp.setattr(assembly, "WORKERS", 1)
         return _outcomes(mp)
 
 
-@pytest.mark.parametrize("task_cells, workers", [(16, 4), (64, 1), (100, 2), (1024, 2)])
-def test_results_do_not_depend_on_tasks_or_workers(serial, task_cells, workers, monkeypatch):
-    # Every chunk of distinct shapes is split, n = 16 included; 100-cell
-    # tasks leave a shorter last one in each chunk. A pool of more workers
-    # than CPUs, switching threads often, stresses the row writes.
-    monkeypatch.setattr(assembly, "THREADED_CHUNK", 1)
+@pytest.mark.parametrize("task_cells, workers, cell_chunk",
+                         [(16, 4, 256), (64, 1, 1024), (100, 2, 1024), (1024, 2, 1024)],
+                         ids=["16-4", "64-1", "100-2", "1024-2"])
+def test_results_do_not_depend_on_tasks_or_workers(serial, task_cells, workers, cell_chunk,
+                                                   monkeypatch):
+    # Every chunk of distinct shapes is split, n = 16 included, and a chunk
+    # of CELL_CHUNK cells runs on the pool: at n = 32 with the default
+    # chunk, and at n = 16 too with 256-cell chunks, which also changes
+    # which cells share an element on a trapezoidal mesh. 100-cell tasks
+    # leave a shorter last one in each chunk. A pool of more workers than
+    # CPUs, switching threads often, stresses the row writes.
+    monkeypatch.setattr(assembly, "CELL_CHUNK", cell_chunk)
     monkeypatch.setattr(assembly, "TASK_CELLS", task_cells)
     monkeypatch.setattr(assembly, "WORKERS", workers)
     interval = sys.getswitchinterval()
@@ -165,23 +171,46 @@ assert threading.active_count() == 1, threading.enumerate()
     assert proc.returncode == 0, proc.stderr
 
 
-def test_one_pool_per_call(monkeypatch):
-    # The four split chunks of a random n = 64 mesh share one pool: a pool
-    # per chunk starts threads while the last ones may still hold their
-    # malloc arenas, and the extra arena raises the peak memory.
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread pools started while the test runs, with two workers."""
+    started = []
 
     class Counted(futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            pools.append(self)
+            started.append(self)
 
     monkeypatch.setattr(assembly, "WORKERS", 2)
     monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
+    return started
+
+
+def test_one_pool_per_call(pools):
+    # The four split chunks of a random n = 64 mesh share one pool: a pool
+    # per chunk starts threads while the last ones may still hold their
+    # malloc arenas, and the extra arena raises the peak memory.
     system = assemble_fourth_order(make_mesh(64, "random", seed=1), 1.0,
                                    scalar_sin_squared().source(1.0))
     assert [len(tasks) for tasks in system.elements.chunks] == [16] * 4
     assert len(pools) == 1
+
+
+@pytest.mark.parametrize("n, family, per_call", [
+    (16, "random", 0), (64, "rectangular", 0), (32, "random", 1)])
+def test_only_a_full_chunk_of_tasks_pools(pools, n, family, per_call):
+    # A chunk runs on the pool when it splits into CELL_CHUNK // TASK_CELLS
+    # tasks: the one 1024-cell chunk of a random n = 32 mesh does, the four
+    # tasks of a random n = 16 mesh and the one-task chunks of repeated
+    # shapes of a rectangular n = 64 mesh do not. Each of the scalar
+    # assembly, the Brinkman assembly and the error norms is one call.
+    case, mesh = scalar_sin_squared(), make_mesh(n, family, seed=1)
+    system = assemble_fourth_order(mesh, 1.0, case.source(1.0))
+    assert len(pools) == per_call
+    scalar_error_norms(mesh, system.elements, np.zeros((mesh.n_cells, 12)), case, eps=1.0)
+    assert len(pools) == 2 * per_call
+    assemble_brinkman(mesh, 1.0, 1.0, lambda x, y: np.zeros(np.shape(x) + (2,)))
+    assert len(pools) == 3 * per_call
 
 
 def test_a_forked_child_makes_its_own_pool(monkeypatch):
