@@ -6,7 +6,8 @@ are built as stacked arrays (elements and tables in chunks of CELL_CHUNK
 cells, which bounds their temporaries), the local matrices are formed with
 batched products, and the global matrix comes from one COO scatter.
 Elements are built on the cells' unit shapes, the vertex positions in the
-cell-local frame (x - b) / h, which keeps the local systems well conditioned
+cell-local frame (x - b) / h, whose geometry the mesh forms once
+(``Mesh.unit_geometry``); this keeps the local systems well conditioned
 at every mesh size. The physical local matrices follow from the unit-shape
 integrals by exact powers of the cell diameter together with a diagonal DoF
 rescaling (gradient DoFs scale with h in the scalar element, edge-integral
@@ -20,9 +21,9 @@ shape-only work (tabulation, Gram matrices) runs per shape, and its results
 are gathered back to the cells. A rectangular mesh has one shape, a
 trapezoidal one a few dozen; on a random mesh every cell is its own shape.
 Each mesh level's elements are built once: assembly returns them on the
-system as an ``ElementBatch`` (the unit geometry and each chunk's span
-weights), and the error norms of the solution re-form them from it instead
-of building them again.
+system as an ``ElementBatch`` (the mesh's unit geometry and each chunk's
+span weights), and the error norms of the solution re-form them from it
+instead of building them again.
 
 The per-cell element work runs in tasks of at most TASK_CELLS cells, on
 both CPUs where the chunk is large. Every chunk whose unit shapes are all
@@ -107,7 +108,7 @@ import numpy as np
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import build_scalar_element, build_vector_element
 from .geometry import QuadGeometry, _dot, _pow2, _values
-from .mesh import Mesh, _real
+from .mesh import Mesh, _nonnegative
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -177,18 +178,16 @@ def vector_dof_scaling(h) -> np.ndarray:
     return np.where(np.arange(12) < 4, 1.0 / np.asarray(h)[..., None], 1.0)
 
 
-def unit_shape_rule(geom: QuadGeometry, g: int, unit: QuadGeometry | None = None):
-    """The geometry of the cells' unit shapes with a g x g Gauss rule on it.
+def unit_shape_rule(geom: QuadGeometry, unit: QuadGeometry, g: int):
+    """A g x g Gauss rule on the unit shapes ``unit`` of the cells ``geom``
+    (``Mesh.unit_geometry``, as an element batch holds it).
 
-    Returns the unit-shape geometry (``unit`` if given, as an element batch
-    holds it), its quadrature points (..., g*g, 2), the matching physical
+    Returns its quadrature points (..., g*g, 2), the matching physical
     points and the unit-shape weights (..., g*g); physical weights are these
     times h^2.
     """
-    if unit is None:
-        unit = QuadGeometry(geom.local_vertices)
     pts, wts = QuadratureRule(g).cell_points(unit)
-    return unit, pts, geom.from_local(pts), wts
+    return pts, geom.from_local(pts), wts
 
 
 def _run(chunks, work):
@@ -214,12 +213,13 @@ class ElementBatch:
     """The unit-shape elements of one mesh level, as ``unit_shape_elements``
     built them.
 
-    ``unit`` is the unit-shape geometry of all cells and ``kind`` the element
-    class. ``chunks`` holds per chunk its tasks ``(cells, shapes, inv, X)``,
-    with ``cells``, ``shapes`` and ``inv`` as ``unit_shape_elements`` passes
-    them to its ``use`` and X (n_shapes, 16, 12) the span weights of the
-    task's element. An element is its span and X, so the batch keeps X, not
-    the larger coefficient arrays, and ``walk`` re-forms each task's element
+    ``unit`` is the unit-shape geometry of all cells (for a mesh, its
+    ``unit_geometry`` itself, not a copy) and ``kind`` the element class.
+    ``chunks`` holds per chunk its tasks ``(cells, shapes, inv, X)``, with
+    ``cells``, ``shapes`` and ``inv`` as ``unit_shape_elements`` passes them
+    to its ``use`` and X (n_shapes, 16, 12) the span weights of the task's
+    element. An element is its span and X, so the batch keeps X, not the
+    larger coefficient arrays, and ``walk`` re-forms each task's element
     from a recomputed span bit for bit, without a 16x16 solve
     (``from_solution``: it has no frames, DoF rows or condition numbers, so
     it serves tabulation, not the diagnostics that read them).
@@ -259,8 +259,8 @@ def _chunk_tasks(unit: QuadGeometry):
 
 
 def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
-    """Build the elements of the distinct unit shapes of the cells (``unit``
-    from ``unit_shape_rule``), one build per shape and chunk, into an
+    """Build the elements of the distinct unit shapes of the cells (``unit``,
+    a mesh's ``unit_geometry``), one build per shape and chunk, into an
     ``ElementBatch``.
 
     ``build`` is an element builder. The cells run in consecutive chunks of
@@ -397,10 +397,10 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     term entirely (pure fourth-order operator). f is a vectorized callable
     of (x, y). Clamped boundary conditions are built into the DoF map.
     """
-    _real(eps, "eps", "must be finite and non-negative", lambda e: 0 <= e < np.inf)
+    _nonnegative(eps, "eps")
     dm = ScalarDofMap(mesh)
     geom = mesh.cell_geometry
-    unit, pts, x, wts = unit_shape_rule(geom, quad_order)
+    pts, x, wts = unit_shape_rule(geom, mesh.unit_geometry, quad_order)
     fv = _values(f, "source f", x, x.shape[:-1])
     A_hat, B_hat = np.empty((mesh.n_cells, 12, 12)), np.empty((mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
@@ -413,7 +413,7 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
         F_hat[cells] = np.matmul(np.swapaxes(val[inv], -1, -2),
                                  (wts[cells] * fv[cells])[..., None])[..., 0]
 
-    elements = unit_shape_elements(unit, build_scalar_element, integrate)
+    elements = unit_shape_elements(mesh.unit_geometry, build_scalar_element, integrate)
 
     h2 = _pow2(geom.h[:, None])
     lam = scalar_dof_scaling(geom.h)
@@ -449,8 +449,8 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     alpha are non-negative and not both zero; f maps (x, y) to (..., 2) and
     g, if given, to (...,). B is the DoF map's edge signs (``verify._div_flux_residual``).
     """
-    for name, value in (("nu", nu), ("alpha", alpha)):
-        _real(value, name, "must be finite and non-negative", lambda v: 0 <= v < np.inf)
+    _nonnegative(nu, "nu")
+    _nonnegative(alpha, "alpha")
     if nu == 0 and alpha == 0:
         raise ValueError("nu and alpha cannot both vanish")
     dm = VectorDofMap(mesh)
@@ -493,7 +493,7 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
     ``ElementBatch`` of the vector elements. The divergence reads no element.
     """
     geom = mesh.cell_geometry
-    unit, pts, x, wts = unit_shape_rule(geom, g)
+    pts, x, wts = unit_shape_rule(geom, mesh.unit_geometry, g)
     fv = _values(f, "source f", x, x.shape[:-1] + (2,))
     G_hat, M_hat = np.empty((mesh.n_cells, 12, 12)), np.empty((mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
@@ -505,7 +505,7 @@ def velocity_blocks(mesh: Mesh, dm: VectorDofMap, nu: float, alpha: float, g: in
         M_hat[cells] = np.einsum("nq,nqic,nqjc->nij", w, val, val)[inv]
         F_hat[cells] = np.einsum("nqjc,nq,nqc->nj", val[inv], wts[cells], fv[cells])
 
-    elements = unit_shape_elements(unit, build_vector_element, integrate)
+    elements = unit_shape_elements(mesh.unit_geometry, build_vector_element, integrate)
 
     h = geom.h
     w = vector_dof_scaling(h) * dm.cell_signs

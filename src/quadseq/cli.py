@@ -145,14 +145,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(path):
+def _check_out(path, is_file):
     """Raise ``ValueError`` unless the directory of ``--out`` (``path``, or
-    the files ``path.<format>``) exists and is writable; runs before any
-    work, so a bad path costs no study."""
-    directory = os.path.dirname(path or "") or "."
-    if path is not None and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+    the files ``path.<format>``) exists and is writable and ``path`` names
+    no directory: it ends in no separator (a prefix ``DIR/`` would write
+    the hidden files ``DIR/.json``), nor, where the command writes ``path``
+    itself (``is_file``), is it one. Runs before any work, so a bad path
+    costs no study."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise ValueError(f"--out {path}: directory {directory!r} does not exist "
                          "or is not writable")
+    if not os.path.basename(path) or is_file and os.path.isdir(path):
+        raise ValueError(f"--out {path}: names a directory, not a file")
 
 
 def _write_report(report, fmts, prefix):
@@ -222,7 +229,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_out(args.out)
+        _check_out(args.out, is_file=args.command == "mesh")
         if args.command == "study":
             return _cmd_study(args)
         if args.command == "verify":

@@ -3,10 +3,10 @@
 Scalar space: three unknowns (value, d/dx, d/dy) per interior vertex; all
 DoFs at boundary vertices are constrained to zero. Vector space: two
 component unknowns per interior vertex plus one signed normal-integral
-unknown per interior edge, measured in the edge's global frame n_E; boundary
-edges and boundary vertices are constrained. Constrained slots carry index
--1 in the local-to-global tables. ``curl_operator`` maps the scalar unknowns
-to the vector unknowns of their rotated gradients.
+unknown per interior edge, measured in the edge's global frame n_E (see
+``Mesh``); boundary edges and boundary vertices are constrained. Constrained
+slots carry index -1 in the local-to-global tables. ``curl_operator`` maps
+the scalar unknowns to the vector unknowns of their rotated gradients.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ class VectorDofMap:
 
     The global edge unknown is the integral of v . n_E over the edge. A
     cell's local edge DoF uses its outward normal, so the local-to-global
-    map carries a sign: +1 when the outward normal coincides with n_E.
+    map carries a sign: +1 when the outward normal coincides with n_E,
+    which is where the cell runs the edge from its higher to its lower
+    vertex index (``Mesh.cell_edge_signs``).
     """
 
     def __init__(self, mesh: Mesh):

@@ -85,11 +85,15 @@ def _shape_decomposition(vertices):
     """(A, b, d, s, skew): the bilinear map F(x) = A x + b + d x1 x2 onto
     each cell, its shape vector s = A^-1 d and skew = |s1| + |s2|, below 1
     exactly on strictly convex cells and inf where A is singular (|det A| <
-    1e-14; s is then solved on the identity instead and means nothing)."""
+    1e-14 ||A||_F^2; s is then solved on the identity instead and means
+    nothing). The test is relative, so that it does not depend on the
+    cell's size: |det A| <= ||A||_F^2 / 2 for every A, and det A is about
+    h^2 / 4 on a cell of diameter h, so an absolute 1e-14 flagged every
+    cell of a sound mesh scaled by 1e-7."""
     V1, V2, V3, V4 = (vertices[..., k, :] for k in range(4))
     A = 0.25 * np.stack([V3 - V4 - V1 + V2, V3 + V4 - V1 - V2], axis=-1)
     b, d = 0.25 * (V1 + V2 + V3 + V4), 0.25 * (V3 - V4 + V1 - V2)
-    singular = np.abs(np.linalg.det(A)) < 1e-14
+    singular = np.abs(np.linalg.det(A)) < 1e-14 * (A**2).sum((-2, -1))
     s = np.linalg.solve(np.where(singular[..., None, None], np.eye(2), A), d[..., None])[..., 0]
     return A, b, d, s, np.where(singular, np.inf, np.abs(s).sum(-1))
 
@@ -137,9 +141,15 @@ class QuadGeometry:
         self.index = np.arange(np.prod(v.shape[:-2], dtype=int)).reshape(v.shape[:-2])
         _check(~np.isfinite(v).all((-2, -1)), ValueError, "non-finite vertex coordinates")
 
+        diffs = v[..., :, None, :] - v[..., None, :, :]
+        self.h = np.sqrt((diffs**2).sum(-1).max((-2, -1)))
+
+        # Relative to the diameter, as the affine test below is; <= flags a
+        # cell whose vertices all coincide (h = 0).
         edge_vec = np.roll(v, -1, axis=-2) - v
         self.edge_len = np.linalg.norm(edge_vec, axis=-1)
-        _check((self.edge_len < 1e-14).any(-1), DegenerateCellError, "zero-length edge")
+        _check((self.edge_len <= 1e-14 * self.h[..., None]).any(-1), DegenerateCellError,
+               "zero-length edge")
 
         self.area = shoelace_area(v)
         _check(self.area <= 0.0, ValueError, "vertices must be ordered counterclockwise")
@@ -147,9 +157,6 @@ class QuadGeometry:
         self.A, self.b, self.d, self.s, skew = _shape_decomposition(v)
         _check(np.isinf(skew), DegenerateCellError, "singular affine factor of the bilinear map")
         _check(skew >= 1.0, NonConvexCellError, "|s1|+|s2| >= 1", skew)
-
-        diffs = v[..., :, None, :] - v[..., None, :, :]
-        self.h = np.sqrt((diffs**2).sum(-1).max((-2, -1)))
 
         self.edge_mid = 0.5 * (v + np.roll(v, -1, axis=-2))
         self.tangents = edge_vec / self.edge_len[..., None]

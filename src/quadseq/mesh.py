@@ -64,6 +64,12 @@ def _real(value, name: str, rule: str, ok):
     return value
 
 
+def _nonnegative(value, name: str):
+    """``value`` if it is a finite non-negative real number (a coefficient
+    such as eps, nu or alpha), or ``ValueError`` naming it."""
+    return _real(value, name, "must be finite and non-negative", lambda v: 0 <= v < np.inf)
+
+
 def _seed(value) -> int:
     """``value`` as a non-negative int, or ``ValueError`` naming the seed."""
     seed = _integer(value, "seed")
@@ -104,16 +110,22 @@ def _vertex_indices(cells, n_vertices: int) -> np.ndarray:
 class Mesh:
     """Vertices, counterclockwise quads, and edge connectivity with fixed frames.
 
-    Each edge stores a global unit normal n_E (the counterclockwise rotation
-    of the edge direction taken from lower to higher vertex index). Per cell,
-    ``cell_edge_signs`` records whether the cell's outward normal on that
-    edge agrees with n_E. ``cell_geometry`` is the geometry of all cells as
-    one batch; building it rejects vertices not of shape (n, 2), cells not
+    Each edge has a global unit normal n_E: the counterclockwise rotation of
+    the edge direction taken from lower to higher vertex index. Per cell,
+    ``cell_edge_signs`` is +1 where the cell's outward normal on that edge
+    agrees with n_E and -1 where it is -n_E. The outward normal of a
+    counterclockwise cell is the clockwise rotation of its edge direction,
+    so it agrees with n_E exactly when the cell runs the edge from its
+    higher to its lower vertex index: the signs follow from the vertex
+    numbers alone. ``cell_geometry`` is the geometry of all cells as one
+    batch, and ``unit_geometry`` the geometry of their unit shapes, the
+    vertices in the cell-local frame (x - b) / h, on which the elements are
+    built. Building a mesh rejects vertices not of shape (n, 2), cells not
     of shape (m, 4) with m >= 1 or with indices that are not integers in
     [0, n), vertices that no cell uses, and clockwise, degenerate and
-    non-convex cells, naming the field or the first offending vertex or cell.
-    The metadata ``n``, ``delta`` and ``seed`` follow the rules of
-    ``make_mesh``, except that n and seed may be None.
+    non-convex cells or unit shapes, naming the field or the first offending
+    vertex or cell. The metadata ``n``, ``delta`` and ``seed`` follow the
+    rules of ``make_mesh``, except that n and seed may be None.
     """
 
     def __init__(self, vertices, cells, family="custom", n=None, delta=0.0, seed=None):
@@ -129,6 +141,7 @@ class Mesh:
         if unused.any():
             raise ValueError(f"vertices: vertex {int(unused.argmax())} is used by no cell")
         self._build_edges()
+        self.unit_geometry = QuadGeometry(self.cell_geometry.local_vertices)
 
     def _build_edges(self):
         # Edges are numbered in order of first appearance, cell by cell.
@@ -151,14 +164,7 @@ class Mesh:
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
         self.vertex_is_boundary[self.edge_vertices[self.edge_is_boundary].ravel()] = True
 
-        vec = self.vertices[self.edge_vertices[:, 1]] - self.vertices[self.edge_vertices[:, 0]]
-        vec /= np.linalg.norm(vec, axis=1)[:, None]
-        self.edge_normal = np.column_stack([-vec[:, 1], vec[:, 0]])
-
-        t = self.vertices[end] - self.vertices[start]
-        outward = np.stack([t[..., 1], -t[..., 0]], axis=-1)
-        agree = (outward * self.edge_normal[self.cell_edges]).sum(-1) > 0
-        self.cell_edge_signs = np.where(agree, 1, -1)
+        self.cell_edge_signs = np.where(start > end, 1, -1)
 
     # -- counts --------------------------------------------------------------
 
@@ -271,10 +277,13 @@ def make_mesh(n: int, family: str, delta: float | None = None, seed: int = 0) ->
         vertices[idx] += rng.uniform(-delta * h, delta * h, size=(len(idx), 2))
 
         # Redraw the interior vertices of non-convex cells, in increasing
-        # vertex order, until every cell is strictly convex.
+        # vertex order, until every cell is strictly convex. A pass that
+        # redraws adds an attempt to at least one of the m interior vertices,
+        # so one of them exceeds _MAX_RESAMPLES, and the loop raises, within
+        # _MAX_RESAMPLES * m + 1 passes.
         base = _grid(n)[0]
         attempts = np.zeros(len(vertices), dtype=int)
-        for _ in range(_MAX_RESAMPLES * len(idx) + 1):
+        while True:
             bad = np.unique(cells[_convexity_shape(vertices[cells]) >= 1.0])
             bad = bad[interior[bad]]
             if not bad.size:
@@ -286,7 +295,5 @@ def make_mesh(n: int, family: str, delta: float | None = None, seed: int = 0) ->
                     f"vertex {over[0]} cannot be placed convexly after {_MAX_RESAMPLES} resamples"
                 )
             vertices[bad] = base[bad] + rng.uniform(-delta * h, delta * h, size=(len(bad), 2))
-        else:
-            raise MeshGenerationError("convexity repair did not terminate")
 
     return Mesh(vertices, cells, family=family, n=n, delta=delta, seed=seed)

@@ -5,9 +5,11 @@ a solved global coefficient vector gathered through the DoF map
 (``dofmap.gather(x)``), or the nodal interpolant of a manufactured solution
 (``scalar_dof_values``/``vector_dof_values`` on ``mesh.cell_geometry``, no
 boundary conditions involved); another shape raises ``ValueError`` before
-any table is formed, as do exact-solution callables of a wrong shape or
-with a non-finite value (``geometry._values``). Error quadrature uses an
-independent, higher-order rule than assembly, batched over cells like assembly.
+any table is formed, as does a coefficient eps, nu or alpha that is not a
+finite non-negative number (assembly's rule), and so do exact-solution
+callables of a wrong shape or with a non-finite value (``geometry._values``).
+Error quadrature uses an independent, higher-order rule than assembly,
+batched over cells like assembly.
 
 The norms build no element. They take the mesh level's ``ElementBatch``:
 the one assembly built (``system.elements``) or, for an interpolant, one
@@ -24,7 +26,7 @@ from .assembly import ElementBatch, scalar_dof_scaling, unit_shape_rule, vector_
 from .cases import BrinkmanCase, ScalarCase
 from .elements import ScalarElement, VectorElement
 from .geometry import _pow2, _values
-from .mesh import Mesh
+from .mesh import Mesh, _nonnegative
 
 __all__ = ["scalar_error_norms", "brinkman_error_norms"]
 
@@ -42,7 +44,7 @@ def _rule(mesh: Mesh, elements: ElementBatch, kind, quad_order: int, dofs):
     if elements.kind is not kind or not np.array_equal(elements.unit.vertices,
                                                        geom.local_vertices):
         raise ValueError(f"the elements must be the {kind.__name__} batch of this mesh")
-    return unit_shape_rule(geom, quad_order, elements.unit)[1:]
+    return unit_shape_rule(geom, elements.unit, quad_order)
 
 
 def scalar_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
@@ -57,6 +59,7 @@ def scalar_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
     reference convergence tables; the assembled bilinear form, by contrast,
     contracts full Hessians.
     """
+    _nonnegative(eps, "eps")
     geom = mesh.cell_geometry
     pts, x, wts = _rule(mesh, elements, ScalarElement, quad_order, dofs)
     c = dofs * scalar_dof_scaling(geom.h)
@@ -90,6 +93,8 @@ def brinkman_error_norms(mesh: Mesh, elements: ElementBatch, dofs: np.ndarray,
     cell DoF vectors ``dofs`` (n_cells, 12) on the vector ``elements`` of
     ``mesh``, and the pressure L2 error of the cellwise constant
     ``pressure_values``."""
+    _nonnegative(nu, "nu")
+    _nonnegative(alpha, "alpha")
     if pressure_values is not None and np.shape(pressure_values) != (mesh.n_cells,):
         raise ValueError(f"pressure_values must have shape (n_cells,) = {(mesh.n_cells,)}, "
                          f"got {np.shape(pressure_values)}")

@@ -38,7 +38,6 @@ from .assembly import _StreamSolver, _chunk_tasks, assemble_brinkman, cell_matri
 from .assembly import scalar_dof_scaling, vector_dof_scaling
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import _build_pair
-from .geometry import QuadGeometry
 from .mesh import Mesh
 from .verify import _curl_dofs, _curl_inclusion_residual, _div_flux_residual, _fold_max
 
@@ -188,8 +187,7 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     the cut of rank(D C): the count is at least as strict as a relative cut
     on the stacked [C | ker D], which sits at CUTOFF * sigma_1 of the stack.
     """
-    geom = mesh.cell_geometry
-    unit = QuadGeometry(geom.local_vertices)
+    geom, unit = mesh.cell_geometry, mesh.unit_geometry
     D, vdm = divergence_matrix(mesh)
     C, sdm, _ = curl_matrix(mesh)
 

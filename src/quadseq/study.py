@@ -24,7 +24,6 @@ from .elements import (
     scalar_dof_values,
     vector_dof_values,
 )
-from .geometry import QuadGeometry
 from .mesh import DEFAULT_DELTA, make_mesh
 from .norms import brinkman_error_norms, scalar_error_norms
 from .quadrature import check_order
@@ -239,9 +238,8 @@ def run_scalar_interpolation_study(*, family: str = "rectangular",
     check_order(error_quad_order, "error_quad_order")
 
     def level_errors(mesh):
-        geom = mesh.cell_geometry
-        elements = unit_shape_elements(QuadGeometry(geom.local_vertices), build_scalar_element)
-        dofs = scalar_dof_values(geom, case.u, case.grad)
+        elements = unit_shape_elements(mesh.unit_geometry, build_scalar_element)
+        dofs = scalar_dof_values(mesh.cell_geometry, case.u, case.grad)
         return scalar_error_norms(mesh, elements, dofs, case, eps=0.0,
                                   quad_order=error_quad_order)
 
@@ -259,9 +257,8 @@ def run_vector_interpolation_study(*, family: str = "rectangular",
     check_order(error_quad_order, "error_quad_order")
 
     def level_errors(mesh):
-        geom = mesh.cell_geometry
-        elements = unit_shape_elements(QuadGeometry(geom.local_vertices), build_vector_element)
-        dofs = vector_dof_values(geom, case.velocity)
+        elements = unit_shape_elements(mesh.unit_geometry, build_vector_element)
+        dofs = vector_dof_values(mesh.cell_geometry, case.velocity)
         return brinkman_error_norms(mesh, elements, dofs, case, nu=1.0, alpha=1.0,
                                     quad_order=error_quad_order)
 

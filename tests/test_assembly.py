@@ -232,9 +232,10 @@ def test_quadrature_insensitivity_of_orders():
     assert abs(orders[0] - orders[1]) <= 0.02
 
 
-def _gram_matrices(geom, g=4):
+def _gram_matrices(mesh, g=4):
     """Unit-shape (h-scaled) Hessian and gradient Gram matrices of every cell."""
-    unit, pts, _, w = unit_shape_rule(geom, g)
+    unit = mesh.unit_geometry
+    pts, _, w = unit_shape_rule(mesh.cell_geometry, unit, g)
     _, grad, hess = build_scalar_element(unit).tabulate(pts)
     return (np.einsum("nq,nqicd,nqjcd->nij", w, hess, hess),
             np.einsum("nq,nqic,nqjc->nij", w, grad, grad))
@@ -243,9 +244,9 @@ def _gram_matrices(geom, g=4):
 def test_rectangular_cells_share_local_matrices():
     # Square cells of every level have one unit shape, so the batched local
     # matrices of all cells agree after h-scaling.
-    ref = [m[0] for m in _gram_matrices(make_mesh(2, "rectangular").cell_geometry)]
+    ref = [m[0] for m in _gram_matrices(make_mesh(2, "rectangular"))]
     for n in (2, 4):
-        for got, want in zip(_gram_matrices(make_mesh(n, "rectangular").cell_geometry), ref):
+        for got, want in zip(_gram_matrices(make_mesh(n, "rectangular")), ref):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 

@@ -70,7 +70,9 @@ def test_batched_build_equals_one_cell_builds(count, seed):
 
 def _local_matrices(vertices):
     """Unit-shape Gram matrices of both elements for a batch of cells."""
-    unit, pts, _, w = unit_shape_rule(QuadGeometry(vertices), 4)
+    geom = QuadGeometry(vertices)
+    unit = QuadGeometry(geom.local_vertices)
+    pts, _, w = unit_shape_rule(geom, unit, 4)
     _, sg, sh = build_scalar_element(unit).tabulate(pts)
     vv, vg = build_vector_element(unit).tabulate(pts)
     return [np.einsum("nq,nqicd,nqjcd->nij", w, sh, sh),
@@ -318,8 +320,8 @@ def _per_cell_batch(mesh, build):
 
 def _per_cell_fourth_order(mesh, eps, f, quad_order=4):
     dm = ScalarDofMap(mesh)
-    geom = mesh.cell_geometry
-    unit, pts, x, wts = unit_shape_rule(geom, quad_order)
+    geom, unit = mesh.cell_geometry, mesh.unit_geometry
+    pts, x, wts = unit_shape_rule(geom, unit, quad_order)
     fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
     A_hat, B_hat = np.empty((2, mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))
@@ -342,8 +344,8 @@ def _per_cell_fourth_order(mesh, eps, f, quad_order=4):
 
 
 def _per_cell_velocity_blocks(mesh, dm, nu, alpha, g, f):
-    geom = mesh.cell_geometry
-    unit, pts, x, wts = unit_shape_rule(geom, g)
+    geom, unit = mesh.cell_geometry, mesh.unit_geometry
+    pts, x, wts = unit_shape_rule(geom, unit, g)
     fv = np.asarray(f(x[..., 0], x[..., 1]), dtype=float)
     G_hat, M_hat = np.empty((2, mesh.n_cells, 12, 12))
     F_hat = np.empty((mesh.n_cells, 12))

@@ -131,6 +131,25 @@ def test_sequence_certificate_builds_each_distinct_shape_once(monkeypatch, famil
     assert (len(np.concatenate(built)) == 1) == (family == "rectangular")
 
 
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+def test_certificate_pair_builds_no_unit_geometry(family, monkeypatch):
+    # The mesh forms the unit geometry of its cells once, and both
+    # certificates read it: they used to build it once each.
+    mesh = make_mesh(4, family, seed=3)
+    built, init = [], QuadGeometry.__init__
+
+    def counted(self, vertices):
+        built.append(np.shape(vertices))
+        init(self, vertices)
+
+    monkeypatch.setattr(QuadGeometry, "__init__", counted)
+    verify_exact_sequence(mesh)
+    sequence.inf_sup_constant(mesh)
+    assert built == []
+    make_mesh(4, family, seed=3)  # the cells' geometry and their unit geometry
+    assert built == [(16, 4, 2), (16, 4, 2)]
+
+
 def test_sequence_certificate_evaluates_frames_and_span_once(evaluations):
     verify_exact_sequence(make_mesh(4, "random", seed=3))
     frames, span = evaluations["frames"], evaluations["span"]

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -186,6 +187,19 @@ def test_unwritable_out_fails_before_the_work(argv, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {out}: directory ") and err.count("\n") == 1
     assert "does not exist" in err and not (tmp_path / "missing").exists()
+    # A path that ends in a separator names a directory: the prefix commands
+    # used to write hidden files such as DIR/.json into it.
+    directories = [f"{tmp_path}{os.sep}"]
+    if argv[0] == "mesh":
+        # The mesh command writes the path itself, so an existing directory
+        # there is refused too (it used to raise IsADirectoryError, exit 1);
+        # the other commands take a prefix, beside which a directory of the
+        # same name is harmless.
+        directories.append(str(tmp_path))
+    for out in directories:
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: names a directory, not a file\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_out_in_the_working_directory(tmp_path, monkeypatch):

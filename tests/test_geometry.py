@@ -148,6 +148,24 @@ def test_degenerate_edge_rejected():
         QuadGeometry([[0, 0], [0, 0], [1, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("k", [-12, -7, 0, 7, 12])
+def test_degenerate_cells_rejected_at_every_scale(k):
+    # Both tests are relative to the cell's size. A parallelogram 1e-15 as
+    # thin as it is long has |det A| = 5e-16 ||A||_F^2 and an edge 1e-15 of
+    # the diameter is too short, whatever the unit of length. (Scaled by
+    # 1e7 or more, the sliver used to pass as a valid cell, and the short
+    # edge raised NonConvexCellError.)
+    scale = 10.0**k
+    sliver = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-15], [1.0, 1e-15]])
+    with pytest.raises(DegenerateCellError, match="singular affine factor"):
+        QuadGeometry(sliver * scale)
+    short = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(DegenerateCellError, match="zero-length edge"):
+        QuadGeometry(short * scale)
+    with pytest.raises(DegenerateCellError, match="zero-length edge"):
+        QuadGeometry(np.zeros((4, 2)))
+
+
 def test_reference_map_and_jacobian(spec_trapezoid):
     g = spec_trapezoid
     corners = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)

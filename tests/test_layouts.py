@@ -83,7 +83,8 @@ def _assert_same(got, want):
                 ids=lambda p: f"{p[1]}-{p[0]}")
 def unit_rule(request):
     n, family = request.param
-    return unit_shape_rule(make_mesh(n, family, seed=1).cell_geometry, 4)
+    mesh = make_mesh(n, family, seed=1)
+    return (mesh.unit_geometry, *unit_shape_rule(mesh.cell_geometry, mesh.unit_geometry, 4))
 
 
 def test_vandermonde_layout(unit_rule):

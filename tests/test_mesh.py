@@ -61,14 +61,81 @@ def test_random_cells_convex():
         QuadGeometry(mesh.vertices[mesh.cells[ci]])  # raises if non-convex
 
 
+def _edge_normals(mesh):
+    """n_E per edge: the counterclockwise rotation of the unit edge direction
+    taken from the lower to the higher vertex index."""
+    vec = mesh.vertices[mesh.edge_vertices[:, 1]] - mesh.vertices[mesh.edge_vertices[:, 0]]
+    vec /= np.linalg.norm(vec, axis=1)[:, None]
+    return np.column_stack([-vec[:, 1], vec[:, 0]])
+
+
+def _dot_product_signs(mesh):
+    """The signs by their definition: +1 where the cell's outward normal
+    points along n_E, -1 where it points against it."""
+    start, end = mesh.cells, np.roll(mesh.cells, -1, axis=1)
+    t = mesh.vertices[end] - mesh.vertices[start]
+    outward = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    return np.where((outward * _edge_normals(mesh)[mesh.cell_edges]).sum(-1) > 0, 1, -1)
+
+
+def _permuted(mesh, seed):
+    """``mesh`` with its vertices renumbered at random and each cell's
+    vertex list rotated to start at a random corner (still counterclockwise)."""
+    rng = np.random.default_rng(seed)
+    new = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new] = mesh.vertices
+    shift = rng.integers(0, 4, mesh.n_cells)
+    cells = new[mesh.cells][np.arange(mesh.n_cells)[:, None], (np.arange(4) + shift[:, None]) % 4]
+    return Mesh(vertices, cells)
+
+
 def test_cell_edge_signs_consistent():
-    mesh = make_mesh(3, "trapezoidal")
-    for ci in range(mesh.n_cells):
-        geom = mesh.cell_geometry[ci]
-        for k in range(4):
-            ei = mesh.cell_edges[ci, k]
-            dot = geom.normals[k] @ mesh.edge_normal[ei]
-            assert dot * mesh.cell_edge_signs[ci, k] == pytest.approx(1.0, abs=1e-12)
+    # The signs come from the vertex numbers; the oracle derives them from
+    # the outward normals and n_E, as the mesh did before, also on meshes
+    # whose vertices are numbered at random.
+    for mesh in (make_mesh(3, "trapezoidal"), make_mesh(8, "rectangular"),
+                 make_mesh(8, "random", seed=5), _permuted(make_mesh(6, "random", seed=1), 0),
+                 _permuted(make_mesh(5, "trapezoidal"), 1)):
+        want = _dot_product_signs(mesh)
+        assert mesh.cell_edge_signs.dtype == want.dtype
+        assert np.array_equal(mesh.cell_edge_signs, want)
+        dots = (mesh.cell_geometry.normals * _edge_normals(mesh)[mesh.cell_edges]).sum(-1)
+        np.testing.assert_allclose(dots * mesh.cell_edge_signs, 1.0, rtol=0, atol=1e-12)
+        # Each interior edge is run once in each direction, by its two cells.
+        sums = np.bincount(mesh.cell_edges.ravel(), weights=mesh.cell_edge_signs.ravel())
+        assert np.array_equal(sums[~mesh.edge_is_boundary], np.zeros(mesh.n_interior_edges))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_unit_geometry_is_the_geometry_of_the_local_vertices(family, n):
+    # Every slot equals that of a fresh build bit for bit, sign bits
+    # included, also after a JSON round trip.
+    mesh = make_mesh(n, family, seed=1)
+    for m in (mesh, Mesh.from_json(mesh.to_json())):
+        want = QuadGeometry(m.cell_geometry.local_vertices)
+        for name in QuadGeometry.__slots__:
+            assert _same_bits(getattr(m.unit_geometry, name), getattr(want, name)), name
+        assert m.unit_geometry.vertices is m.cell_geometry.local_vertices
+
+
+@pytest.mark.parametrize("family", ["rectangular", "random"])
+@pytest.mark.parametrize("k", range(-12, 13))
+def test_scaled_meshes_stay_valid(family, k):
+    # The degeneracy tests are relative to each cell's size: a 4 x 4 mesh
+    # scaled by 1e-7 used to raise "singular affine factor".
+    mesh = make_mesh(4, family, seed=1)
+    scaled = Mesh(mesh.vertices * 10.0**k, mesh.cells)
+    assert np.array_equal(scaled.cell_edge_signs, mesh.cell_edge_signs)
+    np.testing.assert_allclose(scaled.cell_geometry.s, mesh.cell_geometry.s, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(scaled.unit_geometry.vertices, mesh.unit_geometry.vertices,
+                               rtol=0, atol=1e-14)
 
 
 def test_interior_edges_have_two_cells():

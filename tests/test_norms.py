@@ -11,13 +11,15 @@ from quadseq.elements import (
     vector_dof_values,
 )
 from quadseq.cases import BrinkmanCase, brinkman_sin_stream, scalar_poly2_case, scalar_sin_squared
-from quadseq.geometry import QuadGeometry
 from quadseq.mesh import make_mesh
 from quadseq.norms import brinkman_error_norms, scalar_error_norms
 
 
+MESH = make_mesh(4, "random", seed=2)
+
+
 def _elements(mesh, build):
-    return unit_shape_elements(QuadGeometry(mesh.cell_geometry.local_vertices), build)
+    return unit_shape_elements(mesh.unit_geometry, build)
 
 
 def test_quadratic_exactly_captured():
@@ -83,7 +85,8 @@ def test_error_rule_tables_agree_on_rectangles():
     # The error rule tabulates the unit-shape element of every cell; on a
     # rectangular mesh all cells share one shape and so one table.
     mesh = make_mesh(4, "rectangular")
-    unit, pts, _, w = unit_shape_rule(mesh.cell_geometry, 6)
+    unit = mesh.unit_geometry
+    pts, _, w = unit_shape_rule(mesh.cell_geometry, unit, 6)
     elt = build_scalar_element(unit)
     val, grad, hess = elt.tabulate(pts)
     for table in (elt.coeff_matrix, w, val, grad, hess):
@@ -162,3 +165,18 @@ def test_norms_name_wrongly_shaped_fields():
     with pytest.raises(ValueError, match=r"pressure_values must have shape \(n_cells,\) = \(16,\)"):
         brinkman_error_norms(mesh, None, dofs, case, nu=1.0, alpha=1.0,
                              pressure_values=np.zeros(mesh.n_cells + 1))
+
+
+@pytest.mark.parametrize("value", ["1", True, None, np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("norms, name", [
+    (lambda v: scalar_error_norms(MESH, None, None, scalar_sin_squared(), eps=v), "eps"),
+    (lambda v: brinkman_error_norms(MESH, None, None, brinkman_sin_stream(), v, 1.0), "nu"),
+    (lambda v: brinkman_error_norms(MESH, None, None, brinkman_sin_stream(), 1.0, v), "alpha"),
+], ids=["eps", "nu", "alpha"])
+def test_bad_coefficients_are_named(norms, name, value):
+    # The norms check their coefficients by assembly's rule before they read
+    # the elements or the DoFs (None here). eps = nan used to give a nan
+    # energy, nu = -1 a nan velocity_ah with only a RuntimeWarning, and a
+    # string a bare TypeError once every table was built.
+    with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got "):
+        norms(value)
