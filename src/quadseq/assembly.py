@@ -108,7 +108,7 @@ import numpy as np
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import build_scalar_element, build_vector_element
 from .geometry import QuadGeometry, _dot, _pow2, _values
-from .mesh import Mesh, _nonnegative
+from .mesh import Mesh, _first_appearance, _nonnegative
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -248,11 +248,9 @@ def _chunk_tasks(unit: QuadGeometry):
         stop = min(start + CELL_CHUNK, len(unit))
         cells = slice(start, stop)
         v = np.ascontiguousarray(unit.vertices[cells])
-        keys = v.view(np.uint64).reshape(len(v), -1)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        first, inv = _first_appearance(v.view(np.uint64).reshape(len(v), -1))
         if len(first) < len(v):
-            order = np.argsort(first)  # shapes by first occurrence
-            yield [(cells, start + first[order], np.argsort(order)[inverse.ravel()])]
+            yield [(cells, start + first, inv)]
         else:
             parts = (slice(a, min(a + TASK_CELLS, stop)) for a in range(start, stop, TASK_CELLS))
             yield [(part, part, slice(None)) for part in parts]
@@ -394,8 +392,10 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     """Assemble eps^2 * (broken Hessian) + (broken gradient) with load f.
 
     eps = 0 gives the second-order limit; biharmonic=True drops the gradient
-    term entirely (pure fourth-order operator). f is a vectorized callable
-    of (x, y). Clamped boundary conditions are built into the DoF map.
+    term entirely (pure fourth-order operator): its matrix is the eps^2 term
+    at eps = 1 without the gradient term, formed in the same order. f is a
+    vectorized callable of (x, y). Clamped boundary conditions are built
+    into the DoF map.
     """
     _nonnegative(eps, "eps")
     dm = ScalarDofMap(mesh)
@@ -417,20 +417,17 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
 
     h2 = _pow2(geom.h[:, None])
     lam = scalar_dof_scaling(geom.h)
-    # K_loc = scale * (eps^2 * A_hat / h^2 + B_hat), or scale * A_hat / h^2,
-    # formed in A_hat in that order; B_hat holds the scale once added. Both
-    # are freed before the scatter, and K_loc before the CSR conversion.
+    # K_loc = scale * (eps^2 * A_hat / h^2 + B_hat), with eps^2 = 1 and no
+    # B_hat in the biharmonic mode, formed in A_hat in that order; B_hat
+    # holds the scale once added. Both are freed before the scatter, and
+    # K_loc before the CSR conversion.
     K_loc, scale = A_hat, B_hat
-    if biharmonic:
-        np.multiply(lam[:, :, None], lam[:, None, :], out=scale)
-        np.multiply(scale, K_loc, out=K_loc)
-        np.divide(K_loc, h2[..., None], out=K_loc)
-    else:
-        np.multiply(eps**2, K_loc, out=K_loc)
-        np.divide(K_loc, h2[..., None], out=K_loc)
+    np.multiply(1.0 if biharmonic else eps**2, K_loc, out=K_loc)
+    np.divide(K_loc, h2[..., None], out=K_loc)
+    if not biharmonic:
         np.add(K_loc, B_hat, out=K_loc)
-        np.multiply(lam[:, :, None], lam[:, None, :], out=scale)
-        np.multiply(scale, K_loc, out=K_loc)
+    np.multiply(lam[:, :, None], lam[:, None, :], out=scale)
+    np.multiply(scale, K_loc, out=K_loc)
     del A_hat, B_hat, scale
     dofs = dm.cell_dofs
     K = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], K_loc)])

@@ -148,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_out(path, is_file):
     """Raise ``ValueError`` unless the directory of ``--out`` (``path``, or
     the files ``path.<format>``) exists and is writable and ``path`` names
-    no directory: it ends in no separator (a prefix ``DIR/`` would write
-    the hidden files ``DIR/.json``), nor, where the command writes ``path``
+    no directory: it ends in no separator and its last component is not
+    ``.`` or ``..`` (a prefix ``DIR/`` or ``.`` would write the hidden files
+    ``DIR/.json`` or ``..json``), nor, where the command writes ``path``
     itself (``is_file``), is it one. Runs before any work, so a bad path
     costs no study."""
     if path is None:
@@ -158,7 +159,7 @@ def _check_out(path, is_file):
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise ValueError(f"--out {path}: directory {directory!r} does not exist "
                          "or is not writable")
-    if not os.path.basename(path) or is_file and os.path.isdir(path):
+    if os.path.basename(path) in ("", os.curdir, os.pardir) or is_file and os.path.isdir(path):
         raise ValueError(f"--out {path}: names a directory, not a file")
 
 

@@ -136,14 +136,8 @@ def _span_chain(geom: QuadGeometry):
 
 def _stream_span(geom: QuadGeometry):
     """(..., 16, 28): cubic monomials, the two correctors, the four bubbles."""
-    # The span is allocated before its parts, so their temporaries are freed
-    # above it. With the element work in 64-cell tasks a span allocated after
-    # them (np.concatenate) peaks no higher: the random-mesh scalar study to
-    # n = 64 read 134.5 against 135.5 MB (medians of five runs).
-    C = np.empty(geom.h.shape + (16, len(MONOMIALS)))
-    C[..., :10, :] = _CUBICS
-    _, C[..., 10:12, :], C[..., 12:, :] = _span_chain(geom)
-    return C
+    _, correctors, bubbles = _span_chain(geom)
+    return np.concatenate([_batched(_CUBICS, geom), correctors, bubbles], axis=-2)
 
 
 def _vector_span(geom: QuadGeometry, stream):

@@ -107,6 +107,17 @@ def _vertex_indices(cells, n_vertices: int) -> np.ndarray:
     return c.astype(int)
 
 
+def _first_appearance(keys):
+    """Number the distinct keys (the rows of ``keys``) in order of first
+    appearance. Returns the index of each distinct key's first appearance,
+    in that order, and for every key the number of its distinct key."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
 class Mesh:
     """Vertices, counterclockwise quads, and edge connectivity with fixed frames.
 
@@ -147,16 +158,11 @@ class Mesh:
         # Edges are numbered in order of first appearance, cell by cell.
         start, end = self.cells, np.roll(self.cells, -1, axis=1)
         lo, hi = np.minimum(start, end).ravel(), np.maximum(start, end).ravel()
-        _, first, inverse = np.unique(lo * self.n_vertices + hi,
-                                      return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        edge_of = rank[inverse.ravel()]
-        self.edge_vertices = np.column_stack([lo[first[order]], hi[first[order]]])
+        first, edge_of = _first_appearance(lo * self.n_vertices + hi)
+        self.edge_vertices = np.column_stack([lo[first], hi[first]])
         self.cell_edges = edge_of.reshape(-1, 4)
 
-        n_adj = np.bincount(edge_of, minlength=len(order))
+        n_adj = np.bincount(edge_of, minlength=len(first))
         if np.any(n_adj > 2):
             raise ValueError("non-manifold mesh: an edge with more than two cells")
         self.edge_is_boundary = n_adj == 1

@@ -79,8 +79,7 @@ class StudyReport:
         return pairwise_orders(self.n_list, self.errors[norm])
 
     def order_last(self, norm: str):
-        o = self.orders(norm)
-        return o[-1] if len(o) > 1 else None
+        return self.orders(norm)[-1]
 
     def order_fit(self, norm: str):
         return fit_order(self.n_list, self.errors[norm])
@@ -88,19 +87,19 @@ class StudyReport:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self) -> str:
-        primary = self.norms[0]
+        """One row per level: the errors, then per norm the order from the
+        previous level and the fit over the levels up to this one."""
         header = ["n"] + list(self.norms) + ["order_last", "order_fit"]
         for norm in self.norms[1:]:
             header += [f"order_last_{norm}", f"order_fit_{norm}"]
         lines = [",".join(header)]
+        orders = {nm: self.orders(nm) for nm in self.norms}
         for k, n in enumerate(self.n_list):
             row = [str(n)]
             row += [f"{self.errors[nm][k]:.6e}" for nm in self.norms]
-            for nm in [primary] + list(self.norms[1:]):
-                sub_n = self.n_list[: k + 1]
-                sub_e = self.errors[nm][: k + 1]
-                o = pairwise_orders(sub_n, sub_e)[-1] if k > 0 else None
-                fo = fit_order(sub_n, sub_e) if k > 0 else None
+            for nm in self.norms:
+                o = orders[nm][k]
+                fo = fit_order(self.n_list[: k + 1], self.errors[nm][: k + 1])
                 row.append("" if o is None else f"{o:.4f}")
                 row.append("" if fo is None else f"{fo:.4f}")
             lines.append(",".join(row))

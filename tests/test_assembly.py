@@ -19,7 +19,7 @@ from quadseq.assembly import (
 from quadseq.cases import brinkman_sin_stream, scalar_sin_squared
 from quadseq.dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from quadseq.elements import build_scalar_element, build_vector_element, vector_dof_values
-from quadseq.geometry import QuadGeometry
+from quadseq.geometry import QuadGeometry, _pow2
 from quadseq.mesh import Mesh, make_mesh
 
 CASE = scalar_sin_squared()
@@ -248,6 +248,35 @@ def test_rectangular_cells_share_local_matrices():
     for n in (2, 4):
         for got, want in zip(_gram_matrices(make_mesh(n, "rectangular")), ref):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+def test_biharmonic_matrix_is_the_hessian_term_at_eps_one(family):
+    # The biharmonic mode forms its local matrices in the order of the eps
+    # mode, with eps^2 = 1 and without the gradient term: (A / h^2) times
+    # lambda lambda^T, bit for bit. So by linearity its matrix is
+    # K(eps = 1) - K(eps = 0), and it is the (lambda lambda^T A) / h^2 that
+    # the mode used to form, up to rounding.
+    mesh = make_mesh(8, family, seed=1)
+    f = CASE.source_biharmonic()
+    bih, eps_one = (assemble_fourth_order(mesh, 1.0, f, biharmonic=b) for b in (True, False))
+    K = bih.matrix
+    scale = abs(K).max()
+    assert abs(K - (eps_one.matrix - assemble_fourth_order(mesh, 0.0, f).matrix)).max() \
+        <= 1e-13 * scale
+    A_hat, _ = _gram_matrices(mesh)
+    h, dofs = mesh.cell_geometry.h, bih.dofmap.cell_dofs
+    lam = assembly.scalar_dof_scaling(h)
+    scaling, h2 = lam[:, :, None] * lam[:, None, :], _pow2(h[:, None])[..., None]
+
+    def scatter(K_loc):
+        return assembly.cell_matrix(K.shape, [(dofs[:, :, None], dofs[:, None, :], K_loc)])
+
+    same = scatter(scaling * (A_hat / h2)).tocsr().tocsc()  # as SparseSystem stores it
+    assert np.array_equal(same.indptr, K.indptr) and np.array_equal(same.indices, K.indices)
+    assert np.array_equal(same.data, K.data)
+    assert abs(K - scatter(scaling * A_hat / h2)).max() <= 1e-13 * scale
+    assert np.array_equal(bih.rhs, eps_one.rhs)
 
 
 def _refined_bordered(system):

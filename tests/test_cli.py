@@ -187,9 +187,15 @@ def test_unwritable_out_fails_before_the_work(argv, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {out}: directory ") and err.count("\n") == 1
     assert "does not exist" in err and not (tmp_path / "missing").exists()
-    # A path that ends in a separator names a directory: the prefix commands
-    # used to write hidden files such as DIR/.json into it.
-    directories = [f"{tmp_path}{os.sep}"]
+    # A path that ends in a separator, or in . or .., names a directory: the
+    # prefix commands used to write hidden files such as DIR/.json and
+    # ..json into it. The relative paths are read from a working directory
+    # inside tmp_path.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    directories = [f"{tmp_path}{os.sep}", os.curdir, os.pardir, os.path.join("..", "work", "."),
+                   os.path.join(str(tmp_path), os.curdir), os.path.join(str(work), os.pardir)]
     if argv[0] == "mesh":
         # The mesh command writes the path itself, so an existing directory
         # there is refused too (it used to raise IsADirectoryError, exit 1);
@@ -199,7 +205,7 @@ def test_unwritable_out_fails_before_the_work(argv, tmp_path, monkeypatch, capsy
     for out in directories:
         assert main(argv + ["--out", out]) == 2
         assert capsys.readouterr().err == f"error: --out {out}: names a directory, not a file\n"
-    assert not any(tmp_path.iterdir())
+    assert list(tmp_path.iterdir()) == [work] and not any(work.iterdir())
 
 
 def test_out_in_the_working_directory(tmp_path, monkeypatch):

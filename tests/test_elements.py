@@ -32,6 +32,7 @@ from quadseq.poly import DX, DY, MONOMIALS, vandermonde
 from quadseq.quadrature import gauss01
 from quadseq.verify import (
     THRESHOLDS,
+    ElementCertificate,
     _bubble_residuals,
     _curl_dofs,
     _curl_inclusion_residual,
@@ -490,6 +491,25 @@ def test_certificate_counts_take_numpy_integers():
     doc = json.loads(cert.to_json())
     assert (doc["samples"], doc["identity_samples"]) == (6, 3)
     assert type(cert.identity_samples) is int
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("check", sorted(THRESHOLDS))
+def test_a_non_finite_residual_fails_everywhere(check, bad):
+    # A NaN residual used to pass failing(), which tested residual > threshold,
+    # while passed and the Markdown row, which test residual <= threshold,
+    # failed it.
+    residuals = dict.fromkeys(THRESHOLDS, 0.0)
+    residuals[check] = float(bad)
+    cert = ElementCertificate("sweep", 1, 1, 1, residuals)
+    assert cert.failing() == [check]
+    assert cert.passed is False
+    md = cert.to_markdown()
+    rows = [line.split(" | ") for line in md.splitlines() if line.startswith("| ")][1:]
+    assert {row[0][2:]: row[-1] for row in rows} == {
+        k: "FAIL |" if k == check else "pass |" for k in THRESHOLDS}
+    assert md.endswith("overall: FAIL\n")
+    assert json.loads(cert.to_json())["passed"] is False
 
 
 def _one_cell_certificate(quads, cells):

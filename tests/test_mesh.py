@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from conftest import affine_factor, intermediate_vertices
 
+import quadseq.assembly as assembly
 from quadseq.geometry import QuadGeometry
-from quadseq.mesh import Mesh, MeshGenerationError, make_mesh
+from quadseq.mesh import Mesh, MeshGenerationError, _first_appearance, make_mesh
 from quadseq.verify import random_convex_quads
 
 
@@ -142,6 +143,88 @@ def test_interior_edges_have_two_cells():
     mesh = make_mesh(4, "random", seed=3)
     n_adj = np.bincount(mesh.cell_edges.ravel(), minlength=mesh.n_edges)
     np.testing.assert_array_equal(n_adj, np.where(mesh.edge_is_boundary, 1, 2))
+
+
+def _edges_by_their_own_numbering(mesh):
+    """Test oracle: edge_vertices and cell_edges as the mesh numbered its
+    edges before the first-appearance numbering had one home."""
+    start, end = mesh.cells, np.roll(mesh.cells, -1, axis=1)
+    lo, hi = np.minimum(start, end).ravel(), np.maximum(start, end).ravel()
+    _, first, inverse = np.unique(lo * mesh.n_vertices + hi,
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return (np.column_stack([lo[first[order]], hi[first[order]]]),
+            rank[inverse.ravel()].reshape(-1, 4))
+
+
+def _tasks_by_their_own_numbering(unit):
+    """Test oracle: the tasks of ``assembly._chunk_tasks`` as it numbered the
+    shapes of a chunk with repeated shapes by itself."""
+    for start in range(0, len(unit), assembly.CELL_CHUNK):
+        stop = min(start + assembly.CELL_CHUNK, len(unit))
+        cells = slice(start, stop)
+        v = np.ascontiguousarray(unit.vertices[cells])
+        keys = v.view(np.uint64).reshape(len(v), -1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        if len(first) < len(v):
+            order = np.argsort(first)
+            yield [(cells, start + first[order], np.argsort(order)[inverse.ravel()])]
+        else:
+            parts = (slice(a, min(a + assembly.TASK_CELLS, stop))
+                     for a in range(start, stop, assembly.TASK_CELLS))
+            yield [(part, part, slice(None)) for part in parts]
+
+
+def _same_tasks(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for tasks, old in zip(got, want):
+        assert len(tasks) == len(old)
+        for task, old_task in zip(tasks, old):
+            for a, b in zip(task, old_task):
+                assert a == b if isinstance(b, slice) else _same_bits(a, b)
+
+
+def test_first_appearance_numbers_keys_and_rows():
+    first, position = _first_appearance(np.array([5, 3, 5, 9, 3]))
+    assert first.tolist() == [0, 1, 3] and position.tolist() == [0, 1, 0, 2, 1]
+    first, position = _first_appearance(np.array([[2, 1], [0, 7], [2, 1], [0, 7], [1, 1]]))
+    assert first.tolist() == [0, 1, 4] and position.tolist() == [0, 1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
+@pytest.mark.parametrize("n", [2, 5, 16, 33])
+def test_edges_and_shapes_keep_their_first_appearance_numbers(family, n):
+    # Mesh edges and the repeated shapes of a chunk are numbered by one
+    # helper; the oracles are the two copies of the idiom it replaced.
+    meshes = [make_mesh(n, family, seed=3)]
+    if family == "random":
+        meshes.append(_permuted(meshes[0], n))
+    for mesh in meshes:
+        for got, want in zip((mesh.edge_vertices, mesh.cell_edges),
+                             _edges_by_their_own_numbering(mesh)):
+            assert _same_bits(got, want)
+        _same_tasks(assembly._chunk_tasks(mesh.unit_geometry),
+                    _tasks_by_their_own_numbering(mesh.unit_geometry))
+
+
+def test_repeated_shapes_out_of_order_keep_their_numbers():
+    # Shapes that appear in another order than their sorted keys: the first
+    # appearances come in cell order, and each cell maps to its shape.
+    shapes = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                       [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]],
+                       [[0.1, 0.0], [0.9, 0.1], [1.0, 1.0], [0.0, 0.8]]])
+    which = np.array([2, 0, 2, 1, 0, 1, 2])
+    unit = QuadGeometry(shapes[which])
+    keys = np.ascontiguousarray(unit.vertices).view(np.uint64).reshape(len(which), -1)
+    sorted_first = np.unique(keys, axis=0, return_index=True)[1]
+    assert not np.all(np.diff(sorted_first) > 0)  # the sort reorders the shapes
+    [[(cells, first, inv)]] = assembly._chunk_tasks(unit)
+    assert cells == slice(0, 7)
+    assert first.tolist() == [0, 1, 3] and inv.tolist() == [0, 1, 0, 2, 1, 2, 0]
+    _same_tasks(assembly._chunk_tasks(unit), _tasks_by_their_own_numbering(unit))
 
 
 @pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])

@@ -129,6 +129,31 @@ def test_csv_layout():
     assert len(lines) == 3  # header + one row per n
 
 
+@pytest.mark.parametrize("study", [
+    lambda: run_scalar_study(eps=1.0, family="random", seed=1, n_list=[4, 8, 16, 32]),
+    lambda: run_brinkman_study(family="random", seed=1, n_list=[4, 8, 16, 32]),
+], ids=["scalar", "brinkman"])
+def test_csv_orders_are_the_report_orders(study):
+    # Row k holds entry k of orders(), which comes from the same two errors
+    # as the last order of the first k + 1 levels, and the fit over those
+    # levels, which differs from order_fit, the fit over all of them.
+    r = study()
+    header, *rows = [line.split(",") for line in r.to_csv().splitlines()]
+    assert len(rows) == len(r.n_list)
+    for j, nm in enumerate(r.norms):
+        suffix = "" if j == 0 else f"_{nm}"
+        last, fit = header.index("order_last" + suffix), header.index("order_fit" + suffix)
+        for k, row in enumerate(rows):
+            o = r.orders(nm)[k]
+            assert o == (pairwise_orders(r.n_list[: k + 1], r.errors[nm][: k + 1])[-1]
+                         if k else None)
+            fo = fit_order(r.n_list[: k + 1], r.errors[nm][: k + 1])
+            assert row[last] == ("" if o is None else f"{o:.4f}")
+            assert row[fit] == ("" if fo is None else f"{fo:.4f}")
+        assert rows[-1][last] == f"{r.order_last(nm):.4f}"
+        assert fit_order(r.n_list[:3], r.errors[nm][:3]) != r.order_fit(nm)
+
+
 def test_json_round_trip_fields():
     r = run_brinkman_study(nu=0.0, alpha=1.0, n_list=[4, 8])
     doc = json.loads(r.to_json())
