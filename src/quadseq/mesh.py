@@ -89,6 +89,22 @@ def _metadata(n, delta, seed):
     return n, delta, None if seed is None else _seed(seed)
 
 
+def _strict_json(doc: dict, nullable=()) -> str:
+    """The report ``doc`` as JSON (sorted keys, an indent of 2) that a strict
+    parser reads: a non-finite float, at any depth under a key in
+    ``nullable``, is written as null, and any other raises ``ValueError``.
+    The sequence, element and study reports all write theirs by this rule."""
+    def null(value):
+        if isinstance(value, dict):
+            return {k: null(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [null(v) for v in value]
+        return None if isinstance(value, float) and not np.isfinite(value) else value
+
+    doc = {k: null(v) if k in nullable else v for k, v in doc.items()}
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _vertex_indices(cells, n_vertices: int) -> np.ndarray:
     """``cells`` as an (m, 4) integer array, or ``ValueError`` naming the
     first cell whose entries are not integers in [0, n_vertices)."""

@@ -17,19 +17,20 @@ is the divergence). They run on the element tasks of assembly
 tasks of ``assembly.TASK_CELLS`` cells where a chunk's shapes are all
 distinct, which bounds their temporaries: on a random mesh with n = 32 the
 certificate peaks at 129 MB, against 163 MB with all cells in one batch.
-Ranks are relative to CUTOFF. Rank D and the gap at the cut come from the
-value-only SVD of D, the one dense matrix; C is injective by the extreme
-eigenvalues of the sparse C^T C, and rank [C | ker D] = nullity(D) +
-rank(D C) needs no kernel basis. The inf-sup constant forms
-no dense matrix: it is the extreme eigenvalue of an operator that one
-stream-function sweep of the Brinkman solve applies, so it needs a mesh of
-Euler characteristic 1, as that solve does.
+The ranks are exact counts (``_incidence_rank``): each row of C, and each
+row of B^T, where D = diag(1 / area) B, is zero or a multiple of e_a or of
+e_a - e_b, so each rank counts the components of a graph, and
+rank [C | ker D] = nullity(D) when the integer product B C is zero. The
+value-only SVD of D, the one dense matrix, gives only the gap at the
+counted rank. The inf-sup constant forms no dense matrix: it is the
+extreme eigenvalue of an operator that one stream-function sweep of the
+Brinkman solve applies, so it needs a mesh of Euler characteristic 1, as
+that solve does.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .assembly import _StreamSolver, _chunk_tasks, assemble_brinkman, cell_matri
 from .assembly import scalar_dof_scaling, vector_dof_scaling
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import _build_pair
-from .mesh import Mesh
+from .mesh import Mesh, _strict_json
 from .verify import _curl_dofs, _curl_inclusion_residual, _div_flux_residual, _fold_max
 
 __all__ = [
@@ -49,8 +50,7 @@ __all__ = [
     "inf_sup_constant",
 ]
 
-CUTOFF = 1e-9  # relative singular-value cutoff of every rank
-TOL = 1e-10    # bound on the residuals of the exact identities
+TOL = 1e-10  # bound on the residuals of the exact identities
 
 
 def divergence_matrix(mesh: Mesh):
@@ -58,10 +58,17 @@ def divergence_matrix(mesh: Mesh):
     constants, with the vector DoF map: the signed edge incidence with each
     row divided by the cell area."""
     dm = VectorDofMap(mesh)
-    rows = dm.cell_signs[:, :4] / mesh.cell_geometry.area[:, None]
-    D = cell_matrix((mesh.n_cells, dm.ndof),
-                    [(np.arange(mesh.n_cells)[:, None], dm.cell_dofs[:, :4], rows)])
-    return D.tocsr(), dm
+    return _incidence(mesh, dm)[1], dm
+
+
+def _incidence(mesh: Mesh, dm: VectorDofMap):
+    """The signed incidence B of the cells and the vector DoFs of ``dm``
+    (``cell_signs`` at the edge DoFs) and the divergence D = diag(1 / area) B,
+    both CSR."""
+    cells = np.arange(mesh.n_cells)[:, None]
+    B = cell_matrix((mesh.n_cells, dm.ndof),
+                    [(cells, dm.cell_dofs[:, :4], dm.cell_signs[:, :4])]).tocsr()
+    return B, B.multiply(1 / mesh.cell_geometry.area[:, None]).tocsr()
 
 
 def curl_matrix(mesh: Mesh):
@@ -75,10 +82,14 @@ def curl_matrix(mesh: Mesh):
 class SequenceReport:
     """The ranks, residuals and checks of ``verify_exact_sequence``.
 
-    ``sv_gap`` is sigma_r / sigma_{r+1} of D at the cut, infinite when no
-    singular value lies below it (as when D has none). ``to_dict`` and
-    ``to_json`` write a non-finite gap as null, so the JSON is strict: it
-    holds no NaN or Infinity, and ``to_json`` raises rather than write one.
+    The ranks are exact counts. ``rank_curl`` is None when C is not an
+    incidence matrix (``_incidence_rank``), and ``rank_combined``, the rank
+    of [C | ker D], is None when B C is not zero; a None rank fails every
+    check that compares it. ``sv_gap`` is sigma_r / sigma_{r+1} of D at the
+    counted rank r = ``rank_div``, infinite when D has no sigma_{r+1} or it
+    is zero (as on a one-cell mesh). ``to_dict`` and ``to_json`` write a
+    non-finite gap and a None rank as null, so the JSON is strict: it holds
+    no NaN or Infinity, and ``to_json`` raises rather than write one.
     sigma_{r+1} is at the rounding level, so ``sv_gap`` depends on the BLAS
     thread count (random mesh, n = 32, seed 3: 5.20e14 with one OpenBLAS
     thread, 3.02e14 with two), while every other field does not.
@@ -87,14 +98,13 @@ class SequenceReport:
     dims: dict
     rank_div: int
     nullity_div: int
-    rank_curl: int
-    rank_combined: int
+    rank_curl: int | None
+    rank_combined: int | None
     sv_gap: float
     div_curl_max: float
     curl_reinterp_residual: float
     div_flux_residual: float
     curl_global_consistency: float
-    cutoff: float
     checks: dict = field(default_factory=dict)
 
     @property
@@ -106,49 +116,35 @@ class SequenceReport:
         return {**asdict(self), "sv_gap": gap, "passed": self.passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _strict_json(self.to_dict())
 
 
-def _rank(singular_values: np.ndarray, cutoff: float):
-    if len(singular_values) == 0 or singular_values[0] == 0.0:
-        return 0, np.inf
-    thresh = cutoff * singular_values[0]
-    rank = int((singular_values > thresh).sum())
-    if rank == 0 or rank >= len(singular_values):
-        gap = np.inf
-    else:
-        below = singular_values[rank]
-        gap = np.inf if below == 0 else singular_values[rank - 1] / below
-    return rank, gap
+def _incidence_rank(M):
+    """The exact rank of the sparse M when each of its rows, zeros dropped,
+    is empty, one entry or two entries v and -v, and None for any other M.
 
-
-def _curl_rank(C):
-    """rank C and sigma_1(C) for the sparse curl matrix C.
-
-    With lambda_min > CUTOFF * lambda_max for the extreme eigenvalues of
-    C^T C, sigma_min(C) / sigma_1(C) exceeds sqrt(CUTOFF), far above the
-    relative cut of a rank, so C is injective. On meshes that ratio depends
-    on the topology only (about 1.57 / n on an n x n grid). Otherwise, or
-    when C^T C is singular and its factor fails, the rank is counted from
-    the singular values of the dense C. The fixed start vector makes
-    repeated calls bit-identical.
+    Each such row is a nonzero multiple of e_a or of e_a - e_b, so M is the
+    incidence matrix of a graph on its columns and one ground node, with
+    its rows scaled. Its kernel holds the vectors constant on each component
+    of the column graph (one edge per two-entry row) that no one-entry row
+    touches, and zero elsewhere, so its rank is the number of columns less
+    the number of those components.
     """
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    n_s = C.shape[1]
-    if n_s == 0:
-        return 0, 0.0
-    G = (C.T @ C).tocsc()
-    v0 = np.ones(n_s)
-    try:
-        lam_max = eigsh(G, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-        lam_min = eigsh(G, k=1, sigma=0, v0=v0, return_eigenvectors=False)[0]
-    except RuntimeError:  # a singular factor, or no convergence
-        lam_max = lam_min = 0.0
-    if lam_min > CUTOFF * lam_max:
-        return n_s, float(np.sqrt(lam_max))
-    sv = np.linalg.svd(C.toarray(), compute_uv=False)
-    return _rank(sv, CUTOFF)[0], sv[0]
+    M = M.tocsr(copy=True)
+    M.eliminate_zeros()
+    starts, counts = M.indptr[:-1], np.diff(M.indptr)
+    pairs = starts[counts == 2]
+    if counts.max(initial=0) > 2 or np.any(M.data[pairs] + M.data[pairs + 1] != 0):
+        return None
+    n = M.shape[1]
+    edges = csr_matrix((np.ones(len(pairs)), (M.indices[pairs], M.indices[pairs + 1])),
+                       shape=(n, n))
+    n_comp, label = connected_components(edges, directed=False)
+    grounded = np.unique(label[M.indices[starts[counts == 1]]]).size
+    return n - (n_comp - grounded)
 
 
 def _rotated_gradient_dofs(S, c, h):
@@ -179,31 +175,28 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     coefficients only, so the report is the same bit for bit for every
     task size and with or without the deduplication.
 
-    Kernel spanning uses rank [C | ker D] = nullity(D) + rank(D C) and
-    ||D x|| >= sigma_r(D) * dist(x, ker D) for every x, where ker D is spanned
-    by the right singular vectors that rank(D) drops and sigma_r(D) is the
-    smallest singular value it keeps. So a unit w with dist(C w, ker D) above
-    CUTOFF * sigma_1(C) has ||D C w|| above CUTOFF * sigma_r(D) * sigma_1(C),
-    the cut of rank(D C): the count is at least as strict as a relative cut
-    on the stacked [C | ker D], which sits at CUTOFF * sigma_1 of the stack.
+    The ranks are exact: rank D is counted on the signed incidence B, as D
+    = diag(1 / area) B with every area positive, and rank C on C, both by
+    ``_incidence_rank``; and rank [C | ker D] = nullity(D) + rank(D C) is
+    nullity(D) when the integer product B C is zero, and None, which fails
+    ``curl_spans_kernel``, otherwise. The value-only SVD of D gives
+    ``sv_gap`` at the counted rank of D.
     """
     geom, unit = mesh.cell_geometry, mesh.unit_geometry
-    D, vdm = divergence_matrix(mesh)
-    C, sdm, _ = curl_matrix(mesh)
+    C, sdm, vdm = curl_matrix(mesh)
+    B, D = _incidence(mesh, vdm)
 
-    sv_div = np.linalg.svd(D.toarray(), compute_uv=False)
-    rank_div, gap = _rank(sv_div, CUTOFF)
+    rank_div = _incidence_rank(B.T)
     nullity = vdm.ndof - rank_div
-    rank_curl, sigma_curl = _curl_rank(C)
+    rank_curl = _incidence_rank(C)
+    rank_combined = nullity if (B @ C).count_nonzero() == 0 else None
+
+    sv = np.linalg.svd(D.toarray(), compute_uv=False)
+    gap = np.inf
+    if 0 < rank_div < len(sv) and sv[rank_div]:
+        gap = float(sv[rank_div - 1] / sv[rank_div])
 
     DC = D @ C
-    # With rank(D) or rank(C) zero, D C is zero and every cut counts nothing.
-    cut = CUTOFF * sv_div[rank_div - 1] * sigma_curl if rank_div and rank_curl else 0.0
-    # sigma_1 <= Frobenius norm, so below the cut no singular value counts.
-    rank_combined = nullity
-    if np.linalg.norm(DC.data) > cut:
-        rank_combined += int((np.linalg.svd(DC.toarray(), compute_uv=False) > cut).sum())
-
     div_curl_max = float(np.abs(DC.data).max(initial=0.0))
 
     # Global consistency: push a random scalar coefficient vector through the
@@ -253,7 +246,7 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
         dims=dims, rank_div=rank_div, nullity_div=nullity, rank_curl=rank_curl,
         rank_combined=rank_combined, sv_gap=gap, div_curl_max=div_curl_max,
         curl_reinterp_residual=reinterp, div_flux_residual=div_flux,
-        curl_global_consistency=consistency, cutoff=CUTOFF, checks=checks,
+        curl_global_consistency=consistency, checks=checks,
     )
 
 

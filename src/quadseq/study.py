@@ -10,7 +10,6 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from .elements import (
     scalar_dof_values,
     vector_dof_values,
 )
-from .mesh import DEFAULT_DELTA, make_mesh
+from .mesh import DEFAULT_DELTA, _strict_json, make_mesh
 from .norms import brinkman_error_norms, scalar_error_norms
 from .quadrature import check_order
 
@@ -139,7 +138,7 @@ class StudyReport:
             "order_fit": {nm: self.order_fit(nm) for nm in self.norms},
             "notes": self.notes,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _strict_json(doc, nullable=("orders", "order_last", "order_fit"))
 
 
 def _study(problem, params, norms, level_errors, *, family, n_list, delta, seed,

@@ -34,7 +34,6 @@ task size and with or without the deduplication.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,7 @@ from .elements import (
     vector_dof_values,
 )
 from .geometry import REF_CORNERS, QuadGeometry
-from .mesh import _integer, _real, _seed, make_mesh
+from .mesh import _integer, _real, _seed, _strict_json, make_mesh
 from .poly import DX, DY
 
 __all__ = ["ElementCertificate", "element_certificate", "random_convex_quads"]
@@ -317,7 +316,7 @@ class ElementCertificate:
         return [k for k in self.residuals if not self.residuals[k] <= self.thresholds[k]]
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _strict_json({
             "family": self.family,
             "samples": self.samples,
             "identity_samples": self.identity_samples,
@@ -325,7 +324,7 @@ class ElementCertificate:
             "residuals": self.residuals,
             "thresholds": self.thresholds,
             "passed": self.passed,
-        }, sort_keys=True, indent=2) + "\n"
+        }, nullable=("residuals",))
 
     def to_markdown(self) -> str:
         lines = [

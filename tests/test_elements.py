@@ -509,7 +509,13 @@ def test_a_non_finite_residual_fails_everywhere(check, bad):
     assert {row[0][2:]: row[-1] for row in rows} == {
         k: "FAIL |" if k == check else "pass |" for k in THRESHOLDS}
     assert md.endswith("overall: FAIL\n")
-    assert json.loads(cert.to_json())["passed"] is False
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(cert.to_json(), parse_constant=reject)
+    assert doc["passed"] is False
+    assert doc["residuals"] == {k: None if k == check else 0.0 for k in THRESHOLDS}
 
 
 def _one_cell_certificate(quads, cells):

@@ -20,7 +20,7 @@ from quadseq.geometry import QuadGeometry
 from quadseq.mesh import Mesh, make_mesh
 from quadseq.poly import DX, DY, vandermonde
 from quadseq.sequence import (
-    CUTOFF,
+    _incidence_rank,
     _rotated_gradient_dofs,
     curl_matrix,
     divergence_matrix,
@@ -28,6 +28,16 @@ from quadseq.sequence import (
     verify_exact_sequence,
 )
 from quadseq.verify import _curl_dofs
+
+CUTOFF = 1e-9  # relative singular-value cut of the dense oracles' ranks
+
+
+def _strict_loads(text):
+    """json.loads that rejects NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _stacked_rank(D, C):
@@ -70,8 +80,8 @@ def test_exactness_across_families(family, seed, n):
 @pytest.mark.parametrize("direction", ["top", "smallest_kept"])
 def test_kernel_count_as_strict_as_stacked_oracle(monkeypatch, direction):
     # Shift one column of C out of ker D along a right singular vector of D:
-    # wherever the dense oracle sees the column leave the kernel, so must the
-    # rank-nullity count.
+    # wherever the dense oracle sees the column leave the kernel, B C is not
+    # zero, so the certificate counts no rank of [C | ker D].
     mesh = make_mesh(8, "random", seed=3)
     D = divergence_matrix(mesh)[0].toarray()
     C, sdm, vdm = curl_matrix(mesh)
@@ -86,7 +96,7 @@ def test_kernel_count_as_strict_as_stacked_oracle(monkeypatch, direction):
         monkeypatch.setattr(sequence, "curl_matrix", lambda mesh: (shifted, sdm, vdm))
         report = verify_exact_sequence(mesh)
         if _stacked_rank(D, shifted) > report.nullity_div:
-            assert report.rank_combined > report.nullity_div, eps
+            assert report.rank_combined is None, eps
             assert not report.checks["curl_spans_kernel"]
             flagged.append(eps)
     assert flagged and flagged[-1] == 1e-4
@@ -106,22 +116,24 @@ def test_certificate_takes_one_value_only_svd(monkeypatch):
 
 
 def test_duplicated_curl_column_is_counted_not_raised(monkeypatch):
-    # C^T C is singular, so the sparse injectivity test cannot decide and
-    # the rank falls back to the dense count.
+    # A duplicated column puts three entries in a row of C, so C is no
+    # incidence matrix: its rank is None, which fails injectivity.
     mesh = make_mesh(4, "random", seed=9)
     C, sdm, vdm = curl_matrix(mesh)
     n_s = C.shape[1]
     duplicated = C[:, np.r_[0, 0, 2:n_s]]
     monkeypatch.setattr(sequence, "curl_matrix", lambda mesh: (duplicated, sdm, vdm))
     report = verify_exact_sequence(mesh)
-    assert report.rank_curl == n_s - 1
+    assert report.rank_curl is None
     assert not report.checks["curl_injective"]
+    assert _strict_loads(report.to_json())["rank_curl"] is None
 
 
 def _dense_ranks(mesh):
     """Dense oracle: rank D, nullity D, rank C and rank [C | ker D] from
-    value-only SVDs of the dense D, C and D C, as ``verify_exact_sequence``
-    counted them before C and D C stayed sparse."""
+    value-only SVDs of the dense D, C and D C, each at the relative cut
+    CUTOFF, as ``verify_exact_sequence`` counted them before it counted them
+    exactly."""
     def rank(s):
         return int((s > CUTOFF * s[0]).sum()) if len(s) and s[0] else 0
 
@@ -145,6 +157,80 @@ def test_ranks_equal_the_dense_oracle(family, seed, n):
     report = verify_exact_sequence(mesh)
     got = [report.rank_div, report.nullity_div, report.rank_curl, report.rank_combined]
     assert got == _dense_ranks(mesh)
+
+
+def _subset(mesh, keep):
+    """The mesh of the cells ``keep``, without the vertices no kept cell uses."""
+    cells = mesh.cells[keep]
+    used = np.unique(cells)
+    number = np.full(mesh.n_vertices, -1)
+    number[used] = np.arange(len(used))
+    return Mesh(mesh.vertices[used], number[cells])
+
+
+@pytest.mark.parametrize("domain", ["lshape", "punched"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_ranks_equal_the_dense_oracle_off_the_square(domain, n):
+    # The L-shape drops the cells with centres in (1/2, 1]^2 and is still
+    # simply connected; the punched mesh drops those with |x - 1/2| and
+    # |y - 1/2| below 0.2, so its Euler characteristic is 0 and ker D holds
+    # one field more than the rotated gradients span.
+    mesh = make_mesh(n, "random", seed=3)
+    x, y = mesh.vertices[mesh.cells].mean(axis=1).T
+    if domain == "lshape":
+        mesh = _subset(mesh, (x < 0.5) | (y < 0.5))
+    else:
+        mesh = _subset(mesh, (np.abs(x - 0.5) >= 0.2) | (np.abs(y - 0.5) >= 0.2))
+    report = verify_exact_sequence(mesh)
+    got = [report.rank_div, report.nullity_div, report.rank_curl, report.rank_combined]
+    assert got == _dense_ranks(mesh)
+    failing = [k for k, ok in report.checks.items() if not ok]
+    if domain == "lshape":
+        assert mesh.euler_characteristic() == 1 and failing == []
+    else:
+        assert mesh.euler_characteristic() == 0
+        assert failing == ["nullity_is_scalar_dim", "alternating_sum_zero"]
+        assert report.nullity_div == report.rank_curl + 1
+
+
+def _random_incidence(rng):
+    """A sparse matrix of the form ``_incidence_rank`` counts: each row
+    empty, one entry of any value, or v and -v, with explicit zeros stored,
+    rows repeated and columns that no row touches."""
+    n_rows, n_cols = rng.integers(0, 10), rng.integers(1, 9)
+    values = [1.0, -1.0, 0.5, -3.0, 1e-3, 7e3]
+    used = rng.choice(n_cols, size=rng.integers(1, n_cols + 1), replace=False)
+    rows, cols, vals = [], [], []
+    for i in range(n_rows):
+        kind = rng.integers(3) if len(used) > 1 else rng.integers(2)
+        v = rng.choice(values)
+        picked = rng.choice(used, size=kind, replace=False)
+        rows += [i] * kind
+        cols += list(picked)
+        vals += [v, -v][:kind]
+        if rng.random() < 0.2:  # an explicit zero, which the count drops
+            rows.append(i), cols.append(rng.integers(n_cols)), vals.append(0.0)
+    M = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+    repeat = rng.integers(n_rows, size=rng.integers(3)) if n_rows else []
+    return sp.vstack([M, M[repeat]]).tocsr() if len(repeat) else M
+
+
+def test_incidence_rank_equals_the_dense_rank():
+    rng = np.random.default_rng(0)
+    for draw in range(500):
+        M = _random_incidence(rng)
+        assert _incidence_rank(M) == np.linalg.matrix_rank(M.toarray()), draw
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 1]],                            # three entries in a row
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 1, 0]],  # a pair of one sign
+    [[2, -1, 0]],                           # a pair of unequal magnitude
+])
+def test_incidence_rank_of_any_other_matrix_is_none(rows):
+    M = sp.csr_matrix(np.array(rows, dtype=float))
+    assert _incidence_rank(M) is None
+    assert M.nnz == np.count_nonzero(rows)  # the count leaves M as it was
 
 
 def test_repeated_certificates_are_bitwise_equal():
@@ -172,11 +258,7 @@ def test_infinite_gap_is_written_as_null():
     report = verify_exact_sequence(Mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]]))
     assert report.rank_div == 0
     assert isinstance(report.sv_gap, float) and report.sv_gap == np.inf
-
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    doc = json.loads(report.to_json(), parse_constant=reject)
+    doc = _strict_loads(report.to_json())
     assert doc["sv_gap"] is None
     assert doc == report.to_dict()
 
@@ -391,12 +473,3 @@ def test_inf_sup_of_one_cell_names_the_empty_pressure_space():
     mesh = Mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
     with pytest.raises(ValueError, match="mean-zero pressure space .* is empty"):
         inf_sup_constant(mesh)
-
-
-def test_curl_rank_of_a_singular_matrix_takes_the_dense_path():
-    # C^T C is singular, so its shift-invert factor fails and the rank is
-    # counted from the dense singular values: sigma = (sqrt 3, 1, 0).
-    C = sp.csr_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 1, 0]], dtype=float)
-    rank, sigma_1 = sequence._curl_rank(C)
-    assert rank == 2
-    assert sigma_1 == pytest.approx(np.sqrt(3.0), rel=1e-14)

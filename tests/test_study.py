@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 import quadseq.study
 from quadseq.study import (
+    StudyReport,
     fit_order,
     pairwise_orders,
     run_brinkman_study,
@@ -162,6 +164,22 @@ def test_json_round_trip_fields():
     assert doc["n_list"] == [4, 8]
     assert set(doc["errors"]) == set(r.norms)
     assert doc["order_last"]["velocity_ah"] is not None
+
+
+def test_json_writes_an_order_from_a_zero_error_as_null():
+    # An error of 0 makes the order log(e / 0) and the fit non-finite; the
+    # JSON writes them as null, which a strict parser reads.
+    r = StudyReport("scalar", {}, "rectangular", 0.2, 0, [4, 8], 4, 6, ["h1"],
+                    errors={"h1": [1e-3, 0.0]})
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with np.errstate(divide="ignore"):
+        doc = json.loads(r.to_json(), parse_constant=reject)
+    assert doc["errors"] == {"h1": [1e-3, 0.0]}
+    assert doc["orders"] == {"h1": [None, None]}
+    assert doc["order_last"] == doc["order_fit"] == {"h1": None}
 
 
 def test_markdown_layout():
