@@ -75,10 +75,11 @@ The relative residual is always measured on the assembled matrix. Each
 factorization is the memory high point of its study, so it starts from a
 heap that holds only live data and one copy of the matrix it factors: the
 scalar matrix is stored in the CSC layout ``splu`` reads, the stream solver
-reads the velocity block in place in the Brinkman matrix, and freed memory,
-which glibc keeps resident (in the main heap and in the element threads'
-arenas), is handed back to the system just before the scalar factor and the
-stream factor (``_release_freed_memory``). Together these took the peak RSS
+reads the velocity block in place in the Brinkman matrix (and B and the
+cell areas c from the DoF map and the mesh), and freed memory, which glibc
+keeps resident (in the main heap and in the element threads' arenas), is
+handed back to the system just before the scalar factor and the stream
+factor (``_release_freed_memory``). Together these took the peak RSS
 of the random-mesh scalar study to n = 64 from 151 to about 137 MB, and of
 the Stokes study on rectangular meshes from 122 to about 111 MB.
 
@@ -352,9 +353,16 @@ def _load(dofs, F, ndof):
 
 
 class SparseSystem:
-    """Assembled sparse linear system with DoF metadata and the
-    ``ElementBatch`` assembly built (``elements``), which the error norms
-    of its solution take.
+    """Assembled sparse linear system on a DoF map, with the ``ElementBatch``
+    assembly built (``elements``), which the error norms of its solution
+    take.
+
+    The DoF map gives the kind (``dofmap.kind``, "scalar" or "brinkman")
+    and the sizes. A scalar system has the map's ndof unknowns. A Brinkman
+    system has ``n_velocity`` velocity unknowns (the map's ndof),
+    ``n_pressure`` pressures (one per cell) and the multiplier last, and
+    ``blocks`` holds the velocity and pressure slices. A matrix or ``rhs``
+    of another size raises ``ValueError``.
 
     ``matrix`` is stored in the layout its solver reads, so that the solve
     needs no second copy of it: CSC for a scalar system, which ``splu``
@@ -364,15 +372,22 @@ class SparseSystem:
     another order, and so changes the last bits of the matrix.
     """
 
-    def __init__(self, matrix, rhs, kind, dofmap, n_velocity=None, n_pressure=None,
-                 elements=None):
+    def __init__(self, matrix, rhs, dofmap, elements=None):
+        self.kind = dofmap.kind
+        self.n_velocity = self.n_pressure = self.blocks = None
+        n = dofmap.ndof
+        if self.kind == "brinkman":
+            self.n_velocity, self.n_pressure = n, dofmap.mesh.n_cells
+            self.blocks = slice(0, n), slice(n, n + self.n_pressure)
+            n += self.n_pressure + 1
+        for name, got, want in (("matrix", matrix.shape, (n, n)), ("rhs", np.shape(rhs), (n,))):
+            if got != want:
+                raise ValueError(f"{name} of shape {got} does not match the {self.kind} "
+                                 f"DoF map, which needs shape {want}")
         matrix = matrix.tocsr()
-        self.matrix = matrix.tocsc() if kind == "scalar" else matrix
+        self.matrix = matrix.tocsc() if self.kind == "scalar" else matrix
         self.rhs = rhs
-        self.kind = kind            # "scalar" or "brinkman"
         self.dofmap = dofmap
-        self.n_velocity = n_velocity
-        self.n_pressure = n_pressure
         self.elements = elements
 
     @property
@@ -383,8 +398,8 @@ class SparseSystem:
         """Brinkman solution -> (velocity coefficients, cell pressures, multiplier)."""
         if self.kind != "brinkman":
             raise ValueError("split applies to Brinkman systems only")
-        nu_, np_ = self.n_velocity, self.n_pressure
-        return x[:nu_], x[nu_:nu_ + np_], float(x[-1])
+        velocity, pressure = self.blocks
+        return x[velocity], x[pressure], float(x[-1])
 
 
 def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_QUAD_ORDER,
@@ -432,8 +447,7 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     dofs = dm.cell_dofs
     K = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], K_loc)])
     del K_loc
-    return SparseSystem(K, _load(dofs, lam * F_hat * h2, dm.ndof), "scalar", dm,
-                        elements=elements)
+    return SparseSystem(K, _load(dofs, lam * F_hat * h2, dm.ndof), dm, elements=elements)
 
 
 def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
@@ -444,7 +458,8 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     (velocity, cell pressures, multiplier), where c holds the cell areas; the
     bordering row enforces the zero pressure mean symmetrically. nu and
     alpha are non-negative and not both zero; f maps (x, y) to (..., 2) and
-    g, if given, to (...,). B is the DoF map's edge signs (``verify._div_flux_residual``).
+    g, if given, to (...,). B is the DoF map's signed cell-edge incidence
+    (``VectorDofMap.incidence``; ``verify._div_flux_residual``).
     """
     _nonnegative(nu, "nu")
     _nonnegative(alpha, "alpha")
@@ -475,8 +490,7 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     if g is not None:
         rhs[p_dofs] -= _dot(wts, _values(g, "source g", x, x.shape[:-1])) * h2[:, 0]
     del x, wts  # blocks, loads and points are freed before the CSR conversion
-    return SparseSystem(K, rhs, "brinkman", dm, n_velocity=n_u, n_pressure=n_p,
-                        elements=elements)
+    return SparseSystem(K, rhs, dm, elements=elements)
 
 
 # Its return frees M_hat (A_loc is formed in G_hat) before the scatter: inlined, the peak RSS
@@ -576,6 +590,10 @@ class _StreamSolver:
 
     Any other mesh raises ``ValueError`` before anything is factored.
 
+    B is the DoF map's incidence (``VectorDofMap.incidence``) and c the
+    mesh's cell areas: the arrays assembly scattered the pressure rows and
+    the border of K from, so they hold the bits of those blocks.
+
     The solver keeps no copy of A. ``rows`` is a CSR view of the velocity
     rows of K, over K's own ``data``, ``indices`` and the head of its
     ``indptr``; it is applied to vectors and to C padded with zeros in the
@@ -599,10 +617,10 @@ class _StreamSolver:
                              f"(a disk), got Euler characteristic {chi}")
         K, n_u, n = system.matrix, system.n_velocity, system.ndof
         self.K = K
-        self.velocity, self.pressure = slice(0, n_u), slice(n_u, n - 1)
+        self.velocity, self.pressure = system.blocks
         self.rows = sp.csr_matrix((K.data, K.indices, K.indptr[:n_u + 1]), shape=(n_u, n))
-        self.B = B = -K[self.pressure, self.velocity]
-        self.c = -K[self.pressure, n - 1].toarray()[:, 0]  # cell areas, from the border column
+        self.B = B = system.dofmap.incidence()
+        self.c = mesh.cell_geometry.area
         self.total = self.c.sum()
         self.C = C = curl_operator(ScalarDofMap(mesh), system.dofmap)
         padded = sp.csr_matrix((C.data, C.indices, np.pad(C.indptr, (0, n - n_u), "edge")),

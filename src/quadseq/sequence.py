@@ -13,12 +13,15 @@ per-cell identities, which the element certificate (``quadseq.verify``) also
 runs: each rotated scalar gradient re-interpolates to itself (C is the curl)
 and each vector basis field's divergence integrates to its outward flux (D
 is the divergence). They run on the element tasks of assembly
-(``assembly._chunk_tasks``), once per distinct unit shape of a chunk, in
-tasks of ``assembly.TASK_CELLS`` cells where a chunk's shapes are all
-distinct, which bounds their temporaries: on a random mesh with n = 32 the
-certificate peaks at 129 MB, against 163 MB with all cells in one batch.
-The ranks are exact counts (``_incidence_rank``): each row of C, and each
-row of B^T, where D = diag(1 / area) B, is zero or a multiple of e_a or of
+(``assembly._chunk_tasks``), walked on the caller thread by the
+certificates' one helper (``verify._max_over_tasks``), once per distinct
+unit shape of a chunk, in tasks of ``assembly.TASK_CELLS`` cells where a
+chunk's shapes are all distinct, which bounds their temporaries: on a
+random mesh with n = 32 the certificate peaks at 129 MB, against 163 MB
+with all cells in one batch. The ranks are exact counts
+(``_incidence_rank``): each row of C, and each row of B^T, where B is the
+vector DoF map's incidence (``VectorDofMap.incidence``) and D = diag(1 /
+area) B, is zero or a multiple of e_a or of
 e_a - e_b, so each rank counts the components of a graph, and
 rank [C | ker D] = nullity(D) when the integer product B C is zero. The
 value-only SVD of D, the one dense matrix, gives only the gap at the
@@ -30,17 +33,16 @@ that solve does.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import _StreamSolver, _chunk_tasks, assemble_brinkman, cell_matrix
+from .assembly import _StreamSolver, assemble_brinkman
 from .assembly import scalar_dof_scaling, vector_dof_scaling
 from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import _build_pair
 from .mesh import Mesh, _strict_json
-from .verify import _curl_dofs, _curl_inclusion_residual, _div_flux_residual, _fold_max
+from .verify import _curl_dofs, _curl_inclusion_residual, _div_flux_residual, _max_over_tasks
 
 __all__ = [
     "divergence_matrix",
@@ -55,20 +57,15 @@ TOL = 1e-10  # bound on the residuals of the exact identities
 
 def divergence_matrix(mesh: Mesh):
     """Sparse CSR matrix of the cellwise divergence, vector DoFs -> cell
-    constants, with the vector DoF map: the signed edge incidence with each
-    row divided by the cell area."""
+    constants, with the vector DoF map: the signed edge incidence
+    (``VectorDofMap.incidence``) with each row divided by the cell area."""
     dm = VectorDofMap(mesh)
-    return _incidence(mesh, dm)[1], dm
+    return _over_area(mesh, dm.incidence()), dm
 
 
-def _incidence(mesh: Mesh, dm: VectorDofMap):
-    """The signed incidence B of the cells and the vector DoFs of ``dm``
-    (``cell_signs`` at the edge DoFs) and the divergence D = diag(1 / area) B,
-    both CSR."""
-    cells = np.arange(mesh.n_cells)[:, None]
-    B = cell_matrix((mesh.n_cells, dm.ndof),
-                    [(cells, dm.cell_dofs[:, :4], dm.cell_signs[:, :4])]).tocsr()
-    return B, B.multiply(1 / mesh.cell_geometry.area[:, None]).tocsr()
+def _over_area(mesh: Mesh, B):
+    """D = diag(1 / area) B, CSR."""
+    return B.multiply(1 / mesh.cell_geometry.area[:, None]).tocsr()
 
 
 def curl_matrix(mesh: Mesh):
@@ -184,7 +181,8 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     """
     geom, unit = mesh.cell_geometry, mesh.unit_geometry
     C, sdm, vdm = curl_matrix(mesh)
-    B, D = _incidence(mesh, vdm)
+    B = vdm.incidence()
+    D = _over_area(mesh, B)
 
     rank_div = _incidence_rank(B.T)
     nullity = vdm.ndof - rank_div
@@ -206,8 +204,7 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     c = sdm.gather(w) * scalar_dof_scaling(geom.h)
     sigma_global = vdm.gather(C @ w)
 
-    res = {}
-    for cells, shapes, inv in itertools.chain.from_iterable(_chunk_tasks(unit)):
+    def residuals(cells, shapes, inv):
         distinct = unit[shapes]
         sc, vc = _build_pair(distinct)  # one stream span and one pair of frames
         S = _curl_dofs(distinct, sc, vc)
@@ -215,12 +212,14 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
         # itself and each vector basis field's divergence integrates to its
         # flux; per cell, the DoFs of the rotated gradient match the curl
         # matrix.
-        _fold_max(res, {
+        return {
             "reinterp": _curl_inclusion_residual(S, sc, vc)[0],
             "div_flux": _div_flux_residual(distinct, vc.divergence()[0]),
             "consistency": np.abs(_rotated_gradient_dofs(S[inv], c[cells], geom.h[cells])
                                   - sigma_global[cells]),
-        })
+        }
+
+    res = _max_over_tasks(unit, residuals)
     reinterp, div_flux, consistency = (float(v) for v in res.values())
 
     dims = {

@@ -38,22 +38,30 @@ __all__ = [
 ]
 
 
+FIT_PAIRS = 3  # the pairs of levels ``fit_order`` fits
+
+
 def pairwise_orders(n_list, errors):
-    """log(e_prev/e_next) / log(n_next/n_prev) for consecutive resolutions."""
+    """log(e_prev/e_next) / log(n_next/n_prev) for consecutive resolutions.
+    A zero error gives a NaN or infinite order, without a warning."""
     out = [None]
-    for k in range(1, len(errors)):
-        ratio = errors[k - 1] / errors[k] if errors[k] > 0 else np.nan
-        out.append(float(np.log(ratio) / np.log(n_list[k] / n_list[k - 1])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, len(errors)):
+            ratio = errors[k - 1] / errors[k] if errors[k] > 0 else np.nan
+            out.append(float(np.log(ratio) / np.log(n_list[k] / n_list[k - 1])))
     return out
 
-def fit_order(n_list, errors, pairs: int = 3):
-    """Least-squares slope of log e against log(1/n) over the last `pairs` pairs."""
-    m = min(pairs + 1, len(errors))
+
+def fit_order(n_list, errors):
+    """Least-squares slope of log e against log(1/n) over the last FIT_PAIRS
+    pairs. A zero error gives a NaN or infinite slope, without a warning."""
+    m = min(FIT_PAIRS + 1, len(errors))
     if m < 2:
         return None
     ns = np.log(1.0 / np.asarray(n_list[-m:], dtype=float))
-    es = np.log(np.asarray(errors[-m:], dtype=float))
-    slope = np.polyfit(ns, es, 1)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        es = np.log(np.asarray(errors[-m:], dtype=float))
+        slope = np.polyfit(ns, es, 1)[0]
     return float(slope)
 
 

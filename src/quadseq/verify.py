@@ -368,16 +368,15 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    res = {}
-    # The element tasks (cells, shapes, inv) of the chunks of each batch, in
-    # order: the distinct cells of a task are quads[shapes] (cells[shapes]).
-    for _, shapes, _ in itertools.chain.from_iterable(_chunk_tasks(quads)):
+    def dets(_, shapes, __):
         q = quads[shapes]
         num = np.stack(numeric_dets(q), axis=-1)
         orc = np.stack(det_oracles(q.s[:, 0], q.s[:, 1]), axis=-1)
-        _fold_max(res, {"det_rel_err": np.abs((num - orc) / orc)})
-    for _, shapes, _ in itertools.chain.from_iterable(_chunk_tasks(cells)):
-        _fold_max(res, _identity_residuals(cells[shapes]))
+        return {"det_rel_err": np.abs((num - orc) / orc)}
+
+    # The distinct cells of a task are quads[shapes] (cells[shapes]).
+    res = _max_over_tasks(quads, dets)
+    res.update(_max_over_tasks(cells, lambda _, shapes, __: _identity_residuals(cells[shapes])))
     return ElementCertificate(
         family=family, samples=len(quads), identity_samples=identity_samples,
         seed=seed, residuals={k: float(res[k]) for k in THRESHOLDS},
@@ -410,6 +409,18 @@ def _identity_residuals(cells: QuadGeometry) -> dict:
         "bubble_vertex_values": bv,
         "bubble_trace_relation": btr,
     }
+
+
+def _max_over_tasks(unit: QuadGeometry, residuals) -> dict:
+    """The largest residual of each check over the cells of ``unit``:
+    ``residuals(cells, shapes, inv)`` gives the per-cell residuals of one
+    element task of ``unit`` (``assembly._chunk_tasks``), and the tasks run
+    in order on the caller thread, so only one task's temporaries are live
+    at a time."""
+    res = {}
+    for task in itertools.chain.from_iterable(_chunk_tasks(unit)):
+        _fold_max(res, residuals(*task))
+    return res
 
 
 def _fold_max(res: dict, per_cell: dict):

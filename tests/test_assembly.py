@@ -1,4 +1,5 @@
 import ctypes
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from quadseq.dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from quadseq.elements import build_scalar_element, build_vector_element, vector_dof_values
 from quadseq.geometry import QuadGeometry, _pow2
 from quadseq.mesh import Mesh, make_mesh
+from quadseq.sequence import divergence_matrix
 
 CASE = scalar_sin_squared()
 FLOW = brinkman_sin_stream()
@@ -83,6 +85,35 @@ def test_brinkman_divergence_block_is_the_signed_edge_incidence():
     want[cells[free], dm.cell_dofs[:, :4][free]] = dm.cell_signs[:, :4][free]
     assert np.array_equal(B, want)
     assert np.array_equal(-system.matrix[:n_u, n_u:n_u + system.n_pressure].toarray(), want.T)
+    # The map's incidence is that block, and the divergence is it over the areas.
+    incidence = dm.incidence()
+    assert np.array_equal(incidence.toarray(), B)
+    block = -system.matrix[n_u:n_u + system.n_pressure, :n_u]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(incidence, name), getattr(block, name)), name
+    D, _ = divergence_matrix(mesh)
+    assert np.array_equal(D.indices, incidence.indices)
+    assert np.allclose(D.multiply(mesh.cell_geometry.area[:, None]).toarray(), B,
+                       rtol=0, atol=1e-15)  # (1 / a) * a is within an ulp of 1
+
+
+@pytest.mark.parametrize("kind", ["scalar", "brinkman"])
+@pytest.mark.parametrize("part", ["matrix", "rhs"])
+def test_system_that_does_not_match_its_map_is_refused(kind, part):
+    # Two interior vertices: six scalar DoFs, or a Brinkman system of 4 + 7
+    # velocity, 3 pressure and one multiplier unknowns.
+    mesh = make_mesh(3, "rectangular")
+    dm = ScalarDofMap(mesh) if kind == "scalar" else VectorDofMap(mesh)
+    n = dm.ndof if kind == "scalar" else dm.ndof + mesh.n_cells + 1
+    matrix, rhs = sp.identity(n, format="csr"), np.ones(n)
+    SparseSystem(matrix, rhs, dm)
+    if part == "matrix":
+        matrix, got, want = sp.identity(n + 1, format="csr"), (n + 1, n + 1), (n, n)
+    else:
+        rhs, got, want = np.ones(n - 1), (n - 1,), (n,)
+    message = f"{part} of shape {got} does not match the {kind} DoF map, which needs shape {want}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SparseSystem(matrix, rhs, dm)
 
 
 MESH = make_mesh(4, "rectangular")
@@ -181,8 +212,8 @@ def test_scalar_solve_is_plain_lu():
 
 
 def test_solver_error_on_singular():
-    K = sp.csr_matrix(np.zeros((3, 3)))
-    system = SparseSystem(K, np.ones(3), "scalar", None)
+    K = sp.csr_matrix(np.zeros((3, 3)))  # one interior vertex: three scalar DoFs
+    system = SparseSystem(K, np.ones(3), ScalarDofMap(make_mesh(2, "rectangular")))
     with pytest.raises(SolverError):
         solve(system)
 
@@ -534,8 +565,7 @@ def test_solver_error_on_singular_brinkman(monkeypatch):
     system = assemble_brinkman(make_mesh(4, "rectangular"), 1.0, 1.0, FLOW.source(1.0, 1.0))
     K = system.matrix.tolil()
     K[:system.n_velocity, :system.n_velocity] = 0.0
-    singular = SparseSystem(K.tocsr(), system.rhs, "brinkman", system.dofmap,
-                            n_velocity=system.n_velocity, n_pressure=system.n_pressure)
+    singular = SparseSystem(K.tocsr(), system.rhs, system.dofmap)
     with pytest.raises(SolverError):
         solve(singular)
 

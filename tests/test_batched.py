@@ -339,8 +339,7 @@ def _per_cell_fourth_order(mesh, eps, f, quad_order=4):
     K = cell_matrix((dm.ndof, dm.ndof), [(dofs[:, :, None], dofs[:, None, :], K_loc)])
     rhs = lam * F_hat * h2
     free = dofs >= 0
-    return SparseSystem(K, np.bincount(dofs[free], weights=rhs[free], minlength=dm.ndof),
-                        "scalar", dm)
+    return SparseSystem(K, np.bincount(dofs[free], weights=rhs[free], minlength=dm.ndof), dm)
 
 
 def _per_cell_velocity_blocks(mesh, dm, nu, alpha, g, f):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -175,11 +176,20 @@ def test_json_writes_an_order_from_a_zero_error_as_null():
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
 
-    with np.errstate(divide="ignore"):
-        doc = json.loads(r.to_json(), parse_constant=reject)
+    doc = json.loads(r.to_json(), parse_constant=reject)
     assert doc["errors"] == {"h1": [1e-3, 0.0]}
     assert doc["orders"] == {"h1": [None, None]}
     assert doc["order_last"] == doc["order_fit"] == {"h1": None}
+
+
+@pytest.mark.parametrize("errors", [[1e-3, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+def test_writers_take_a_zero_error_without_a_warning(errors):
+    # log(0) in the pairwise orders and in the fit is not a NumPy warning.
+    r = StudyReport("scalar", {}, "rectangular", 0.2, 0, [4, 8, 16], 4, 6, ["h1"],
+                    errors={"h1": errors})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r.to_json(), r.to_csv(), r.to_markdown()
 
 
 def test_markdown_layout():
