@@ -21,35 +21,38 @@ shape-only work (tabulation, Gram matrices) runs per shape, and its results
 are gathered back to the cells. A rectangular mesh has one shape, a
 trapezoidal one a few dozen; on a random mesh every cell is its own shape.
 Each mesh level's elements are built once: assembly returns them on the
-system as an ``ElementBatch`` (the mesh's unit geometry and each chunk's
+system as an ``ElementBatch`` (the mesh's unit geometry and each task's
 span weights), and the error norms of the solution re-form them from it
 instead of building them again.
 
-The per-cell element work runs in tasks of at most TASK_CELLS cells, on
-both CPUs where the chunk is large. Every chunk whose unit shapes are all
-distinct (every chunk of a random mesh) is split into tasks of TASK_CELLS
-cells, so no task holds the temporaries of more cells than that. The tasks
-of a chunk that splits into a full chunk's worth of them, CELL_CHUNK //
-TASK_CELLS (every chunk of a random mesh from n = 32 on), build their
-elements and integrals (assembly) or field tables (error norms) on a pool
-of WORKERS = min(2, CPUs) threads that lives for one call, so no quadseq
-thread outlives it (``_run``); numpy releases the GIL in the power,
-matmul, einsum and linalg kernels of that work. The tasks of smaller
-chunks run in order on the caller thread, as do chunks with repeated
-shapes (one task each), the user callables and everything outside the
-tasks. The certificates (``quadseq.verify``, ``quadseq.sequence``) walk
-the same tasks (``_chunk_tasks``) on the caller thread. A task writes only
-its own rows of arrays the caller allocated, and a cell's results are
-those of its own build, so no result depends on the number of workers or
-the task size. The tasks are small because glibc gives each thread its own
-malloc arena, which keeps freed memory resident: against one thread, the
-peak RSS of a random-mesh scalar study to n = 64 rose by 3.7 % with
-64-cell tasks, 7.1 % with 128, 14 % with 256 and 28 % with 512 (32-cell
-tasks took 2.2 % but ran 9 % slower). For the same reason a chunk of a few
-tasks stays on the caller thread: pooling the four tasks of the assembly
-of a random n = 16 mesh raised the peak RSS of a run of the three
-certificates on random meshes to n = 16 by 6 %. Elements hold no lazily
-filled state, so a task may call any of their diagnostics.
+The per-cell element work runs in one flat list of tasks
+(``_chunk_tasks``), by one split rule: the distinct unit shapes of each
+chunk, in order of first appearance, go into blocks of at most TASK_CELLS
+shapes, and each task carries the cells that have its block's shapes. So
+no task holds the temporaries of more than TASK_CELLS shapes, whatever mix
+of repeated and distinct shapes a chunk holds. A random mesh gives tasks of
+TASK_CELLS consecutive cells, a rectangular or trapezoidal one a task per
+chunk. One pool rule decides per call where the tasks run (``_run``): a
+call of at least a full chunk's worth of tasks, CELL_CHUNK // TASK_CELLS
+(a random mesh from n = 32 on), builds its elements and integrals
+(assembly) or field tables (error norms) on a pool of WORKERS = min(2,
+CPUs) threads that lives for the call, so no quadseq thread outlives it;
+numpy releases the GIL in the power, matmul, einsum and linalg kernels of
+that work. A call of fewer tasks runs them in order on the caller thread,
+as it does the user callables and everything outside the tasks. The
+certificates (``quadseq.verify``, ``quadseq.sequence``) walk the same
+tasks on the caller thread. A task writes only its own rows of arrays the
+caller allocated, and a cell's results are those of its own build, so no
+result depends on the number of workers or the task size. The tasks are
+small because glibc gives each thread its own malloc arena, which keeps
+freed memory resident: against one thread, the peak RSS of a random-mesh
+scalar study to n = 64 rose by 3.7 % with 64-cell tasks, 7.1 % with 128,
+14 % with 256 and 28 % with 512 (32-cell tasks took 2.2 % but ran 9 %
+slower). For the same reason a call of a few tasks stays on the caller
+thread: pooling the four tasks of the assembly of a random n = 16 mesh
+raised the peak RSS of a run of the three certificates on random meshes
+to n = 16 by 6 %. Elements hold no lazily filled state, so a task may call
+any of their diagnostics.
 
 Batched products keep the operand layouts and reduction kernels a loop over
 cells would use (a matmul or an einsum per cell, ``np.dot``-style inner
@@ -124,8 +127,8 @@ __all__ = [
 
 DEFAULT_QUAD_ORDER = 4  # the 16-node tensor rule
 CELL_CHUNK = 1024       # cells per element batch
-TASK_CELLS = 64         # cells per task of a chunk of distinct shapes
-WORKERS = min(2, os.cpu_count() or 1)  # threads that run the tasks of a split chunk
+TASK_CELLS = 64         # most distinct shapes an element task builds
+WORKERS = min(2, os.cpu_count() or 1)  # threads that run the tasks of a pooled call
 RESIDUAL_TOL = 1e-9     # largest relative residual ``solve`` accepts
 
 
@@ -191,23 +194,17 @@ def unit_shape_rule(geom: QuadGeometry, unit: QuadGeometry, g: int):
     return pts, geom.from_local(pts), wts
 
 
-def _run(chunks, work):
-    """``work(*task)`` of every task, one list per chunk of tasks, in task
-    order. The tasks of a chunk of at least CELL_CHUNK // TASK_CELLS tasks
-    (and at least two) run on one pool of WORKERS threads that lives for
-    this call, and those of a chunk of fewer tasks run in order on the
-    caller thread, so a call without such a chunk starts no thread. A pool
-    per chunk starts its threads while the last ones may still hold their
-    malloc arenas, and the extra arena glibc then makes raised the peak RSS
-    of a random-mesh scalar study to n = 64 by 4 MB. The first failing task
-    in order raises, once the tasks not yet started are cancelled and those
-    running have ended."""
-    pooled = [WORKERS > 1 and len(tasks) >= max(2, CELL_CHUNK // TASK_CELLS) for tasks in chunks]
-    if not any(pooled):
-        return [[work(*task) for task in tasks] for tasks in chunks]
+def _run(tasks, work):
+    """``work(*task)`` of every task, in task order. A call of at least
+    CELL_CHUNK // TASK_CELLS tasks (and at least two) runs them all on one
+    pool of WORKERS threads that lives for this call; a call of fewer runs
+    them in order on the caller thread and starts no thread. The first
+    failing task in order raises, once the tasks not yet started are
+    cancelled and those running have ended."""
+    if WORKERS < 2 or len(tasks) < max(2, CELL_CHUNK // TASK_CELLS):
+        return [work(*task) for task in tasks]
     with futures.ThreadPoolExecutor(WORKERS, thread_name_prefix="quadseq") as pool:
-        return [list(pool.map(work, *zip(*tasks))) if threaded else [work(*t) for t in tasks]
-                for tasks, threaded in zip(chunks, pooled)]
+        return list(pool.map(work, *zip(*tasks)))
 
 
 class ElementBatch:
@@ -216,20 +213,20 @@ class ElementBatch:
 
     ``unit`` is the unit-shape geometry of all cells (for a mesh, its
     ``unit_geometry`` itself, not a copy) and ``kind`` the element class.
-    ``chunks`` holds per chunk its tasks ``(cells, shapes, inv, X)``, with
-    ``cells``, ``shapes`` and ``inv`` as ``unit_shape_elements`` passes them
-    to its ``use`` and X (n_shapes, 16, 12) the span weights of the task's
-    element. An element is its span and X, so the batch keeps X, not the
-    larger coefficient arrays, and ``walk`` re-forms each task's element
+    ``tasks`` holds the element tasks ``(cells, shapes, inv, X)`` in order,
+    with ``cells``, ``shapes`` and ``inv`` as ``unit_shape_elements`` passes
+    them to its ``use`` and X (n_shapes, 16, 12) the span weights of the
+    task's element. An element is its span and X, so the batch keeps X, not
+    the larger coefficient arrays, and ``walk`` re-forms each task's element
     from a recomputed span bit for bit, without a 16x16 solve
     (``from_solution``: it has no frames, DoF rows or condition numbers, so
     it serves tabulation, not the diagnostics that read them).
     """
 
-    def __init__(self, unit: QuadGeometry, kind, chunks):
+    def __init__(self, unit: QuadGeometry, kind, tasks):
         self.unit = unit
         self.kind = kind
-        self.chunks = chunks
+        self.tasks = tasks
 
     def walk(self, use):
         """``use(cells, shapes, element, inv)`` on every task's element, run
@@ -237,24 +234,22 @@ class ElementBatch:
         def task(cells, shapes, inv, X):
             use(cells, shapes, self.kind.from_solution(self.unit[shapes], X), inv)
 
-        _run(self.chunks, task)
+        _run(self.tasks, task)
 
 
-def _chunk_tasks(unit: QuadGeometry):
-    """The tasks ``(cells, shapes, inv)`` of each chunk of ``unit``, one list
-    per chunk (see ``unit_shape_elements``): one task for a chunk with
-    repeated shapes, else tasks of TASK_CELLS cells, whatever the chunk's
-    size (``_run`` decides where they run)."""
+def _chunk_tasks(unit: QuadGeometry) -> list:
+    """The element tasks ``(cells, shapes, inv)`` of ``unit``, one flat list,
+    chunk by chunk (see ``unit_shape_elements``): each chunk's distinct
+    shapes, in order of first appearance, in blocks of at most TASK_CELLS,
+    each with the cells that have them (``_run`` decides where they run)."""
+    tasks = []
     for start in range(0, len(unit), CELL_CHUNK):
-        stop = min(start + CELL_CHUNK, len(unit))
-        cells = slice(start, stop)
-        v = np.ascontiguousarray(unit.vertices[cells])
+        v = np.ascontiguousarray(unit.vertices[start:start + CELL_CHUNK])
         first, inv = _first_appearance(v.view(np.uint64).reshape(len(v), -1))
-        if len(first) < len(v):
-            yield [(cells, start + first, inv)]
-        else:
-            parts = (slice(a, min(a + TASK_CELLS, stop)) for a in range(start, stop, TASK_CELLS))
-            yield [(part, part, slice(None)) for part in parts]
+        for k in range(0, len(first), TASK_CELLS):  # a block of shapes and their cells
+            cells = np.flatnonzero(inv // TASK_CELLS == k // TASK_CELLS)
+            tasks.append((start + cells, start + first[k:k + TASK_CELLS], inv[cells] - k))
+    return tasks
 
 
 def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
@@ -263,17 +258,18 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
     ``ElementBatch``.
 
     ``build`` is an element builder. The cells run in consecutive chunks of
-    at most CELL_CHUNK cells, and each chunk in tasks ``(cells, shapes,
-    inv)``: ``cells`` is a slice of consecutive mesh cells, ``shapes``
-    indexes the first mesh cell of each distinct shape in it, in order of
-    first occurrence, the task's element is built on ``unit[shapes]``, and
-    ``inv`` maps each cell of ``cells`` to its shape, so ``table[inv]``
-    turns a per-shape table into a per-cell one. A chunk with repeated
-    shapes is one task. A chunk without them (as on a random mesh) has
-    ``shapes = cells`` and ``inv = slice(None)``, so its gathers are views
-    that copy nothing; it is split into tasks of TASK_CELLS cells, which
-    run on a pool that ends with the call if they are a full chunk's worth,
-    else in order on the caller thread (``_run``).
+    at most CELL_CHUNK cells, and the distinct shapes of each chunk, in order
+    of first appearance, in blocks of at most TASK_CELLS: one task ``(cells,
+    shapes, inv)`` per block. ``shapes`` indexes the first mesh cell of each
+    of the block's shapes, the task's element is built on ``unit[shapes]``,
+    ``cells`` indexes, in order, the mesh cells that have those shapes, and
+    ``inv`` maps each of them to its shape, so ``table[inv]`` turns a
+    per-shape table into a per-cell one. On a random mesh every cell is its
+    own shape, and a task is TASK_CELLS consecutive cells; on a rectangular
+    one a chunk is one task. So no task holds the temporaries of more than
+    TASK_CELLS shapes, on any mesh. A call of a full chunk's worth of tasks
+    runs them on a pool that ends with the call, and a call of fewer in
+    order on the caller thread (``_run``).
     ``use(cells, shapes, element, inv)``, if given, takes what it needs from
     each element (built, so with its frames and every diagnostic) and
     writes only the rows ``cells`` of its arrays; the
@@ -285,14 +281,14 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
     Shapes are keyed on the bits of the vertex coordinates, not their values
     (``-0.0`` and ``0.0`` differ), so cells that share an element would
     build bit-identical ones. An ill-conditioned shape is reported at the
-    first mesh cell that has it, and of several in the first task in cell
-    order, so the error names the lowest bad cell. Deduplicating per chunk,
-    not per mesh, bounds the temporaries of the build and of the tables
-    callers take from it. Gather a table in the memory layout the per-cell
-    kernel reads it in (``table[inv]`` keeps the layout of ``table``, even
-    of a transposed view): a C-contiguous copy of the vector value table
-    changes the summation order of the load ``einsum`` and the last bits of
-    the load.
+    first mesh cell that has it, and of several in the first task in order,
+    whose shapes come first, so the error names the lowest bad cell.
+    Deduplicating per chunk, not per mesh, bounds the cells of a task and
+    the temporaries of the build and of the tables callers take from it.
+    Gather a table in the memory layout the per-cell kernel reads it in
+    (``table[inv]`` keeps the layout of ``table``, even of a transposed
+    view): a C-contiguous copy of the vector value table changes the
+    summation order of the load ``einsum`` and the last bits of the load.
     """
     def task(cells, shapes, inv):
         element = build(unit[shapes])
@@ -300,12 +296,10 @@ def unit_shape_elements(unit: QuadGeometry, build, use=None) -> ElementBatch:
             use(cells, shapes, element, inv)
         return type(element), element.solution
 
-    chunks = list(_chunk_tasks(unit))
-    kind, batch = None, []
-    for tasks, built in zip(chunks, _run(chunks, task)):
-        kind = built[0][0]
-        batch.append([(*t, X) for t, (_, X) in zip(tasks, built)])
-    return ElementBatch(unit, kind, batch)
+    tasks = _chunk_tasks(unit)
+    built = _run(tasks, task)
+    kind = built[0][0] if built else None
+    return ElementBatch(unit, kind, [(*t, X) for t, (_, X) in zip(tasks, built)])
 
 
 def cell_matrix(shape, blocks):

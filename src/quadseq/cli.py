@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .assembly import SolverError
+from .assembly import DEFAULT_QUAD_ORDER, SolverError
 from .cases import scalar_sin_squared
 from .elements import ElementConditioningError
 from .mesh import Mesh, MeshGenerationError, make_mesh
@@ -82,8 +82,8 @@ def _add_study_flags(p: argparse.ArgumentParser):
     _add_mesh_flags(p)
     p.add_argument("--n", type=_parse_n_list, default=[4, 8, 16, 32, 64],
                    help="comma-separated mesh resolutions")
-    p.add_argument("--quad-order", type=int, default=4,
-                   help="per-axis Gauss order for assembly (default 4, the 16-node rule)")
+    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
+                   help="per-axis Gauss order for assembly (default %(default)s, the 16-node rule)")
     p.add_argument("--error-quad-order", type=int, default=None,
                    help="per-axis Gauss order for error integration (default quad order + 2)")
     p.add_argument("--format", type=_formats(FORMATS), default=list(FORMATS),

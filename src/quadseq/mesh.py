@@ -149,10 +149,13 @@ class Mesh:
     vertices in the cell-local frame (x - b) / h, on which the elements are
     built. Building a mesh rejects vertices not of shape (n, 2), cells not
     of shape (m, 4) with m >= 1 or with indices that are not integers in
-    [0, n), vertices that no cell uses, and clockwise, degenerate and
-    non-convex cells or unit shapes, naming the field or the first offending
-    vertex or cell. The metadata ``n``, ``delta`` and ``seed`` follow the
-    rules of ``make_mesh``, except that n and seed may be None.
+    [0, n), vertices that no cell uses, clockwise, degenerate and non-convex
+    cells or unit shapes, an edge of more than two cells, and two cells that
+    run their shared edge in the same direction (they overlap), naming the
+    field, the first offending vertex or cell, or the edge's vertices and
+    its later cell. ``family`` is a string, and the metadata ``n``,
+    ``delta`` and ``seed`` follow the rules of ``make_mesh``, except that n
+    and seed may be None.
     """
 
     def __init__(self, vertices, cells, family="custom", n=None, delta=0.0, seed=None):
@@ -160,6 +163,8 @@ class Mesh:
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError(f"vertices must have shape (n, 2), got {self.vertices.shape}")
         self.cells = _vertex_indices(cells, len(self.vertices))
+        if not isinstance(family, str):
+            raise ValueError(f"family must be a string, got {family!r}")
         self.family = family
         self.n, self.delta, self.seed = _metadata(n, delta, seed)
         self.cell_geometry = QuadGeometry(self.vertices[self.cells])
@@ -180,13 +185,26 @@ class Mesh:
 
         n_adj = np.bincount(edge_of, minlength=len(first))
         if np.any(n_adj > 2):
-            raise ValueError("non-manifold mesh: an edge with more than two cells")
+            e = int((n_adj > 2).argmax())
+            raise ValueError(f"non-manifold mesh: the edge of vertices "
+                             f"{self.edge_vertices[e].tolist()} has {n_adj[e]} cells, "
+                             f"the first of them cell {first[e] // 4}")
         self.edge_is_boundary = n_adj == 1
 
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
         self.vertex_is_boundary[self.edge_vertices[self.edge_is_boundary].ravel()] = True
 
         self.cell_edge_signs = np.where(start > end, 1, -1)
+        # The two cells of an interior edge run it in opposite directions,
+        # so their signs cancel; else they lie on the same side and overlap.
+        net = np.bincount(edge_of, weights=self.cell_edge_signs.ravel(), minlength=len(first))
+        wrong = (n_adj == 2) & (net != 0)
+        if wrong.any():
+            e = int(wrong.argmax())
+            earlier, later = np.flatnonzero(edge_of == e) // 4
+            raise ValueError(f"cell {later}: it runs the edge of vertices "
+                             f"{self.edge_vertices[e].tolist()} in the same direction as cell "
+                             f"{earlier}, so the two cells overlap")
 
     # -- counts --------------------------------------------------------------
 
@@ -236,6 +254,8 @@ class Mesh:
         for key in ("vertices", "cells"):
             if key not in doc:
                 raise ValueError(f"mesh JSON has no {key!r} field")
+        if doc.get("schema", "quadseq-mesh-1") != "quadseq-mesh-1":
+            raise ValueError(f"mesh JSON schema must be 'quadseq-mesh-1', got {doc['schema']!r}")
         return cls(
             doc["vertices"], doc["cells"],
             family=doc.get("family", "custom"), n=doc.get("n"),

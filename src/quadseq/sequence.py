@@ -15,8 +15,8 @@ and each vector basis field's divergence integrates to its outward flux (D
 is the divergence). They run on the element tasks of assembly
 (``assembly._chunk_tasks``), walked on the caller thread by the
 certificates' one helper (``verify._max_over_tasks``), once per distinct
-unit shape of a chunk, in tasks of ``assembly.TASK_CELLS`` cells where a
-chunk's shapes are all distinct, which bounds their temporaries: on a
+unit shape of a chunk, in tasks of at most ``assembly.TASK_CELLS`` distinct
+shapes each, which bounds their temporaries on every mesh: on a
 random mesh with n = 32 the certificate peaks at 129 MB, against 163 MB
 with all cells in one batch. The ranks are exact counts
 (``_incidence_rank``): each row of C, and each row of B^T, where B is the

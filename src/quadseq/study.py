@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_brinkman, assemble_fourth_order, solve, unit_shape_elements
+from .assembly import DEFAULT_QUAD_ORDER, assemble_brinkman, assemble_fourth_order, solve
+from .assembly import unit_shape_elements
 from .cases import brinkman_sin_stream, scalar_sin_squared
 from .elements import (
     build_scalar_element,
@@ -24,7 +25,7 @@ from .elements import (
     vector_dof_values,
 )
 from .mesh import DEFAULT_DELTA, _strict_json, make_mesh
-from .norms import brinkman_error_norms, scalar_error_norms
+from .norms import DEFAULT_ERROR_QUAD, brinkman_error_norms, scalar_error_norms
 from .quadrature import check_order
 
 __all__ = [
@@ -184,7 +185,7 @@ def _error_order(quad_order, error_quad_order):
 def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
                      family: str = "rectangular", n_list=(4, 8, 16, 32, 64),
                      delta: float | None = None, seed: int = 0,
-                     quad_order: int = 4, error_quad_order: int | None = None,
+                     quad_order: int = DEFAULT_QUAD_ORDER, error_quad_order: int | None = None,
                      case=None) -> StudyReport:
     """Solve the fourth-order problem over refinements; energy/H1/H2 errors.
 
@@ -215,7 +216,7 @@ def run_scalar_study(eps: float = 1.0, *, biharmonic: bool = False,
 def run_brinkman_study(nu: float = 1.0, alpha: float = 1.0, *,
                        family: str = "rectangular", n_list=(4, 8, 16, 32, 64),
                        delta: float | None = None, seed: int = 0,
-                       quad_order: int = 4, error_quad_order: int | None = None,
+                       quad_order: int = DEFAULT_QUAD_ORDER, error_quad_order: int | None = None,
                        case=None) -> StudyReport:
     """Solve the flow problem over refinements; a_h velocity and L2 pressure errors."""
     case = case or brinkman_sin_stream()
@@ -238,7 +239,8 @@ def run_brinkman_study(nu: float = 1.0, alpha: float = 1.0, *,
 def run_scalar_interpolation_study(*, family: str = "rectangular",
                                    n_list=(4, 8, 16, 32, 64),
                                    delta: float | None = None, seed: int = 0,
-                                   error_quad_order: int = 6, case=None) -> StudyReport:
+                                   error_quad_order: int = DEFAULT_ERROR_QUAD,
+                                   case=None) -> StudyReport:
     """Broken H1/H2 errors of the nodal interpolant of the scalar solution."""
     case = case or scalar_sin_squared()
     check_order(error_quad_order, "error_quad_order")
@@ -257,7 +259,8 @@ def run_scalar_interpolation_study(*, family: str = "rectangular",
 def run_vector_interpolation_study(*, family: str = "rectangular",
                                    n_list=(4, 8, 16, 32, 64),
                                    delta: float | None = None, seed: int = 0,
-                                   error_quad_order: int = 6, case=None) -> StudyReport:
+                                   error_quad_order: int = DEFAULT_ERROR_QUAD,
+                                   case=None) -> StudyReport:
     """L2 and broken H1 errors of the nodal interpolant of the flow velocity."""
     case = case or brinkman_sin_stream()
     check_order(error_quad_order, "error_quad_order")

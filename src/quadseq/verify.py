@@ -18,14 +18,16 @@ the span of the element it checks. The reproduction checks share one
 monomial table at their sample points.
 
 The cells run in the element tasks of assembly (``assembly._chunk_tasks``):
-chunks of ``CELL_CHUNK`` cells, each split into tasks of ``TASK_CELLS``
-cells where its cells are all distinct, as in the sweep, or else one task
-on the distinct cells of the chunk, as on the cycled cells of a mesh
-family. So the temporaries of the battery are bounded whatever the number
-of samples (``element_certificate(1000, identity_samples=1000)`` peaks at
-68 MB on the sweep, against 124 MB with every cell at once), and a mesh
-family certificate checks each of its 16 cells once per chunk, however
-many samples cycle through them. A cell's residuals depend on its vertices
+chunks of ``CELL_CHUNK`` cells, whose distinct cells, in order of first
+appearance, go into tasks of at most ``TASK_CELLS``, each with the cells
+that repeat them. On the sweep, whose cells are all distinct, a task is
+``TASK_CELLS`` consecutive cells; on the cycled cells of a mesh family, it
+is a chunk's 16 distinct cells. So the temporaries of the battery are
+bounded whatever the number of samples and whatever the mix of repeated
+cells (``element_certificate(1000, identity_samples=1000)`` peaks at 68 MB
+on the sweep, against 124 MB with every cell at once), and a mesh family
+certificate checks each of its 16 cells once per chunk, however many
+samples cycle through them. A cell's residuals depend on its vertices
 only, and each certificate residual is the maximum over the tasks of their
 maxima over cells, so the certificate is the same bit for bit for every
 task size and with or without the deduplication.
@@ -33,7 +35,6 @@ task size and with or without the deduplication.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ from .elements import (
     vector_dof_values,
 )
 from .geometry import REF_CORNERS, QuadGeometry
-from .mesh import _integer, _real, _seed, _strict_json, make_mesh
+from .mesh import FAMILIES, _integer, _real, _seed, _strict_json, make_mesh
 from .poly import DX, DY
 
 __all__ = ["ElementCertificate", "element_certificate", "random_convex_quads"]
@@ -360,7 +361,7 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
     if family == "sweep":
         quads = random_convex_quads(samples, seed)
         cells = random_convex_quads(identity_samples, seed + 1, max_skew=0.8, max_aspect=2.0)
-    elif family in ("rectangular", "trapezoidal", "random"):
+    elif family in FAMILIES:
         # Both sets cycle through the cells of one 4 x 4 mesh in order.
         mesh = make_mesh(4, family, seed=seed)
         quads, cells = (mesh.cell_geometry[np.arange(k) % mesh.n_cells]
@@ -418,7 +419,7 @@ def _max_over_tasks(unit: QuadGeometry, residuals) -> dict:
     in order on the caller thread, so only one task's temporaries are live
     at a time."""
     res = {}
-    for task in itertools.chain.from_iterable(_chunk_tasks(unit)):
+    for task in _chunk_tasks(unit):
         _fold_max(res, residuals(*task))
     return res
 

@@ -38,7 +38,7 @@ from quadseq.elements import (
     build_vector_element,
 )
 from quadseq.geometry import DegenerateCellError, NonConvexCellError, QuadGeometry, _pow2
-from quadseq.mesh import Mesh, make_mesh
+from quadseq.mesh import Mesh, _grid, make_mesh
 from quadseq.norms import brinkman_error_norms, scalar_error_norms
 from quadseq.verify import random_convex_quads
 
@@ -188,12 +188,13 @@ def test_shapes_are_keyed_on_bits():
     signed = diamond.copy()
     signed[0, 0] = -0.0
     unit = QuadGeometry(np.stack([diamond, signed]))
-    [[(cells, shapes, inv, X)]] = unit_shape_elements(unit, build_scalar_element).chunks
-    assert (cells, shapes, inv) == (slice(0, 2), slice(0, 2), slice(None))
+    [(cells, shapes, inv, X)] = unit_shape_elements(unit, build_scalar_element).tasks
+    for got in (cells, shapes, inv):
+        np.testing.assert_array_equal(got, [0, 1])
     assert X.shape == (2, 16, 12)
 
     unit = QuadGeometry(np.stack([diamond, signed, diamond, signed, signed]))
-    [[(_, shapes, inv, X)]] = unit_shape_elements(unit, build_scalar_element).chunks
+    [(_, shapes, inv, X)] = unit_shape_elements(unit, build_scalar_element).tasks
     np.testing.assert_array_equal(shapes, [0, 1])
     np.testing.assert_array_equal(inv, [0, 1, 0, 1, 1])
     assert X.shape == (2, 16, 12)
@@ -201,17 +202,21 @@ def test_shapes_are_keyed_on_bits():
 
 @pytest.mark.parametrize("build", [build_scalar_element, build_vector_element])
 def test_batch_reforms_the_built_elements_bitwise(build, monkeypatch):
-    # The batch keeps only the span weights X of each chunk; the elements it
+    # The batch keeps only the span weights X of each task; the elements it
     # re-forms from them have the built coefficients bit for bit.
     monkeypatch.setattr(assembly, "CELL_CHUNK", 16)
     built = []
     unit = QuadGeometry(make_mesh(6, "random", seed=4).cell_geometry.local_vertices)
     batch = unit_shape_elements(unit, build, lambda *task: built.append(task))
-    assert batch.kind is type(built[0][2]) and len(batch.chunks) == len(built) == 3
+    assert batch.kind is type(built[0][2]) and len(batch.tasks) == len(built) == 3
     reformed = []
     batch.walk(lambda *task: reformed.append(task))
+    # Three tasks run on the pool, in either order.
+    for tasks in (built, reformed):
+        tasks.sort(key=lambda task: task[0][0])
     for (cells, shapes, element, inv), again in zip(built, reformed, strict=True):
-        assert (cells, shapes, inv) == again[:2] + again[3:]
+        for a, b in zip((cells, shapes, inv), again[:2] + again[3:], strict=True):
+            assert np.array_equal(a, b)
         for name in ("coeff_matrix", "coeff_x", "coeff_y"):
             if hasattr(element, name):
                 assert np.array_equal(getattr(element, name), getattr(again[2], name))
@@ -272,10 +277,12 @@ def test_random_chunks_build_once_for_assembly_and_norms(monkeypatch):
 ], ids=["scalar", "vector"])
 def test_chunk_element_and_tables_are_freed_before_the_next_build(
         build, element_type, integrate, monkeypatch):
-    # Holding a chunk's element and its value/gradient/Hessian tables through
+    # Holding a task's element and its value/gradient/Hessian tables through
     # the next build raises the peak memory of a random-mesh study; each
-    # build checks that nothing of the previous chunk is alive.
+    # build checks that nothing of the previous task is alive. The four
+    # tasks would run on a pool, where WORKERS tasks hold theirs at once.
     monkeypatch.setattr(assembly, "CELL_CHUNK", 16)
+    monkeypatch.setattr(assembly, "WORKERS", 1)
     alive, builds = [], []
 
     def recording(geom):
@@ -312,10 +319,10 @@ def _one_element_per_cell(unit, build):
 
 def _per_cell_batch(mesh, build):
     unit = QuadGeometry(mesh.cell_geometry.local_vertices)
-    chunks = []
+    tasks = []
     for cells, shapes, element, inv in _one_element_per_cell(unit, build):
-        chunks.append([(cells, shapes, inv, element.solution)])
-    return ElementBatch(unit, type(element), chunks)
+        tasks.append((cells, shapes, inv, element.solution))
+    return ElementBatch(unit, type(element), tasks)
 
 
 def _per_cell_fourth_order(mesh, eps, f, quad_order=4):
@@ -368,11 +375,33 @@ def _assert_all_equal(got, want):
             assert np.array_equal(a, b)
 
 
-@pytest.fixture(params=[(8, "rectangular"), (8, "trapezoidal"), (4, "random")],
+def _mixed_mesh(n):
+    """A random n x n mesh (seed 3) with every fourth row of cells put back
+    on the grid: its chunk holds one repeated square among distinct shapes."""
+    mesh = make_mesh(n, "random", seed=3)
+    grid, cells = _grid(n)
+    on_grid = np.arange(len(grid)) // (n + 1) % 4 < 2  # vertex rows 0-1, 4-5, ...
+    return Mesh(np.where(on_grid[:, None], grid, mesh.vertices), cells)
+
+
+@pytest.fixture(params=[(8, "rectangular"), (8, "trapezoidal"), (4, "random"), (16, "mixed")],
                 ids=lambda p: f"{p[1]}-{p[0]}")
 def mesh(request):
     n, family = request.param
-    return make_mesh(n, family, seed=3)
+    return _mixed_mesh(n) if family == "mixed" else make_mesh(n, family, seed=3)
+
+
+def test_tasks_of_a_mixed_chunk_hold_at_most_task_cells_shapes():
+    # 64 squares and 192 distinct shapes in one chunk: 193 shapes in blocks
+    # of TASK_CELLS, each task with the cells of its shapes, every cell once.
+    unit = _mixed_mesh(16).unit_geometry
+    tasks = assembly._chunk_tasks(unit)
+    assert [len(shapes) for _, shapes, _ in tasks] == [64, 64, 64, 1]
+    cells = np.concatenate([cells for cells, _, _ in tasks])
+    np.testing.assert_array_equal(np.sort(cells), np.arange(unit.vertices.shape[0]))
+    for cells, shapes, inv in tasks:
+        assert len(shapes) <= assembly.TASK_CELLS
+        assert np.array_equal(unit.vertices[shapes][inv], unit.vertices[cells])
 
 
 def test_shared_shapes_keep_fourth_order_system_bitwise(mesh, monkeypatch):

@@ -1,7 +1,7 @@
 """The certificates walk their cells in the element tasks of assembly.
 
-A chunk of distinct cells is split into slices of ``assembly.TASK_CELLS``,
-and a chunk with repeated cells is one task on its distinct cells. Every
+The distinct cells of a chunk go into tasks of at most
+``assembly.TASK_CELLS``, each with the cells that repeat them. Every
 certificate residual is a maximum over cells, so the maximum over the
 tasks is the same number whatever the slice size and with or without the
 deduplication: the certificate JSON, the sequence report and the inf-sup

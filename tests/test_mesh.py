@@ -5,8 +5,9 @@ import pytest
 from conftest import affine_factor, intermediate_vertices
 
 import quadseq.assembly as assembly
+import quadseq.cli as cli
 from quadseq.geometry import QuadGeometry
-from quadseq.mesh import Mesh, MeshGenerationError, _first_appearance, make_mesh
+from quadseq.mesh import Mesh, MeshGenerationError, _first_appearance, _grid, make_mesh
 from quadseq.verify import random_convex_quads
 
 
@@ -160,31 +161,27 @@ def _edges_by_their_own_numbering(mesh):
 
 
 def _tasks_by_their_own_numbering(unit):
-    """Test oracle: the tasks of ``assembly._chunk_tasks`` as it numbered the
-    shapes of a chunk with repeated shapes by itself."""
+    """Test oracle: the tasks of ``assembly._chunk_tasks`` with the shapes of
+    each chunk numbered by the idiom it used before the first-appearance
+    numbering had one home, in blocks of TASK_CELLS shapes."""
+    tasks, size = [], assembly.TASK_CELLS
     for start in range(0, len(unit), assembly.CELL_CHUNK):
-        stop = min(start + assembly.CELL_CHUNK, len(unit))
-        cells = slice(start, stop)
-        v = np.ascontiguousarray(unit.vertices[cells])
+        v = np.ascontiguousarray(unit.vertices[start:start + assembly.CELL_CHUNK])
         keys = v.view(np.uint64).reshape(len(v), -1)
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        if len(first) < len(v):
-            order = np.argsort(first)
-            yield [(cells, start + first[order], np.argsort(order)[inverse.ravel()])]
-        else:
-            parts = (slice(a, min(a + assembly.TASK_CELLS, stop))
-                     for a in range(start, stop, assembly.TASK_CELLS))
-            yield [(part, part, slice(None)) for part in parts]
+        order = np.argsort(first)
+        inv = np.argsort(order)[inverse.ravel()]
+        for k in range(0, len(first), size):
+            mine = np.flatnonzero((k <= inv) & (inv < k + size))
+            tasks.append((start + mine, start + first[order][k:k + size], inv[mine] - k))
+    return tasks
 
 
 def _same_tasks(got, want):
-    got, want = list(got), list(want)
     assert len(got) == len(want)
-    for tasks, old in zip(got, want):
-        assert len(tasks) == len(old)
-        for task, old_task in zip(tasks, old):
-            for a, b in zip(task, old_task):
-                assert a == b if isinstance(b, slice) else _same_bits(a, b)
+    for task, old_task in zip(got, want):
+        for a, b in zip(task, old_task, strict=True):
+            assert _same_bits(a, b)
 
 
 def test_first_appearance_numbers_keys_and_rows():
@@ -221,8 +218,8 @@ def test_repeated_shapes_out_of_order_keep_their_numbers():
     keys = np.ascontiguousarray(unit.vertices).view(np.uint64).reshape(len(which), -1)
     sorted_first = np.unique(keys, axis=0, return_index=True)[1]
     assert not np.all(np.diff(sorted_first) > 0)  # the sort reorders the shapes
-    [[(cells, first, inv)]] = assembly._chunk_tasks(unit)
-    assert cells == slice(0, 7)
+    [(cells, first, inv)] = assembly._chunk_tasks(unit)
+    assert cells.tolist() == list(range(7))
     assert first.tolist() == [0, 1, 3] and inv.tolist() == [0, 1, 0, 2, 1, 2, 0]
     _same_tasks(assembly._chunk_tasks(unit), _tasks_by_their_own_numbering(unit))
 
@@ -246,6 +243,49 @@ def test_json_round_trip(tmp_path):
     np.testing.assert_array_equal(again.cells, mesh.cells)
     assert again.family == "random"
     assert again.seed == 11
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("schema", "other-9", "mesh JSON schema must be 'quadseq-mesh-1', got 'other-9'"),
+    ("family", [1, 2], r"family must be a string, got \[1, 2\]"),
+])
+def test_foreign_mesh_json_is_refused_by_field(field, value, message):
+    doc = json.loads(make_mesh(3, "random", seed=1).to_json())
+    with pytest.raises(ValueError, match=message):
+        Mesh.from_json(json.dumps(dict(doc, **{field: value})))
+    del doc["schema"]  # a file without a schema still loads
+    assert Mesh.from_json(json.dumps(doc)).content_hash() == make_mesh(3, "random",
+                                                                       seed=1).content_hash()
+
+
+def _grid_with(cell, *extra):
+    """The 2 x 2 grid with one more cell on the added vertices ``extra``."""
+    vertices, cells = _grid(2)
+    return np.vstack([vertices, extra]), np.vstack([cells, [cell]])
+
+
+def test_cells_that_overlap_across_an_edge_are_refused(monkeypatch, capsys):
+    # Cell 4 lies over cell 0 and runs their shared edge 0-1 in the same
+    # direction. The mesh is refused by name before the sequence
+    # certificate, whose rank count has no answer for it, is reached.
+    vertices, cells = _grid_with([0, 1, 10, 9], [0.0, 0.3], [0.5, 0.3])
+    message = (r"cell 4: it runs the edge of vertices \[0, 1\] in the same direction "
+               r"as cell 0, so the two cells overlap")
+    with pytest.raises(ValueError, match=message):
+        Mesh(vertices, cells)
+    reached = []
+    monkeypatch.setattr(cli, "make_mesh", lambda *args, **kwargs: Mesh(vertices, cells))
+    monkeypatch.setattr(cli, "verify_exact_sequence", lambda *args: reached.append(args))
+    assert cli.main(["verify", "sequence"]) == 2
+    assert "cell 4:" in capsys.readouterr().err and not reached
+
+
+def test_non_manifold_error_names_the_edge_and_a_cell():
+    # Cell 4 lies over cell 1 and is a third cell on the edge 1-4.
+    vertices, cells = _grid_with([1, 9, 10, 4], [0.8, 0.0], [0.8, 0.5])
+    with pytest.raises(ValueError, match=r"non-manifold mesh: the edge of vertices \[1, 4\] "
+                                         r"has 3 cells, the first of them cell 0"):
+        Mesh(vertices, cells)
 
 
 def test_validation_errors():

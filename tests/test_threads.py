@@ -66,11 +66,11 @@ def serial():
                          ids=["16-4", "64-1", "100-2", "1024-2"])
 def test_results_do_not_depend_on_tasks_or_workers(serial, task_cells, workers, cell_chunk,
                                                    monkeypatch):
-    # Every chunk of distinct shapes is split, n = 16 included, and a chunk
-    # of CELL_CHUNK cells runs on the pool: at n = 32 with the default
-    # chunk, and at n = 16 too with 256-cell chunks, which also changes
-    # which cells share an element on a trapezoidal mesh. 100-cell tasks
-    # leave a shorter last one in each chunk. A pool of more workers than
+    # Every chunk of more than TASK_CELLS shapes is split, n = 16 included,
+    # and a call of a full chunk's worth of tasks runs on the pool: at
+    # n = 32 with the default chunk, and at n = 16 too with 256-cell chunks,
+    # which also changes which cells share an element on a trapezoidal mesh.
+    # 100-shape tasks leave a shorter last one in each chunk. A pool of more workers than
     # CPUs, switching threads often, stresses the row writes.
     monkeypatch.setattr(assembly, "CELL_CHUNK", cell_chunk)
     monkeypatch.setattr(assembly, "TASK_CELLS", task_cells)
@@ -102,13 +102,12 @@ def _random_unit_shapes_with_flat(cells):
 
 @pytest.mark.parametrize("flat", [(700, 5), (700,)])
 def test_conditioning_error_names_the_lowest_cell_across_tasks(flat, monkeypatch):
-    # The bad cells fall into different tasks of one chunk. The task of the
+    # The bad cells fall into different tasks of one call. The task of the
     # lowest one is held back, so a later task fails first; the error still
     # names the lowest bad cell, and no pool thread outlives the call.
     monkeypatch.setattr(assembly, "WORKERS", 2)
     unit = _random_unit_shapes_with_flat(flat)
-    [tasks] = assembly._chunk_tasks(unit)
-    assert len(tasks) == 1024 // assembly.TASK_CELLS
+    assert len(assembly._chunk_tasks(unit)) == 1024 // assembly.TASK_CELLS
 
     def slow_first(geom):
         if min(flat) in geom.index:
@@ -125,9 +124,9 @@ def test_conditioning_error_names_the_lowest_cell_across_tasks(flat, monkeypatch
 
 
 def test_import_and_certificates_start_no_thread():
-    # Only split chunks (n >= 32 on random meshes) use the pool: importing
-    # quadseq and certifying a random n = 16 mesh leave one thread and do
-    # not import the thread pool module.
+    # Only calls of a full chunk's worth of tasks (n >= 32 on random meshes)
+    # use the pool: importing quadseq and certifying a random n = 16 mesh
+    # leave one thread and do not import the thread pool module.
     code = """
 import sys, threading
 sys.path.insert(0, sys.argv[1])
@@ -149,7 +148,7 @@ assert idle()
 
 def test_threaded_assembly_and_norms_leave_no_thread():
     # A pool lives for one call: after a random n = 32 assembly and its
-    # error norms (a pool each, for the split chunk), only the main thread
+    # error norms (a pool each, for their 16 tasks), only the main thread
     # is left.
     code = """
 import sys, threading
@@ -187,23 +186,23 @@ def pools(monkeypatch):
 
 
 def test_one_pool_per_call(pools):
-    # The four split chunks of a random n = 64 mesh share one pool: a pool
-    # per chunk starts threads while the last ones may still hold their
-    # malloc arenas, and the extra arena raises the peak memory.
+    # The 64 tasks of the four chunks of a random n = 64 mesh share one pool:
+    # a pool per chunk starts threads while the last ones may still hold
+    # their malloc arenas, and the extra arena raises the peak memory.
     system = assemble_fourth_order(make_mesh(64, "random", seed=1), 1.0,
                                    scalar_sin_squared().source(1.0))
-    assert [len(tasks) for tasks in system.elements.chunks] == [16] * 4
+    assert [len(cells) for cells, *_ in system.elements.tasks] == [64] * 64
     assert len(pools) == 1
 
 
 @pytest.mark.parametrize("n, family, per_call", [
     (16, "random", 0), (64, "rectangular", 0), (32, "random", 1)])
 def test_only_a_full_chunk_of_tasks_pools(pools, n, family, per_call):
-    # A chunk runs on the pool when it splits into CELL_CHUNK // TASK_CELLS
-    # tasks: the one 1024-cell chunk of a random n = 32 mesh does, the four
-    # tasks of a random n = 16 mesh and the one-task chunks of repeated
-    # shapes of a rectangular n = 64 mesh do not. Each of the scalar
-    # assembly, the Brinkman assembly and the error norms is one call.
+    # A call runs on the pool when it has CELL_CHUNK // TASK_CELLS tasks:
+    # the 16 of the one 1024-cell chunk of a random n = 32 mesh do, the four
+    # tasks of a random n = 16 mesh and the four one-task chunks of a
+    # rectangular n = 64 mesh do not. Each of the scalar assembly, the
+    # Brinkman assembly and the error norms is one call.
     case, mesh = scalar_sin_squared(), make_mesh(n, family, seed=1)
     system = assemble_fourth_order(mesh, 1.0, case.source(1.0))
     assert len(pools) == per_call
