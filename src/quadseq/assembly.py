@@ -113,7 +113,7 @@ from .dofmap import ScalarDofMap, VectorDofMap, curl_operator
 from .elements import build_scalar_element, build_vector_element
 from .geometry import QuadGeometry, _dot, _pow2, _values
 from .mesh import Mesh, _first_appearance, _nonnegative
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, check_order
 
 __all__ = [
     "ElementBatch",
@@ -407,6 +407,7 @@ def assemble_fourth_order(mesh: Mesh, eps: float, f, quad_order: int = DEFAULT_Q
     into the DoF map.
     """
     _nonnegative(eps, "eps")
+    check_order(quad_order, "quad_order")
     dm = ScalarDofMap(mesh)
     geom = mesh.cell_geometry
     pts, x, wts = unit_shape_rule(geom, mesh.unit_geometry, quad_order)
@@ -459,6 +460,7 @@ def assemble_brinkman(mesh: Mesh, nu: float, alpha: float, f, g=None,
     _nonnegative(alpha, "alpha")
     if nu == 0 and alpha == 0:
         raise ValueError("nu and alpha cannot both vanish")
+    check_order(quad_order, "quad_order")
     dm = VectorDofMap(mesh)
     n_u, n_p = dm.ndof, mesh.n_cells
     ndof = n_u + n_p + 1

@@ -27,6 +27,7 @@ from .cases import BrinkmanCase, ScalarCase
 from .elements import ScalarElement, VectorElement
 from .geometry import _pow2, _values
 from .mesh import Mesh, _nonnegative
+from .quadrature import check_order
 
 __all__ = ["scalar_error_norms", "brinkman_error_norms"]
 
@@ -37,6 +38,7 @@ def _rule(mesh: Mesh, elements: ElementBatch, kind, quad_order: int, dofs):
     """Points and weights of the error rule on the batch's unit shapes,
     which must be the ``kind`` elements of ``mesh``, for the DoF rows
     ``dofs``, which must be (n_cells, 12)."""
+    check_order(quad_order, "quad_order")
     if np.shape(dofs) != (mesh.n_cells, 12):
         raise ValueError(f"dofs must have shape (n_cells, 12) = {(mesh.n_cells, 12)}, "
                          f"got {np.shape(dofs)}")

@@ -17,18 +17,20 @@ is the divergence). They run on the element tasks of assembly
 certificates' one helper (``verify._max_over_tasks``), once per distinct
 unit shape of a chunk, in tasks of at most ``assembly.TASK_CELLS`` distinct
 shapes each, which bounds their temporaries on every mesh: on a
-random mesh with n = 32 the certificate peaks at 129 MB, against 163 MB
+random mesh with n = 32 the certificate peaks at 88 MB, against 98 MB
 with all cells in one batch. The ranks are exact counts
 (``_incidence_rank``): each row of C, and each row of B^T, where B is the
 vector DoF map's incidence (``VectorDofMap.incidence``) and D = diag(1 /
 area) B, is zero or a multiple of e_a or of
-e_a - e_b, so each rank counts the components of a graph, and
-rank [C | ker D] = nullity(D) when the integer product B C is zero. The
-value-only SVD of D, the one dense matrix, gives only the gap at the
-counted rank. The inf-sup constant forms no dense matrix: it is the
-extreme eigenvalue of an operator that one stream-function sweep of the
-Brinkman solve applies, so it needs a mesh of Euler characteristic 1, as
-that solve does.
+e_a - e_b, so each rank counts the components of a graph, which numpy
+labels by hook and jump (``_component_roots``), and rank [C | ker D] =
+nullity(D) when the integer product B C is zero; B C over the cell areas
+is D C. B touches only the edge unknowns, so D's vertex columns are empty
+and the one dense matrix is D's interior-edge columns, whose value-only
+SVD gives only the gap at the counted rank. The inf-sup constant forms no
+dense matrix: it is the extreme eigenvalue of an operator that one
+stream-function sweep of the Brinkman solve applies, so it needs a mesh of
+Euler characteristic 1, as that solve does.
 """
 
 from __future__ import annotations
@@ -83,13 +85,16 @@ class SequenceReport:
     incidence matrix (``_incidence_rank``), and ``rank_combined``, the rank
     of [C | ker D], is None when B C is not zero; a None rank fails every
     check that compares it. ``sv_gap`` is sigma_r / sigma_{r+1} of D at the
-    counted rank r = ``rank_div``, infinite when D has no sigma_{r+1} or it
-    is zero (as on a one-cell mesh). ``to_dict`` and ``to_json`` write a
-    non-finite gap and a None rank as null, so the JSON is strict: it holds
-    no NaN or Infinity, and ``to_json`` raises rather than write one.
+    counted rank r = ``rank_div``, from D's interior-edge columns (its
+    vertex columns are empty), infinite when D has no sigma_{r+1} or it is
+    zero (as on a one-cell mesh). ``div_curl_max`` is the largest entry of
+    D C, read off the integer product B C over the cell areas. ``to_dict``
+    and ``to_json`` write a non-finite gap and a None rank as null, so the
+    JSON is strict: it holds no NaN or Infinity, and ``to_json`` raises
+    rather than write one.
     sigma_{r+1} is at the rounding level, so ``sv_gap`` depends on the BLAS
-    thread count (random mesh, n = 32, seed 3: 5.20e14 with one OpenBLAS
-    thread, 3.02e14 with two), while every other field does not.
+    thread count (random mesh, n = 32, seed 3: 2.44e14 with one OpenBLAS
+    thread, 2.26e14 with two), while every other field does not.
     """
 
     dims: dict
@@ -127,9 +132,6 @@ def _incidence_rank(M):
     touches, and zero elsewhere, so its rank is the number of columns less
     the number of those components.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     M = M.tocsr(copy=True)
     M.eliminate_zeros()
     starts, counts = M.indptr[:-1], np.diff(M.indptr)
@@ -137,11 +139,31 @@ def _incidence_rank(M):
     if counts.max(initial=0) > 2 or np.any(M.data[pairs] + M.data[pairs + 1] != 0):
         return None
     n = M.shape[1]
-    edges = csr_matrix((np.ones(len(pairs)), (M.indices[pairs], M.indices[pairs + 1])),
-                       shape=(n, n))
-    n_comp, label = connected_components(edges, directed=False)
-    grounded = np.unique(label[M.indices[starts[counts == 1]]]).size
+    root = _component_roots(n, M.indices[pairs], M.indices[pairs + 1])
+    n_comp = int(np.count_nonzero(root == np.arange(n)))
+    grounded = np.unique(root[M.indices[starts[counts == 1]]]).size
     return n - (n_comp - grounded)
+
+
+def _component_roots(n, a, b):
+    """The smallest node of each node's component in the graph on nodes
+    0..n-1 with the edges (a[k], b[k]).
+
+    Hook and jump: every root takes the smallest root across its edges as
+    its parent, and pointer jumping then points every node at its root.
+    Parents are never larger than their nodes, so no cycle forms, and each
+    round joins every tree that has an edge out to another, so a component
+    of m nodes takes at most about log2(m) rounds.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return root
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 def _rotated_gradient_dofs(S, c, h):
@@ -176,26 +198,30 @@ def verify_exact_sequence(mesh: Mesh) -> SequenceReport:
     = diag(1 / area) B with every area positive, and rank C on C, both by
     ``_incidence_rank``; and rank [C | ker D] = nullity(D) + rank(D C) is
     nullity(D) when the integer product B C is zero, and None, which fails
-    ``curl_spans_kernel``, otherwise. The value-only SVD of D gives
-    ``sv_gap`` at the counted rank of D.
+    ``curl_spans_kernel``, otherwise; ``div_curl_max`` reads B C, each row
+    over its cell's area. The value-only SVD of D's interior-edge columns,
+    which hold all of its singular values as B touches no vertex unknown,
+    gives ``sv_gap`` at the counted rank of D.
     """
     geom, unit = mesh.cell_geometry, mesh.unit_geometry
     C, sdm, vdm = curl_matrix(mesh)
     B = vdm.incidence()
-    D = _over_area(mesh, B)
 
     rank_div = _incidence_rank(B.T)
     nullity = vdm.ndof - rank_div
     rank_curl = _incidence_rank(C)
-    rank_combined = nullity if (B @ C).count_nonzero() == 0 else None
+    BC = B @ C
+    rank_combined = nullity if BC.count_nonzero() == 0 else None
+    div_curl_max = float(np.abs(BC.data / np.repeat(geom.area, np.diff(BC.indptr)))
+                         .max(initial=0.0))
 
-    sv = np.linalg.svd(D.toarray(), compute_uv=False)
+    # B touches only the edge unknowns, so D's vertex columns are empty and
+    # carry no singular value.
+    D_edges = _over_area(mesh, B[:, vdm.edge_dofs[vdm.edge_dofs >= 0]])
+    sv = np.linalg.svd(D_edges.toarray(), compute_uv=False)
     gap = np.inf
     if 0 < rank_div < len(sv) and sv[rank_div]:
         gap = float(sv[rank_div - 1] / sv[rank_div])
-
-    DC = D @ C
-    div_curl_max = float(np.abs(DC.data).max(initial=0.0))
 
     # Global consistency: push a random scalar coefficient vector through the
     # matrix and compare against per-cell DoFs of the local rotated gradient.

@@ -188,6 +188,18 @@ def test_bad_coefficients_are_named(assemble, name, value):
         assemble(value)
 
 
+@pytest.mark.parametrize("value", [1, 9, 2.5, True])
+@pytest.mark.parametrize("assemble", [
+    lambda v: assemble_fourth_order(MESH, 1.0, CASE.source(1.0), quad_order=v),
+    lambda v: assemble_brinkman(MESH, 1.0, 1.0, _zero_flow, quad_order=v),
+], ids=["fourth_order", "brinkman"])
+def test_bad_quad_order_is_named(assemble, value):
+    # Checked by name before any DoF map or rule is built; the rule itself
+    # used to name it "per-axis order g".
+    with pytest.raises(ValueError, match=rf"^quad_order must .*, got {re.escape(repr(value))}$"):
+        assemble(value)
+
+
 def test_coefficients_take_numpy_floats():
     want = assemble_fourth_order(MESH, 0.5, CASE.source(0.5)).matrix
     got = assemble_fourth_order(MESH, np.float64(0.5), CASE.source(0.5)).matrix

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -179,4 +180,16 @@ def test_bad_coefficients_are_named(norms, name, value):
     # energy, nu = -1 a nan velocity_ah with only a RuntimeWarning, and a
     # string a bare TypeError once every table was built.
     with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got "):
+        norms(value)
+
+
+@pytest.mark.parametrize("value", [1, 9, 2.5, True])
+@pytest.mark.parametrize("norms", [
+    lambda v: scalar_error_norms(MESH, None, None, scalar_sin_squared(), eps=1.0, quad_order=v),
+    lambda v: brinkman_error_norms(MESH, None, None, brinkman_sin_stream(), 1.0, 1.0,
+                                  quad_order=v),
+], ids=["scalar", "brinkman"])
+def test_bad_quad_order_is_named(norms, value):
+    # Checked by name before the elements or the DoFs (None here) are read.
+    with pytest.raises(ValueError, match=rf"^quad_order must .*, got {re.escape(repr(value))}$"):
         norms(value)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,7 +106,8 @@ def test_kernel_count_as_strict_as_stacked_oracle(monkeypatch, direction):
 
 
 def test_certificate_takes_one_value_only_svd(monkeypatch):
-    # C and D C stay sparse on a mesh: only D is densified, for sv_gap.
+    # C and B C stay sparse on a mesh: only D's interior-edge columns are
+    # densified, for sv_gap.
     svd, calls = np.linalg.svd, []
 
     def recording_svd(a, *args, **kwargs):
@@ -112,7 +116,50 @@ def test_certificate_takes_one_value_only_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     d = verify_exact_sequence(make_mesh(4, "random", seed=9)).dims
-    assert calls == [((d["n_cells"], d["vector"]), (), {"compute_uv": False})]
+    assert calls == [((d["n_cells"], d["interior_edges"]), (), {"compute_uv": False})]
+
+
+def test_certificate_leaves_csgraph_unimported():
+    # The component count is plain numpy, so neither certificate pulls in
+    # scipy.sparse.csgraph; a fresh interpreter shows what they import.
+    code = """
+import sys
+from quadseq.mesh import make_mesh
+from quadseq.sequence import inf_sup_constant, verify_exact_sequence
+mesh = make_mesh(4, "random", seed=0)
+assert verify_exact_sequence(mesh).passed
+assert inf_sup_constant(mesh) > 0
+print("scipy.sparse.csgraph" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(sequence.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("kind,n", [(family, n) for family in ("rectangular", "trapezoidal", "random")
+                                     for n in (2, 3, 8, 16)]
+                         + [(domain, n) for domain in ("lshape", "punched") for n in (8, 16)])
+def test_edge_column_svd_equals_the_full_svd(kind, n):
+    # B touches only the edge unknowns, so the certificate's SVD of D's
+    # interior-edge columns has the singular values of the full D.
+    if kind in ("lshape", "punched"):
+        mesh = _off_the_square(kind, n)
+    else:
+        mesh = make_mesh(n, kind, seed=9 if kind == "random" else 0)
+    D, vdm = divergence_matrix(mesh)
+    edge = vdm.edge_dofs[vdm.edge_dofs >= 0]
+    assert D[:, np.setdiff1d(np.arange(vdm.ndof), edge)].nnz == 0
+    report = verify_exact_sequence(mesh)
+    r = report.rank_div
+    full = np.linalg.svd(D.toarray(), compute_uv=False)
+    part = np.linalg.svd(D[:, edge].toarray(), compute_uv=False)
+    assert np.all(np.abs(part[:r] - full[:r]) <= 1e-13 * full[:r])
+    assert report.sv_gap == (part[r - 1] / part[r] if r < len(part) and part[r] else np.inf)
+    assert report.sv_gap >= 1e6
+    if r < len(full) and full[r]:
+        assert full[r - 1] / full[r] >= 1e6
 
 
 def test_duplicated_curl_column_is_counted_not_raised(monkeypatch):
@@ -168,19 +215,23 @@ def _subset(mesh, keep):
     return Mesh(mesh.vertices[used], number[cells])
 
 
-@pytest.mark.parametrize("domain", ["lshape", "punched"])
-@pytest.mark.parametrize("n", [8, 16])
-def test_ranks_equal_the_dense_oracle_off_the_square(domain, n):
-    # The L-shape drops the cells with centres in (1/2, 1]^2 and is still
-    # simply connected; the punched mesh drops those with |x - 1/2| and
-    # |y - 1/2| below 0.2, so its Euler characteristic is 0 and ker D holds
-    # one field more than the rotated gradients span.
+def _off_the_square(domain, n):
+    """The random mesh (seed 3) without some cells. The L-shape drops the
+    cells with centres in (1/2, 1]^2 and is still simply connected; the
+    punched mesh drops those with |x - 1/2| and |y - 1/2| below 0.2, so its
+    Euler characteristic is 0 and ker D holds one field more than the
+    rotated gradients span."""
     mesh = make_mesh(n, "random", seed=3)
     x, y = mesh.vertices[mesh.cells].mean(axis=1).T
     if domain == "lshape":
-        mesh = _subset(mesh, (x < 0.5) | (y < 0.5))
-    else:
-        mesh = _subset(mesh, (np.abs(x - 0.5) >= 0.2) | (np.abs(y - 0.5) >= 0.2))
+        return _subset(mesh, (x < 0.5) | (y < 0.5))
+    return _subset(mesh, (np.abs(x - 0.5) >= 0.2) | (np.abs(y - 0.5) >= 0.2))
+
+
+@pytest.mark.parametrize("domain", ["lshape", "punched"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_ranks_equal_the_dense_oracle_off_the_square(domain, n):
+    mesh = _off_the_square(domain, n)
     report = verify_exact_sequence(mesh)
     got = [report.rank_div, report.nullity_div, report.rank_curl, report.rank_combined]
     assert got == _dense_ranks(mesh)
@@ -220,6 +271,53 @@ def test_incidence_rank_equals_the_dense_rank():
     for draw in range(500):
         M = _random_incidence(rng)
         assert _incidence_rank(M) == np.linalg.matrix_rank(M.toarray()), draw
+
+
+def _graph_incidence(n_cols, pairs, singles=()):
+    """The incidence matrix with one row e_a - e_b per pair (a, b) and one
+    row 2 e_a per single a, on n_cols columns, CSR."""
+    M = np.zeros((len(pairs) + len(singles), n_cols))
+    for i, (a, b) in enumerate(pairs):
+        M[i, a], M[i, b] = 1.0, -1.0
+    for i, a in enumerate(singles, start=len(pairs)):
+        M[i, a] = 2.0
+    return sp.csr_matrix(M)
+
+
+def _hard_graphs():
+    rng = np.random.default_rng(1)
+    n = 40
+    small = [(3 * k, 3 * k + 1) for k in range(13)] + [(3 * k + 1, 3 * k + 2) for k in range(13)]
+    return {
+        # A path whose every edge joins a node to the next smaller one.
+        "decreasing_path": (n, [(k + 1, k) for k in reversed(range(n - 1))], ()),
+        # A path through the nodes in random order.
+        "shuffled_path": (n, list(zip(p := rng.permutation(n), p[1:])), ()),
+        "star": (n, [(0, k) for k in range(1, n)], ()),
+        "star_at_the_last_node": (n, [(k, n - 1) for k in range(n - 1)], ()),
+        # Thirteen paths of three nodes and one isolated column.
+        "many_small_components": (n, small, ()),
+        "isolated_columns": (n, [(2, 7), (7, 30)], ()),
+        # One-entry rows inside components, twice in one, and on an isolated column.
+        "grounded_inside": (n, small, (4, 5, 20, 39)),
+        "cycle": (n, [(k, (k + 1) % n) for k in range(n)], (17,)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_hard_graphs()))
+def test_incidence_rank_of_hard_graphs(name):
+    from scipy.sparse.csgraph import connected_components
+
+    n, pairs, singles = _hard_graphs()[name]
+    M = _graph_incidence(n, pairs, singles)
+    rank = _incidence_rank(M)
+    assert type(rank) is int
+    assert rank == np.linalg.matrix_rank(M.toarray())
+    # The rank by scipy's component count, as the certificate once took it.
+    a, b = zip(*pairs)
+    graph = sp.csr_matrix((np.ones(len(pairs)), (a, b)), shape=(n, n))
+    n_comp, label = connected_components(graph, directed=False)
+    assert rank == n - (n_comp - np.unique(label[list(singles)]).size)
 
 
 @pytest.mark.parametrize("rows", [
