@@ -86,19 +86,20 @@ factor (``_release_freed_memory``). Together these took the peak RSS
 of the random-mesh scalar study to n = 64 from 151 to about 137 MB, and of
 the Stokes study on rectangular meshes from 122 to about 111 MB.
 
-scipy is imported by the first sparse call, not with the module. Each
-sparse entry point (``cell_matrix``, ``solve``, ``_factor_spd`` and
-``_StreamSolver``) first binds ``scipy.sparse`` and ``scipy.sparse.linalg``
-as the module globals ``sp`` and ``spla`` (``_bind_sparse``), and before
-that the module ``__getattr__`` serves ``assembly.sp`` and
-``assembly.spla`` to readers outside. A name already bound keeps its
-binding, so a stand-in put in ``spla`` (a test's recorder, the
-benchmark's tracer) takes every ``splu`` call. The elements, the element
-certificate and the meshes need only numpy, and ``import quadseq`` no
-longer pays for scipy: cold starts went from 0.41 to 0.18 s and from 62
-to 35 MB peak RSS (medians of 14, 2-vCPU x86-64, Python 3.11, SciPy
-1.17). The first assembly, solve or sequence certificate of a process
-pays the scipy import instead (about 0.18 s).
+scipy is imported where it is used, not with the module: ``cell_matrix``
+and ``_StreamSolver`` import ``scipy.sparse`` when called, as ``dofmap``
+and ``sequence`` do. The one exception is the seam ``spla``, through which
+every factorization goes: ``solve`` and ``_factor_spd`` first bind
+``scipy.sparse.linalg`` as the module global ``spla`` (``_bind_sparse``),
+and before that the module ``__getattr__`` serves ``assembly.spla`` to
+readers outside. A name already bound keeps its binding, so a stand-in put
+in ``spla`` (a test's recorder, the benchmark's tracer) takes every
+``splu`` call. The elements, the element certificate and the meshes need
+only numpy, and ``import quadseq`` no longer pays for scipy: cold starts
+went from 0.41 to 0.18 s and from 62 to 35 MB peak RSS (medians of 14,
+2-vCPU x86-64, Python 3.11, SciPy 1.17). The first assembly, solve or
+sequence certificate of a process pays the scipy import instead (about
+0.18 s).
 """
 
 from __future__ import annotations
@@ -137,20 +138,18 @@ class SolverError(RuntimeError):
 
 
 def _bind_sparse():
-    """Bind ``scipy.sparse`` and ``scipy.sparse.linalg`` as the module
-    globals ``sp`` and ``spla``, keeping a name that is already bound (a
-    stand-in put there by a test or a tracer); see the module docstring."""
-    import scipy.sparse
+    """Bind ``scipy.sparse.linalg`` as the module global ``spla``, keeping
+    a stand-in already put there (by a test or a tracer); see the module
+    docstring."""
     import scipy.sparse.linalg
 
-    globals().setdefault("sp", scipy.sparse)
     globals().setdefault("spla", scipy.sparse.linalg)
 
 
 def __getattr__(name):
-    # Serves ``sp`` and ``spla`` to readers outside the module before the
-    # first sparse call has bound them (PEP 562).
-    if name in ("sp", "spla"):
+    # Serves ``spla`` to readers outside the module before the first
+    # factorization has bound it (PEP 562).
+    if name == "spla":
         _bind_sparse()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -319,7 +318,8 @@ def cell_matrix(shape, blocks):
     without a copy. Int64 indices, which it copies to int32, measure within
     the run-to-run spread (about 1 MB) of the peak RSS of the random-mesh
     scalar study to n = 64: 134.4 against 135.5 MB, medians of five runs."""
-    _bind_sparse()
+    import scipy.sparse as sp
+
     idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
     rows, cols, vals = zip(*blocks)
     vals = [np.asarray(v) for v in vals]
@@ -605,7 +605,8 @@ class _StreamSolver:
     """
 
     def __init__(self, system: SparseSystem):
-        _bind_sparse()
+        import scipy.sparse as sp
+
         mesh = system.dofmap.mesh
         chi = mesh.euler_characteristic()
         if chi != 1:

@@ -173,20 +173,13 @@ def _write_report(report, fmts, prefix):
 
 
 def _cmd_study(args) -> int:
+    levels = dict(family=args.mesh, n_list=args.n, delta=args.delta, seed=args.seed,
+                  quad_order=args.quad_order, error_quad_order=args.error_quad_order)
     if args.problem == "scalar":
-        case = scalar_sin_squared(frequency=args.frequency)
-        report = run_scalar_study(
-            eps=args.eps, biharmonic=args.biharmonic, family=args.mesh,
-            n_list=args.n, delta=args.delta, seed=args.seed,
-            quad_order=args.quad_order, error_quad_order=args.error_quad_order,
-            case=case,
-        )
+        report = run_scalar_study(eps=args.eps, biharmonic=args.biharmonic,
+                                  case=scalar_sin_squared(frequency=args.frequency), **levels)
     else:
-        report = run_brinkman_study(
-            nu=args.nu, alpha=args.alpha, family=args.mesh, n_list=args.n,
-            delta=args.delta, seed=args.seed, quad_order=args.quad_order,
-            error_quad_order=args.error_quad_order,
-        )
+        report = run_brinkman_study(nu=args.nu, alpha=args.alpha, **levels)
     print(report.to_markdown())
     print(f"(runtime {report.runtime_s:.2f}s)")
     _write_report(report, args.format, args.out)

@@ -36,12 +36,15 @@ DEFAULT_ERROR_QUAD = 6
 
 def _rule(mesh: Mesh, elements: ElementBatch, kind, quad_order: int, dofs):
     """Points and weights of the error rule on the batch's unit shapes,
-    which must be the ``kind`` elements of ``mesh``, for the DoF rows
-    ``dofs``, which must be (n_cells, 12)."""
+    which must be an ``ElementBatch`` of the ``kind`` elements of ``mesh``,
+    for the DoF rows ``dofs``, which must be (n_cells, 12)."""
     check_order(quad_order, "quad_order")
     if np.shape(dofs) != (mesh.n_cells, 12):
         raise ValueError(f"dofs must have shape (n_cells, 12) = {(mesh.n_cells, 12)}, "
                          f"got {np.shape(dofs)}")
+    if not isinstance(elements, ElementBatch):
+        raise ValueError(f"elements must be an ElementBatch (as assembly returns on "
+                         f"system.elements), got {type(elements).__name__}")
     geom = mesh.cell_geometry
     if elements.kind is not kind or not np.array_equal(elements.unit.vertices,
                                                        geom.local_vertices):

@@ -81,7 +81,6 @@ class StudyReport:
     norms: list
     errors: dict = field(default_factory=dict)   # norm -> list of floats
     runtime_s: float = 0.0
-    notes: list = field(default_factory=list)
 
     def orders(self, norm: str):
         return pairwise_orders(self.n_list, self.errors[norm])
@@ -145,7 +144,6 @@ class StudyReport:
             "orders": {nm: self.orders(nm) for nm in self.norms},
             "order_last": {nm: self.order_last(nm) for nm in self.norms},
             "order_fit": {nm: self.order_fit(nm) for nm in self.norms},
-            "notes": self.notes,
         }
         return _strict_json(doc, nullable=("orders", "order_last", "order_fit"))
 

@@ -21,16 +21,17 @@ The cells run in the element tasks of assembly (``assembly._chunk_tasks``):
 chunks of ``CELL_CHUNK`` cells, whose distinct cells, in order of first
 appearance, go into tasks of at most ``TASK_CELLS``, each with the cells
 that repeat them. On the sweep, whose cells are all distinct, a task is
-``TASK_CELLS`` consecutive cells; on the cycled cells of a mesh family, it
-is a chunk's 16 distinct cells. So the temporaries of the battery are
-bounded whatever the number of samples and whatever the mix of repeated
-cells (``element_certificate(1000, identity_samples=1000)`` peaks at 68 MB
-on the sweep, against 124 MB with every cell at once), and a mesh family
-certificate checks each of its 16 cells once per chunk, however many
-samples cycle through them. A cell's residuals depend on its vertices
-only, and each certificate residual is the maximum over the tasks of their
-maxima over cells, so the certificate is the same bit for bit for every
-task size and with or without the deduplication.
+``TASK_CELLS`` consecutive cells, so the temporaries of the battery are
+bounded whatever the number of samples
+(``element_certificate(1000, identity_samples=1000)`` peaks at 68 MB on
+the sweep, against 124 MB with every cell at once). A mesh family
+certificate checks the first cells of its 4 x 4 mesh, at most all 16, once
+each: a maximum over cells does not change when a cell repeats, so it
+reports the requested sample counts and costs what 16 samples cost. A
+cell's residuals depend on its vertices only, and each certificate
+residual is the maximum over the tasks of their maxima over cells, so the
+certificate is the same bit for bit for every task size and with or
+without the deduplication.
 """
 
 from __future__ import annotations
@@ -352,8 +353,10 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
     with skew up to 0.95 and unbounded affine distortion; the
     coefficient-space identity battery runs on ``identity_samples``
     shape-bounded quads (default: min(samples, 200), skew up to 0.8, aspect
-    up to 2), where the 1e-10 tolerances are meaningful. Both counts must be
-    integers of at least 1; ``ValueError`` names the one that is not.
+    up to 2), where the 1e-10 tolerances are meaningful. On a mesh
+    ``family`` both run on the first cells of its 4 x 4 mesh, at most all
+    16, and the certificate reports the requested counts. Both counts must
+    be integers of at least 1; ``ValueError`` names the one that is not.
     """
     samples = _integer(samples, "samples", 1)
     identity_samples = min(samples, 200) if identity_samples is None else identity_samples
@@ -362,10 +365,10 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
         quads = random_convex_quads(samples, seed)
         cells = random_convex_quads(identity_samples, seed + 1, max_skew=0.8, max_aspect=2.0)
     elif family in FAMILIES:
-        # Both sets cycle through the cells of one 4 x 4 mesh in order.
-        mesh = make_mesh(4, family, seed=seed)
-        quads, cells = (mesh.cell_geometry[np.arange(k) % mesh.n_cells]
-                        for k in (samples, identity_samples))
+        # Both sets are the first cells of one 4 x 4 mesh, at most all 16:
+        # a maximum over cells does not change when a cell repeats.
+        geom = make_mesh(4, family, seed=seed).cell_geometry
+        quads, cells = geom[:samples], geom[:identity_samples]
     else:
         raise ValueError(f"unknown family {family!r}")
 
@@ -379,7 +382,7 @@ def element_certificate(samples: int = 1000, seed: int = 1, family: str = "sweep
     res = _max_over_tasks(quads, dets)
     res.update(_max_over_tasks(cells, lambda _, shapes, __: _identity_residuals(cells[shapes])))
     return ElementCertificate(
-        family=family, samples=len(quads), identity_samples=identity_samples,
+        family=family, samples=samples, identity_samples=identity_samples,
         seed=seed, residuals={k: float(res[k]) for k in THRESHOLDS},
     )
 

@@ -1,6 +1,8 @@
 import ctypes
 import re
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -531,6 +533,22 @@ def test_solve_without_malloc_trim_is_bitwise_equal(kind, monkeypatch):
     x = solve(system)
     monkeypatch.setattr(assembly, "_malloc_trim", None)
     assert np.array_equal(solve(system), x)
+
+
+def test_only_the_spla_seam_holds_scipy():
+    # scipy is imported where it is used, and the one module global that
+    # holds it is the seam ``assembly.spla``, which tests and tracers replace.
+    mesh = make_mesh(4, "random", seed=1)
+    solve(assemble_fourth_order(mesh, 1.0, CASE.source(1.0)))
+    solve(assemble_brinkman(mesh, 1.0, 1.0, FLOW.source(1.0, 1.0), g=FLOW.divergence))
+    held = sorted(f"{name}.{attr}" for name, module in list(sys.modules.items())
+                  if name.partition(".")[0] == "quadseq"
+                  for attr, value in vars(module).items()
+                  if isinstance(value, types.ModuleType)
+                  and value.__name__.partition(".")[0] == "scipy")
+    assert held == ["quadseq.assembly.spla"]
+    with pytest.raises(AttributeError, match="has no attribute 'sp'"):
+        assembly.sp
 
 
 @pytest.mark.skipif(assembly._malloc_trim is None, reason="the C library has no malloc_trim")

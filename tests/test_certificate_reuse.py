@@ -89,7 +89,7 @@ def test_element_certificate_evaluates_frames_and_span_once(evaluations, family)
     # The tasks hold the distinct quads and the distinct identity cells, each
     # once, in order of first occurrence, and none holds more than
     # TASK_CELLS cells: the 200 and 150 cells of the sweep are all distinct,
-    # and those of a mesh family cycle through its 16 cells.
+    # and a mesh family checks the 16 cells of its mesh.
     quads, cells = _certificate_cells(family, 200, 1, 150)
     sizes = [len(geometries[k]) for k in frames]
     assert sum(sizes) == (200 + 150 if family == "sweep" else 16 + 16)
@@ -103,14 +103,13 @@ def test_element_certificate_evaluates_frames_and_span_once(evaluations, family)
 
 
 def test_each_distinct_cell_of_a_chunk_is_evaluated_once(evaluations):
-    # 2000 samples cycle through the 16 cells of a rectangular mesh, in two
-    # chunks of at most CELL_CHUNK cells; each chunk checks the 16 once, for
-    # the determinants and for the identities.
+    # 2000 samples, more than CELL_CHUNK, of a rectangular mesh check its 16
+    # cells once, for the determinants and for the identities.
     assert 1000 < assembly.CELL_CHUNK < 2000
     element_certificate(2000, seed=1, family="rectangular", identity_samples=2000)
     geometries = evaluations["geometries"]
-    assert [len(geometries[k]) for k in evaluations["frames"]] == [16] * 4
-    assert [len(geometries[k]) for k in evaluations["span"]] == [16] * 2
+    assert [len(geometries[k]) for k in evaluations["frames"]] == [16] * 2
+    assert [len(geometries[k]) for k in evaluations["span"]] == [16]
 
 
 @pytest.mark.parametrize("family", FAMILIES[1:])

@@ -67,9 +67,9 @@ def test_certificates_pass_on_every_slice_size(by_slice_size):
 
 @pytest.mark.parametrize("family", ["rectangular", "trapezoidal", "random"])
 def test_certificates_equal_the_walk_that_checks_every_cell(family):
-    # The 200 samples cycle through the 16 cells of a mesh, which the
-    # element tasks check once each; the sequence certificate builds one
-    # element pair per distinct unit shape.
+    # The element certificate checks the 16 cells of a mesh once each, and
+    # the walk all 200 samples cycled through them; the sequence certificate
+    # builds one element pair per distinct unit shape.
     cert = element_certificate(200, seed=2, family=family)
     assert cert.residuals == sliced_certificate_residuals(family, 200, 2, 200)
     for n in (4, 8):
@@ -117,11 +117,13 @@ def _traced_peak_mb(fn):
 # Peak traced allocation of two certificates, with NumPy 2.4.6 and SciPy
 # 1.17.1. Walking the cells in 64-cell slices took the element certificate
 # on 1000 + 1000 samples from 53.7 to 4.6 MB and the sequence certificate of
-# a random n = 16 mesh from 11.4 to 4.3 MB (the rest is mostly the dense D
-# and its SVD); the bounds sit about 15 % above the sliced values.
+# a random n = 16 mesh from 11.4 to 4.3 MB. The sequence certificate now
+# densifies only D's interior-edge columns (0.94 MB) and peaks at 3.0 MB in
+# the walk of one 64-cell element task (1.4 MB with 16-cell tasks); the
+# bounds sit about 15 % above the sliced values.
 @pytest.mark.parametrize("certify, bound_mb", [
     (lambda: element_certificate(1000, identity_samples=1000), 5.3),
-    (lambda: verify_exact_sequence(make_mesh(16, "random", seed=1)), 5.0),
+    (lambda: verify_exact_sequence(make_mesh(16, "random", seed=1)), 3.5),
 ], ids=["element", "sequence"])
 def test_certificate_peak_memory(certify, bound_mb):
     assert _traced_peak_mb(certify) < bound_mb

@@ -2,9 +2,10 @@
 
 The elements, their oracles, the element certificate and the meshes need
 only numpy, so neither ``import quadseq`` nor those calls may load scipy
-(or any other third-party package): ``quadseq.assembly`` binds
-``scipy.sparse`` and ``scipy.sparse.linalg`` on its first sparse call, and
-``dofmap`` and ``sequence`` import them inside the functions that use them.
+(or any other third-party package): scipy is imported inside the
+functions that use it, and ``quadseq.assembly`` binds
+``scipy.sparse.linalg`` as its one module global ``spla``, the seam a
+tracer may replace, on its first factorization or when it is read.
 Each case runs in its own interpreter, because this test process has scipy
 loaded already.
 """

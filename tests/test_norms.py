@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from quadseq.assembly import assemble_fourth_order, solve, unit_shape_elements, unit_shape_rule
+from quadseq.assembly import (
+    SparseSystem,
+    assemble_brinkman,
+    assemble_fourth_order,
+    solve,
+    unit_shape_elements,
+    unit_shape_rule,
+)
 from quadseq.elements import (
     build_scalar_element,
     build_vector_element,
@@ -103,6 +110,33 @@ def test_norms_take_the_batch_of_their_mesh_and_kind():
                      _elements(make_mesh(4, "random", seed=3), build_vector_element)):
         with pytest.raises(ValueError, match="VectorElement batch of this mesh"):
             brinkman_error_norms(mesh, elements, dofs, case, nu=1.0, alpha=1.0)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "brinkman"])
+def test_norms_name_elements_that_are_no_batch(kind):
+    # A hand-built SparseSystem(matrix, rhs, dofmap) carries no elements
+    # (None), and a single element is no batch: both are refused by name,
+    # not with an AttributeError on ``elements.kind``.
+    mesh = make_mesh(4, "rectangular")
+    if kind == "scalar":
+        case = scalar_sin_squared()
+        built = assemble_fourth_order(mesh, 1.0, case.source(1.0))
+
+        def norms(elements, dofs):
+            return scalar_error_norms(mesh, elements, dofs, case, eps=1.0)
+    else:
+        case = brinkman_sin_stream()
+        built = assemble_brinkman(mesh, 1.0, 1.0, case.source(1.0, 1.0), g=case.divergence)
+
+        def norms(elements, dofs):
+            return brinkman_error_norms(mesh, elements, dofs, case, nu=1.0, alpha=1.0)
+    system = SparseSystem(built.matrix, built.rhs, built.dofmap)
+    x = solve(system)
+    dofs = system.dofmap.gather(x if kind == "scalar" else system.split(x)[0])
+    element = build_scalar_element(mesh.unit_geometry)
+    for elements, got in ((system.elements, "NoneType"), (element, "ScalarElement")):
+        with pytest.raises(ValueError, match=rf"^elements must be an ElementBatch .*got {got}$"):
+            norms(elements, dofs)
 
 
 def _with(case, **callables):
